@@ -9,8 +9,8 @@ import sys
 
 from .errors import CatqlError
 from .instances import Instance
-from .parsing import parse_query, parse_script
-from .queries import eval_query_direct, eval_query_via_migration, typecheck_query
+from .parsing import parse_script
+from .queries import eval_query_direct, eval_query_via_migration
 from .render import FORMATS, render_instance
 from .scenario import ScenarioConfig, closure_auto, enrich, translate_isa
 from .scripts import Environment, run_script

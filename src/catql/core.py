@@ -159,15 +159,6 @@ def path_compose(p: Path, q: PathLike) -> PathLike:
     return Path(p.source, p.steps + q.steps, q.attr)
 
 
-def check_composable(s: Schema, p: Path, q: PathLike):
-    """Raise unless target of p matches source of q within schema s."""
-    kind, end = path_target(s, p)
-    if kind != "node":
-        raise SchemaError(f"cannot compose out of attribute-valued path {p}")
-    if isinstance(q, Path) and q.source != end:
-        raise SchemaError(f"endpoint mismatch composing {p} (ends at {end!r}) with {q}")
-
-
 def _word_key(steps, attr):
     return (1, len(steps) + (attr is not None), steps, attr or "")
 

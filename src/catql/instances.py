@@ -4,22 +4,22 @@ Rows are opaque string ids scoped to one node of one instance.  Attribute
 values are strings, integers, or labelled nulls (equal only to the same
 label).  Union is disjoint union followed by relationalization, the quotient
 by observational equivalence.
+
+One partition refinement (`_refine`) colors the rows of one or more
+instances jointly; relationalize quotients by it and iso_check compares the
+color classes of two instances.  One iterative backtracking search (`_homs`)
+enumerates natural transformations with an explicit stack: enumerate_homs
+counts them over attribute-tuple buckets, and iso_check looks for an
+injective one over color classes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
-from .core import (
-    ConstPath,
-    Path,
-    Schema,
-    attr_table,
-    attrs_of,
-    edge_table,
-    edges_from,
-)
+from .core import ConstPath, Schema, attrs_of, edge_table, edges_from
 from .errors import LimitExceeded, SchemaError, ValidationError
 
 
@@ -186,52 +186,53 @@ def disjoint_union_many(instances) -> Instance:
     return Instance(s, rows, edge_fn, attr_fn)
 
 
+def _refine(instances) -> list[dict]:
+    """Joint partition refinement of the rows of instances on one schema.
+
+    Initial colors key on (node, direct attribute tuple); each round splits
+    colors by the vector of edge-target colors, until the number of colors
+    stops growing.  Returns one {(node, row): color} dict per instance.  Two
+    rows, of the same or of different instances, share a color iff every
+    attribute-valued path agrees on them.
+    """
+    s = instances[0].schema
+    nodes = sorted(s.nodes)
+    colors: dict = {}
+    coloring = [
+        {(n, r): colors.setdefault((n, inst.attr_tuple(n, r)), len(colors))
+         for n in nodes for r in inst.rows[n]}
+        for inst in instances
+    ]
+    count = 0
+    while len(colors) > count:
+        count = len(colors)
+        colors = {}
+        refined = []
+        for inst, c in zip(instances, coloring):
+            new = {}
+            for n in nodes:
+                out = [(inst.edge(n, e), tgt) for (e, tgt) in edges_from(s, n)]
+                for r in inst.rows[n]:
+                    k = (c[(n, r)], tuple(c[(tgt, fn[r])] for (fn, tgt) in out))
+                    new[(n, r)] = colors.setdefault(k, len(colors))
+            refined.append(new)
+        coloring = refined
+    return coloring
+
+
 def relationalize(I: Instance) -> Instance:
     """Quotient by observational equivalence (partition refinement to fixpoint).
 
-    Initial blocks key on (node, direct attribute tuple); refinement splits by
-    the vector of edge-target blocks.  Rows merge iff every attribute-valued
-    path agrees on them.
+    Rows merge iff every attribute-valued path agrees on them; each class is
+    represented by its smallest row id.
     """
     s = I.schema
-    block: dict[tuple[str, str], int] = {}
-    keys: dict = {}
-    next_id = 0
-    for n in sorted(s.nodes):
-        for r in I.rows[n]:
-            k = (n, I.attr_tuple(n, r))
-            if k not in keys:
-                keys[k] = next_id
-                next_id = next_id + 1
-            block[(n, r)] = keys[k]
-    changed = True
-    while changed:
-        changed = False
-        keys = {}
-        new_block = {}
-        next_id = 0
-        for n in sorted(s.nodes):
-            outgoing = edges_from(s, n)
-            for r in I.rows[n]:
-                k = (
-                    block[(n, r)],
-                    tuple(block[(tgt, I.edge(n, name)[r])] for (name, tgt) in outgoing),
-                )
-                if k not in keys:
-                    keys[k] = next_id
-                    next_id = next_id + 1
-                new_block[(n, r)] = keys[k]
-        if new_block != block:
-            changed = True
-            block = new_block
-    # representative per block: smallest row id
-    rep: dict[tuple[str, int], str] = {}
-    for n in sorted(s.nodes):
-        for r in I.rows[n]:
-            b = (n, block[(n, r)])
-            if b not in rep or r < rep[b]:
-                rep[b] = r
-    new_id = {(n, r): rep[(n, block[(n, r)])] for n in s.nodes for r in I.rows[n]}
+    color = _refine([I])[0]
+    rep: dict[int, str] = {}
+    for (_n, r), c in color.items():
+        if c not in rep or r < rep[c]:
+            rep[c] = r
+    new_id = {key: rep[c] for key, c in color.items()}
     rows = {n: sorted({new_id[(n, r)] for r in I.rows[n]}) for n in s.nodes}
     edge_fn = {}
     for (name, src, tgt) in s.edges:
@@ -251,142 +252,92 @@ def union(I: Instance, J: Instance) -> Instance:
     return relationalize(disjoint_union(I, J))
 
 
-def _color_refine(I: Instance, J: Instance):
-    """Joint color refinement; returns per-instance coloring or None on mismatch."""
+def _homs(I: Instance, J: Instance, candidates, injective: bool = False):
+    """Yield every natural transformation I -> J as a {(node, row): row} dict.
+
+    Rows of I are assigned in a fixed order by backtracking over an explicit
+    stack; candidates(node, row) lists the rows of J a row may map to, and
+    must already respect attributes.  After each assignment every edge
+    constraint whose two ends are assigned is checked, the row's own loops
+    included.  With injective, no two rows of a node share an image.  The
+    yielded dict is live: copy it to keep it.
+    """
     s = I.schema
-    colors: dict = {}
-
-    def key0(inst, n, r):
-        return (n, inst.attr_tuple(n, r))
-
-    cI = {}
-    cJ = {}
-    for n in sorted(s.nodes):
-        for r in I.rows[n]:
-            cI[(n, r)] = colors.setdefault(key0(I, n, r), len(colors))
-        for r in J.rows[n]:
-            cJ[(n, r)] = colors.setdefault(key0(J, n, r), len(colors))
-    for _ in range(I.total_rows() + J.total_rows() + 1):
-        colors = {}
-        nI, nJ = {}, {}
-        for n in sorted(s.nodes):
-            outgoing = edges_from(s, n)
-            for r in I.rows[n]:
-                k = (cI[(n, r)], tuple(cI[(tgt, I.edge(n, e)[r])] for (e, tgt) in outgoing))
-                nI[(n, r)] = colors.setdefault(k, len(colors))
-            for r in J.rows[n]:
-                k = (cJ[(n, r)], tuple(cJ[(tgt, J.edge(n, e)[r])] for (e, tgt) in outgoing))
-                nJ[(n, r)] = colors.setdefault(k, len(colors))
-        if nI == cI and nJ == cJ:
-            break
-        cI, cJ = nI, nJ
-    return cI, cJ
+    order = [(n, r) for n in sorted(s.nodes) for r in I.rows[n]]
+    out = {n: [] for n in s.nodes}  # node -> [(I edge, target node, J edge)]
+    inc = {n: [] for n in s.nodes}  # node -> [(source node, I preimages, J edge)]
+    for (e, src, tgt) in s.edges:
+        fI, fJ = I.edge(src, e), J.edge(src, e)
+        out[src].append((fI, tgt, fJ))
+        pre: dict[str, list[str]] = {}
+        for r, v in fI.items():
+            pre.setdefault(v, []).append(r)
+        inc[tgt].append((src, pre, fJ))
+    asg: dict[tuple[str, str], str] = {}
+    used: set[tuple[str, str]] = set()
+    if not order:
+        yield asg
+        return
+    stack = [iter(candidates(*order[0]))]
+    while stack:
+        n, r = order[len(stack) - 1]
+        prev = asg.pop((n, r), None)  # undo this level's previous choice
+        used.discard((n, prev))
+        for t in stack[-1]:
+            if injective and (n, t) in used:
+                continue
+            asg[(n, r)] = t
+            if all(asg.get((tgt, fI[r]), fJ[t]) == fJ[t] for (fI, tgt, fJ) in out[n]) and all(
+                fJ[asg[(src, r2)]] == t
+                for (src, pre, fJ) in inc[n]
+                for r2 in pre.get(r, ())
+                if (src, r2) in asg
+            ):
+                break
+            del asg[(n, r)]
+        else:
+            stack.pop()
+            continue
+        if injective:
+            used.add((n, t))
+        if len(stack) == len(order):
+            yield asg
+        else:
+            stack.append(iter(candidates(*order[len(stack)])))
 
 
 def iso_check(I: Instance, J: Instance) -> bool:
-    """True iff a schema-preserving bijective natural transformation exists."""
+    """True iff a schema-preserving bijective natural transformation exists.
+
+    Searched as an injective hom whose candidates are the joint color classes
+    of partition refinement; equal row counts per node make it bijective.
+    """
     if I.schema != J.schema:
         return False
     s = I.schema
-    for n in s.nodes:
-        if len(I.rows[n]) != len(J.rows[n]):
-            return False
-    cI, cJ = _color_refine(I, J)
-    from collections import Counter
-
+    if any(len(I.rows[n]) != len(J.rows[n]) for n in s.nodes):
+        return False
+    cI, cJ = _refine([I, J])
     if Counter(cI.values()) != Counter(cJ.values()):
         return False
-    pairs = [(n, r) for n in sorted(s.nodes) for r in I.rows[n]]
-    assignment: dict[tuple[str, str], str] = {}
-    used: set[tuple[str, str]] = set()
-
-    def consistent(n, r, t):
-        for (e, tgt) in edges_from(s, n):
-            img = I.edge(n, e)[r]
-            if (tgt, img) in assignment and assignment[(tgt, img)] != J.edge(n, e)[t]:
-                return False
-        # incoming edges from already-assigned rows
-        for (e, src, tgt) in s.edges:
-            if tgt != n:
-                continue
-            for r2 in I.rows[src]:
-                if (src, r2) in assignment and I.edge(src, e)[r2] == r:
-                    if J.edge(src, e)[assignment[(src, r2)]] != t:
-                        return False
-        return True
-
-    def search(i):
-        if i == len(pairs):
-            return True
-        n, r = pairs[i]
-        for t in J.rows[n]:
-            if (n, t) in used or cJ[(n, t)] != cI[(n, r)]:
-                continue
-            if not consistent(n, r, t):
-                continue
-            assignment[(n, r)] = t
-            used.add((n, t))
-            if search(i + 1):
-                return True
-            del assignment[(n, r)]
-            used.discard((n, t))
-        return False
-
-    return search(0)
+    classes: dict[int, list[str]] = {}
+    for (_n, t), c in cJ.items():
+        classes.setdefault(c, []).append(t)
+    found = _homs(I, J, lambda n, r: classes[cI[(n, r)]], injective=True)
+    return next(found, None) is not None
 
 
 def enumerate_homs(I: Instance, J: Instance, limit: int = 1_000_000) -> int:
     """Number of natural transformations I -> J (exact attribute preservation)."""
     if I.schema != J.schema:
         raise SchemaError("enumerate_homs requires instances on the same schema")
-    s = I.schema
-    pairs = [(n, r) for n in sorted(s.nodes) for r in I.rows[n]]
-    assignment: dict[tuple[str, str], str] = {}
-    count = 0
-
-    incoming = {n: [(e, src) for (e, src, tgt) in s.edges if tgt == n] for n in s.nodes}
-
-    def consistent(n, r, t):
-        if I.attr_tuple(n, r) != J.attr_tuple(n, t):
-            return False
-        for (e, tgt) in edges_from(s, n):
-            img = I.edge(n, e)[r]
-            if (tgt, img) in assignment and assignment[(tgt, img)] != J.edge(n, e)[t]:
-                return False
-        for (e, src) in incoming[n]:
-            for r2 in I.rows[src]:
-                if (src, r2) in assignment and I.edge(src, e)[r2] == r:
-                    if J.edge(src, e)[assignment[(src, r2)]] != t:
-                        return False
-        return True
-
-    def search(i):
-        nonlocal count
-        if i == len(pairs):
-            count += 1
-            if count > limit:
-                raise LimitExceeded(f"more than {limit} homomorphisms")
-            return
-        n, r = pairs[i]
+    buckets: dict[tuple, list[str]] = {}
+    for n in J.schema.nodes:
         for t in J.rows[n]:
-            if consistent(n, r, t):
-                assignment[(n, r)] = t
-                search(i + 1)
-                del assignment[(n, r)]
-
-    search(0)
+            buckets.setdefault((n, J.attr_tuple(n, t)), []).append(t)
+    count = 0
+    for _ in _homs(I, J, lambda n, r: buckets.get((n, I.attr_tuple(n, r)), ())):
+        count += 1
+        if count > limit:
+            raise LimitExceeded(f"more than {limit} homomorphisms")
     return count
-
-
-def attributeless_nodes(s: Schema) -> list[str]:
-    """Nodes with no attribute-valued path out of them; such rows collapse under relationalize."""
-    at = attr_table(s)
-    has = {n for n in s.nodes if any(src == n for (src, _a) in at)}
-    changed = True
-    while changed:
-        changed = False
-        for (_name, src, tgt) in s.edges:
-            if tgt in has and src not in has:
-                has.add(src)
-                changed = True
-    return sorted(set(s.nodes) - has)

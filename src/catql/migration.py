@@ -17,7 +17,6 @@ from .core import (
     attrs_of,
     edge_table,
     edges_from,
-    identity_path,
     normalize_path,
     path_compose,
     paths_equal,
@@ -123,11 +122,9 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
     for t in sorted(T.nodes):
         reps = {}
         for g in gens[t]:
-            r = uf.find(g)
-            if r not in reps:
-                reps[r] = sorted((m for m in gens[t] if uf.find(m) == r), key=_gen_key)
+            reps.setdefault(uf.find(g), []).append(g)
         for r in sorted(reps, key=_gen_key):
-            classes[t].append(reps[r])
+            classes[t].append(sorted(reps[r], key=_gen_key))
         for members in classes[t]:
             for m in members:
                 class_of[m] = (t, _row_id(members[0]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .core import (
     DEFAULT_BOUND,
@@ -194,7 +194,6 @@ def eval_query_direct(q: Query, I: Instance) -> Instance:
     def group_holds(g, asg):
         return any(eval_term(c.lhs, asg) == eval_term(c.rhs, asg) for c in g.alternatives)
 
-    bindings = dict(q.bindings)
     order = sorted(q.bindings, key=lambda b: (len(I.rows[b[1]]), q.bindings.index(b)))
     groups = list(q.where)
     assignments = [{}]
@@ -239,7 +238,6 @@ def eval_query_direct(q: Query, I: Instance) -> Instance:
                     if all(group_holds(g, a2) for g in applicable):
                         new_assignments.append(a2)
         assignments = new_assignments
-    del bindings
 
     rs = result_schema(res.select_types)
     rows = []

@@ -6,7 +6,7 @@ relational data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Mapping, Path, Schema, attrs_of, edge_table, edges_from, make_schema
 from .errors import CatqlError, SchemaError
@@ -17,7 +17,6 @@ from .instances import (
     relationalize,
     validate_instance,
 )
-from .migration import delta
 from .queries import Group, Clause, PathExpr, Query, SelectItem, eval_query_direct
 
 
@@ -212,10 +211,6 @@ def compose_relations(R1: Instance, R2: Instance) -> Instance:
     for r in table.node_rows("row"):
         pairs.add((table.attr("row", "l")[r], table.attr("row", "r")[r]))
     return relation_from_pairs(pairs)
-
-
-def diagonal_relation(names) -> Instance:
-    return relation_from_pairs({(x, x) for x in names})
 
 
 def closure_relation(R: Instance, n: int) -> Instance:

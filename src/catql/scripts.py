@@ -134,7 +134,7 @@ class Environment:
 def run_script(script: Script, env: Optional[Environment] = None, bound: int = 512):
     """Evaluate declarations in order.  Returns (environment, outputs) where
     outputs is a list of ('show'|'export', name-or-filename, text)."""
-    from . import render, scenario, sqlbridge
+    from . import render, sqlbridge
 
     env = env or Environment()
     outputs = []

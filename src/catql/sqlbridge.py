@@ -239,7 +239,7 @@ def import_sql(text, fk_spec=None, guess_fk=False):
             if not isinstance(vals[0], int):
                 raise SqlImportError(f"table {name!r}: primary key must be an integer")
             rid = str(vals[0])
-            if rid in rows[name]:
+            if (name, rid) in cells:
                 raise SqlImportError(f"table {name!r}: duplicate primary key {vals[0]}")
             rows[name].append(rid)
             cells[(name, rid)] = vals
@@ -256,7 +256,7 @@ def import_sql(text, fk_spec=None, guess_fk=False):
                         raise SqlImportError(
                             f"table {t.name!r}: foreign key {c.name!r} needs integer ids"
                         )
-                    if str(v) not in rows[c.fk_target]:
+                    if (c.fk_target, str(v)) not in cells:
                         raise SqlImportError(
                             f"table {t.name!r}: row {rid} references missing "
                             f"{c.fk_target!r} id {v}"

@@ -1,11 +1,12 @@
 """Instances: validation, path evaluation, unions, relationalize, isos, homs."""
 
+import itertools
 import random
 
 import pytest
 
 from catql.core import Path, PathEquation, make_schema
-from catql.errors import ValidationError
+from catql.errors import LimitExceeded, ValidationError
 from catql.instances import (
     Instance,
     LabelledNull,
@@ -228,6 +229,7 @@ class TestIso:
             {("a", "v"): {"p": "same", "q": "same"}},
         )
         assert not iso_check(cycle, fixed)
+        assert not iso_check(fixed, cycle)
 
 
 class TestEnumerateHoms:
@@ -240,6 +242,8 @@ class TestEnumerateHoms:
         one = Instance(s, {"a": ["x"]}, {}, {})
         three = Instance(s, {"a": ["u", "v", "w"]}, {}, {})
         assert enumerate_homs(one, three) == 3
+        with pytest.raises(LimitExceeded):
+            enumerate_homs(one, three, limit=2)
 
     def test_naturality_constrains(self):
         s = make_schema("E", ["a", "b"], [("f", "a", "b")])
@@ -256,3 +260,82 @@ class TestEnumerateHoms:
         I = Instance(s, {"a": ["x"]}, {}, {("a", "v"): {"x": "red"}})
         J = Instance(s, {"a": ["y"]}, {}, {("a", "v"): {"y": "blue"}})
         assert enumerate_homs(I, J) == 0
+
+    def test_fixed_points_into_two_cycle(self):
+        s = make_schema("L", ["a"], [("f", "a", "a")])
+        cycle = Instance(s, {"a": ["p", "q"]}, {("a", "f"): {"p": "q", "q": "p"}}, {})
+        one = Instance(s, {"a": ["x"]}, {("a", "f"): {"x": "x"}}, {})
+        two = Instance(s, {"a": ["x", "y"]}, {("a", "f"): {"x": "x", "y": "y"}}, {})
+        assert enumerate_homs(one, cycle) == 0
+        assert enumerate_homs(two, cycle) == 0
+
+
+def rand_loop_schema(rng):
+    """Up to two nodes, with edges between any two nodes, loops included."""
+    nodes = ["n0", "n1"][: rng.randint(1, 2)]
+    edges = [(f"e{i}", rng.choice(nodes), rng.choice(nodes)) for i in range(rng.randint(0, 3))]
+    attrs = [("v", "n0", "string")] if rng.random() < 0.5 else []
+    return make_schema("RL", nodes, edges, attrs)
+
+
+def rand_loop_instance(rng, s, sizes):
+    rows = {n: [f"{n}r{i}" for i in range(sizes[n])] for n in s.nodes}
+    edge_fn = {(src, e): {r: rng.choice(rows[tgt]) for r in rows[src]} for (e, src, tgt) in s.edges}
+    attr_fn = {(src, a): {r: rng.choice("xy") for r in rows[src]} for (a, src, _t) in s.attributes}
+    return Instance(s, rows, edge_fn, attr_fn)
+
+
+def node_maps(I, J, bijective):
+    """Every node-wise function (or bijection) from the rows of I to those of J."""
+    nodes = sorted(I.schema.nodes)
+    per_node = [
+        itertools.permutations(J.rows[n]) if bijective
+        else itertools.product(J.rows[n], repeat=len(I.rows[n]))
+        for n in nodes
+    ]
+    for images in itertools.product(*(list(p) for p in per_node)):
+        yield {(n, r): t for n, ts in zip(nodes, images) for r, t in zip(I.rows[n], ts)}
+
+
+def is_natural(I, J, h):
+    s = I.schema
+    return all(
+        h[(tgt, I.edge(src, e)[r])] == J.edge(src, e)[h[(src, r)]]
+        for (e, src, tgt) in s.edges for r in I.rows[src]
+    ) and all(
+        I.attr(src, a)[r] == J.attr(src, a)[h[(src, r)]]
+        for (a, src, _t) in s.attributes for r in I.rows[src]
+    )
+
+
+class TestSearchAgainstExhaustiveOracle:
+    def test_random_schemas_with_loops(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            s = rand_loop_schema(rng)
+            sizes = {n: rng.randint(1, 3) for n in s.nodes}
+            I = rand_loop_instance(rng, s, sizes)
+            J = rand_loop_instance(rng, s, {n: rng.randint(1, 3) for n in s.nodes})
+            K = rand_loop_instance(rng, s, sizes)
+            expected = sum(is_natural(I, J, h) for h in node_maps(I, J, False))
+            assert enumerate_homs(I, J) == expected
+            iso = any(is_natural(I, K, h) for h in node_maps(I, K, True))
+            assert iso_check(I, K) == iso
+
+
+class TestDeepInstances:
+    def test_long_parent_chain(self):
+        n = 10_000
+        s = chain_schema()
+
+        def chain(ids):
+            parent = {ids[i]: ids[min(i + 1, n - 1)] for i in range(n)}
+            return Instance(
+                s, {"Material": ids}, {("Material", "parent"): parent},
+                {("Material", "name"): {ids[i]: f"w{i}" for i in range(n)}},
+            )
+
+        I = chain([f"m{i}" for i in range(n)])
+        relabelled = chain([f"x{(i * 7919) % n}" for i in range(n)])
+        assert iso_check(I, relabelled)
+        assert enumerate_homs(I, I) == 1
