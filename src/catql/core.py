@@ -4,12 +4,17 @@ A schema is a directed multigraph (nodes, edges) with typed attributes and
 equations between paths.  Path equality is decided by oriented rewriting
 (longer side to shorter side, ties broken lexicographically) explored to a
 fixpoint within a configurable step bound.
+
+The tables derived from a schema (edge and attribute lookups, each node's
+sorted out-edges and attributes, the oriented rewrite rules, the morphism
+enumerations) are owned by the schema object: each is built on first use,
+once, and freed with the schema.  There is no global cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import NormalizationInconclusive, NotSaturated, SchemaError, ValidationError
@@ -26,9 +31,6 @@ class Path:
     source: str
     steps: tuple[str, ...] = ()
     attr: Optional[str] = None
-
-    def is_identity(self):
-        return not self.steps and self.attr is None
 
     def is_node_valued(self):
         return self.attr is None
@@ -70,6 +72,9 @@ class Schema:
 
     edges: set of (name, source node, target node).
     attributes: set of (name, source node, base type).
+
+    The derived tables below are built lazily, once per schema object; they
+    are not fields, so they take no part in ==, hash or repr.
     """
 
     name: str
@@ -77,6 +82,54 @@ class Schema:
     edges: frozenset[tuple[str, str, str]]
     attributes: frozenset[tuple[str, str, str]] = frozenset()
     equations: tuple[PathEquation, ...] = ()
+    # all_morphisms_from results, keyed by (node, bound)
+    _morphisms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def edge_table(self) -> dict[tuple[str, str], str]:
+        """(source node, edge name) -> target node."""
+        return {(src, name): tgt for (name, src, tgt) in self.edges}
+
+    @cached_property
+    def attr_table(self) -> dict[tuple[str, str], str]:
+        """(source node, attribute name) -> base type."""
+        return {(src, name): ty for (name, src, ty) in self.attributes}
+
+    @cached_property
+    def out_edges(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """node -> sorted (edge name, target) pairs out of it."""
+        return _by_source(self.nodes, self.edges)
+
+    @cached_property
+    def node_attrs(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """node -> sorted (attribute name, base type) pairs on it."""
+        return _by_source(self.nodes, self.attributes)
+
+    @cached_property
+    def rewrite_rules(self):
+        """Equations oriented larger -> smaller under the length-lex order.
+
+        Each rule is (source node, lhs steps, lhs attr, rhs) where rhs is a
+        Path or ConstPath starting at the same node.
+        """
+        rules = []
+        for eq in self.equations:
+            lhs, rhs = eq.lhs, eq.rhs
+            kl, kr = _path_key(lhs), _path_key(rhs)
+            if kl == kr:
+                continue
+            if kl < kr:
+                if isinstance(rhs, ConstPath):
+                    raise SchemaError(
+                        f"constant equation must have the constant as smaller side: {eq}"
+                    )
+                lhs, rhs = rhs, lhs
+            rules.append((lhs.source, lhs.steps, lhs.attr, rhs))
+        return tuple(rules)
+
+
+def _by_source(nodes, triples):
+    return {n: tuple(sorted((name, x) for (name, src, x) in triples if src == n)) for n in nodes}
 
 
 def make_schema(name, nodes, edges, attributes=(), equations=()) -> Schema:
@@ -91,48 +144,39 @@ def make_schema(name, nodes, edges, attributes=(), equations=()) -> Schema:
     return s
 
 
-@lru_cache(maxsize=None)
-def edge_table(s: Schema) -> dict[tuple[str, str], str]:
-    """(source node, edge name) -> target node."""
-    return {(src, name): tgt for (name, src, tgt) in s.edges}
-
-
-@lru_cache(maxsize=None)
-def attr_table(s: Schema) -> dict[tuple[str, str], str]:
-    """(source node, attribute name) -> base type."""
-    return {(src, name): ty for (name, src, ty) in s.attributes}
-
-
-@lru_cache(maxsize=None)
-def edges_from(s: Schema, node: str) -> tuple[tuple[str, str], ...]:
-    """Sorted (edge name, target) pairs out of a node."""
-    return tuple(
-        sorted((name, tgt) for (name, src, tgt) in s.edges if src == node)
-    )
-
-
-@lru_cache(maxsize=None)
-def attrs_of(s: Schema, node: str) -> tuple[tuple[str, str], ...]:
-    """Sorted (attribute name, base type) pairs on a node."""
-    return tuple(
-        sorted((name, ty) for (name, src, ty) in s.attributes if src == node)
-    )
-
-
 def identity_path(node: str) -> Path:
     return Path(node)
 
 
+def _walk_path(s: Schema, source: str, steps, where) -> tuple[list[str], Optional[str]]:
+    """Follow dotted steps from source against the schema's tables.
+
+    Returns the node at each position reached by edge steps, and the
+    attribute the last step names when it is not an edge (else None).  Any
+    other unknown step raises SchemaError naming the path `where`.
+    """
+    et = s.edge_table
+    nodes = [source]
+    for i, step in enumerate(steps):
+        key = (nodes[-1], step)
+        if key in et:
+            nodes.append(et[key])
+        elif key in s.attr_table and i == len(steps) - 1:
+            return nodes, step
+        else:
+            raise SchemaError(
+                f"unknown edge or attribute {step!r} on node {nodes[-1]!r} in {where}"
+            )
+    return nodes, None
+
+
 def nodes_along(s: Schema, p: Path) -> list[str]:
     """Node at each position of the path, including source and final node."""
-    et = edge_table(s)
-    nodes = [p.source]
-    for step in p.steps:
-        key = (nodes[-1], step)
-        if key not in et:
-            raise SchemaError(f"no edge {step!r} out of node {nodes[-1]!r} in path {p}")
-        nodes.append(et[key])
+    nodes, attr = _walk_path(s, p.source, p.steps, p)
+    if attr is not None:
+        raise SchemaError(f"step {attr!r} of path {p} is an attribute, not an edge")
     return nodes
+
 
 def path_target(s: Schema, p: PathLike):
     """('node', n) for node-valued paths, ('attr', base type) for attribute-valued."""
@@ -143,11 +187,10 @@ def path_target(s: Schema, p: PathLike):
     end = nodes_along(s, p)[-1]
     if p.attr is None:
         return ("node", end)
-    at = attr_table(s)
     key = (end, p.attr)
-    if key not in at:
+    if key not in s.attr_table:
         raise SchemaError(f"no attribute {p.attr!r} on node {end!r} in path {p}")
-    return ("attr", at[key])
+    return ("attr", s.attr_table[key])
 
 
 def path_compose(p: Path, q: PathLike) -> PathLike:
@@ -168,27 +211,6 @@ def _path_key(p: PathLike):
         kind = "string" if isinstance(p.value, str) else "integer"
         return (0, 0, (kind, str(p.value)), "")
     return _word_key(p.steps, p.attr)
-
-
-@lru_cache(maxsize=None)
-def rewrite_rules(s: Schema):
-    """Equations oriented larger -> smaller under the length-lex order.
-
-    Each rule is (source node, lhs steps, lhs attr, rhs) where rhs is a Path
-    or ConstPath starting at the same node.
-    """
-    rules = []
-    for eq in s.equations:
-        lhs, rhs = eq.lhs, eq.rhs
-        kl, kr = _path_key(lhs), _path_key(rhs)
-        if kl == kr:
-            continue
-        if kl < kr:
-            if isinstance(rhs, ConstPath):
-                raise SchemaError(f"constant equation must have the constant as smaller side: {eq}")
-            lhs, rhs = rhs, lhs
-        rules.append((lhs.source, lhs.steps, lhs.attr, rhs))
-    return tuple(rules)
 
 
 def _one_step_reducts(s: Schema, p: Path, rules):
@@ -222,7 +244,7 @@ def normalize_path(s: Schema, p: PathLike, bound: int = DEFAULT_BOUND) -> PathLi
     if isinstance(p, ConstPath):
         return p
     path_target(s, p)  # well-formedness
-    rules = rewrite_rules(s)
+    rules = s.rewrite_rules
     if not rules:
         return p
     steps_used = 0
@@ -253,13 +275,16 @@ def paths_equal(s: Schema, p: PathLike, q: PathLike, bound: int = DEFAULT_BOUND)
     return normalize_path(s, p, bound) == normalize_path(s, q, bound)
 
 
-@lru_cache(maxsize=None)
 def all_morphisms_from(s: Schema, a: str, bound: int = DEFAULT_BOUND):
     """All node-valued path classes out of a, as (dict target -> tuple of normal forms, saturated).
 
     BFS over path length; a length adds a class when its normal form is new.
-    Saturated iff the last two lengths added nothing.
+    Saturated iff the last two lengths added nothing.  The result is kept on
+    the schema, per (a, bound).
     """
+    found = s._morphisms.get((a, bound))
+    if found is not None:
+        return found
     if a not in s.nodes:
         raise SchemaError(f"{a!r} is not a node of schema {s.name!r}")
     start = normalize_path(s, identity_path(a), bound)
@@ -272,7 +297,7 @@ def all_morphisms_from(s: Schema, a: str, bound: int = DEFAULT_BOUND):
         new = []
         for p in frontier:
             end = nodes_along(s, p)[-1]
-            for (ename, _tgt) in edges_from(s, end):
+            for (ename, _tgt) in s.out_edges[end]:
                 q = normalize_path(s, Path(a, p.steps + (ename,)), bound)
                 if isinstance(q, Path) and q not in seen:
                     seen.add(q)
@@ -285,10 +310,11 @@ def all_morphisms_from(s: Schema, a: str, bound: int = DEFAULT_BOUND):
     by_target: dict[str, list[Path]] = {}
     for p in seen:
         by_target.setdefault(nodes_along(s, p)[-1], []).append(p)
-    return (
+    found = s._morphisms[(a, bound)] = (
         {t: tuple(sorted(ps, key=_path_key)) for t, ps in by_target.items()},
         saturated,
     )
+    return found
 
 
 def enumerate_morphisms(s: Schema, a: str, b: str, bound: int = DEFAULT_BOUND) -> tuple[Path, ...]:
@@ -346,7 +372,7 @@ def apply_mapping(F: Mapping, p: PathLike) -> PathLike:
         return p
     cur = p.source
     out = identity_path(F.nodes[cur])
-    et = edge_table(F.source)
+    et = F.source.edge_table
     for step in p.steps:
         img = F.edges[(cur, step)]
         out = path_compose(out, img)
@@ -372,7 +398,7 @@ def validate_mapping(F: Mapping, bound: int = DEFAULT_BOUND):
             raise ValidationError(
                 f"edge {name!r}: image {img} does not run {F.nodes[src]!r} -> {F.nodes[tgt]!r}"
             )
-    at = attr_table(s)
+    at = s.attr_table
     for (name, src, ty) in s.attributes:
         img = F.attrs.get((src, name))
         if img is None:

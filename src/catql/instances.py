@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
-from .core import ConstPath, Schema, attrs_of, edge_table, edges_from
+from .core import ConstPath, Schema
 from .errors import LimitExceeded, SchemaError, ValidationError
 
 
@@ -68,7 +68,7 @@ class Instance:
         return self.attr_fn.get((node, name), {})
 
     def attr_tuple(self, node, row):
-        return tuple(self.attr(node, name)[row] for (name, _ty) in attrs_of(self.schema, node))
+        return tuple(self.attr(node, name)[row] for (name, _ty) in self.schema.node_attrs[node])
 
     def total_rows(self):
         return sum(len(r) for r in self.rows.values())
@@ -82,7 +82,7 @@ def eval_path(I: Instance, p, r):
     """Apply the edge/attribute functions along a path starting from row r."""
     if isinstance(p, ConstPath):
         return p.value
-    et = edge_table(I.schema)
+    et = I.schema.edge_table
     node = p.source
     cur = r
     for step in p.steps:
@@ -94,8 +94,13 @@ def eval_path(I: Instance, p, r):
 
 
 def validate_instance(I: Instance):
-    """Totality of edge/attribute functions, typing, and pointwise equations."""
+    """Distinct row ids, totality of edge/attribute functions, typing, and
+    pointwise equations."""
     s = I.schema
+    for n, rs in I.rows.items():
+        for r, nxt in zip(rs, rs[1:]):  # rows are sorted, so a repeat is adjacent
+            if r == nxt:
+                raise ValidationError(f"row {r!r} is listed more than once at node {n!r}")
     for (name, src, tgt) in s.edges:
         fn = I.edge(src, name)
         if set(fn) != set(I.rows[src]):
@@ -131,58 +136,38 @@ def validate_instance(I: Instance):
 
 
 def disjoint_union(I: Instance, J: Instance) -> Instance:
-    if I.schema != J.schema:
-        raise SchemaError("disjoint_union requires instances on the same schema")
-    s = I.schema
-
-    def tag(side, r):
-        return f"{side}.{r}"
-
-    rows = {
-        n: [tag("L", r) for r in I.rows[n]] + [tag("R", r) for r in J.rows[n]]
-        for n in s.nodes
-    }
-    edge_fn = {}
-    for (name, src, _tgt) in s.edges:
-        m = {}
-        for r, v in I.edge(src, name).items():
-            m[tag("L", r)] = tag("L", v)
-        for r, v in J.edge(src, name).items():
-            m[tag("R", r)] = tag("R", v)
-        edge_fn[(src, name)] = m
-    attr_fn = {}
-    for (name, src, _ty) in s.attributes:
-        m = {}
-        for r, v in I.attr(src, name).items():
-            m[tag("L", r)] = v
-        for r, v in J.attr(src, name).items():
-            m[tag("R", r)] = v
-        attr_fn[(src, name)] = m
-    return Instance(s, rows, edge_fn, attr_fn)
+    """Rows of I tagged "L.", rows of J tagged "R."."""
+    return _tagged_union([("L", I), ("R", J)])
 
 
 def disjoint_union_many(instances) -> Instance:
-    """n-ary disjoint union with flat index tags (avoids nested re-tagging)."""
+    """n-ary disjoint union with flat index tags "<i>." (avoids nested re-tagging)."""
     instances = list(instances)
     if not instances:
         raise SchemaError("disjoint_union_many needs at least one instance")
-    s = instances[0].schema
-    if any(inst.schema != s for inst in instances):
+    return _tagged_union([(str(i), inst) for i, inst in enumerate(instances)])
+
+
+def _tagged_union(tagged) -> Instance:
+    """Disjoint union of (tag, instance) pairs: row r becomes "<tag>.r"."""
+    s = tagged[0][1].schema
+    if any(inst.schema != s for (_tag, inst) in tagged):
         raise SchemaError("disjoint_union requires instances on the same schema")
-    rows = {n: [] for n in s.nodes}
-    edge_fn = {(src, name): {} for (name, src, _t) in s.edges}
-    attr_fn = {(src, name): {} for (name, src, _t) in s.attributes}
-    for i, inst in enumerate(instances):
-        for n in s.nodes:
-            rows[n].extend(f"{i}.{r}" for r in inst.rows[n])
-        for (name, src, _tgt) in s.edges:
-            m = edge_fn[(src, name)]
-            for r, v in inst.edge(src, name).items():
-                m[f"{i}.{r}"] = f"{i}.{v}"
-        for (name, src, _ty) in s.attributes:
-            m = attr_fn[(src, name)]
-            for r, v in inst.attr(src, name).items():
-                m[f"{i}.{r}"] = v
+    rows = {n: [f"{t}.{r}" for (t, inst) in tagged for r in inst.rows[n]] for n in s.nodes}
+    edge_fn = {
+        (src, name): {
+            f"{t}.{r}": f"{t}.{v}"
+            for (t, inst) in tagged
+            for r, v in inst.edge(src, name).items()
+        }
+        for (name, src, _tgt) in s.edges
+    }
+    attr_fn = {
+        (src, name): {
+            f"{t}.{r}": v for (t, inst) in tagged for r, v in inst.attr(src, name).items()
+        }
+        for (name, src, _ty) in s.attributes
+    }
     return Instance(s, rows, edge_fn, attr_fn)
 
 
@@ -211,7 +196,7 @@ def _refine(instances) -> list[dict]:
         for inst, c in zip(instances, coloring):
             new = {}
             for n in nodes:
-                out = [(inst.edge(n, e), tgt) for (e, tgt) in edges_from(s, n)]
+                out = [(inst.edge(n, e), tgt) for (e, tgt) in s.out_edges[n]]
                 for r in inst.rows[n]:
                     k = (c[(n, r)], tuple(c[(tgt, fn[r])] for (fn, tgt) in out))
                     new[(n, r)] = colors.setdefault(k, len(colors))

@@ -14,9 +14,6 @@ from .core import (
     Mapping,
     Path,
     all_morphisms_from,
-    attrs_of,
-    edge_table,
-    edges_from,
     normalize_path,
     path_compose,
     paths_equal,
@@ -52,6 +49,8 @@ def _paths_between(T, a, bound):
 
 
 class _UnionFind:
+    """Disjoint sets over hashable items; union keeps the first argument's root."""
+
     def __init__(self):
         self.parent = {}
 
@@ -66,11 +65,10 @@ class _UnionFind:
         return x
 
     def union(self, x, y):
+        self.add(x)
+        self.add(y)
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
-            # deterministic: smaller key wins
-            if _gen_key(ry) < _gen_key(rx):
-                rx, ry = ry, rx
             self.parent[ry] = rx
 
 
@@ -116,15 +114,15 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
                         )
                     uf.union(g1, (tgt, fn[x], p))
 
-    # classes per target node
+    # classes per target node: members, then classes, ordered by least member
     class_of = {}
-    classes: dict[str, list] = {t: [] for t in T.nodes}
+    classes: dict[str, list] = {}
     for t in sorted(T.nodes):
-        reps = {}
+        groups: dict = {}
         for g in gens[t]:
-            reps.setdefault(uf.find(g), []).append(g)
-        for r in sorted(reps, key=_gen_key):
-            classes[t].append(sorted(reps[r], key=_gen_key))
+            groups.setdefault(uf.find(g), []).append(g)
+        members_sorted = (sorted(ms, key=_gen_key) for ms in groups.values())
+        classes[t] = sorted(members_sorted, key=lambda ms: _gen_key(ms[0]))
         for members in classes[t]:
             for m in members:
                 class_of[m] = (t, _row_id(members[0]))
@@ -160,7 +158,7 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
             candidates = []
             for (s_node, x, p) in members:
                 composite = Path(p.source, p.steps, aname)
-                for (sa, _saty) in attrs_of(S, s_node):
+                for (sa, _saty) in S.node_attrs[s_node]:
                     img = F.attrs[(s_node, sa)]
                     if isinstance(img, ConstPath):
                         continue
@@ -267,7 +265,7 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
         target_attr = Path(t, (), aname)
         rds = []
         for i, (s_node, q) in enumerate(comma[t]):
-            for (sa, _saty) in attrs_of(S, s_node):
+            for (sa, _saty) in S.node_attrs[s_node]:
                 img = F.attrs[(s_node, sa)]
                 if isinstance(img, ConstPath):
                     continue
@@ -286,7 +284,7 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
             return False, None
         return True, (vals[0] if vals else None)
 
-    t_et = edge_table(T)
+    t_et = T.edge_table
 
     def edge_image(t, fam, gname):
         """Family at target of g obtained by precomposition with g."""
@@ -326,13 +324,13 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
             for fam in fam_sets[t]:
                 # attribute readings on t itself must not conflict
                 bad = False
-                for (aname, _ty) in attrs_of(T, t):
+                for (aname, _ty) in T.node_attrs[t]:
                     ok, _v = read_attr(t, fam, aname)
                     if not ok:
                         bad = True
                         break
                 if not bad:
-                    for (gname, _tgt) in edges_from(T, t):
+                    for (gname, _tgt) in T.out_edges[t]:
                         t2, img = edge_image(t, fam, gname)
                         if img not in fam_sets[t2]:
                             bad = True

@@ -20,13 +20,12 @@ from .core import (
     Path,
     PathEquation,
     Schema,
-    attr_table,
-    edge_table,
     make_schema,
+    _walk_path,
 )
-from .errors import DesugarError, TypecheckError
+from .errors import DesugarError, SchemaError, TypecheckError
 from .instances import Instance, eval_path, relationalize, union
-from .migration import delta, pi, sigma
+from .migration import _UnionFind, delta, pi, sigma
 
 
 @dataclass(frozen=True)
@@ -99,16 +98,14 @@ class Resolution:
 def _resolve_expr(s: Schema, bindings: dict, e: PathExpr):
     if e.var not in bindings:
         raise TypecheckError(f"unbound variable {e.var!r}")
-    node = bindings[e.var]
-    et, at = edge_table(s), attr_table(s)
-    for i, step in enumerate(e.steps):
-        if (node, step) in et:
-            node = et[(node, step)]
-        elif (node, step) in at and i == len(e.steps) - 1:
-            return ("attr", Path(bindings[e.var], e.steps[:-1], step), at[(node, step)])
-        else:
-            raise TypecheckError(f"unknown edge or attribute {step!r} on node {node!r} in {e}")
-    return ("row", node, Path(bindings[e.var], e.steps))
+    source = bindings[e.var]
+    try:
+        nodes, attr = _walk_path(s, source, e.steps, e)
+    except SchemaError as exc:
+        raise TypecheckError(str(exc)) from None
+    if attr is None:
+        return ("row", nodes[-1], Path(source, e.steps))
+    return ("attr", Path(source, e.steps[:-1], attr), s.attr_table[(nodes[-1], attr)])
 
 
 def typecheck_query(q: Query, s: Schema) -> Resolution:
@@ -268,26 +265,6 @@ class Desugared:
     result: Schema
 
 
-class _ExprUF:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        self.add(x)
-        self.add(y)
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def desugar_query(q: Query, s: Schema) -> Desugared:
     """Construct the three mappings realizing a conjunctive query.
 
@@ -322,7 +299,7 @@ def desugar_query(q: Query, s: Schema) -> Desugared:
     fd_attrs = {}
 
     # joined row-expression classes -> shared target nodes
-    uf = _ExprUF()
+    uf = _UnionFind()
     for c in row_clauses:
         uf.union(c.lhs, c.rhs)
     classes: dict = {}
@@ -353,7 +330,7 @@ def desugar_query(q: Query, s: Schema) -> Desugared:
         fs_attr_images[alias] = Path("row", (), alias)
 
     c_equations = []
-    wuf = _ExprUF()  # classes of where attributes and constants, for f_sigma images
+    wuf = _UnionFind()  # classes of where attributes and constants, for f_sigma images
     widx = 0
 
     def add_where_attr(term):

@@ -6,22 +6,21 @@ import csv
 import io
 import json
 
-from .core import attrs_of, edges_from
 from .instances import Instance, LabelledNull
 
 
 def _node_header(schema, node):
     cols = ["id"]
-    cols += [name for (name, _ty) in attrs_of(schema, node)]
-    cols += [name for (name, _tgt) in edges_from(schema, node)]
+    cols += [name for (name, _ty) in schema.node_attrs[node]]
+    cols += [name for (name, _tgt) in schema.out_edges[node]]
     return cols
 
 
 def _node_cells(I: Instance, node, row):
     cells = [row]
-    for (name, _ty) in attrs_of(I.schema, node):
+    for (name, _ty) in I.schema.node_attrs[node]:
         cells.append(I.attr(node, name)[row])
-    for (name, _tgt) in edges_from(I.schema, node):
+    for (name, _tgt) in I.schema.out_edges[node]:
         cells.append(I.edge(node, name)[row])
     return cells
 
@@ -75,9 +74,9 @@ def render_json(I: Instance) -> str:
         rows = []
         for r in I.node_rows(node):
             obj = {"id": r}
-            for (name, _ty) in attrs_of(I.schema, node):
+            for (name, _ty) in I.schema.node_attrs[node]:
                 obj[name] = _json_cell(I.attr(node, name)[r])
-            for (name, _tgt) in edges_from(I.schema, node):
+            for (name, _tgt) in I.schema.out_edges[node]:
                 obj[name] = I.edge(node, name)[r]
             rows.append(obj)
         doc[node] = rows

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Mapping, Path, Schema, attrs_of, edge_table, edges_from, make_schema
+from .core import Mapping, Path, Schema, make_schema
 from .errors import CatqlError, SchemaError
 from .instances import (
     Instance,
@@ -261,7 +261,7 @@ def generate_enrichment(s: Schema, target_node: str, name_attr: str,
     instance; with no incoming edges, the script degenerates to the identity
     union.
     """
-    if (name_attr, target_node) not in {(a, n) for (a, n, _t) in s.attributes}:
+    if (target_node, name_attr) not in s.attr_table:
         raise SchemaError(
             f"target node {target_node!r} has no attribute {name_attr!r}"
         )
@@ -298,12 +298,11 @@ def enrich_edge(I: Instance, node: str, edge: str, rel: Instance, name_attr: str
     Returns the instance extended with the new rows.
     """
     s = I.schema
-    et = edge_table(s)
+    et = s.edge_table
     if (node, edge) not in et:
         raise SchemaError(f"no edge {edge!r} on node {node!r}")
     target = et[(node, edge)]
-    at = {(a, n): ty for (a, n, ty) in s.attributes}
-    if (name_attr, target) not in at:
+    if (target, name_attr) not in s.attr_table:
         raise SchemaError(f"target node {target!r} has no attribute {name_attr!r}")
     rshape = relation_shape(rel.schema)
     if rshape is None:
@@ -364,7 +363,7 @@ def enrich_edge(I: Instance, node: str, edge: str, rel: Instance, name_attr: str
         rid = f"mat!{bname}"
         name_index[bname] = rid
         new_rows[target].append(rid)
-        for (aname, _ty) in attrs_of(s, target):
+        for (aname, _ty) in s.node_attrs[target]:
             if aname == name_attr:
                 new_attr[(target, aname)][rid] = bname
             else:
@@ -373,7 +372,7 @@ def enrich_edge(I: Instance, node: str, edge: str, rel: Instance, name_attr: str
                 new_attr[(target, aname)][rid] = (
                     v if v is not None else LabelledNull(f"en!{target}!{aname}!{rid}")
                 )
-        for (ename, _tgt) in edges_from(s, target):
+        for (ename, _tgt) in s.out_edges[target]:
             new_edge[(target, ename)][rid] = new_edge[(target, ename)][source_row]
         return rid
 
@@ -386,11 +385,11 @@ def enrich_edge(I: Instance, node: str, edge: str, rel: Instance, name_attr: str
         if rid in new_rows[node]:
             continue
         new_rows[node].append(rid)
-        for (ename, _tgt) in edges_from(s, node):
+        for (ename, _tgt) in s.out_edges[node]:
             new_edge[(node, ename)][rid] = (
                 tgt_row if ename == edge else I.edge(node, ename)[xid]
             )
-        for (aname, _ty) in attrs_of(s, node):
+        for (aname, _ty) in s.node_attrs[node]:
             new_attr[(node, aname)][rid] = I.attr(node, aname)[xid]
 
     out = Instance(s, new_rows, new_edge, new_attr)

@@ -16,10 +16,9 @@ from .core import (
     Path,
     PathEquation,
     Schema,
-    attr_table,
-    edge_table,
     make_schema,
     validate_mapping,
+    _walk_path,
 )
 from .errors import ScriptError, SchemaError
 from .instances import Instance, disjoint_union, relationalize, union, validate_instance
@@ -98,16 +97,8 @@ def resolve_path(s: Schema, raw: Path) -> Path:
         return raw
     if raw.source not in s.nodes:
         raise SchemaError(f"unknown node {raw.source!r} in path {raw}")
-    et, at = edge_table(s), attr_table(s)
-    node = raw.source
-    for i, step in enumerate(raw.steps):
-        if (node, step) in et:
-            node = et[(node, step)]
-        elif (node, step) in at and i == len(raw.steps) - 1:
-            return Path(raw.source, raw.steps[:-1], step)
-        else:
-            raise SchemaError(f"unknown edge or attribute {step!r} on {node!r} in {raw}")
-    return raw
+    _nodes, attr = _walk_path(s, raw.source, raw.steps, raw)
+    return raw if attr is None else Path(raw.source, raw.steps[:-1], attr)
 
 
 class Environment:
@@ -150,15 +141,14 @@ def run_script(script: Script, env: Optional[Environment] = None, bound: int = 5
                 env.define(stmt.name, "schema", s, stmt.line)
             elif isinstance(stmt, InstanceDecl):
                 s = env.lookup(stmt.schema_name, "schema", stmt.line)
-                et, at = edge_table(s), attr_table(s)
                 for (node, _ids) in stmt.rows:
                     if node not in s.nodes:
                         raise SchemaError(f"unknown node {node!r} in instance {stmt.name!r}")
                 for (node, e, _pairs) in stmt.edges:
-                    if (node, e) not in et:
+                    if (node, e) not in s.edge_table:
                         raise SchemaError(f"unknown edge {node}.{e} in instance {stmt.name!r}")
                 for (node, a, _pairs) in stmt.attrs:
-                    if (node, a) not in at:
+                    if (node, a) not in s.attr_table:
                         raise SchemaError(f"unknown attribute {node}.{a} in instance {stmt.name!r}")
                 inst = Instance(
                     s,

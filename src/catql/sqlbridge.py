@@ -290,8 +290,6 @@ def _sql_str(v: str) -> str:
 
 def export_sql(schema: Schema, I: Instance, warn=None) -> str:
     """Deterministic CREATE/INSERT script; labelled nulls export as NULL."""
-    from .core import attrs_of, edges_from
-
     warn = warn or (lambda _msg: None)
     # integer ids are kept; otherwise rows are renumbered densely
     id_map = {}
@@ -304,9 +302,9 @@ def export_sql(schema: Schema, I: Instance, warn=None) -> str:
     lines = []
     for node in sorted(schema.nodes):
         cols = ["  id INT PRIMARY KEY"]
-        for (name, ty) in attrs_of(schema, node):
+        for (name, ty) in schema.node_attrs[node]:
             cols.append(f"  {name} {'INT' if ty == 'integer' else 'VARCHAR(255)'}")
-        for (name, tgt) in edges_from(schema, node):
+        for (name, tgt) in schema.out_edges[node]:
             cols.append(f"  {name} INT REFERENCES {tgt}")
         lines.append(f"CREATE TABLE {node} (\n" + ",\n".join(cols) + "\n);")
     for node in sorted(schema.nodes):
@@ -316,7 +314,7 @@ def export_sql(schema: Schema, I: Instance, warn=None) -> str:
         tuples = []
         for r in sorted(rws, key=lambda x: id_map[node][x]):
             vals = [str(id_map[node][r])]
-            for (name, _ty) in attrs_of(schema, node):
+            for (name, _ty) in schema.node_attrs[node]:
                 v = I.attr(node, name)[r]
                 if isinstance(v, LabelledNull):
                     warn(f"{node}.{name} row {r}: labelled null {v.label} exported as NULL")
@@ -325,7 +323,7 @@ def export_sql(schema: Schema, I: Instance, warn=None) -> str:
                     vals.append(_sql_str(v))
                 else:
                     vals.append(str(v))
-            for (name, tgt) in edges_from(schema, node):
+            for (name, tgt) in schema.out_edges[node]:
                 vals.append(str(id_map[tgt][I.edge(node, name)[r]]))
             tuples.append("(" + ", ".join(vals) + ")")
         lines.append(f"INSERT INTO {node} VALUES\n" + ",\n".join(tuples) + ";")

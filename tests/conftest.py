@@ -23,25 +23,6 @@ from catql.instances import Instance, validate_instance
 DATA = ir.files("catql") / "data"
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _drop_schema_caches():
-    """The per-schema lookup caches are unbounded; random-schema corpora would
-    otherwise keep every generated schema alive for the whole session and slow
-    later allocation-heavy tests through GC pressure."""
-    yield
-    import catql.core as core
-
-    for fn in (
-        core.edge_table,
-        core.attr_table,
-        core.edges_from,
-        core.attrs_of,
-        core.rewrite_rules,
-        core.all_morphisms_from,
-    ):
-        fn.cache_clear()
-
-
 def read_data(name: str) -> str:
     return (DATA / name).read_text()
 

@@ -88,6 +88,15 @@ class TestShowRunQuery:
         assert code == 0 and "hi" in out
         assert "CREATE TABLE" in out_sql.read_text()
 
+    def test_repeated_row_id_user_error(self, tmp_path, capsys):
+        from test_script import REPEATED_ROW
+
+        script = tmp_path / "dup.catql"
+        script.write_text(REPEATED_ROW + "show I;\n")
+        code, out, _err = run_cli(capsys, "run", str(script))
+        assert code == 1
+        assert out == ""
+
     def test_query_subcommand(self, tmp_path, capsys):
         script = tmp_path / "s.catql"
         script.write_text(

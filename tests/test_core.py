@@ -1,6 +1,8 @@
 """Schemas, paths, normalization, morphism enumeration, mappings."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -162,10 +164,10 @@ class TestEnumerateMorphisms:
                     for _d in range(6):
                         nxt = []
                         for p in frontier:
-                            from catql.core import edges_from, nodes_along
+                            from catql.core import nodes_along
 
                             end = nodes_along(s, p)[-1]
-                            for (en, _t) in edges_from(s, end):
+                            for (en, _t) in s.out_edges[end]:
                                 nxt.append(Path(a, p.steps + (en,)))
                         frontier = nxt
                         want |= {p for p in nxt if nodes_along(s, p)[-1] == b}
@@ -239,6 +241,19 @@ class TestMappings:
         )
         validate_mapping(F)
         assert apply_mapping(F, Path("x", (), "v")) == Path("y", (), "w")
+
+
+class TestSchemaTables:
+    def test_freed_with_schema_and_not_part_of_its_value(self):
+        s = fg_schema()
+        assert normalize_path(s, Path("a", ("f", "g"))) == Path("a", ("h",))
+        assert enumerate_morphisms(s, "a", "c") == (Path("a", ("h",)),)
+        twin = fg_schema()
+        assert s == twin and hash(s) == hash(twin) and repr(s) == repr(twin)
+        ref = weakref.ref(s)
+        del s
+        gc.collect()
+        assert ref() is None
 
 
 class TestValidateSchema:

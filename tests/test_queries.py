@@ -166,8 +166,6 @@ def naive_oracle(q, I):
 
 def rand_query(rng, s, I, max_bindings=3):
     """A random type-correct query; may or may not be satisfiable."""
-    from catql.core import attr_table, edge_table, edges_from, attrs_of
-
     nodes = sorted(s.nodes)
     nb = rng.randint(1, max_bindings)
     bindings = tuple((f"v{i}", rng.choice(nodes)) for i in range(nb))
@@ -176,7 +174,7 @@ def rand_query(rng, s, I, max_bindings=3):
         steps = []
         cur = node
         for _ in range(rng.randint(0, max_len)):
-            outs = edges_from(s, cur)
+            outs = s.out_edges[cur]
             if not outs:
                 break
             en, tgt = rng.choice(outs)
@@ -186,7 +184,7 @@ def rand_query(rng, s, I, max_bindings=3):
 
     def rand_attr_expr(var, node):
         e, cur = rand_row_expr(var, node)
-        cands = attrs_of(s, cur)
+        cands = s.node_attrs[cur]
         if not cands:
             return None
         an, ty = rng.choice(cands)

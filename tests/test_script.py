@@ -93,6 +93,12 @@ class TestRoundTrip:
         assert parse_script(format_script(ast1)) == ast1
 
 
+REPEATED_ROW = """
+schema S { nodes a; attribute n : a -> string; }
+instance I : S { node a { x; x; } attribute a.n { x = "u"; } }
+"""
+
+
 class TestRun:
     def test_demo_outputs(self):
         env, outputs = run_script(parse_script(DEMO))
@@ -117,6 +123,10 @@ class TestRun:
             assert e.line == 2
         else:
             pytest.fail("expected ScriptError")
+
+    def test_repeated_row_id_rejected(self):
+        with pytest.raises(ScriptError):
+            run_script(parse_script(REPEATED_ROW))
 
     def test_let_union_and_eval(self):
         src = DEMO + "\nlet K = union J J;\nshow K csv;"
