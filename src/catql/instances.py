@@ -78,19 +78,41 @@ def empty_instance(schema: Schema) -> Instance:
     return Instance(schema, {}, {}, {})
 
 
-def eval_path(I: Instance, p, r):
-    """Apply the edge/attribute functions along a path starting from row r."""
+def path_fn(I: Instance, p):
+    """The row -> value function of path p on I.
+
+    The edge and attribute dicts along p are fetched once, here, so applying
+    the result to a row is a chain of dict lookups.  A ConstPath gives its
+    value for every row.
+    """
     if isinstance(p, ConstPath):
-        return p.value
+        value = p.value
+        return lambda _r: value
     et = I.schema.edge_table
     node = p.source
-    cur = r
+    chain = []
     for step in p.steps:
-        cur = I.edge(node, step)[cur]
+        chain.append(I.edge(node, step))
         node = et[(node, step)]
     if p.attr is not None:
-        return I.attr(node, p.attr)[cur]
-    return cur
+        chain.append(I.attr(node, p.attr))
+    if len(chain) == 1:
+        return chain[0].__getitem__
+    if len(chain) == 2:
+        f, g = chain
+        return lambda r: g[f[r]]
+
+    def walk(r):
+        for fn in chain:
+            r = fn[r]
+        return r
+
+    return walk
+
+
+def eval_path(I: Instance, p, r):
+    """Apply the edge/attribute functions along a path starting from row r."""
+    return path_fn(I, p)(r)
 
 
 def validate_instance(I: Instance):
@@ -125,9 +147,10 @@ def validate_instance(I: Instance):
                     f"attribute {name!r}: row {r!r} has {value_type(v)} value, expected {ty}"
                 )
     for eq in s.equations:
+        lhs, rhs = path_fn(I, eq.lhs), path_fn(I, eq.rhs)
         for r in I.rows[eq.lhs.source]:
-            lv = eval_path(I, eq.lhs, r)
-            rv = eval_path(I, eq.rhs, r)
+            lv = lhs(r)
+            rv = rhs(r)
             if lv != rv:
                 raise ValidationError(
                     f"equation {eq} violated at node {eq.lhs.source!r}, row {r!r}: "

@@ -20,7 +20,7 @@ from .core import (
     _path_key,
 )
 from .errors import InconsistencyError, NotSaturated, SchemaError, ValidationError
-from .instances import Instance, LabelledNull, eval_path
+from .instances import Instance, LabelledNull, path_fn
 
 
 def delta(F: Mapping, I: Instance) -> Instance:
@@ -31,12 +31,12 @@ def delta(F: Mapping, I: Instance) -> Instance:
     rows = {n: I.rows[F.nodes[n]] for n in s.nodes}
     edge_fn = {}
     for (name, src, _tgt) in s.edges:
-        img = F.edges[(src, name)]
-        edge_fn[(src, name)] = {r: eval_path(I, img, r) for r in rows[src]}
+        f = path_fn(I, F.edges[(src, name)])
+        edge_fn[(src, name)] = {r: f(r) for r in rows[src]}
     attr_fn = {}
     for (name, src, _ty) in s.attributes:
-        img = F.attrs[(src, name)]
-        attr_fn[(src, name)] = {r: eval_path(I, img, r) for r in rows[src]}
+        f = path_fn(I, F.attrs[(src, name)])
+        attr_fn[(src, name)] = {r: f(r) for r in rows[src]}
     return Instance(s, rows, edge_fn, attr_fn)
 
 

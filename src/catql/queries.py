@@ -2,9 +2,12 @@
 desugaring into a sigma . pi . delta migration.
 
 Direct evaluation uses ascending-cardinality binding order with hash joins on
-applicable equalities, then relationalizes (set semantics).  Desugaring only
-accepts conjunctive queries; disjunction is handled by splitting into
-conjunctive subqueries and unioning their results.
+applicable equalities, then relationalizes (set semantics).  Each term is
+resolved once per query to a path function, a chain of dict lookups
+(`instances.path_fn`), and where-groups on the variable being bound alone
+filter that node's rows at the scan, before the hash index or the nested
+loop.  Desugaring only accepts conjunctive queries; disjunction is handled by
+splitting into conjunctive subqueries and unioning their results.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .core import (
     _walk_path,
 )
 from .errors import DesugarError, SchemaError, TypecheckError
-from .instances import Instance, eval_path, relationalize, union
+from .instances import Instance, path_fn, relationalize, union
 from .migration import _UnionFind, delta, pi, sigma
 
 
@@ -176,80 +179,97 @@ def _group_vars(g: Group):
     return vs
 
 
+def _group_test(g: Group, compile_term):
+    """g as a predicate; compile_term turns a term into a function of the
+    predicate's argument."""
+    sides = [(compile_term(c.lhs), compile_term(c.rhs)) for c in g.alternatives]
+    if len(sides) == 1:
+        ((lhs, rhs),) = sides
+        return lambda x: lhs(x) == rhs(x)
+    return lambda x: any(lhs(x) == rhs(x) for (lhs, rhs) in sides)
+
+
+def _all_of(tests):
+    """The conjunction of predicates, or None when there are none."""
+    if len(tests) <= 1:
+        return tests[0] if tests else None
+    return lambda x: all(t(x) for t in tests)
+
+
 def eval_query_direct(q: Query, I: Instance) -> Instance:
-    """Enumerate satisfying assignments, project, relationalize (set semantics)."""
+    """Enumerate satisfying assignments, project, relationalize (set semantics).
+
+    Variables are bound in ascending order of their tables' sizes, and an
+    assignment is the tuple of their rows in that order.  Each term is
+    resolved to a path function once; groups on the variable being bound
+    alone filter its rows at the scan, the rest are checked on each extended
+    assignment.
+    """
     s = I.schema
     res = typecheck_query(q, s)
-
-    def eval_term(term, asg):
-        if isinstance(term, Literal):
-            return term.value
-        sort = res.expr_sort[term]
-        p = sort[1] if sort[0] == "attr" else sort[2]
-        return eval_path(I, p, asg[term.var])
-
-    def group_holds(g, asg):
-        return any(eval_term(c.lhs, asg) == eval_term(c.rhs, asg) for c in g.alternatives)
-
     order = sorted(q.bindings, key=lambda b: (len(I.rows[b[1]]), q.bindings.index(b)))
-    groups = list(q.where)
-    assignments = [{}]
+    pos = {var: i for i, (var, _node) in enumerate(order)}
+
+    def on_row(term):
+        """The term as a function of its variable's row."""
+        if isinstance(term, Literal):
+            return path_fn(I, ConstPath(term.value))
+        sort = res.expr_sort[term]
+        return path_fn(I, sort[1] if sort[0] == "attr" else sort[2])
+
+    def on_asg(term):
+        """The term as a function of an assignment."""
+        f = on_row(term)
+        if isinstance(term, Literal):
+            return f
+        i = pos[term.var]
+        return lambda a: f(a[i])
+
+    assignments = [()]
     bound: set[str] = set()
-    pending = list(groups)
+    pending = list(q.where)
     for (var, node) in order:
         bound.add(var)
         applicable = [g for g in pending if _group_vars(g) <= bound]
         pending = [g for g in pending if g not in applicable]
         # hash join: first conjunctive equality with one side on var only,
         # the other side fully bound earlier
-        hash_clause = None
+        hash_group = hash_clause = None
         for g in applicable:
             if len(g.alternatives) != 1:
                 continue
             c = g.alternatives[0]
             lv, rv = _term_vars(c.lhs), _term_vars(c.rhs)
             if lv == {var} and var not in rv:
-                hash_clause = (c.lhs, c.rhs)
+                hash_group, hash_clause = g, (c.lhs, c.rhs)
                 break
             if rv == {var} and var not in lv:
-                hash_clause = (c.rhs, c.lhs)
+                hash_group, hash_clause = g, (c.rhs, c.lhs)
                 break
-        new_assignments = []
-        if hash_clause is not None:
-            var_side, bound_side = hash_clause
-            index: dict = {}
-            for r in I.rows[node]:
-                index.setdefault(eval_term(var_side, {var: r}), []).append(r)
-            for asg in assignments:
-                key = eval_term(bound_side, asg)
-                for r in index.get(key, ()):
-                    a2 = dict(asg)
-                    a2[var] = r
-                    if all(group_holds(g, a2) for g in applicable):
-                        new_assignments.append(a2)
+        # filtering keeps the rows' order, so the assignments keep theirs
+        keep = _all_of([_group_test(g, on_row) for g in applicable if _group_vars(g) == {var}])
+        scan = I.rows[node] if keep is None else list(filter(keep, I.rows[node]))
+        check = _all_of([
+            _group_test(g, on_asg)
+            for g in applicable
+            if g is not hash_group and _group_vars(g) != {var}
+        ])
+        if hash_clause is None:
+            extended = (a + (r,) for a in assignments for r in scan)
         else:
-            for asg in assignments:
-                for r in I.rows[node]:
-                    a2 = dict(asg)
-                    a2[var] = r
-                    if all(group_holds(g, a2) for g in applicable):
-                        new_assignments.append(a2)
-        assignments = new_assignments
+            var_side, bound_side = on_row(hash_clause[0]), on_asg(hash_clause[1])
+            index: dict = {}
+            for r in scan:
+                index.setdefault(var_side(r), []).append(r)
+            extended = (a + (r,) for a in assignments for r in index.get(bound_side(a), ()))
+        assignments = list(extended if check is None else filter(check, extended))
 
-    rs = result_schema(res.select_types)
-    rows = []
-    attr_fn = {(alias, "row"): {} for (alias, _ty) in res.select_types}
-    for i, asg in enumerate(assignments):
-        rid = f"q{i}"
-        rows.append(rid)
-        for item, (alias, _ty) in zip(q.selects, res.select_types):
-            attr_fn[(alias, "row")][rid] = eval_term(item.expr, asg)
-    out = Instance(
-        rs,
-        {"row": rows},
-        {},
-        {("row", alias): attr_fn[(alias, "row")] for (alias, _ty) in res.select_types},
-    )
+    rows = [f"q{i}" for i in range(len(assignments))]
+    attr_fn = {
+        ("row", alias): dict(zip(rows, map(on_asg(item.expr), assignments)))
+        for item, (alias, _ty) in zip(q.selects, res.select_types)
+    }
+    out = Instance(result_schema(res.select_types), {"row": rows}, {}, attr_fn)
     return relationalize(out)
 
 

@@ -229,6 +229,8 @@ def closure_relation(R: Instance, n: int) -> Instance:
 
 
 def closure_auto(I: Instance, n: int) -> Instance:
+    if n < 0:
+        raise SchemaError(f"closure depth must be nonnegative, got {n}")
     if function_shape(I.schema) is not None:
         return transitive_closure(I, n)
     if relation_shape(I.schema) is not None:

@@ -177,15 +177,51 @@ class _SqlParser:
             raise SqlImportError(f"bad literal {tok!r} in VALUES")
 
 
+def _check_fk_spec(fk_spec, by_name):
+    """The sidecar must be {table: {column: table}} over tables and columns
+    that the SQL creates."""
+    if not isinstance(fk_spec, dict):
+        raise SqlImportError("fk spec must be an object {table: {column: table}}")
+    for tname, cols in fk_spec.items():
+        if tname not in by_name:
+            raise SqlImportError(f"fk spec names unknown table {tname!r}")
+        if not isinstance(cols, dict):
+            raise SqlImportError(
+                f"fk spec for table {tname!r} must be an object {{column: table}}"
+            )
+        columns = {c.name: c for c in by_name[tname].columns}
+        for cname, target in cols.items():
+            c = columns.get(cname)
+            if c is None:
+                raise SqlImportError(
+                    f"fk spec names unknown column {cname!r} of table {tname!r}"
+                )
+            if c.role == "id":
+                raise SqlImportError(
+                    f"fk spec names the primary key {cname!r} of table {tname!r}"
+                )
+            if not isinstance(target, str) or target not in by_name:
+                raise SqlImportError(
+                    f"fk spec: column {cname!r} of table {tname!r} references "
+                    f"unknown table {target!r}"
+                )
+            if c.role == "fk" and c.fk_target != target:
+                raise SqlImportError(
+                    f"fk spec sends column {cname!r} of table {tname!r} to {target!r}, "
+                    f"but it REFERENCES {c.fk_target!r}"
+                )
+
+
 def import_sql(text, fk_spec=None, guess_fk=False):
     """Parse the restricted dialect into (Schema, Instance)."""
     tables, inserts = _SqlParser(text).parse()
-    fk_spec = fk_spec or {}
     by_name = {}
     for t in tables:
         if t.name in by_name:
             raise SqlImportError(f"table {t.name!r} created twice")
         by_name[t.name] = t
+    fk_spec = {} if fk_spec is None else fk_spec
+    _check_fk_spec(fk_spec, by_name)
 
     # resolve roles: REFERENCES, then sidecar, then (opt-in) naming convention
     for t in tables:

@@ -49,6 +49,16 @@ class TestImportSql:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("spec", [[1, 2], {"capability": 5}, {"capability": {"x": "nosuch"}}])
+    def test_bad_fk_spec_user_error(self, tmp_path, capsys, spec):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(spec))
+        code, _out, err = run_cli(
+            capsys, "import-sql", data_path("portal_a.sql"), "--fk-spec", str(f)
+        )
+        assert code == 1
+        assert "fk spec" in err
+
 
 class TestClosure:
     def test_parent_closure(self, capsys):
@@ -63,6 +73,13 @@ class TestClosure:
         bad.write_text("schema {")
         code, _out, err = run_cli(capsys, "closure", str(bad))
         assert code == 1
+
+    def test_negative_depth_user_error(self, capsys):
+        code, _out, err = run_cli(
+            capsys, "closure", "--closure-n", "-3", data_path("parent.catql")
+        )
+        assert code == 1
+        assert "closure depth" in err
 
 
 class TestShowRunQuery:

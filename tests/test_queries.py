@@ -7,7 +7,7 @@ import pytest
 
 from catql.core import make_schema, validate_mapping
 from catql.errors import DesugarError, TypecheckError
-from catql.instances import Instance, eval_path, iso_check, relationalize
+from catql.instances import Instance, LabelledNull, eval_path, iso_check, relationalize
 from catql.parsing import parse_query
 from catql.queries import (
     Clause,
@@ -121,6 +121,18 @@ class TestDirectEval:
         out = eval_query_direct(q, inst)
         assert len(out.node_rows("row")) == 2
 
+    def test_fig_query_output_pinned(self, portal):
+        _schema, inst = portal
+        out = eval_query_direct(parse_query(read_data("query1.txt")), inst)
+        assert out.node_rows("row") == ("q0", "q1")
+        assert {a: out.attr("row", a) for (a, _n, _t) in out.schema.attributes} == {
+            "mn": {"q0": "Pre-hardened Stainless Steel", "q1": "17-4 Stainless Steel"},
+            "ccn": {"q0": "Sinker EDM Drilling", "q1": "Ram EDM Burning"},
+            "ml": {"q0": 30, "q1": 45},
+            "ucc": {"q0": "cm", "q1": "cm"},
+            "pcn": {"q0": "Sinker EDM", "q1": "Ram EDM"},
+        }
+
     def test_invariant_under_binding_reorder(self, portal):
         _schema, inst = portal
         q = parse_query(read_data("query1.txt"))
@@ -233,13 +245,26 @@ def rand_query(rng, s, I, max_bindings=3):
     return Query(bindings, tuple(groups), tuple(selects))
 
 
-def random_query_corpus(seed, count, max_rows=4):
+def with_nulls(rng, I, share):
+    """I with about `share` of its attribute values replaced by labelled nulls
+    from a pool of two labels, so that nulls meet in join keys and filters."""
+    attr_fn = {
+        k: {r: LabelledNull(rng.choice("xy")) if rng.random() < share else v
+            for r, v in fn.items()}
+        for k, fn in I.attr_fn.items()
+    }
+    return Instance(I.schema, I.rows, I.edge_fn, attr_fn)
+
+
+def random_query_corpus(seed, count, max_rows=4, max_bindings=3, null_share=0.0):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         s = rand_dag_schema(rng, "Q", with_attrs=True)
         I = rand_instance(rng, s, max_rows=max_rows)
-        q = rand_query(rng, s, I)
+        if null_share:
+            I = with_nulls(rng, I, null_share)
+        q = rand_query(rng, s, I, max_bindings)
         if q is None:
             continue
         try:
@@ -252,8 +277,16 @@ def random_query_corpus(seed, count, max_rows=4):
 
 class TestOracleAgreement:
     def test_direct_matches_naive_oracle(self):
-        for q, I in random_query_corpus(101, 40):
+        for q, I in random_query_corpus(101, 300, max_bindings=4):
             assert result_rows(eval_query_direct(q, I)) == result_rows(naive_oracle(q, I))
+
+    def test_direct_matches_naive_oracle_with_nulls(self):
+        null_rows = 0
+        for q, I in random_query_corpus(202, 300, max_bindings=4, null_share=0.3):
+            got = result_rows(eval_query_direct(q, I))
+            assert got == result_rows(naive_oracle(q, I))
+            null_rows += sum(any(isinstance(v, LabelledNull) for v in row) for row in got)
+        assert null_rows > 0
 
 
 class TestDesugar:

@@ -145,6 +145,25 @@ class TestRelationAlgebra:
             b = compose_relations(rs[0], compose_relations(rs[1], rs[2]))
             assert iso_check(a, b)
 
+    def test_compose_on_bundled_closure_pinned(self):
+        env, _ = run_script(parse_script(read_data("parent.catql")))
+        isa = closure_auto(env.lookup("parent", "instance", 0), 3)
+        expected = set()
+        for (a, bs) in [
+            ("ferrous-17-4PH", "ferrous-17-4PH ferrous-PH-stainless ferrous-alloy "
+                               "ferrous-stainless matter"),
+            ("ferrous-420", "ferrous-420 ferrous-PH-stainless ferrous-alloy "
+                            "ferrous-stainless matter"),
+            ("ferrous-PH-stainless", "ferrous-PH-stainless ferrous-alloy "
+                                     "ferrous-stainless matter"),
+            ("ferrous-alloy", "ferrous-alloy matter"),
+            ("ferrous-stainless", "ferrous-alloy ferrous-stainless matter"),
+            ("matter", "matter"),
+        ]:
+            expected |= {(a, b) for b in bs.split()}
+        assert len(expected) == 20
+        assert relation_pairs(compose_relations(isa, isa)) == expected
+
     def test_closure_relation_diagonal_seeded(self):
         R = relation_from_pairs({("a", "b"), ("b", "c")})
         out = closure_relation(R, 3)
@@ -163,6 +182,12 @@ class TestRelationAlgebra:
         other = make_schema("neither", ["a", "b"], [("f", "a", "b")])
         with pytest.raises(SchemaError):
             closure_auto(Instance(other, {"a": [], "b": []}, {}, {}), 1)
+
+    @pytest.mark.parametrize("shape", ["function", "relation"])
+    def test_closure_auto_negative_depth_rejected(self, shape):
+        inst = make_parent({"a": "b"}) if shape == "function" else relation_from_pairs({("a", "b")})
+        with pytest.raises(SchemaError, match="-3"):
+            closure_auto(inst, -3)
 
 
 class TestTranslate:

@@ -39,6 +39,29 @@ class TestImport:
         assert ("owner", "b", "a") in schema.edges
         assert inst.edge("b", "owner")["10"] == "1"
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([1, 2], "must be an object"),
+            ([], "must be an object"),
+            ({"b": 5}, "for table 'b' must be an object"),
+            ({"nosuch": {"owner": "a"}}, "unknown table 'nosuch'"),
+            ({"b": {"nosuch": "a"}}, "unknown column 'nosuch'"),
+            ({"b": {"owner": "nosuch"}}, "references unknown table 'nosuch'"),
+            ({"b": {"owner": 5}}, "references unknown table 5"),
+            ({"b": {"id": "a"}}, "primary key 'id'"),
+            ({"c": {"link": "b"}}, "REFERENCES 'a'"),
+        ],
+    )
+    def test_fk_spec_shape_checked(self, spec, message):
+        text = (
+            "CREATE TABLE a (id INT PRIMARY KEY);\n"
+            "CREATE TABLE b (id INT PRIMARY KEY, owner INT);\n"
+            "CREATE TABLE c (id INT PRIMARY KEY, link INT REFERENCES a);\n"
+        )
+        with pytest.raises(SqlImportError, match=message):
+            import_sql(text, fk_spec=spec)
+
     def test_fk_guessing_opt_in(self):
         text = (
             "CREATE TABLE user (id INT PRIMARY KEY);\n"
