@@ -5,18 +5,21 @@ values are strings, integers, or labelled nulls (equal only to the same
 label).  Union is disjoint union followed by relationalization, the quotient
 by observational equivalence.
 
-One partition refinement (`_refine`) colors the rows of one or more
-instances jointly; relationalize quotients by it and iso_check compares the
-color classes of two instances.  One iterative backtracking search (`_homs`)
-enumerates natural transformations with an explicit stack: enumerate_homs
-counts them over attribute-tuple buckets, and iso_check looks for an
-injective one over color classes.
+One join planner (`join`) enumerates the row tuples that satisfy a set of
+equalities; direct queries, pi's families, relation composition and
+enrichment all run through it.  One partition refinement (`_refine`) colors
+the rows of one or more instances jointly; relationalize quotients by it and
+iso_check compares the color classes of two instances.  One iterative
+backtracking search (`_homs`) enumerates natural transformations with an
+explicit stack: enumerate_homs counts them over attribute-tuple buckets, and
+iso_check looks for an injective one over color classes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Union
 
 from .core import ConstPath, Schema
@@ -113,6 +116,96 @@ def path_fn(I: Instance, p):
 def eval_path(I: Instance, p, r):
     """Apply the edge/attribute functions along a path starting from row r."""
     return path_fn(I, p)(r)
+
+
+def _all_of(tests):
+    """The conjunction of predicates, or None when there are none."""
+    if len(tests) <= 1:
+        return tests[0] if tests else None
+    return lambda x: all(t(x) for t in tests)
+
+
+def join(domains, groups) -> list[tuple]:
+    """Every choice of one row per domain that satisfies every group.
+
+    domains holds one row sequence per variable, and variables are their
+    indices.  A group is a sequence of alternatives (lhs, rhs), each an
+    equality between two terms, and holds when one of them does.  A term is
+    (var, fn), the value fn(row) of var's row, or a constant: any value that
+    is not a tuple.
+
+    Variables are bound in ascending order of domain size, ties in declared
+    order.  Groups on the variable being bound alone filter its rows at the
+    scan.  The first single-alternative group relating it to a variable bound
+    earlier becomes a hash join, and every other group is checked on each
+    extended assignment once its variables are bound.  Each satisfying
+    assignment is returned once, as a tuple of rows in declared variable
+    order; the list is ordered by the rows' positions in their domains, taken
+    in binding order.
+    """
+    order = sorted(range(len(domains)), key=lambda v: (len(domains[v]), v))
+    pos = {v: i for i, v in enumerate(order)}
+
+    def var_of(term):
+        return term[0] if isinstance(term, tuple) else None
+
+    def on_row(term):
+        """The term as a function of its variable's row."""
+        if isinstance(term, tuple):
+            return term[1]
+        return lambda _r: term
+
+    def on_asg(term):
+        """The term as a function of an assignment in binding order."""
+        if not isinstance(term, tuple):
+            return lambda _a: term
+        i, f = pos[term[0]], term[1]
+        return lambda a: f(a[i])
+
+    def test(group, compile_term):
+        sides = [(compile_term(lhs), compile_term(rhs)) for (lhs, rhs) in group]
+        if len(sides) == 1:
+            ((lhs, rhs),) = sides
+            return lambda x: lhs(x) == rhs(x)
+        return lambda x: any(lhs(x) == rhs(x) for (lhs, rhs) in sides)
+
+    pending = []
+    for g in groups:
+        vs = {var_of(t) for alt in g for t in alt} - {None}
+        if vs:
+            pending.append((g, vs))
+        elif not test(g, on_asg)(()):  # a group on constants alone holds always or never
+            return []
+    assignments = [()]
+    bound: set[int] = set()
+    for v in order:
+        bound.add(v)
+        ready = [(g, vs) for (g, vs) in pending if vs <= bound]
+        pending = [(g, vs) for (g, vs) in pending if not vs <= bound]
+        # every ready group is on v; as a term has one variable, a
+        # single-alternative group on v and another variable can be hashed
+        joined = [g for (g, vs) in ready if len(vs) > 1]
+        hashed = next((g for g in joined if len(g) == 1), None)
+        keep = _all_of([test(g, on_row) for (g, vs) in ready if len(vs) == 1])
+        check = _all_of([test(g, on_asg) for g in joined if g is not hashed])
+        # filtering keeps the rows' order, so the assignments keep theirs
+        rows = domains[v] if keep is None else list(filter(keep, domains[v]))
+        if hashed is None:
+            extended = (a + (r,) for a in assignments for r in rows)
+        else:
+            ((lhs, rhs),) = hashed
+            if var_of(lhs) != v:
+                lhs, rhs = rhs, lhs
+            key, probe = on_row(lhs), on_asg(rhs)
+            index: dict = {}
+            for r in rows:
+                index.setdefault(key(r), []).append(r)
+            extended = (a + (r,) for a in assignments for r in index.get(probe(a), ()))
+        assignments = list(extended if check is None else filter(check, extended))
+    if order != sorted(order):
+        declared = itemgetter(*(pos[v] for v in range(len(order))))
+        assignments = [declared(a) for a in assignments]
+    return assignments
 
 
 def validate_instance(I: Instance):

@@ -20,7 +20,7 @@ from .core import (
     _path_key,
 )
 from .errors import InconsistencyError, NotSaturated, SchemaError, ValidationError
-from .instances import Instance, LabelledNull, path_fn
+from .instances import Instance, LabelledNull, join, path_fn
 
 
 def delta(F: Mapping, I: Instance) -> Instance:
@@ -132,10 +132,13 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
     edge_fn = {}
     for (gname, src, tgt) in T.edges:
         m = {}
+        then_g: dict = {}  # p -> normal form of p.g
         for members in classes[src]:
             images = set()
             for (s_node, x, p) in members:
-                q = normalize_path(T, Path(p.source, p.steps + (gname,)), bound)
+                if p not in then_g:
+                    then_g[p] = normalize_path(T, Path(p.source, p.steps + (gname,)), bound)
+                q = then_g[p]
                 img = class_of.get((s_node, x, q))
                 if img is None:
                     raise ValidationError(
@@ -153,17 +156,20 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
     attr_fn = {}
     for (aname, src, _ty) in T.attributes:
         m = {}
+        readers: dict = {}  # (s_node, p) -> source attribute dicts a with F(a) == p.aname
         for members in classes[src]:
             rid = _row_id(members[0])
             candidates = []
             for (s_node, x, p) in members:
-                composite = Path(p.source, p.steps, aname)
-                for (sa, _saty) in S.node_attrs[s_node]:
-                    img = F.attrs[(s_node, sa)]
-                    if isinstance(img, ConstPath):
-                        continue
-                    if paths_equal(T, composite, img, bound):
-                        candidates.append(I.attr(s_node, sa)[x])
+                if (s_node, p) not in readers:
+                    composite = Path(p.source, p.steps, aname)
+                    readers[(s_node, p)] = [
+                        I.attr(s_node, sa)
+                        for (sa, _saty) in S.node_attrs[s_node]
+                        if not isinstance(F.attrs[(s_node, sa)], ConstPath)
+                        and paths_equal(T, composite, F.attrs[(s_node, sa)], bound)
+                    ]
+                candidates.extend(fn[x] for fn in readers[(s_node, p)])
             distinct = []
             for c in candidates:
                 if c not in distinct:
@@ -190,10 +196,15 @@ def _row_id(gen):
     return f"{s}:{x}:{p}"
 
 
+def _same_row(r):
+    return r
+
+
 def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
     """Right Kan extension: rows at t are edge-compatible families over the
-    comma category (t down F), built by backtracking and pruned to a valid
-    instance (attribute-valued equations checked pointwise)."""
+    comma category (t down F), one row per comma object.  The families are
+    joined by `instances.join`, one equality per comma morphism, then pruned
+    to a valid instance (attribute-valued equations checked pointwise)."""
     if I.schema != F.source:
         raise SchemaError("pi: instance is not on the mapping's source schema")
     S, T = F.source, F.target
@@ -208,12 +219,14 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
                 objs.append((s_node, q))
         comma[t] = sorted(objs, key=lambda o: (o[0], _path_key(o[1])))
 
-    # comma morphisms induced by source edges: (index, edge fn, index')
     def comma_constraints(t):
+        """One join group per comma morphism induced by a source edge e:
+        the row at (src, q) must reach the row at (tgt, q.F(e)) along e."""
         index = {o: i for i, o in enumerate(comma[t])}
-        cons = []
+        groups = []
         for (ename, src, tgt) in sorted(S.edges):
             e_img = F.edges[(src, ename)]
+            fn = I.edge(src, ename).__getitem__
             for (s_node, q) in comma[t]:
                 if s_node != src:
                     continue
@@ -223,40 +236,13 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
                     raise ValidationError(
                         f"pi: comma path {q2} left the enumerated path universe"
                     )
-                cons.append((index[(s_node, q)], I.edge(src, ename), index[o2]))
-        return cons
+                groups.append([((index[(s_node, q)], fn), (index[o2], _same_row))])
+        return groups
 
-    families: dict[str, list] = {}
-    for t in sorted(T.nodes):
-        objs = comma[t]
-        cons = comma_constraints(t)
-        by_slot: dict[int, list] = {}
-        for c in cons:
-            by_slot.setdefault(c[0], []).append(c)
-            by_slot.setdefault(c[2], []).append(c)
-        out = []
-        assign: list = [None] * len(objs)
-
-        def ok(i):
-            for (a, fn, b) in by_slot.get(i, ()):
-                if assign[a] is not None and assign[b] is not None:
-                    if fn[assign[a]] != assign[b]:
-                        return False
-            return True
-
-        def search(i):
-            if i == len(objs):
-                out.append(tuple(assign))
-                return
-            s_node = objs[i][0]
-            for x in I.rows[s_node]:
-                assign[i] = x
-                if ok(i):
-                    search(i + 1)
-                assign[i] = None
-
-        search(0)
-        families[t] = out
+    fam_sets = {
+        t: set(join([I.rows[s_node] for (s_node, _q) in comma[t]], comma_constraints(t)))
+        for t in sorted(T.nodes)
+    }
 
     # attribute readings: for T-attribute A on t, via comma object (s, q) and
     # source attribute a with F(a) == q.A
@@ -286,21 +272,25 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
 
     t_et = T.edge_table
 
+    image_slots: dict = {}  # (t, g) -> (target of g, slot of t per slot of the target)
+
     def edge_image(t, fam, gname):
         """Family at target of g obtained by precomposition with g."""
-        t2 = t_et[(t, gname)]
-        index_t = {o: i for i, o in enumerate(comma[t])}
-        img = []
-        for (s_node, q2) in comma[t2]:
-            q = normalize_path(T, Path(t, (gname,) + q2.steps), bound)
-            j = index_t.get((s_node, q))
-            if j is None:
-                raise ValidationError("pi: precomposed path left the path universe")
-            img.append(fam[j])
-        return t2, tuple(img)
+        if (t, gname) not in image_slots:
+            t2 = t_et[(t, gname)]
+            index_t = {o: i for i, o in enumerate(comma[t])}
+            slots = []
+            for (s_node, q2) in comma[t2]:
+                q = normalize_path(T, Path(t, (gname,) + q2.steps), bound)
+                j = index_t.get((s_node, q))
+                if j is None:
+                    raise ValidationError("pi: precomposed path left the path universe")
+                slots.append(j)
+            image_slots[(t, gname)] = (t2, slots)
+        t2, slots = image_slots[(t, gname)]
+        return t2, tuple([fam[j] for j in slots])
 
     # prune: reading conflicts, attribute-valued equations, missing edge images
-    fam_sets = {t: set(families[t]) for t in T.nodes}
     attr_eqs = [eq for eq in T.equations if eq.lhs.attr is not None
                 or isinstance(eq.rhs, ConstPath) or (isinstance(eq.rhs, Path) and eq.rhs.attr is not None)]
 

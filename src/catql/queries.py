@@ -1,13 +1,11 @@
 """select/from/where queries: typechecking, direct evaluation by joins, and
 desugaring into a sigma . pi . delta migration.
 
-Direct evaluation uses ascending-cardinality binding order with hash joins on
-applicable equalities, then relationalizes (set semantics).  Each term is
-resolved once per query to a path function, a chain of dict lookups
-(`instances.path_fn`), and where-groups on the variable being bound alone
-filter that node's rows at the scan, before the hash index or the nested
-loop.  Desugaring only accepts conjunctive queries; disjunction is handled by
-splitting into conjunctive subqueries and unioning their results.
+Direct evaluation resolves each term once per query to a path function, a
+chain of dict lookups (`instances.path_fn`), hands the tables and where-groups
+to the join planner (`instances.join`), then projects and relationalizes (set
+semantics).  Desugaring only accepts conjunctive queries; disjunction is
+handled by splitting into conjunctive subqueries and unioning their results.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from .core import (
     _walk_path,
 )
 from .errors import DesugarError, SchemaError, TypecheckError
-from .instances import Instance, path_fn, relationalize, union
+from .instances import Instance, join, path_fn, relationalize, union
 from .migration import _UnionFind, delta, pi, sigma
 
 
@@ -94,7 +92,7 @@ class Query:
 class Resolution:
     """Typechecking result: sort of every term occurrence."""
 
-    expr_sort: dict  # PathExpr -> ("row", node) | ("attr", node-path Path, base type)
+    expr_sort: dict  # PathExpr -> ("row", node, Path) | ("attr", Path, base type)
     select_types: list  # [(alias, base type)] in select order
 
 
@@ -168,107 +166,32 @@ def result_schema(select_types) -> Schema:
     )
 
 
-def _term_vars(term):
-    return {term.var} if isinstance(term, PathExpr) else set()
-
-
-def _group_vars(g: Group):
-    vs = set()
-    for c in g.alternatives:
-        vs |= _term_vars(c.lhs) | _term_vars(c.rhs)
-    return vs
-
-
-def _group_test(g: Group, compile_term):
-    """g as a predicate; compile_term turns a term into a function of the
-    predicate's argument."""
-    sides = [(compile_term(c.lhs), compile_term(c.rhs)) for c in g.alternatives]
-    if len(sides) == 1:
-        ((lhs, rhs),) = sides
-        return lambda x: lhs(x) == rhs(x)
-    return lambda x: any(lhs(x) == rhs(x) for (lhs, rhs) in sides)
-
-
-def _all_of(tests):
-    """The conjunction of predicates, or None when there are none."""
-    if len(tests) <= 1:
-        return tests[0] if tests else None
-    return lambda x: all(t(x) for t in tests)
-
-
 def eval_query_direct(q: Query, I: Instance) -> Instance:
-    """Enumerate satisfying assignments, project, relationalize (set semantics).
+    """Join the bindings' tables, project, relationalize (set semantics).
 
-    Variables are bound in ascending order of their tables' sizes, and an
-    assignment is the tuple of their rows in that order.  Each term is
-    resolved to a path function once; groups on the variable being bound
-    alone filter its rows at the scan, the rest are checked on each extended
-    assignment.
+    Each term is resolved to a path function once, and the where-groups and
+    tables go to `instances.join`, which picks the binding order and the
+    hash joins.  Result row q<i> is the i-th assignment in join order.
     """
-    s = I.schema
-    res = typecheck_query(q, s)
-    order = sorted(q.bindings, key=lambda b: (len(I.rows[b[1]]), q.bindings.index(b)))
-    pos = {var: i for i, (var, _node) in enumerate(order)}
+    res = typecheck_query(q, I.schema)
+    var_index = {var: i for i, (var, _node) in enumerate(q.bindings)}
 
-    def on_row(term):
-        """The term as a function of its variable's row."""
+    def compiled(term):
+        """The term as a join term: its variable and a function of its row."""
         if isinstance(term, Literal):
-            return path_fn(I, ConstPath(term.value))
+            return term.value
         sort = res.expr_sort[term]
-        return path_fn(I, sort[1] if sort[0] == "attr" else sort[2])
+        return (var_index[term.var], path_fn(I, sort[1] if sort[0] == "attr" else sort[2]))
 
-    def on_asg(term):
-        """The term as a function of an assignment."""
-        f = on_row(term)
-        if isinstance(term, Literal):
-            return f
-        i = pos[term.var]
-        return lambda a: f(a[i])
-
-    assignments = [()]
-    bound: set[str] = set()
-    pending = list(q.where)
-    for (var, node) in order:
-        bound.add(var)
-        applicable = [g for g in pending if _group_vars(g) <= bound]
-        pending = [g for g in pending if g not in applicable]
-        # hash join: first conjunctive equality with one side on var only,
-        # the other side fully bound earlier
-        hash_group = hash_clause = None
-        for g in applicable:
-            if len(g.alternatives) != 1:
-                continue
-            c = g.alternatives[0]
-            lv, rv = _term_vars(c.lhs), _term_vars(c.rhs)
-            if lv == {var} and var not in rv:
-                hash_group, hash_clause = g, (c.lhs, c.rhs)
-                break
-            if rv == {var} and var not in lv:
-                hash_group, hash_clause = g, (c.rhs, c.lhs)
-                break
-        # filtering keeps the rows' order, so the assignments keep theirs
-        keep = _all_of([_group_test(g, on_row) for g in applicable if _group_vars(g) == {var}])
-        scan = I.rows[node] if keep is None else list(filter(keep, I.rows[node]))
-        check = _all_of([
-            _group_test(g, on_asg)
-            for g in applicable
-            if g is not hash_group and _group_vars(g) != {var}
-        ])
-        if hash_clause is None:
-            extended = (a + (r,) for a in assignments for r in scan)
-        else:
-            var_side, bound_side = on_row(hash_clause[0]), on_asg(hash_clause[1])
-            index: dict = {}
-            for r in scan:
-                index.setdefault(var_side(r), []).append(r)
-            extended = (a + (r,) for a in assignments for r in index.get(bound_side(a), ()))
-        assignments = list(extended if check is None else filter(check, extended))
-
+    assignments = join(
+        [I.rows[node] for (_var, node) in q.bindings],
+        [[(compiled(c.lhs), compiled(c.rhs)) for c in g.alternatives] for g in q.where],
+    )
     rows = [f"q{i}" for i in range(len(assignments))]
-    attr_fn = {
-        ("row", alias): dict(zip(rows, map(on_asg(item.expr), assignments)))
-        for item, (alias, _ty) in zip(q.selects, res.select_types)
-    }
+    attr_fn = {}
+    for item, (alias, _ty) in zip(q.selects, res.select_types):
+        i, f = compiled(item.expr)
+        attr_fn[("row", alias)] = {r: f(a[i]) for r, a in zip(rows, assignments)}
     out = Instance(result_schema(res.select_types), {"row": rows}, {}, attr_fn)
     return relationalize(out)
 

@@ -14,10 +14,11 @@ from .instances import (
     Instance,
     LabelledNull,
     disjoint_union_many,
+    join,
+    path_fn,
     relationalize,
     validate_instance,
 )
-from .queries import Group, Clause, PathExpr, Query, SelectItem, eval_query_direct
 
 
 def function_schema() -> Schema:
@@ -95,6 +96,7 @@ def build_fn(n: int, source: Schema = None, target: Schema = None) -> Mapping:
 def transitive_closure(parent_inst: Instance, n: int) -> Instance:
     """Union of the F_k pullbacks for k = 0..n: the reflexive transitive
     closure of the parenthood function once n is large enough."""
+    _check_depth(n)
     S = parent_inst.schema
     if function_shape(S) is None:
         raise SchemaError("transitive_closure expects an instance on a function schema")
@@ -163,59 +165,33 @@ def op_relation(R: Instance) -> Instance:
 
 
 def compose_relations(R1: Instance, R2: Instance) -> Instance:
-    """Relation composition, evaluated as a select/from/where join over the
-    two relations placed side by side in one schema."""
+    """Relation composition: the pairs (a.left, b.right) of the rows a of R1
+    and b of R2 joined on a.right.name = b.left.name."""
+    sides = []
     for R in (R1, R2):
-        if relation_shape(R.schema) is None:
+        shape = relation_shape(R.schema)
+        if shape is None:
             raise SchemaError("not a relation instance")
-    s1 = relation_shape(R1.schema)
-    s2 = relation_shape(R2.schema)
-    combined = make_schema(
-        "relpair",
-        ["isaA", "MatA", "isaB", "MatB"],
-        [
-            ("left", "isaA", "MatA"),
-            ("right", "isaA", "MatA"),
-            ("left", "isaB", "MatB"),
-            ("right", "isaB", "MatB"),
-        ],
-        [("name", "MatA", "string"), ("name", "MatB", "string")],
-    )
+        (rnode, left, right, _elem, aname) = shape
+        sides.append((
+            R.rows[rnode],
+            path_fn(R, Path(rnode, (left,), aname)),
+            path_fn(R, Path(rnode, (right,), aname)),
+        ))
+    (rows1, left1, right1), (rows2, left2, right2) = sides
+    joined = join([rows1, rows2], [[((0, right1), (1, left2))]])
+    return relation_from_pairs({(left1(a), right2(b)) for (a, b) in joined})
 
-    def side(R, shape, rnode_new, mat_new):
-        (rnode, left, right, elem, aname) = shape
-        return (
-            {rnode_new: list(R.node_rows(rnode)), mat_new: list(R.node_rows(elem))},
-            {
-                (rnode_new, "left"): R.edge(rnode, left),
-                (rnode_new, "right"): R.edge(rnode, right),
-            },
-            {(mat_new, "name"): R.attr(elem, aname)},
-        )
 
-    ra, ea, aa = side(R1, s1, "isaA", "MatA")
-    rb, eb, ab = side(R2, s2, "isaB", "MatB")
-    inst = Instance(combined, {**ra, **rb}, {**ea, **eb}, {**aa, **ab})
-    q = Query(
-        bindings=(("a", "isaA"), ("b", "isaB")),
-        where=(
-            Group((Clause(PathExpr("a", ("right", "name")), PathExpr("b", ("left", "name"))),)),
-        ),
-        selects=(
-            SelectItem("l", PathExpr("a", ("left", "name"))),
-            SelectItem("r", PathExpr("b", ("right", "name"))),
-        ),
-    )
-    table = eval_query_direct(q, inst)
-    pairs = set()
-    for r in table.node_rows("row"):
-        pairs.add((table.attr("row", "l")[r], table.attr("row", "r")[r]))
-    return relation_from_pairs(pairs)
+def _check_depth(n: int):
+    if n < 0:
+        raise SchemaError(f"closure depth must be nonnegative, got {n}")
 
 
 def closure_relation(R: Instance, n: int) -> Instance:
     """Reflexive transitive closure of a relation: diagonal seeding plus
     iterated composition up to n-fold."""
+    _check_depth(n)
     base = relation_pairs(R)
     names = {x for p in base for x in p}
     acc = {(x, x) for x in names} | base
@@ -229,8 +205,6 @@ def closure_relation(R: Instance, n: int) -> Instance:
 
 
 def closure_auto(I: Instance, n: int) -> Instance:
-    if n < 0:
-        raise SchemaError(f"closure depth must be nonnegative, got {n}")
     if function_shape(I.schema) is not None:
         return transitive_closure(I, n)
     if relation_shape(I.schema) is not None:
@@ -240,6 +214,7 @@ def closure_auto(I: Instance, n: int) -> Instance:
 
 def translate_isa(isa: Instance, syn: Instance, n: int) -> Instance:
     """op(syn) ; isa ; syn, then the reflexive transitive closure of the result."""
+    _check_depth(n)
     isa2 = compose_relations(compose_relations(op_relation(syn), isa), syn)
     return closure_relation(isa2, n)
 
@@ -294,8 +269,8 @@ def generate_enrichment(s: Schema, target_node: str, name_attr: str,
 def enrich_edge(I: Instance, node: str, edge: str, rel: Instance, name_attr: str) -> Instance:
     """Rows of `node` copied with `edge` retargeted along the is-a relation.
 
-    The matching (row, new target name) pairs are computed by a
-    select/from/where join of the instance with the relation; missing target
+    The matching (row, new target name) pairs come from joining the rows of
+    `node` with the relation's rows on the old target's name; missing target
     rows are created, copying attributes from the old target where possible.
     Returns the instance extended with the new rows.
     """
@@ -304,50 +279,22 @@ def enrich_edge(I: Instance, node: str, edge: str, rel: Instance, name_attr: str
     if (node, edge) not in et:
         raise SchemaError(f"no edge {edge!r} on node {node!r}")
     target = et[(node, edge)]
-    if (target, name_attr) not in s.attr_table:
-        raise SchemaError(f"target node {target!r} has no attribute {name_attr!r}")
+    if s.attr_table.get((target, name_attr)) != "string":
+        raise SchemaError(f"target node {target!r} has no string attribute {name_attr!r}")
     rshape = relation_shape(rel.schema)
     if rshape is None:
         raise SchemaError("enrich needs a relation instance")
-    (rnode, left, right, elem, rname) = rshape
+    (rnode, left, right, _elem, rname) = rshape
 
-    # combined schema: the instance, the relation, and a temporary row-id
-    # attribute making rows addressable from the query
-    combined = make_schema(
-        "enrich_join",
-        sorted(s.nodes) + ["__rel_isa", "__rel_Material"],
-        sorted(s.edges)
-        + [("left", "__rel_isa", "__rel_Material"), ("right", "__rel_isa", "__rel_Material")],
-        sorted(s.attributes)
-        + [("name", "__rel_Material", "string"), ("__rid", node, "string")],
+    right_name = path_fn(rel, Path(rnode, (right,), rname))
+    joined = join(
+        [I.rows[node], rel.rows[rnode]],
+        [[((0, path_fn(I, Path(node, (edge,), name_attr))),
+           (1, path_fn(rel, Path(rnode, (left,), rname))))]],
     )
-    rows = {n: list(I.node_rows(n)) for n in s.nodes}
-    rows["__rel_isa"] = list(rel.node_rows(rnode))
-    rows["__rel_Material"] = list(rel.node_rows(elem))
-    edge_fn = dict(I.edge_fn)
-    edge_fn[("__rel_isa", "left")] = rel.edge(rnode, left)
-    edge_fn[("__rel_isa", "right")] = rel.edge(rnode, right)
-    attr_fn = dict(I.attr_fn)
-    attr_fn[("__rel_Material", "name")] = rel.attr(elem, rname)
-    attr_fn[(node, "__rid")] = {r: r for r in I.node_rows(node)}
-    joined = Instance(combined, rows, edge_fn, attr_fn)
-
-    q = Query(
-        bindings=(("x", node), ("p", "__rel_isa")),
-        where=(
-            Group((Clause(PathExpr("x", (edge, name_attr)), PathExpr("p", ("left", "name"))),)),
-        ),
-        selects=(
-            SelectItem("xid", PathExpr("x", ("__rid",))),
-            SelectItem("aname", PathExpr("p", ("left", "name"))),
-            SelectItem("bname", PathExpr("p", ("right", "name"))),
-        ),
-    )
-    table = eval_query_direct(q, joined)
-    matches = sorted(
-        (table.attr("row", "xid")[r], table.attr("row", "bname")[r])
-        for r in table.node_rows("row")
-    )
+    pairs = {(x, right_name(p)) for (x, p) in joined}
+    # a labelled-null new name names no target row
+    matches = sorted((x, b) for (x, b) in pairs if not isinstance(b, LabelledNull))
 
     name_index = {}
     for r in I.node_rows(target):
@@ -379,8 +326,6 @@ def enrich_edge(I: Instance, node: str, edge: str, rel: Instance, name_attr: str
         return rid
 
     for (xid, bname) in matches:
-        if isinstance(bname, LabelledNull):
-            continue
         old_target = I.edge(node, edge)[xid]
         tgt_row = target_row_named(bname, old_target)
         rid = f"enr!{xid}!{bname}"

@@ -15,6 +15,7 @@ from catql.instances import (
     enumerate_homs,
     eval_path,
     iso_check,
+    join,
     relationalize,
     union,
     validate_instance,
@@ -339,3 +340,50 @@ class TestDeepInstances:
         relabelled = chain([f"x{(i * 7919) % n}" for i in range(n)])
         assert iso_check(I, relabelled)
         assert enumerate_homs(I, I) == 1
+
+
+def rand_join_case(rng):
+    """Random domains over a shared row pool, and random groups of one to
+    three alternatives whose terms read a random row -> value table, the row
+    itself, or a constant (a labelled null among them)."""
+    pool = ["r0", "r1", "r2", "r3", "r4"]
+    values = ["a", "b", 0, 1, LabelledNull("x"), LabelledNull("y")] + pool[:2]
+    domains = [rng.sample(pool, rng.randint(0, 4)) for _ in range(rng.randint(0, 4))]
+
+    def term():
+        if not domains or rng.random() < 0.2:
+            return rng.choice(values)
+        v = rng.randrange(len(domains))
+        if rng.random() < 0.3:
+            return (v, lambda r: r)
+        table = {r: rng.choice(values) for r in pool}
+        return (v, table.__getitem__)
+
+    groups = [
+        [(term(), term()) for _ in range(rng.choice([1, 1, 2, 3]))]
+        for _ in range(rng.randint(0, 4))
+    ]
+    return domains, groups
+
+
+class TestJoin:
+    def test_matches_product_oracle(self):
+        rng = random.Random(23)
+
+        def value(term, a):
+            return term[1](a[term[0]]) if isinstance(term, tuple) else term
+
+        nonempty = 0
+        for _ in range(600):
+            domains, groups = rand_join_case(rng)
+            expected = [
+                a for a in itertools.product(*domains)
+                if all(any(value(l, a) == value(r, a) for (l, r) in g) for g in groups)
+            ]
+            order = sorted(range(len(domains)), key=lambda v: (len(domains[v]), v))
+            expected.sort(key=lambda a: [domains[v].index(a[v]) for v in order])
+            got = join(domains, groups)
+            assert got == expected
+            assert len(set(got)) == len(got)
+            nonempty += bool(got) and any(len(g) > 1 for g in groups)
+        assert nonempty > 20

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -327,3 +328,31 @@ class TestDesugar:
         _s, inst = portal
         q = parse_query(read_data("query1.txt"))
         assert iso_check(eval_query_via_migration(q, inst), eval_query_direct(q, inst))
+
+    def test_three_way_join_via_migration_is_hashed(self):
+        """Three 500-row tables that each reference a 450-row key table.  pi
+        joins its families with the key table bound first, so the three
+        tables are hash-joined instead of enumerated as a 500^3 product."""
+        rng = random.Random(31)
+        s = make_schema(
+            "star", ["A", "B", "C", "D"],
+            [("d", "A", "D"), ("d", "B", "D"), ("d", "C", "D")],
+            [("name", "A", "string"), ("name", "B", "string"), ("name", "C", "string")],
+        )
+        keys = [f"k{i}" for i in range(450)]
+        rows = {t: [f"{t}{i}" for i in range(500)] for t in "ABC"}
+        I = Instance(
+            s, {**rows, "D": keys},
+            {(t, "d"): {r: rng.choice(keys) for r in rows[t]} for t in "ABC"},
+            {(t, "name"): {r: r for r in rows[t]} for t in "ABC"},
+        )
+        q = parse_query(
+            "select a.name as x, b.name as y, c.name as z from A as a, B as b, C as c "
+            "where a.d = b.d and b.d = c.d"
+        )
+        start = time.perf_counter()
+        direct = eval_query_direct(q, I)
+        via = eval_query_via_migration(q, I)
+        assert time.perf_counter() - start < 2
+        assert len(direct.rows["row"]) > 400
+        assert result_rows(via) == result_rows(direct)

@@ -6,7 +6,14 @@ import pytest
 
 from catql.core import Path, validate_mapping
 from catql.errors import SchemaError
-from catql.instances import Instance, enumerate_homs, iso_check, relationalize, validate_instance
+from catql.instances import (
+    Instance,
+    LabelledNull,
+    enumerate_homs,
+    iso_check,
+    relationalize,
+    validate_instance,
+)
 from catql.parsing import parse_script
 from catql.scenario import (
     ScenarioConfig,
@@ -189,6 +196,17 @@ class TestRelationAlgebra:
         with pytest.raises(SchemaError, match="-3"):
             closure_auto(inst, -3)
 
+    @pytest.mark.parametrize("closure", ["transitive_closure", "closure_relation", "translate_isa"])
+    def test_negative_depth_rejected(self, closure):
+        rel = relation_from_pairs({("a", "b")})
+        call = {
+            "transitive_closure": lambda: transitive_closure(make_parent({"a": "b"}), -3),
+            "closure_relation": lambda: closure_relation(rel, -3),
+            "translate_isa": lambda: translate_isa(rel, rel, -3),
+        }[closure]
+        with pytest.raises(SchemaError, match="closure depth must be nonnegative, got -3"):
+            call()
+
 
 class TestTranslate:
     def test_empty_syn_empty_result(self):
@@ -257,6 +275,29 @@ class TestEnrichment:
         assert len(out.node_rows("link")) == 2
         new = [r for r in out.node_rows("link") if r != "10"]
         assert out.attr("material", "material_Material_Name")[out.edge("link", "m")[new[0]]] == "metal"
+
+    def test_null_new_name_skipped(self):
+        """A row matching two pairs, one of them to a labelled-null name,
+        gains only the row for the named target."""
+        from catql.sqlbridge import import_sql
+
+        _schema, inst = import_sql(
+            "CREATE TABLE material (id INT PRIMARY KEY, material_Material_Name VARCHAR(99));\n"
+            "CREATE TABLE link (id INT PRIMARY KEY, m INT REFERENCES material);\n"
+            "INSERT INTO material VALUES (1, 'steel'), (2, 'alloy');\n"
+            "INSERT INTO link VALUES (10, 1);\n"
+        )
+        rel = Instance(
+            relation_schema(),
+            {"Material": ["alloy", "steel", "z"], "isa": ["p0", "p1"]},
+            {("isa", "left"): {"p0": "steel", "p1": "steel"},
+             ("isa", "right"): {"p0": "alloy", "p1": "z"}},
+            {("Material", "name"): {"alloy": "alloy", "steel": "steel", "z": LabelledNull("z")}},
+        )
+        out = enrich_edge(inst, "link", "m", rel, "material_Material_Name")
+        assert out.rows["link"] == ("10", "enr!10!alloy")
+        assert out.edge("link", "m")["enr!10!alloy"] == "2"
+        assert out.rows["material"] == inst.rows["material"]
 
     def test_creates_missing_target_row(self):
         from catql.sqlbridge import import_sql
