@@ -130,7 +130,7 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
     rows = {t: [_row_id(ms[0]) for ms in classes[t]] for t in T.nodes}
 
     edge_fn = {}
-    for (gname, src, tgt) in T.edges:
+    for (gname, src, tgt) in sorted(T.edges):
         m = {}
         then_g: dict = {}  # p -> normal form of p.g
         for members in classes[src]:
@@ -154,7 +154,7 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
         edge_fn[(src, gname)] = m
 
     attr_fn = {}
-    for (aname, src, _ty) in T.attributes:
+    for (aname, src, _ty) in sorted(T.attributes):
         m = {}
         readers: dict = {}  # (s_node, p) -> source attribute dicts a with F(a) == p.aname
         for members in classes[src]:

@@ -1,19 +1,56 @@
-"""Lexer and recursive-descent parsers for the .catql script language and its
-embedded select/from/where query sub-language.
+"""The one lexer of the package, and the recursive-descent parsers for the
+.catql script language and its embedded select/from/where query sub-language.
 
-The grammar is documented bit-exactly in docs/grammar.ebnf.
+`lex` scans text by a rule table: one master regex with a named group per
+token kind, tried in order.  The .catql table is CATQL_RULES; sqlbridge passes
+its own table for SQL.  The grammar, its lexical rules included, is documented
+bit-exactly in docs/grammar.ebnf.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import ConstPath, Path
 from .errors import ParseError
 from .queries import Clause, Group, Literal, PathExpr, Query, SelectItem
 from . import scripts
 
-SYMBOLS = ("->", "{", "}", "(", ")", ",", ";", ":", ".", "=")
+
+def rule_table(**rules: str) -> re.Pattern:
+    """Compile `kind=regex` rules, in priority order, into one master regex.
+    Matches of the kind SKIP (whitespace, comments) are dropped by `lex`."""
+    return re.compile("|".join(f"(?P<{kind}>{rx})" for kind, rx in rules.items()))
+
+
+def lex(rules: re.Pattern, text: str):
+    """Yield the (kind, lexeme, offset) tokens of `text` by a `rule_table`.
+
+    The first character that no rule matches ends the scan: it is yielded as
+    the token (None, character, offset).
+    """
+    pos = 0
+    for m in rules.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        if kind != "SKIP":
+            yield kind, m.group(), pos
+        pos = m.end()
+    if pos < len(text):
+        yield None, text[pos], pos
+
+
+CATQL_RULES = rule_table(
+    SKIP=r"[ \t\r\n]+|#[^\n]*",
+    STRING=r'"(?s:\\.|[^"\\])*"',
+    INT=r"-?\d+",
+    IDENT=r"[^\W\d]\w*",
+    SYM=r"->|[{}(),;:.=]",
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 KEYWORDS = {
     "schema", "instance", "mapping", "query", "let", "show", "export",
@@ -31,74 +68,28 @@ class Token:
     column: int
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string literal", line, col)
-            tokens.append(Token("STRING", "".join(buf), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        matched = False
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("SYM", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                matched = True
-                break
-        if not matched:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", None, line, col))
-    return tokens
-
-
 class Parser:
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.tokens = []
+        line, line_start, last = 1, 0, 0
+        for kind, value, offset in chain(lex(CATQL_RULES, text), [("EOF", None, len(text))]):
+            newlines = text.count("\n", last, offset)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", last, offset) + 1
+            last = offset
+            column = offset - line_start + 1
+            if kind is None and value == '"':
+                raise ParseError("unterminated string literal", line, column)
+            if kind is None:
+                raise ParseError(f"unexpected character {value!r}", line, column)
+            if kind == "STRING":
+                value = value[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE.sub(r"\1", value)
+            elif kind == "INT":
+                value = int(value)
+            self.tokens.append(Token(kind, value, line, column))
         self.pos = 0
 
     def peek(self) -> Token:

@@ -322,5 +322,5 @@ def _format_statement(stmt) -> str:
         fmt = "" if stmt.format == "ascii" else f" {stmt.format}"
         return f"show {stmt.name}{fmt};"
     if isinstance(stmt, ExportStmt):
-        return f'export {stmt.name} "{stmt.filename}";'
+        return f"export {stmt.name} {_fmt_value(stmt.filename)};"
     raise ScriptError(f"cannot format {stmt!r}")

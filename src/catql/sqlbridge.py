@@ -3,16 +3,22 @@
 Every table has one leading INT PRIMARY KEY id column; remaining columns are
 attributes (INT, VARCHAR(n)) or foreign keys (REFERENCES, or declared in a
 sidecar fk_spec, or optionally guessed from a *_id naming convention).
+
+The text is scanned by `parsing.lex` with the table _SQL_RULES: whitespace and
+`--` comments are skipped, a STRING is single- or double-quoted with the quote
+doubled inside it, INT is an optional minus and decimal digits, and IDENT is
+ASCII.  Table, column and REFERENCES names must be IDENT tokens, and a
+VARCHAR length an INT token.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .core import Schema, make_schema
 from .errors import SqlImportError
 from .instances import Instance, LabelledNull, validate_instance
+from .parsing import lex, rule_table
 
 
 @dataclass
@@ -29,39 +35,25 @@ class SqlTableDef:
     columns: list
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    \s+
-  | --[^\n]*
-  | '(?:[^']|'')*'
-  | "(?:[^"]|"")*"
-  | -?\d+
-  | [A-Za-z_][A-Za-z0-9_]*
-  | \(|\)|,|;
-    """,
-    re.VERBOSE,
+_SQL_RULES = rule_table(
+    SKIP=r"\s+|--[^\n]*",
+    STRING=r"'(?:[^']|'')*'" r'|"(?:[^"]|"")*"',
+    INT=r"-?\d+",
+    IDENT=r"[A-Za-z_][A-Za-z0-9_]*",
+    SYM=r"[(),;]",
 )
-
-
-def _tokenize_sql(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SqlImportError(f"unexpected SQL character {text[pos]!r} at offset {pos}")
-        tok = m.group(0)
-        pos = m.end()
-        if tok.isspace() or tok.startswith("--"):
-            continue
-        tokens.append(tok)
-    tokens.append(";")  # tolerate missing final terminator
-    return tokens
 
 
 class _SqlParser:
     def __init__(self, text):
-        self.tokens = _tokenize_sql(text)
+        self.kinds, self.tokens = [], []
+        for kind, t, offset in lex(_SQL_RULES, text):
+            if kind is None:
+                raise SqlImportError(f"unexpected SQL character {t!r} at offset {offset}")
+            self.kinds.append(kind)
+            self.tokens.append(t)
+        self.kinds.append("SYM")
+        self.tokens.append(";")  # tolerate missing final terminator
         self.pos = 0
 
     def peek(self):
@@ -76,6 +68,13 @@ class _SqlParser:
         t = self.next()
         if t is None or t.upper() != word.upper():
             raise SqlImportError(f"expected {word!r}, got {t!r}")
+        return t
+
+    def expect_kind(self, kind, what):
+        """The next token, which must be of `kind` (IDENT or INT)."""
+        t = self.next()
+        if self.kinds[self.pos - 1] != kind:
+            raise SqlImportError(f"expected {what}, got {t!r}")
         return t
 
     def at_kw(self, word):
@@ -100,20 +99,22 @@ class _SqlParser:
     def parse_create(self):
         self.expect("CREATE")
         self.expect("TABLE")
-        name = self.next()
+        name = self.expect_kind("IDENT", "table name")
         self.expect("(")
         columns = []
         while True:
-            col = self.next()
+            col_kind, col = self.kinds[self.pos], self.next()
             ty = self.next()
             if ty is None:
                 raise SqlImportError("unterminated CREATE TABLE")
+            if col_kind != "IDENT":
+                raise SqlImportError(f"expected column name in table {name!r}, got {col!r}")
             tyu = ty.upper()
             if tyu == "INT":
                 sql_type = "INT"
             elif tyu == "VARCHAR":
                 self.expect("(")
-                n = self.next()
+                n = self.expect_kind("INT", "VARCHAR length")
                 self.expect(")")
                 sql_type = f"VARCHAR({n})"
             else:
@@ -126,7 +127,7 @@ class _SqlParser:
                     role = "id"
                 elif self.at_kw("REFERENCES"):
                     self.next()
-                    fk_target = self.next()
+                    fk_target = self.expect_kind("IDENT", "table name after REFERENCES")
                     role = "fk"
                 else:
                     raise SqlImportError(

@@ -1,0 +1,67 @@
+"""Seeded fuzz test of the error contract: mutated SQL and .catql input makes
+the CLI exit with 0 or 1, never 2, and the front ends raise only CatqlError."""
+
+import random
+
+import pytest
+
+from catql.cli import cli_main
+from catql.errors import CatqlError
+from catql.parsing import parse_script
+from catql.sqlbridge import import_sql
+
+from conftest import read_data
+
+
+ALPHABET = [
+    "²", "½", '"', "'", "\\", "--", "#", "->", "-", "-1", "0", "7", "(", ")", ",",
+    ";", ":", ".", "=", "{", "}", "@", " ", "\t", "\n", "a", "Z", "_", "é", "NULL",
+    "INT", "VARCHAR(", "REFERENCES", "node", "edge", "attribute",
+]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """One to three edits: insert an ALPHABET entry, or delete, duplicate or
+    reverse a short span."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 12))
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + rng.choice(ALPHABET) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[j:]
+        elif op == 2:
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            text = text[:i] + text[i:j][::-1] + text[j:]
+    return text
+
+
+CASES = [
+    ("portal_a.sql", "import-sql", import_sql, 11),
+    ("parent.catql", "run", parse_script, 12),
+]
+
+
+@pytest.mark.parametrize("name, command, front_end, seed", CASES)
+def test_mutations_keep_the_error_contract(name, command, front_end, seed,
+                                           tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(seed)
+    original = read_data(name)
+    path = tmp_path / name
+    for i in range(400):
+        text = mutate(rng, original)
+        try:
+            front_end(text)
+        except CatqlError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the contract under test
+            pytest.fail(f"mutation {i}: {front_end.__name__} raised "
+                        f"{type(exc).__name__}: {exc} on {text!r}")
+        path.write_text(text)
+        code = cli_main([command, str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (i, text, err)
+        assert "internal error" not in err, (i, text, err)

@@ -1,8 +1,14 @@
 """The three migrations: pullback (delta), left pushforward (sigma), limit (pi)."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path as FsPath
 
 import pytest
+
+import catql
 
 from catql.core import (
     ConstPath,
@@ -75,6 +81,32 @@ def finite_two_node():
     )
 
 
+TWO_ATTRIBUTE_CLASH = """
+from catql.core import Mapping, Path, make_schema
+from catql.errors import InconsistencyError
+from catql.instances import Instance
+from catql.migration import sigma
+
+attrs = [("v", "b", "string"), ("w", "b", "string")]
+S = make_schema("SC", ["a", "b"], [("f", "a", "b"), ("g", "a", "b")], attrs)
+T = make_schema("TC", ["a", "b"], [("f", "a", "b")], attrs)
+F = Mapping(
+    source=S, target=T, nodes={"a": "a", "b": "b"},
+    edges={("a", "f"): Path("a", ("f",)), ("a", "g"): Path("a", ("f",))},
+    attrs={("b", n): Path("b", (), n) for (n, _s, _t) in attrs},
+)
+I = Instance(
+    S, {"a": ["x"], "b": ["y", "z"]},
+    {("a", "f"): {"x": "y"}, ("a", "g"): {"x": "z"}},
+    {("b", n): {"y": "red", "z": "blue"} for (n, _s, _t) in attrs},
+)
+try:
+    sigma(F, I)
+except InconsistencyError as exc:
+    print(exc)
+"""
+
+
 class TestSigma:
     def test_identity(self):
         I = finite_two_node()
@@ -129,6 +161,19 @@ class TestSigma:
         )
         with pytest.raises(InconsistencyError):
             sigma(F, I)
+
+    def test_clash_message_independent_of_hash_seed(self):
+        # two attributes clash; the error names the first in sorted order
+        messages = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(FsPath(catql.__file__).parents[1]))
+            proc = subprocess.run([sys.executable, "-c", TWO_ATTRIBUTE_CLASH], env=env,
+                                  capture_output=True, text=True, check=True)
+            messages.add(proc.stdout)
+        assert messages == {
+            "sigma: attribute 'v' on class 'a:x:a.f' forced to both 'red' and 'blue'\n"
+        }
 
     def test_refuses_unsaturated_target(self):
         S = make_schema("S1", ["a"], [])

@@ -2,8 +2,8 @@
 
 import pytest
 
-from catql.errors import ParseError, ScriptError
-from catql.parsing import parse_query, parse_script
+from catql.errors import CatqlError, ParseError, ScriptError
+from catql.parsing import Parser, parse_query, parse_script
 from catql.scripts import Environment, format_script, run_script
 
 from conftest import read_data
@@ -69,6 +69,81 @@ class TestParse:
         s = parse_script("# a comment\nschema S { nodes a; }\n# done\n")
         assert len(s.statements) == 1
 
+    @staticmethod
+    def tokens(text):
+        return [(t.kind, t.value, t.line, t.column) for t in Parser(text).tokens]
+
+    def test_token_kinds_values_positions(self):
+        text = "schema S {\n  nodes a_1, b2;\r\n\tattribute v : a_1 -> string; }\n"
+        assert self.tokens(text) == [
+            ("IDENT", "schema", 1, 1), ("IDENT", "S", 1, 8), ("SYM", "{", 1, 10),
+            ("IDENT", "nodes", 2, 3), ("IDENT", "a_1", 2, 9), ("SYM", ",", 2, 12),
+            ("IDENT", "b2", 2, 14), ("SYM", ";", 2, 16),
+            ("IDENT", "attribute", 3, 2), ("IDENT", "v", 3, 12), ("SYM", ":", 3, 14),
+            ("IDENT", "a_1", 3, 16), ("SYM", "->", 3, 20), ("IDENT", "string", 3, 23),
+            ("SYM", ";", 3, 29), ("SYM", "}", 3, 31), ("EOF", None, 4, 1),
+        ]
+
+    def test_arrow_against_negative_int(self):
+        assert self.tokens("a->-1 -> 1 -2 12x") == [
+            ("IDENT", "a", 1, 1), ("SYM", "->", 1, 2), ("INT", -1, 1, 4),
+            ("SYM", "->", 1, 7), ("INT", 1, 1, 10), ("INT", -2, 1, 12),
+            ("INT", 12, 1, 15), ("IDENT", "x", 1, 17), ("EOF", None, 1, 18),
+        ]
+
+    def test_string_escapes(self):
+        assert self.tokens(r'"a\"b\\c\d" "#"') == [
+            ("STRING", 'a"b\\cd', 1, 1), ("STRING", "#", 1, 13), ("EOF", None, 1, 16),
+        ]
+
+    def test_hash_comments(self):
+        assert self.tokens('x # y "z\n# whole line\ny') == [
+            ("IDENT", "x", 1, 1), ("IDENT", "y", 3, 1), ("EOF", None, 3, 2),
+        ]
+
+    def test_unterminated_string_position(self):
+        with pytest.raises(ParseError) as exc:
+            parse_script('schema S {\n  nodes a;\n  "abc\\"')
+        assert str(exc.value) == "unterminated string literal (line 3, column 3)"
+        assert (exc.value.line, exc.value.column) == (3, 3)
+
+    def test_unexpected_character_position(self):
+        with pytest.raises(ParseError) as exc:
+            parse_script("schema S {\n  nodes a; @ }")
+        assert str(exc.value) == "unexpected character '@' (line 2, column 12)"
+
+    @pytest.mark.parametrize("text", ["\u00b2", "x = -\u00b2", "a \u00bd", "1\u00b2", "-\u0663"])
+    def test_numeric_characters_raise_catql_errors(self, text):
+        with pytest.raises(CatqlError):
+            parse_script(text)
+
+    def test_minus_before_non_decimal_digit(self):
+        with pytest.raises(ParseError) as exc:
+            parse_script("x = -\u00b2")
+        assert str(exc.value) == "unexpected character '-' (line 1, column 5)"
+
+    def test_int_and_name_follow_the_unicode_classes(self):
+        # INT is -?\d+ (what int() reads); a name may start with any \w but \d
+        assert self.tokens("x\u00b2 \u00b2 -\u0663\u0661 \u00bd") == [
+            ("IDENT", "x\u00b2", 1, 1), ("IDENT", "\u00b2", 1, 4), ("INT", -31, 1, 6),
+            ("IDENT", "\u00bd", 1, 10), ("EOF", None, 1, 11),
+        ]
+
+    def test_lines_counted_inside_string_literals(self):
+        with pytest.raises(ParseError) as exc:
+            parse_script('schema S {\n nodes a; edge f : a -> "x\ny" ; }\n @')
+        assert (exc.value.line, exc.value.column) == (4, 2)
+        tokens = self.tokens('"a\nbc" x')
+        assert tokens[1:] == [("IDENT", "x", 2, 5), ("EOF", None, 2, 6)]
+
+    def test_eof_at_end_of_trailing_comment(self):
+        assert self.tokens("x # end")[-1] == ("EOF", None, 1, 8)
+        with pytest.raises(ParseError) as exc:
+            parse_script("schema S { nodes a; # no newline")
+        assert str(exc.value) == (
+            "expected edge/attribute/equation, got None (line 1, column 33)"
+        )
+
 
 class TestRoundTrip:
     def test_parse_print_parse_fixpoint_demo(self):
@@ -91,6 +166,13 @@ class TestRoundTrip:
         )
         ast1 = parse_script(src)
         assert parse_script(format_script(ast1)) == ast1
+
+    def test_export_file_name_round_trip(self):
+        ast1 = parse_script('export I "a\\\\b\\"c.sql";')
+        assert ast1.statements[0].filename == 'a\\b"c.sql'
+        text = format_script(ast1)
+        assert text == 'export I "a\\\\b\\"c.sql";\n'
+        assert parse_script(text) == ast1
 
 
 REPEATED_ROW = """

@@ -110,6 +110,48 @@ class TestImport:
         assert inst.attr("a", "v")["1"] == "it's"
         assert inst.attr("a", "v")["2"] == 'say "hi"'
 
+    def test_comments_and_doubled_quotes_at_edges(self):
+        text = (
+            "CREATE TABLE a (id INT PRIMARY KEY, v VARCHAR(9)); -- one\n"
+            "INSERT INTO a VALUES (1, ''''), (2, ''), (3, '-- x'),\n"
+            "  (4, \"\"\"\"), (5, \"a''b\"), (-6, '\"');--tail"
+        )
+        _s, inst = import_sql(text)
+        assert inst.attr("a", "v") == {
+            "1": "'", "2": "", "3": "-- x", "4": '"', "5": "a''b", "-6": '"',
+        }
+
+    @pytest.mark.parametrize("text, offset, char", [
+        ("CREATE TABLE a (id INT PRIMARY KEY);\n@", 37, "@"),
+        ("CREATE TABLE a (id INT PRIMARY KEY, v VARCHAR(9));\n"
+         "INSERT INTO a VALUES (1, 'x)", 76, "'"),
+        ("-- c\nCREATE TABLE a.b", 19, "."),
+    ])
+    def test_unexpected_character_offset(self, text, offset, char):
+        with pytest.raises(SqlImportError) as exc:
+            import_sql(text)
+        assert str(exc.value) == f"unexpected SQL character {char!r} at offset {offset}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("CREATE TABLE 't' (id INT PRIMARY KEY);", "expected table name, got \"'t'\""),
+        ("CREATE TABLE 5 (id INT PRIMARY KEY);", "expected table name, got '5'"),
+        ("CREATE TABLE a (id INT PRIMARY KEY, ; INT);",
+         "expected column name in table 'a', got ';'"),
+        ("CREATE TABLE a (id INT PRIMARY KEY, \"v\" INT);",
+         "expected column name in table 'a', got '\"v\"'"),
+        ("CREATE TABLE 5 (id INT PRIMARY KEY);\n"
+         "CREATE TABLE a (id INT PRIMARY KEY, f INT REFERENCES 5);",
+         "expected table name, got '5'"),
+        ("CREATE TABLE a (id INT PRIMARY KEY, f INT REFERENCES 'a');",
+         "expected table name after REFERENCES, got \"'a'\""),
+        ("CREATE TABLE a (id INT PRIMARY KEY, v VARCHAR(abc));",
+         "expected VARCHAR length, got 'abc'"),
+    ])
+    def test_names_must_be_identifiers(self, text, message):
+        with pytest.raises(SqlImportError) as exc:
+            import_sql(text)
+        assert str(exc.value) == message
+
     def test_insert_order_insensitive(self):
         a = "CREATE TABLE t (id INT PRIMARY KEY, v INT);\nINSERT INTO t VALUES (1, 5);\nINSERT INTO t VALUES (2, 6);"
         b = "CREATE TABLE t (id INT PRIMARY KEY, v INT);\nINSERT INTO t VALUES (2, 6);\nINSERT INTO t VALUES (1, 5);"
