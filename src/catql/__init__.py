@@ -37,6 +37,7 @@ from .errors import (
     ParseError,
     SchemaError,
     ScriptError,
+    SqlExportError,
     SqlImportError,
     TypecheckError,
     ValidationError,

@@ -85,8 +85,16 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _open(path: str, mode: str = "r"):
+    """open() for a user-given path, as UTF-8 text; a NUL byte in the path,
+    which open() rejects with a ValueError, is a user error."""
+    if "\0" in path:
+        raise CatqlError(f"file name contains a NUL byte: {path!r}")
+    return open(path, mode, encoding="utf-8")
+
+
 def _run_file(path: str, bound: int):
-    with open(path) as fh:
+    with _open(path) as fh:
         text = fh.read()
     return run_script(parse_script(text), Environment(), bound)
 
@@ -109,7 +117,7 @@ def _emit_outputs(outputs):
         if kind == "show":
             print(text)
         elif kind == "export":
-            with open(name, "w") as fh:
+            with _open(name, "w") as fh:
                 fh.write(text)
             print(f"wrote {name}", file=sys.stderr)
         elif kind == "warning":
@@ -119,13 +127,13 @@ def _emit_outputs(outputs):
 def _load_fk_spec(path):
     if path is None:
         return None
-    with open(path) as fh:
+    with _open(path) as fh:
         return json.load(fh)
 
 
 def _dispatch(args) -> int:
     if args.command == "import-sql":
-        with open(args.file) as fh:
+        with _open(args.file) as fh:
             text = fh.read()
         _schema, inst = import_sql(text, _load_fk_spec(args.fk_spec), args.guess_fk)
         print(render_instance(inst, args.format))
@@ -143,7 +151,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "enrich":
-        with open(args.sql) as fh:
+        with _open(args.sql) as fh:
             _schema, portal = import_sql(
                 fh.read(), _load_fk_spec(args.fk_spec), args.guess_fk
             )
@@ -184,7 +192,7 @@ def _dispatch(args) -> int:
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
         if args.output:
-            with open(args.output, "w") as fh:
+            with _open(args.output, "w") as fh:
                 fh.write(text)
         else:
             print(text, end="")
@@ -211,7 +219,8 @@ def cli_main(argv=None) -> int:
         return 1
     try:
         return _dispatch(args)
-    except (CatqlError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (CatqlError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # user errors; any other ValueError is an internal fault
         print(f"catql: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal invariant violation

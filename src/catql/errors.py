@@ -65,6 +65,10 @@ class SqlImportError(CatqlError):
     """The SQL text falls outside the restricted dialect or is inconsistent."""
 
 
+class SqlExportError(CatqlError):
+    """A schema name cannot be written as an identifier of the SQL dialect."""
+
+
 class ScriptError(CatqlError):
     """A script statement failed; carries the statement's source position."""
 

@@ -8,17 +8,21 @@ by observational equivalence.
 One join planner (`join`) enumerates the row tuples that satisfy a set of
 equalities; direct queries, pi's families, relation composition and
 enrichment all run through it.  One partition refinement (`_refine`) colors
-the rows of one or more instances jointly; relationalize quotients by it and
-iso_check compares the color classes of two instances.  One iterative
-backtracking search (`_homs`) enumerates natural transformations with an
-explicit stack: enumerate_homs counts them over attribute-tuple buckets, and
-iso_check looks for an injective one over color classes.
+the rows of one or more instances jointly: a Hopcroft-style worklist over
+integer row indices splits only the blocks that a splitter's preimage hits,
+so it runs in O(m log n) for m edge entries over n rows.  relationalize
+quotients by its color list and iso_check compares the color classes of two
+instances.  One iterative backtracking search (`_homs`) enumerates natural
+transformations with an explicit stack: enumerate_homs counts them over
+attribute-tuple buckets, and iso_check looks for an injective one over color
+classes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby, islice, repeat
 from operator import itemgetter
 from typing import Union
 
@@ -287,65 +291,113 @@ def _tagged_union(tagged) -> Instance:
     return Instance(s, rows, edge_fn, attr_fn)
 
 
-def _refine(instances) -> list[dict]:
-    """Joint partition refinement of the rows of instances on one schema.
+class _Numbering(dict):
+    """Numbers its keys 0, 1, 2, ... in the order they are first looked up."""
 
-    Initial colors key on (node, direct attribute tuple); each round splits
-    colors by the vector of edge-target colors, until the number of colors
-    stops growing.  Returns one {(node, row): color} dict per instance.  Two
-    rows, of the same or of different instances, share a color iff every
-    attribute-valued path agrees on them.
+    def __missing__(self, key):
+        number = self[key] = len(self)
+        return number
+
+
+def _refine(instances) -> list[int]:
+    """Joint coarsest stable partition of the rows of instances on one schema.
+
+    The rows are numbered consecutively: by instance, then by sorted node,
+    then in row order.  Each row starts in the block of its (node, attribute
+    tuple).  A worklist refinement in the manner of Hopcroft (1971) and
+    Paige-Tarjan (1987) then splits a block by the preimage of a splitter
+    block under each edge into the splitter's node: only the blocks that the
+    preimage hits are touched, and of each split the smaller half gets a new
+    block and is queued.  At the start every block but the largest of each
+    node is queued.  Returns the color of each row index.  Two rows, of the
+    same or of different instances, share a color iff every attribute-valued
+    path agrees on them.
     """
     s = instances[0].schema
     nodes = sorted(s.nodes)
-    colors: dict = {}
-    coloring = [
-        {(n, r): colors.setdefault((n, inst.attr_tuple(n, r)), len(colors))
-         for n in nodes for r in inst.rows[n]}
-        for inst in instances
-    ]
-    count = 0
-    while len(colors) > count:
-        count = len(colors)
-        colors = {}
-        refined = []
-        for inst, c in zip(instances, coloring):
-            new = {}
-            for n in nodes:
-                out = [(inst.edge(n, e), tgt) for (e, tgt) in s.out_edges[n]]
-                for r in inst.rows[n]:
-                    k = (c[(n, r)], tuple(c[(tgt, fn[r])] for (fn, tgt) in out))
-                    new[(n, r)] = colors.setdefault(k, len(colors))
-            refined.append(new)
-        coloring = refined
-    return coloring
+    index = []  # per instance: node -> {row: row index}
+    color: list[int] = []
+    initial = _Numbering()  # (node, attribute tuple) -> initial color
+    for inst in instances:
+        at = {}
+        for n in nodes:
+            rows = inst.rows[n]
+            at[n] = dict(zip(rows, range(len(color), len(color) + len(rows))))
+            cols = [map(inst.attr(n, a).__getitem__, rows) for (a, _ty) in s.node_attrs[n]]
+            keys = zip(repeat(n), zip(*cols)) if cols else repeat((n, ()), len(rows))
+            color.extend(map(initial.__getitem__, keys))
+        index.append(at)
+    into: dict[str, list[dict]] = {n: [] for n in nodes}  # preimage tables of edges into n
+    for (e, src, tgt) in sorted(s.edges):
+        pre: dict[int, list[int]] = {}
+        for inst, at in zip(instances, index):
+            targets = map(at[tgt].__getitem__, map(inst.edge(src, e).__getitem__, inst.rows[src]))
+            for x, t in zip(at[src].values(), targets):
+                pre.setdefault(t, []).append(x)
+        into[tgt].append(pre)
+    by_color = sorted(range(len(color)), key=color.__getitem__)
+    members = [set(xs) for _c, xs in groupby(by_color, color.__getitem__)]
+    preimages = [into[n] for (n, _attrs) in initial]  # per block, those into its node
+    largest: dict[str, int] = {}
+    for c, (n, _attrs) in enumerate(initial):
+        if len(members[c]) > len(members[largest.setdefault(n, c)]):
+            largest[n] = c
+    work = [c for c, (n, _attrs) in enumerate(initial) if into[n] and largest[n] != c]
+    while work:
+        b = work.pop()
+        splitter = tuple(members[b])
+        for pre in preimages[b]:
+            touched: dict[int, list[int]] = {}
+            for t in splitter:
+                for x in pre.get(t, ()):
+                    touched.setdefault(color[x], []).append(x)
+            for c, xs in touched.items():
+                block = members[c]
+                if len(xs) == len(block):
+                    continue
+                if 2 * len(xs) > len(block):
+                    xs = block.difference(xs)
+                block.difference_update(xs)
+                # the moved half is queued: it is the smaller, and if c is
+                # still queued both halves are
+                new = len(members)
+                members.append(set(xs))
+                preimages.append(preimages[c])
+                for x in xs:
+                    color[x] = new
+                work.append(new)
+    return color
 
 
 def relationalize(I: Instance) -> Instance:
-    """Quotient by observational equivalence (partition refinement to fixpoint).
+    """Quotient by observational equivalence (worklist partition refinement).
 
     Rows merge iff every attribute-valued path agrees on them; each class is
-    represented by its smallest row id.
+    represented by its smallest row id.  The quotient is read off the color
+    list of `_refine`: a class lies in one node and a node's rows are sorted,
+    so a class's first row index holds its least row.
     """
     s = I.schema
-    color = _refine([I])[0]
-    rep: dict[int, str] = {}
-    for (_n, r), c in color.items():
-        if c not in rep or r < rep[c]:
-            rep[c] = r
-    new_id = {key: rep[c] for key, c in color.items()}
-    rows = {n: sorted({new_id[(n, r)] for r in I.rows[n]}) for n in s.nodes}
-    edge_fn = {}
-    for (name, src, tgt) in s.edges:
-        edge_fn[(src, name)] = {
-            new_id[(src, r)]: new_id[(tgt, I.edge(src, name)[r])] for r in I.rows[src]
-        }
-    attr_fn = {}
-    for (name, src, _ty) in s.attributes:
-        attr_fn[(src, name)] = {
-            new_id[(src, r)]: I.attr(src, name)[r] for r in I.rows[src]
-        }
-    return Instance(s, rows, edge_fn, attr_fn)
+    nodes = sorted(s.nodes)
+    color = _refine([I])
+    flat = [r for n in nodes for r in I.rows[n]]
+    rep = dict(zip(reversed(color), reversed(flat)))  # the first row of each class wins
+    reps = map(rep.__getitem__, color)
+    # node -> the representative of each of its rows, in row order
+    new_rows = {n: list(islice(reps, len(I.rows[n]))) for n in nodes}
+    new_id = {n: dict(zip(I.rows[n], new_rows[n])) for n in nodes}
+    edge_fn = {
+        (src, name): dict(zip(
+            new_rows[src],
+            map(new_id[tgt].__getitem__, map(I.edge(src, name).__getitem__, I.rows[src])),
+        ))
+        for (name, src, tgt) in s.edges
+    }
+    attr_fn = {
+        (src, name): dict(zip(new_rows[src], map(I.attr(src, name).__getitem__, I.rows[src])))
+        for (name, src, _ty) in s.attributes
+    }
+    return Instance(s, {n: set(new_rows[n]) for n in nodes}, edge_fn, attr_fn)
 
 
 def union(I: Instance, J: Instance) -> Instance:
@@ -418,13 +470,18 @@ def iso_check(I: Instance, J: Instance) -> bool:
     s = I.schema
     if any(len(I.rows[n]) != len(J.rows[n]) for n in s.nodes):
         return False
-    cI, cJ = _refine([I, J])
-    if Counter(cI.values()) != Counter(cJ.values()):
+    color = _refine([I, J])
+    split = I.total_rows()  # I's rows are numbered first
+    cI, cJ = color[:split], color[split:]
+    if Counter(cI) != Counter(cJ):
         return False
+    nodes = sorted(s.nodes)
     classes: dict[int, list[str]] = {}
-    for (_n, t), c in cJ.items():
+    for c, t in zip(cJ, (t for n in nodes for t in J.rows[n])):
         classes.setdefault(c, []).append(t)
-    found = _homs(I, J, lambda n, r: classes[cI[(n, r)]], injective=True)
+    keys = ((n, r) for n in nodes for r in I.rows[n])
+    candidates = dict(zip(keys, map(classes.__getitem__, cI)))
+    found = _homs(I, J, lambda n, r: candidates[(n, r)], injective=True)
     return next(found, None) is not None
 
 

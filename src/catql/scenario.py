@@ -303,6 +303,7 @@ def enrich_edge(I: Instance, node: str, edge: str, rel: Instance, name_attr: str
             name_index[v] = r
 
     new_rows = {n: list(I.node_rows(n)) for n in s.nodes}
+    seen = set(I.node_rows(node))  # the rows of `node`, for the duplicate check
     new_edge = {k: dict(v) for k, v in I.edge_fn.items()}
     new_attr = {k: dict(v) for k, v in I.attr_fn.items()}
 
@@ -329,8 +330,9 @@ def enrich_edge(I: Instance, node: str, edge: str, rel: Instance, name_attr: str
         old_target = I.edge(node, edge)[xid]
         tgt_row = target_row_named(bname, old_target)
         rid = f"enr!{xid}!{bname}"
-        if rid in new_rows[node]:
+        if rid in seen:
             continue
+        seen.add(rid)
         new_rows[node].append(rid)
         for (ename, _tgt) in s.out_edges[node]:
             new_edge[(node, ename)][rid] = (

@@ -8,7 +8,8 @@ The text is scanned by `parsing.lex` with the table _SQL_RULES: whitespace and
 `--` comments are skipped, a STRING is single- or double-quoted with the quote
 doubled inside it, INT is an optional minus and decimal digits, and IDENT is
 ASCII.  Table, column and REFERENCES names must be IDENT tokens, and a
-VARCHAR length an INT token.
+VARCHAR length an INT token.  So export_sql refuses a schema with a node,
+attribute or edge name that is not an IDENT: the text could not be read back.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Schema, make_schema
-from .errors import SqlImportError
+from .errors import SqlExportError, SqlImportError
 from .instances import Instance, LabelledNull, validate_instance
 from .parsing import lex, rule_table
 
@@ -325,8 +326,24 @@ def _sql_str(v: str) -> str:
     return "'" + v.replace("'", "''") + "'"
 
 
+def _check_export_names(schema: Schema):
+    """Every node, attribute and edge name must lex as one IDENT of _SQL_RULES,
+    or import_sql could not read the exported text back."""
+    named = [(f"node {n!r}", n) for n in sorted(schema.nodes)]
+    named += [(f"attribute {a!r} of node {n!r}", a) for (a, n, _ty) in sorted(schema.attributes)]
+    named += [(f"edge {e!r} of node {n!r}", e) for (e, n, _tgt) in sorted(schema.edges)]
+    for what, name in named:
+        m = _SQL_RULES.fullmatch(name)
+        if m is None or m.lastgroup != "IDENT":
+            raise SqlExportError(f"cannot export {what} as SQL: not an ASCII identifier")
+
+
 def export_sql(schema: Schema, I: Instance, warn=None) -> str:
-    """Deterministic CREATE/INSERT script; labelled nulls export as NULL."""
+    """Deterministic CREATE/INSERT script; labelled nulls export as NULL.
+
+    Raises SqlExportError on a node, attribute or edge name that is not a SQL
+    identifier."""
+    _check_export_names(schema)
     warn = warn or (lambda _msg: None)
     # integer ids are kept; otherwise rows are renumbered densely
     id_map = {}

@@ -3,9 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import catql
+from catql import cli
 from catql.cli import cli_main
 
 from conftest import DATA
@@ -19,6 +25,14 @@ def run_cli(capsys, *argv):
     code = cli_main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, hash_seed="0"):
+    """`python -m catql` in a subprocess, with this checkout's catql."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=str(Path(catql.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "catql", *argv], env=env,
+                          capture_output=True, text=True)
 
 
 class TestImportSql:
@@ -137,8 +151,24 @@ class TestShowRunQuery:
         code, out, _err = run_cli(capsys, "export-sql", str(script))
         assert code == 0 and "INSERT INTO a VALUES" in out
 
+    def test_export_sql_refuses_non_sql_name(self, tmp_path, capsys):
+        script = tmp_path / "s.catql"
+        script.write_text("schema S { nodes café; }\ninstance I : S { node café { x; } }\n",
+                          encoding="utf-8")
+        code, out, err = run_cli(capsys, "export-sql", str(script))
+        assert code == 1 and out == ""
+        assert "catql: error: cannot export node 'café' as SQL" in err
+
 
 class TestEnrich:
+    def test_output_independent_of_hash_seed(self):
+        argv = ["enrich", "--sql", data_path("portal_a.sql"), "--parent",
+                data_path("parent.catql"), "--syn", data_path("syn.catql")]
+        runs = [run_module(*argv, hash_seed=seed) for seed in ("0", "1")]
+        assert [r.returncode for r in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+        assert "capabilitymaterials" in runs[0].stdout
+
     def test_pipeline(self, capsys):
         code, out, _err = run_cli(
             capsys,
@@ -169,3 +199,38 @@ class TestUsage:
             capsys, "import-sql", "--format", "yaml", data_path("unitcode.sql")
         )
         assert code == 1
+
+
+class TestExitCodes:
+    def test_malformed_json_fk_spec(self, tmp_path, capsys):
+        spec = tmp_path / "fk.json"
+        spec.write_text("{not json")
+        code, _out, err = run_cli(capsys, "import-sql", data_path("unitcode.sql"),
+                                  "--fk-spec", str(spec))
+        assert code == 1 and "catql: error:" in err
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        sql = tmp_path / "latin1.sql"
+        sql.write_bytes("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(9)); -- caf\xe9\n"
+                        .encode("latin-1"))
+        code, _out, err = run_cli(capsys, "import-sql", str(sql))
+        assert code == 1 and "catql: error:" in err and "codec can't decode" in err
+
+    def test_nul_byte_in_path(self, capsys):
+        code, _out, err = run_cli(capsys, "import-sql", "portal\0.sql")
+        assert code == 1 and "catql: error: file name contains a NUL byte" in err
+
+    def test_internal_value_error_exits_2(self, monkeypatch, capsys):
+        def broken(*_args, **_kwargs):
+            raise ValueError("invariant broken")
+
+        monkeypatch.setattr(cli, "import_sql", broken)
+        code, _out, err = run_cli(capsys, "import-sql", data_path("unitcode.sql"))
+        assert code == 2
+        assert "catql: internal error: ValueError: invariant broken" in err
+
+    def test_python_m_catql(self):
+        ok = run_module("import-sql", data_path("unitcode.sql"))
+        assert ok.returncode == 0 and "unitcode (5 rows)" in ok.stdout
+        usage = run_module()
+        assert usage.returncode == 1 and "usage" in usage.stderr

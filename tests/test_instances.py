@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from catql.errors import LimitExceeded, ValidationError
 from catql.instances import (
     Instance,
     LabelledNull,
+    _refine,
     disjoint_union,
     empty_instance,
     enumerate_homs,
@@ -340,6 +342,126 @@ class TestDeepInstances:
         relabelled = chain([f"x{(i * 7919) % n}" for i in range(n)])
         assert iso_check(I, relabelled)
         assert enumerate_homs(I, I) == 1
+
+    def test_chain_differing_at_its_top(self):
+        # refinement by rounds needs one round per row on this chain, which is
+        # quadratic (seconds at 2000 rows); the worklist splits one row off
+        # per splitter
+        n = 2000
+        ids = [f"m{i:04d}" for i in range(n)]
+        names = {r: "w" for r in ids}
+        names[ids[-1]] = "top"
+        parent = {ids[i]: ids[min(i + 1, n - 1)] for i in range(n)}
+        I = Instance(chain_schema(), {"Material": ids},
+                     {("Material", "parent"): parent}, {("Material", "name"): names})
+        start = time.perf_counter()
+        out = relationalize(I)
+        assert time.perf_counter() - start < 1.0
+        assert out.total_rows() == n
+
+
+def rand_refine_schema(rng):
+    """Up to three nodes; edges between any two nodes, so self-loops, cycles
+    and parallel edges all occur; up to two attributes."""
+    nodes = ["n0", "n1", "n2"][: rng.randint(1, 3)]
+    edges = [(f"e{i}", rng.choice(nodes), rng.choice(nodes)) for i in range(rng.randint(0, 4))]
+    attrs = [(f"v{i}", rng.choice(nodes), "string") for i in range(rng.randint(0, 2))]
+    return make_schema("RF", nodes, edges, attrs)
+
+
+def rand_refine_instance(rng, s):
+    """Up to six rows per node, values from a small pool with two labelled
+    nulls; a node is emptied when an edge out of it has an empty target."""
+    sizes = {n: rng.choice([0, 1, 2, 3, 4, 6]) for n in sorted(s.nodes)}
+    changed = True
+    while changed:
+        changed = False
+        for (_e, src, tgt) in s.edges:
+            if sizes[src] and not sizes[tgt]:
+                sizes[src], changed = 0, True
+    pool = ["x", "y", LabelledNull("p"), LabelledNull("q")]
+    rows = {n: [f"{n}r{i}" for i in range(k)] for n, k in sizes.items()}
+    edge_fn = {(src, e): {r: rng.choice(rows[tgt]) for r in rows[src]}
+               for (e, src, tgt) in sorted(s.edges)}
+    attr_fn = {(src, a): {r: rng.choice(pool[: rng.randint(1, 4)]) for r in rows[src]}
+               for (a, src, _t) in sorted(s.attributes)}
+    return Instance(s, rows, edge_fn, attr_fn)
+
+
+def relabelled(rng, I):
+    """A copy of I with its rows renamed by a random permutation per node."""
+    s = I.schema
+    new = {n: {r: f"c{r}" for r in I.rows[n]} for n in s.nodes}
+    for n in sorted(s.nodes):
+        targets = list(new[n].values())
+        rng.shuffle(targets)
+        new[n] = dict(zip(new[n], targets))
+    return Instance(
+        s,
+        {n: list(new[n].values()) for n in s.nodes},
+        {(src, e): {new[src][r]: new[tgt][v] for r, v in I.edge(src, e).items()}
+         for (e, src, tgt) in s.edges},
+        {(src, a): {new[src][r]: v for r, v in I.attr(src, a).items()}
+         for (a, src, _t) in s.attributes},
+    )
+
+
+def moore_partition(instances):
+    """The oracle: Moore rounds.  Every row is recolored by its color and its
+    edge targets' colors, round after round, until the number of colors stops
+    growing.  Returns the classes of (instance, node, row) keys."""
+    s = instances[0].schema
+    keys = [(k, n, r) for k, I in enumerate(instances) for n in sorted(s.nodes) for r in I.rows[n]]
+
+    def renumber(signature):
+        ids = {}
+        return {key: ids.setdefault(signature(key), len(ids)) for key in keys}
+
+    color = renumber(lambda key: (key[1], instances[key[0]].attr_tuple(key[1], key[2])))
+    while True:
+        new = renumber(lambda key: (color[key], tuple(
+            color[(key[0], tgt, instances[key[0]].edge(key[1], e)[key[2]])]
+            for (e, tgt) in s.out_edges[key[1]]
+        )))
+        if len(set(new.values())) == len(set(color.values())):
+            break
+        color = new
+    return classes_of(keys, [color[key] for key in keys])
+
+
+def classes_of(keys, colors):
+    classes = {}
+    for key, c in zip(keys, colors):
+        classes.setdefault(c, set()).add(key)
+    return {frozenset(cl) for cl in classes.values()}
+
+
+class TestRefineAgainstMooreOracle:
+    def test_random_instances(self):
+        rng = random.Random(41)
+        seen = dict.fromkeys(["loop", "cycle", "parallel", "empty", "null", "merged", "joint"], 0)
+        for _ in range(600):
+            s = rand_refine_schema(rng)
+            I = rand_refine_instance(rng, s)
+            instances = [I]
+            if rng.random() < 0.5:  # a joint partition of two instances
+                other = relabelled(rng, I) if rng.random() < 0.5 else rand_refine_instance(rng, s)
+                instances.append(other)
+            keys = [(k, n, r) for k, J in enumerate(instances)
+                    for n in sorted(s.nodes) for r in J.rows[n]]
+            got = classes_of(keys, _refine(instances))
+            expected = moore_partition(instances)
+            assert got == expected
+            pairs = {(src, tgt) for (_e, src, tgt) in s.edges}
+            seen["loop"] += any(src == tgt for (src, tgt) in pairs)
+            seen["cycle"] += any((tgt, src) in pairs for (src, tgt) in pairs if src != tgt)
+            seen["parallel"] += len(pairs) < len(s.edges)
+            seen["empty"] += any(not J.rows[n] for J in instances for n in s.nodes)
+            seen["null"] += any(isinstance(v, LabelledNull) for J in instances
+                                for fn in J.attr_fn.values() for v in fn.values())
+            seen["merged"] += len(expected) < len(keys)
+            seen["joint"] += any(len({k for (k, _n, _r) in cl}) > 1 for cl in expected)
+        assert min(seen.values()) >= 20, seen
 
 
 def rand_join_case(rng):

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from catql.errors import SqlImportError
-from catql.instances import LabelledNull, iso_check, validate_instance
+from catql.core import make_schema
+from catql.errors import SqlExportError, SqlImportError
+from catql.instances import LabelledNull, empty_instance, iso_check, validate_instance
 from catql.sqlbridge import export_sql, import_sql
 
 from conftest import read_data
@@ -189,6 +190,17 @@ class TestExport:
         schema, inst = import_sql(read_data("unitcode.sql"))
         out = export_sql(schema, inst)
         assert "'EA'" in out and '"EA"' not in out
+
+    @pytest.mark.parametrize("nodes, edges, attrs, message", [
+        (["café"], [], [], "cannot export node 'café' as SQL"),
+        (["t5", "5"], [], [], "cannot export node '5' as SQL"),
+        (["a"], [], [("prix €", "a", "integer")], "cannot export attribute 'prix €' of node 'a'"),
+        (["a", "b"], [("to-b", "a", "b")], [], "cannot export edge 'to-b' of node 'a'"),
+    ])
+    def test_names_import_cannot_read_are_refused(self, nodes, edges, attrs, message):
+        schema = make_schema("S", nodes, edges, attrs)
+        with pytest.raises(SqlExportError, match=message):
+            export_sql(schema, empty_instance(schema))
 
 
 def rand_sql_text(rng: random.Random):
