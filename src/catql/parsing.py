@@ -1,10 +1,10 @@
-"""The one lexer of the package, and the recursive-descent parsers for the
+"""The .catql lexer, and the recursive-descent parsers for the
 .catql script language and its embedded select/from/where query sub-language.
 
 `lex` scans text by a rule table: one master regex with a named group per
-token kind, tried in order.  The .catql table is CATQL_RULES; sqlbridge passes
-its own table for SQL.  The grammar, its lexical rules included, is documented
-bit-exactly in docs/grammar.ebnf.
+token kind, tried in order.  Its table is CATQL_RULES.  sqlbridge scans SQL
+itself, with one `findall` over the rules of its own table.  The grammar, its
+lexical rules included, is documented bit-exactly in docs/grammar.ebnf.
 """
 
 from __future__ import annotations

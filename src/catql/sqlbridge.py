@@ -4,22 +4,31 @@ Every table has one leading INT PRIMARY KEY id column; remaining columns are
 attributes (INT, VARCHAR(n)) or foreign keys (REFERENCES, or declared in a
 sidecar fk_spec, or optionally guessed from a *_id naming convention).
 
-The text is scanned by `parsing.lex` with the table _SQL_RULES: whitespace and
-`--` comments are skipped, a STRING is single- or double-quoted with the quote
-doubled inside it, INT is an optional minus and decimal digits, and IDENT is
-ASCII.  Table, column and REFERENCES names must be IDENT tokens, and a
-VARCHAR length an INT token.  So export_sql refuses a schema with a node,
+The text is scanned by one C-level `findall` of _SQL_SCAN, built from the
+rules of _SQL_RULES: whitespace and `--` comments are skipped, a STRING is
+single- or double-quoted with the quote doubled inside it, INT is an optional
+minus and decimal digits, and IDENT is ASCII.  The first character that no
+rule matches starts one last lexeme, the rest of the text, which is reported
+as an error.  The parser looks a token's kind up only where it needs it.
+Table, column and REFERENCES names must be IDENT tokens, and a VARCHAR length
+an INT token of at least 1.  So export_sql refuses a schema with a node,
 attribute or edge name that is not an IDENT: the text could not be read back.
+
+A well-formed VALUES tuple is read in one step, and each table is built
+column by column.  The checks still raise the error of the first faulty row.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from operator import itemgetter
+from types import NoneType
 
 from .core import Schema, make_schema
 from .errors import SqlExportError, SqlImportError
 from .instances import Instance, LabelledNull, validate_instance
-from .parsing import lex, rule_table
+from .parsing import rule_table
 
 
 @dataclass
@@ -36,26 +45,54 @@ class SqlTableDef:
     columns: list
 
 
-_SQL_RULES = rule_table(
-    SKIP=r"\s+|--[^\n]*",
+_SQL_RULES = dict(
     STRING=r"'(?:[^']|'')*'" r'|"(?:[^"]|"")*"',
     INT=r"-?\d+",
     IDENT=r"[A-Za-z_][A-Za-z0-9_]*",
     SYM=r"[(),;]",
 )
+_SQL_TOKEN = rule_table(**_SQL_RULES)
+# Skipped text, then one lexeme: a token, the empty string at the end of the
+# text, or the rest of the text from the first character that no rule matches.
+# A comment must run to the end of its line, so no token is matched inside one.
+_SQL_SCAN = re.compile(
+    r"(?:\s+|--[^\n]*(?![^\n]))*(" + "|".join(_SQL_RULES.values()) + r"|\Z|(?s:.+))"
+)
+
+
+class _Literals(dict):
+    """The value of each VALUES lexeme, converted on its first use."""
+
+    def __missing__(self, tok):
+        if tok is None:
+            raise SqlImportError("unterminated VALUES")
+        c = tok[0]
+        if c == "'" or c == '"':
+            v = tok[1:-1].replace(c + c, c)
+        elif c == "-" or c.isdecimal():
+            v = int(tok)
+        elif tok.upper() == "NULL":
+            v = None
+        else:
+            raise SqlImportError(f"bad literal {tok!r} in VALUES")
+        self[tok] = v
+        return v
 
 
 class _SqlParser:
     def __init__(self, text):
-        self.kinds, self.tokens = [], []
-        for kind, t, offset in lex(_SQL_RULES, text):
-            if kind is None:
-                raise SqlImportError(f"unexpected SQL character {t!r} at offset {offset}")
-            self.kinds.append(kind)
-            self.tokens.append(t)
-        self.kinds.append("SYM")
-        self.tokens.append(";")  # tolerate missing final terminator
+        tokens = _SQL_SCAN.findall(text)
+        while tokens and not tokens[-1]:
+            tokens.pop()  # the empty lexemes matched at the end of the text
+        if tokens and _SQL_TOKEN.fullmatch(tokens[-1]) is None:
+            rest = tokens[-1]
+            raise SqlImportError(
+                f"unexpected SQL character {rest[0]!r} at offset {len(text) - len(rest)}"
+            )
+        tokens.append(";")  # tolerate missing final terminator
+        self.tokens = tokens
         self.pos = 0
+        self.literals = _Literals()
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -74,7 +111,7 @@ class _SqlParser:
     def expect_kind(self, kind, what):
         """The next token, which must be of `kind` (IDENT or INT)."""
         t = self.next()
-        if self.kinds[self.pos - 1] != kind:
+        if t is None or _SQL_TOKEN.fullmatch(t).lastgroup != kind:
             raise SqlImportError(f"expected {what}, got {t!r}")
         return t
 
@@ -104,11 +141,11 @@ class _SqlParser:
         self.expect("(")
         columns = []
         while True:
-            col_kind, col = self.kinds[self.pos], self.next()
+            col = self.next()
             ty = self.next()
             if ty is None:
                 raise SqlImportError("unterminated CREATE TABLE")
-            if col_kind != "IDENT":
+            if _SQL_TOKEN.fullmatch(col).lastgroup != "IDENT":
                 raise SqlImportError(f"expected column name in table {name!r}, got {col!r}")
             tyu = ty.upper()
             if tyu == "INT":
@@ -117,6 +154,10 @@ class _SqlParser:
                 self.expect("(")
                 n = self.expect_kind("INT", "VARCHAR length")
                 self.expect(")")
+                if int(n) < 1:
+                    raise SqlImportError(
+                        f"table {name!r}: column {col!r} has VARCHAR length {n}, below 1"
+                    )
                 sql_type = f"VARCHAR({n})"
             else:
                 raise SqlImportError(f"unsupported column type {ty!r} in table {name!r}")
@@ -141,42 +182,49 @@ class _SqlParser:
         return SqlTableDef(name, columns)
 
     def parse_insert(self):
+        """One step per well-formed tuple: its `)` is the first one after its
+        `(`, and every other token up to it is a `,`.  Any other tuple is read
+        token by token, which raises the error at its first fault."""
         self.expect("INSERT")
         self.expect("INTO")
         name = self.next()
         self.expect("VALUES")
+        tokens, literal = self.tokens, self.literals.__getitem__
         tuples = []
+        p = self.pos  # tokens ends with ";", so every index read here exists
         while True:
-            self.expect("(")
-            vals = []
-            while True:
-                vals.append(self._value(self.next()))
-                sep = self.next()
-                if sep == ")":
-                    break
-                if sep != ",":
-                    raise SqlImportError(f"expected ',' or ')' in VALUES, got {sep!r}")
-            tuples.append(vals)
-            sep = self.next()
+            if tokens[p] != "(":
+                self.pos = p
+                self.expect("(")
+            p += 1
+            try:
+                q = tokens.index(")", p)
+            except ValueError:
+                q = p
+            if (q - p) % 2 and tokens[p + 1:q:2].count(",") == (q - p) // 2:
+                tuples.append(list(map(literal, tokens[p:q:2])))
+            else:
+                self.pos = p
+                tuples.append(self._tuple_by_tokens())
+                q = self.pos - 1
+            sep = tokens[q + 1]
+            p = q + 2
             if sep == ";":
                 break
             if sep != ",":
                 raise SqlImportError(f"expected ',' or ';' after tuple, got {sep!r}")
+        self.pos = p
         return (name, tuples)
 
-    @staticmethod
-    def _value(tok):
-        if tok is None:
-            raise SqlImportError("unterminated VALUES")
-        if tok.upper() == "NULL":
-            return None
-        if tok[0] in ("'", '"'):
-            q = tok[0]
-            return tok[1:-1].replace(q + q, q)
-        try:
-            return int(tok)
-        except ValueError:
-            raise SqlImportError(f"bad literal {tok!r} in VALUES")
+    def _tuple_by_tokens(self):
+        vals = []
+        while True:
+            vals.append(self.literals[self.next()])
+            sep = self.next()
+            if sep == ")":
+                return vals
+            if sep != ",":
+                raise SqlImportError(f"expected ',' or ')' in VALUES, got {sep!r}")
 
 
 def _check_fk_spec(fk_spec, by_name):
@@ -222,6 +270,11 @@ def import_sql(text, fk_spec=None, guess_fk=False):
         if t.name in by_name:
             raise SqlImportError(f"table {t.name!r} created twice")
         by_name[t.name] = t
+        names = set()
+        for c in t.columns:
+            if c.name in names:
+                raise SqlImportError(f"table {t.name!r}: column {c.name!r} declared twice")
+            names.add(c.name)
     fk_spec = {} if fk_spec is None else fk_spec
     _check_fk_spec(fk_spec, by_name)
 
@@ -263,59 +316,68 @@ def import_sql(text, fk_spec=None, guess_fk=False):
                 attributes.append((c.name, t.name, ty))
     schema = make_schema("sql_import", nodes, edges, attributes)
 
-    rows = {t.name: [] for t in tables}
-    cells = {}  # (table, row id) -> list of raw values
-    for (name, tuples) in inserts:
+    # Each INSERT's rows are checked in order (arity, integer key, duplicate
+    # key); a failed bulk check re-walks them to raise the first row's error.
+    tuples = {t.name: [] for t in tables}
+    keys = {t.name: set() for t in tables}  # each table's integer row ids
+    for (name, new) in inserts:
         if name not in by_name:
             raise SqlImportError(f"INSERT into unknown table {name!r}")
-        t = by_name[name]
-        for vals in tuples:
-            if len(vals) != len(t.columns):
-                raise SqlImportError(
-                    f"table {name!r}: INSERT arity {len(vals)} != {len(t.columns)} columns"
-                )
-            if not isinstance(vals[0], int):
-                raise SqlImportError(f"table {name!r}: primary key must be an integer")
-            rid = str(vals[0])
-            if (name, rid) in cells:
-                raise SqlImportError(f"table {name!r}: duplicate primary key {vals[0]}")
-            rows[name].append(rid)
-            cells[(name, rid)] = vals
+        arity = len(by_name[name].columns)
+        new_ids = list(map(itemgetter(0), new))
+        fresh = set(new_ids)
+        if (set(map(len, new)) != {arity} or set(map(type, new_ids)) != {int}
+                or len(fresh) != len(new_ids) or not keys[name].isdisjoint(fresh)):
+            seen = set(keys[name])
+            for vals in new:
+                if len(vals) != arity:
+                    raise SqlImportError(
+                        f"table {name!r}: INSERT arity {len(vals)} != {arity} columns"
+                    )
+                if not isinstance(vals[0], int):
+                    raise SqlImportError(f"table {name!r}: primary key must be an integer")
+                if vals[0] in seen:
+                    raise SqlImportError(f"table {name!r}: duplicate primary key {vals[0]}")
+                seen.add(vals[0])
+        keys[name] |= fresh
+        tuples[name] += new
 
-    edge_fn = {}
-    attr_fn = {}
+    # Each table is built column by column, after a type check of the whole
+    # column; a failed check re-walks the column to raise its first row's error.
+    rows, edge_fn, attr_fn = {}, {}, {}
     for t in tables:
-        for idx, c in enumerate(t.columns[1:], start=1):
+        columns = list(zip(*tuples[t.name])) or [()] * len(t.columns)
+        rids = rows[t.name] = list(map(str, columns[0]))
+        for c, col in zip(t.columns[1:], columns[1:]):
+            types = set(map(type, col))
             if c.role == "fk":
-                m = {}
-                for rid in rows[t.name]:
-                    v = cells[(t.name, rid)][idx]
-                    if not isinstance(v, int):
-                        raise SqlImportError(
-                            f"table {t.name!r}: foreign key {c.name!r} needs integer ids"
-                        )
-                    if (c.fk_target, str(v)) not in cells:
-                        raise SqlImportError(
-                            f"table {t.name!r}: row {rid} references missing "
-                            f"{c.fk_target!r} id {v}"
-                        )
-                    m[rid] = str(v)
-                edge_fn[(t.name, c.name)] = m
-            else:
-                want = int if c.sql_type == "INT" else str
-                m = {}
-                for rid in rows[t.name]:
-                    v = cells[(t.name, rid)][idx]
-                    if v is None:
-                        m[rid] = LabelledNull(f"null!{t.name}!{c.name}!{rid}")
-                    elif not isinstance(v, want):
+                targets = keys[c.fk_target]
+                if types - {int} or not targets.issuperset(col):
+                    for rid, v in zip(rids, col):
+                        if not isinstance(v, int):
+                            raise SqlImportError(
+                                f"table {t.name!r}: foreign key {c.name!r} needs integer ids"
+                            )
+                        if v not in targets:
+                            raise SqlImportError(
+                                f"table {t.name!r}: row {rid} references missing "
+                                f"{c.fk_target!r} id {v}"
+                            )
+                edge_fn[(t.name, c.name)] = dict(zip(rids, map(str, col)))
+                continue
+            want = int if c.sql_type == "INT" else str
+            if types - {want, NoneType}:
+                for rid, v in zip(rids, col):
+                    if v is not None and not isinstance(v, want):
                         raise SqlImportError(
                             f"table {t.name!r}: column {c.name!r} row {rid}: "
                             f"type mismatch for {v!r}"
                         )
-                    else:
-                        m[rid] = v
-                attr_fn[(t.name, c.name)] = m
+            m = attr_fn[(t.name, c.name)] = dict(zip(rids, col))
+            if NoneType in types:
+                for rid, v in zip(rids, col):
+                    if v is None:
+                        m[rid] = LabelledNull(f"null!{t.name}!{c.name}!{rid}")
 
     inst = Instance(schema, rows, edge_fn, attr_fn)
     validate_instance(inst)
@@ -333,7 +395,7 @@ def _check_export_names(schema: Schema):
     named += [(f"attribute {a!r} of node {n!r}", a) for (a, n, _ty) in sorted(schema.attributes)]
     named += [(f"edge {e!r} of node {n!r}", e) for (e, n, _tgt) in sorted(schema.edges)]
     for what, name in named:
-        m = _SQL_RULES.fullmatch(name)
+        m = _SQL_TOKEN.fullmatch(name)
         if m is None or m.lastgroup != "IDENT":
             raise SqlExportError(f"cannot export {what} as SQL: not an ASCII identifier")
 
@@ -365,11 +427,14 @@ def export_sql(schema: Schema, I: Instance, warn=None) -> str:
         rws = I.node_rows(node)
         if not rws:
             continue
+        ids = id_map[node]
+        attrs = [(name, I.attr(node, name)) for (name, _ty) in schema.node_attrs[node]]
+        edges = [(I.edge(node, name), id_map[tgt]) for (name, tgt) in schema.out_edges[node]]
         tuples = []
-        for r in sorted(rws, key=lambda x: id_map[node][x]):
-            vals = [str(id_map[node][r])]
-            for (name, _ty) in schema.node_attrs[node]:
-                v = I.attr(node, name)[r]
+        for r in sorted(rws, key=ids.__getitem__):
+            vals = [str(ids[r])]
+            for (name, col) in attrs:
+                v = col[r]
                 if isinstance(v, LabelledNull):
                     warn(f"{node}.{name} row {r}: labelled null {v.label} exported as NULL")
                     vals.append("NULL")
@@ -377,8 +442,8 @@ def export_sql(schema: Schema, I: Instance, warn=None) -> str:
                     vals.append(_sql_str(v))
                 else:
                     vals.append(str(v))
-            for (name, tgt) in schema.out_edges[node]:
-                vals.append(str(id_map[tgt][I.edge(node, name)[r]]))
+            for (col, tgt_ids) in edges:
+                vals.append(str(tgt_ids[col[r]]))
             tuples.append("(" + ", ".join(vals) + ")")
         lines.append(f"INSERT INTO {node} VALUES\n" + ",\n".join(tuples) + ";")
     return "\n".join(lines) + "\n"

@@ -1,13 +1,15 @@
 """SQL dialect import/export: parsing, foreign-key discovery, round trips."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from catql.core import make_schema
 from catql.errors import SqlExportError, SqlImportError
 from catql.instances import LabelledNull, empty_instance, iso_check, validate_instance
-from catql.sqlbridge import export_sql, import_sql
+from catql.sqlbridge import _SqlParser, export_sql, import_sql
 
 from conftest import read_data
 
@@ -127,6 +129,11 @@ class TestImport:
         ("CREATE TABLE a (id INT PRIMARY KEY, v VARCHAR(9));\n"
          "INSERT INTO a VALUES (1, 'x)", 76, "'"),
         ("-- c\nCREATE TABLE a.b", 19, "."),
+        ("CREATE TABLE a (id INT PRIMARY KEY);@", 36, "@"),
+        ("CREATE TABLE a (id INT PRIMARY KEY);\n-- c\n@", 42, "@"),
+        ("CREATE TABLE a (id INT PRIMARY KEY, v VARCHAR(9));\n"
+         "INSERT INTO a VALUES (1, 'it''s", 80, "'"),
+        ("INSERT INTO a VALUES (1, \"x", 25, '"'),
     ])
     def test_unexpected_character_offset(self, text, offset, char):
         with pytest.raises(SqlImportError) as exc:
@@ -153,6 +160,32 @@ class TestImport:
             import_sql(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("CREATE TABLE t (id INT PRIMARY KEY, a INT, a INT);\nINSERT INTO t VALUES (1, 2, 3);",
+         "table 't': column 'a' declared twice"),
+        ("CREATE TABLE t (id INT PRIMARY KEY, a INT, a VARCHAR(9));",
+         "table 't': column 'a' declared twice"),
+        ("CREATE TABLE t (id INT PRIMARY KEY, id INT);",
+         "table 't': column 'id' declared twice"),
+        ("CREATE TABLE u (id INT PRIMARY KEY);\n"
+         "CREATE TABLE t (id INT PRIMARY KEY, b INT REFERENCES u, b INT REFERENCES u);",
+         "table 't': column 'b' declared twice"),
+        ("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(-5));",
+         "table 't': column 'v' has VARCHAR length -5, below 1"),
+        ("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(0));",
+         "table 't': column 'v' has VARCHAR length 0, below 1"),
+    ])
+    def test_bad_column_declarations(self, text, message):
+        with pytest.raises(SqlImportError) as exc:
+            import_sql(text)
+        assert str(exc.value) == message
+
+    def test_varchar_length_one(self):
+        schema, inst = import_sql(
+            "CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(1));\nINSERT INTO t VALUES (1, 'x');"
+        )
+        assert inst.attr("t", "v") == {"1": "x"}
+
     def test_insert_order_insensitive(self):
         a = "CREATE TABLE t (id INT PRIMARY KEY, v INT);\nINSERT INTO t VALUES (1, 5);\nINSERT INTO t VALUES (2, 6);"
         b = "CREATE TABLE t (id INT PRIMARY KEY, v INT);\nINSERT INTO t VALUES (2, 6);\nINSERT INTO t VALUES (1, 5);"
@@ -161,6 +194,87 @@ class TestImport:
     def test_imported_instances_validate(self, portal):
         _s, inst = portal
         validate_instance(inst)
+
+
+class TestScanner:
+    def test_comment_at_end_without_newline(self):
+        assert _SqlParser("CREATE -- x").tokens == ["CREATE", ";"]
+        assert _SqlParser("-- x").tokens == [";"]
+
+    def test_dashes_inside_a_string_are_not_a_comment(self):
+        assert _SqlParser("VALUES ('a -- b', \"--\")--c\n;").tokens == [
+            "VALUES", "(", "'a -- b'", ",", '"--"', ")", ";", ";",
+        ]
+
+    def test_long_blank_run_is_scanned_in_linear_time(self):
+        started = time.perf_counter()
+        with pytest.raises(SqlImportError) as exc:
+            import_sql(" " * 200_000 + "@")
+        assert str(exc.value) == "unexpected SQL character '@' at offset 200000"
+        assert time.perf_counter() - started < 1.0
+
+    def test_import_memory_peak(self):
+        text = portal_text(170)
+        assert 80_000 < len(text) < 90_000
+        tracemalloc.start()
+        try:
+            import_sql(text)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+
+A = "CREATE TABLE a (id INT PRIMARY KEY, v INT);\n"
+AB = (
+    "CREATE TABLE a (id INT PRIMARY KEY);\n"
+    "CREATE TABLE b (id INT PRIMARY KEY, f INT REFERENCES a, v INT);\n"
+    "INSERT INTO a VALUES (1);\n"
+)
+
+
+class TestErrorOrder:
+    """Which error wins when an input has several faults."""
+
+    @pytest.mark.parametrize("text, message", [
+        (A + "INSERT INTO a VALUES (1, 'x'), (2, 3, 4);", "table 'a': INSERT arity 3 != 2 columns"),
+        (A + "INSERT INTO a VALUES ('k', 2), (3);", "table 'a': primary key must be an integer"),
+        (A + "INSERT INTO a VALUES (1, 2), (1, 2, 3);", "table 'a': INSERT arity 3 != 2 columns"),
+        (A + "INSERT INTO a VALUES (5, 1), (5, 'x'), ('k', 2);", "table 'a': duplicate primary key 5"),
+        (A + "INSERT INTO a VALUES (1, 2);\nINSERT INTO a VALUES (2, 3), (1, 4), ('k', 5);",
+         "table 'a': duplicate primary key 1"),
+        (A + "INSERT INTO a VALUES (1, 2, 3);\nINSERT INTO zz VALUES (1);",
+         "table 'a': INSERT arity 3 != 2 columns"),
+        (A + "INSERT INTO zz VALUES (1);\nINSERT INTO a VALUES (1, 2, 3);",
+         "INSERT into unknown table 'zz'"),
+        (AB + "INSERT INTO b VALUES (10, 1, 'x'), (11, 7, 2), (12, 'q', 3);",
+         "table 'b': row 11 references missing 'a' id 7"),
+        (AB + "INSERT INTO b VALUES (10, 1, 'x'), (11, 'q', 2), (12, 7, 3);",
+         "table 'b': foreign key 'f' needs integer ids"),
+        (AB + "INSERT INTO b VALUES (10, 1, NULL), (11, 1, 'x'), (12, 1, \"y\");",
+         "table 'b': column 'v' row 11: type mismatch for 'x'"),
+        ("CREATE TABLE a (id INT PRIMARY KEY, v INT, w VARCHAR(3));\n"
+         "INSERT INTO a VALUES (1, 2, 3), (2, 'x', 'y');",
+         "table 'a': column 'v' row 2: type mismatch for 'x'"),
+        (A + "INSERT INTO a VALUES (1 2); @", "unexpected SQL character '@' at offset 72"),
+        (A + "INSERT INTO a VALUES (1, 2; INSERT INTO a VALUES (3, 4);",
+         "expected ',' or ')' in VALUES, got ';'"),
+        (A + "INSERT INTO a VALUES (1, , 2), (3);", "bad literal ',' in VALUES"),
+        (A + "INSERT INTO a VALUES (), (1, x);", "bad literal ')' in VALUES"),
+        (A + "INSERT INTO a VALUES (1, 2) (3, 4);", "expected ',' or ';' after tuple, got '('"),
+        (A + "INSERT INTO a VALUES (1, 'x'", "expected ',' or ')' in VALUES, got ';'"),
+        (A + "INSERT INTO a VALUES (1,", "bad literal ';' in VALUES"),
+        (A + "INSERT INTO a VALUES (1, foo), (2, 'it''s');", "bad literal 'foo' in VALUES"),
+        (A + "INSERT INTO zz VALUES (1, ((, 2));", "bad literal '(' in VALUES"),
+        (A + "INSERT INTO a VALUES (1, 2); DROP TABLE a; INSERT INTO a VALUES ('q');",
+         "unsupported SQL construct starting at 'DROP'"),
+        (A + "CREATE TABLE a (id INT PRIMARY KEY);\nINSERT INTO a VALUES ('x');",
+         "table 'a' created twice"),
+    ])
+    def test_first_fault_wins(self, text, message):
+        with pytest.raises(SqlImportError) as exc:
+            import_sql(text)
+        assert str(exc.value) == message
 
 
 class TestExport:
@@ -255,3 +369,29 @@ class TestRandomRoundTrip:
             validate_instance(inst)
             _s2, reimported = import_sql(export_sql(schema, inst))
             assert iso_check(inst, reimported)
+
+
+def portal_text(n: int) -> str:
+    """A portal-shaped script: 4n materials, 6n capabilities each with a unit,
+    and 6n capability-material links; about 500 bytes per n."""
+    units = ["EA", "Thousands", "Inch", "mm", "cm"]
+    parts = [
+        "CREATE TABLE unitcode (id INT PRIMARY KEY, unitcode_Code VARCHAR(255));",
+        "CREATE TABLE material (id INT PRIMARY KEY, material_Name VARCHAR(255));",
+        "CREATE TABLE capability (id INT PRIMARY KEY, capability_Name VARCHAR(255),\n"
+        "  capability_Max_Length INT, capability_Unit INT REFERENCES unitcode);",
+        "CREATE TABLE capabilitymaterials (id INT PRIMARY KEY,\n"
+        "  capabilitymaterials_Capability_id INT REFERENCES capability,\n"
+        "  capabilitymaterials_Material_id INT REFERENCES material);",
+    ]
+    rows = {
+        "unitcode": [f"({i + 1}, '{u}')" for i, u in enumerate(units)],
+        "material": [f"({i + 1}, 'Stainless Steel mat-{i % 97}')" for i in range(4 * n)],
+        "capability": [f"({i + 1}, 'Sinker EDM capability-{i}', {5 + i % 491}, {1 + i % 5})" for i in range(6 * n)],
+        "capabilitymaterials": [
+            f"({i + 1}, {1 + (7 * i) % (6 * n)}, {1 + (3 * i) % (4 * n)})" for i in range(6 * n)
+        ],
+    }
+    for name, tuples in rows.items():
+        parts.append(f"INSERT INTO {name} VALUES\n" + ",\n".join(tuples) + ";")
+    return "\n".join(parts) + "\n"
