@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 from types import NoneType
 
 from .core import Schema, make_schema
@@ -60,23 +59,21 @@ _SQL_SCAN = re.compile(
 )
 
 
-class _Literals(dict):
-    """The value of each VALUES lexeme, converted on its first use."""
-
-    def __missing__(self, tok):
-        if tok is None:
-            raise SqlImportError("unterminated VALUES")
-        c = tok[0]
-        if c == "'" or c == '"':
-            v = tok[1:-1].replace(c + c, c)
-        elif c == "-" or c.isdecimal():
-            v = int(tok)
-        elif tok.upper() == "NULL":
-            v = None
-        else:
-            raise SqlImportError(f"bad literal {tok!r} in VALUES")
-        self[tok] = v
-        return v
+def _literal(tok):
+    """The value of one VALUES lexeme."""
+    if tok is None:
+        raise SqlImportError("unterminated VALUES")
+    c = tok[0]
+    if c == "'" or c == '"':
+        return tok[1:-1].replace(c + c, c)
+    if c == "-" or c.isdecimal():  # an INT token
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            pass
+    elif tok.upper() == "NULL":
+        return None
+    raise SqlImportError(f"bad literal {tok!r} in VALUES")
 
 
 class _SqlParser:
@@ -92,7 +89,6 @@ class _SqlParser:
         tokens.append(";")  # tolerate missing final terminator
         self.tokens = tokens
         self.pos = 0
-        self.literals = _Literals()
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -154,7 +150,8 @@ class _SqlParser:
                 self.expect("(")
                 n = self.expect_kind("INT", "VARCHAR length")
                 self.expect(")")
-                if int(n) < 1:
+                # below 1, read digit by digit: int() refuses more than 4300 digits
+                if n[0] == "-" or not any(map(int, n)):
                     raise SqlImportError(
                         f"table {name!r}: column {col!r} has VARCHAR length {n}, below 1"
                     )
@@ -189,7 +186,7 @@ class _SqlParser:
         self.expect("INTO")
         name = self.next()
         self.expect("VALUES")
-        tokens, literal = self.tokens, self.literals.__getitem__
+        tokens = self.tokens
         tuples = []
         p = self.pos  # tokens ends with ";", so every index read here exists
         while True:
@@ -202,7 +199,7 @@ class _SqlParser:
             except ValueError:
                 q = p
             if (q - p) % 2 and tokens[p + 1:q:2].count(",") == (q - p) // 2:
-                tuples.append(list(map(literal, tokens[p:q:2])))
+                tuples.append(list(map(_literal, tokens[p:q:2])))
             else:
                 self.pos = p
                 tuples.append(self._tuple_by_tokens())
@@ -219,7 +216,7 @@ class _SqlParser:
     def _tuple_by_tokens(self):
         vals = []
         while True:
-            vals.append(self.literals[self.next()])
+            vals.append(_literal(self.next()))
             sep = self.next()
             if sep == ")":
                 return vals
@@ -316,30 +313,24 @@ def import_sql(text, fk_spec=None, guess_fk=False):
                 attributes.append((c.name, t.name, ty))
     schema = make_schema("sql_import", nodes, edges, attributes)
 
-    # Each INSERT's rows are checked in order (arity, integer key, duplicate
-    # key); a failed bulk check re-walks them to raise the first row's error.
+    # Each INSERT's rows are checked in order: arity, integer key, duplicate key.
     tuples = {t.name: [] for t in tables}
     keys = {t.name: set() for t in tables}  # each table's integer row ids
     for (name, new) in inserts:
         if name not in by_name:
             raise SqlImportError(f"INSERT into unknown table {name!r}")
         arity = len(by_name[name].columns)
-        new_ids = list(map(itemgetter(0), new))
-        fresh = set(new_ids)
-        if (set(map(len, new)) != {arity} or set(map(type, new_ids)) != {int}
-                or len(fresh) != len(new_ids) or not keys[name].isdisjoint(fresh)):
-            seen = set(keys[name])
-            for vals in new:
-                if len(vals) != arity:
-                    raise SqlImportError(
-                        f"table {name!r}: INSERT arity {len(vals)} != {arity} columns"
-                    )
-                if not isinstance(vals[0], int):
-                    raise SqlImportError(f"table {name!r}: primary key must be an integer")
-                if vals[0] in seen:
-                    raise SqlImportError(f"table {name!r}: duplicate primary key {vals[0]}")
-                seen.add(vals[0])
-        keys[name] |= fresh
+        seen = keys[name]
+        for vals in new:
+            if len(vals) != arity:
+                raise SqlImportError(
+                    f"table {name!r}: INSERT arity {len(vals)} != {arity} columns"
+                )
+            if not isinstance(vals[0], int):
+                raise SqlImportError(f"table {name!r}: primary key must be an integer")
+            if vals[0] in seen:
+                raise SqlImportError(f"table {name!r}: duplicate primary key {vals[0]}")
+            seen.add(vals[0])
         tuples[name] += new
 
     # Each table is built column by column, after a type check of the whole

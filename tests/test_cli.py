@@ -220,6 +220,13 @@ class TestExitCodes:
         code, _out, err = run_cli(capsys, "import-sql", "portal\0.sql")
         assert code == 1 and "catql: error: file name contains a NUL byte" in err
 
+    def test_literal_too_long_for_int_is_a_user_error(self, tmp_path, capsys):
+        sql = tmp_path / "big.sql"
+        sql.write_text("CREATE TABLE t (id INT PRIMARY KEY, v INT);\n"
+                       f"INSERT INTO t VALUES (1, {'9' * 5000});\n")
+        code, _out, err = run_cli(capsys, "import-sql", str(sql))
+        assert code == 1 and "catql: error: bad literal '999" in err
+
     def test_internal_value_error_exits_2(self, monkeypatch, capsys):
         def broken(*_args, **_kwargs):
             raise ValueError("invariant broken")

@@ -186,6 +186,32 @@ class TestImport:
         )
         assert inst.attr("t", "v") == {"1": "x"}
 
+    def test_literal_longer_than_int_converts(self):
+        # int() refuses a string of more than 4300 digits (Python 3.10.7+)
+        big = "1" * 5000
+        with pytest.raises(SqlImportError) as exc:
+            import_sql(A + f"INSERT INTO a VALUES (1, {big});")
+        assert str(exc.value) == f"bad literal {big!r} in VALUES"
+        with pytest.raises(SqlImportError) as exc:
+            import_sql(A + f"INSERT INTO a VALUES (1, 2), (-{big}, 3;")
+        assert str(exc.value) == f"bad literal {'-' + big!r} in VALUES"
+
+    @pytest.mark.parametrize("length, accepted", [
+        ("7" * 5000, True),
+        ("0" * 4999 + "1", True),
+        ("0" * 5000, False),
+        ("-" + "7" * 5000, False),
+    ], ids=["long", "leading-zeros", "zeros", "negative"])
+    def test_varchar_length_longer_than_int_converts(self, length, accepted):
+        text = f"CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR({length}));"
+        if accepted:
+            schema, _inst = import_sql(text)
+            assert schema.attributes == {("v", "t", "string")}
+        else:
+            with pytest.raises(SqlImportError) as exc:
+                import_sql(text)
+            assert str(exc.value) == f"table 't': column 'v' has VARCHAR length {length}, below 1"
+
     def test_insert_order_insensitive(self):
         a = "CREATE TABLE t (id INT PRIMARY KEY, v INT);\nINSERT INTO t VALUES (1, 5);\nINSERT INTO t VALUES (2, 6);"
         b = "CREATE TABLE t (id INT PRIMARY KEY, v INT);\nINSERT INTO t VALUES (2, 6);\nINSERT INTO t VALUES (1, 5);"
