@@ -6,13 +6,15 @@ equations between paths.  Path equality is decided by oriented rewriting
 fixpoint within a configurable step bound.
 
 The tables derived from a schema (edge and attribute lookups, each node's
-sorted out-edges and attributes, the oriented rewrite rules, the morphism
-enumerations) are owned by the schema object: each is built on first use,
-once, and freed with the schema.  There is no global cache.
+sorted out-edges and attributes, the node order of instance row numbering,
+the oriented rewrite rules, the morphism enumerations) are owned by the
+schema object: each is built on first use, once, and freed with the schema.
+There is no global cache.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
@@ -99,6 +101,31 @@ class Schema:
     def out_edges(self) -> dict[str, tuple[tuple[str, str], ...]]:
         """node -> sorted (edge name, target) pairs out of it."""
         return _by_source(self.nodes, self.edges)
+
+    @cached_property
+    def topo_order(self) -> tuple[str, ...]:
+        """Nodes in topological order over the non-loop edges, ties broken by
+        name, then, sorted, the nodes that a cycle keeps out of that order.
+
+        `instances` numbers rows in this order, and the hom search branches
+        on the lowest-numbered row that nothing reaches, so the rows an edge
+        leads to come after the rows whose images force theirs.
+        """
+        indegree = dict.fromkeys(self.nodes, 0)
+        for (_name, src, tgt) in self.edges:
+            if src != tgt:
+                indegree[tgt] += 1
+        ready = sorted(n for n, d in indegree.items() if d == 0)  # a sorted list is a heap
+        order = []
+        while ready:
+            n = heapq.heappop(ready)
+            order.append(n)
+            for (_name, tgt) in self.out_edges[n]:
+                if tgt != n:
+                    indegree[tgt] -= 1
+                    if not indegree[tgt]:
+                        heapq.heappush(ready, tgt)
+        return (*order, *sorted(self.nodes.difference(order)))
 
     @cached_property
     def node_attrs(self) -> dict[str, tuple[tuple[str, str], ...]]:

@@ -12,10 +12,13 @@ the rows of one or more instances jointly: a Hopcroft-style worklist over
 integer row indices splits only the blocks that a splitter's preimage hits,
 so it runs in O(m log n) for m edge entries over n rows.  relationalize
 quotients by its color list and iso_check compares the color classes of two
-instances.  One iterative backtracking search (`_homs`) enumerates natural
-transformations with an explicit stack: enumerate_homs counts them over
-attribute-tuple buckets, and iso_check looks for an injective one over color
-classes.
+instances.  One forced-image search (`_homs`) enumerates natural
+transformations: an assignment fixes the images of its row's edge targets,
+which are followed along the edges and undone from a trail, and the search
+branches only on rows that no assignment reaches.  enumerate_homs counts the
+transformations that keep each row's attribute tuple, and iso_check looks
+for an injective one that keeps each row's color.  Both number the rows by
+node in `Schema.topo_order`, then in row order.
 """
 
 from __future__ import annotations
@@ -212,6 +215,13 @@ def join(domains, groups) -> list[tuple]:
     return assignments
 
 
+# the classes whose values an attribute of each base type accepts outright
+_VALUE_CLASSES = {
+    "string": frozenset({str, LabelledNull}),
+    "integer": frozenset({int, LabelledNull}),
+}
+
+
 def validate_instance(I: Instance):
     """Distinct row ids, totality of edge/attribute functions, typing, and
     pointwise equations."""
@@ -220,13 +230,17 @@ def validate_instance(I: Instance):
         for r, nxt in zip(rs, rs[1:]):  # rows are sorted, so a repeat is adjacent
             if r == nxt:
                 raise ValidationError(f"row {r!r} is listed more than once at node {n!r}")
+    # each column is checked whole; only a column that fails is walked row by
+    # row, to name its first bad entry
     for (name, src, tgt) in s.edges:
         fn = I.edge(src, name)
-        if set(fn) != set(I.rows[src]):
+        if fn.keys() != set(I.rows[src]):
             raise ValidationError(
                 f"edge {name!r} on {src!r} is not total on the declared row set"
             )
         targets = set(I.rows[tgt])
+        if targets.issuperset(fn.values()):
+            continue
         for r, v in fn.items():
             if v not in targets:
                 raise ValidationError(
@@ -234,10 +248,12 @@ def validate_instance(I: Instance):
                 )
     for (name, src, ty) in s.attributes:
         fn = I.attr(src, name)
-        if set(fn) != set(I.rows[src]):
+        if fn.keys() != set(I.rows[src]):
             raise ValidationError(
                 f"attribute {name!r} on {src!r} is not total on the declared row set"
             )
+        if _VALUE_CLASSES.get(ty, frozenset()).issuperset(map(type, fn.values())):
+            continue
         for r, v in fn.items():
             if not isinstance(v, LabelledNull) and value_type(v) != ty:
                 raise ValidationError(
@@ -291,6 +307,20 @@ def _tagged_union(tagged) -> Instance:
     return Instance(s, rows, edge_fn, attr_fn)
 
 
+def _attr_keys(inst: Instance, nodes) -> list[tuple]:
+    """The (node, attribute tuple) of each row, by node in the given order,
+    then in row order."""
+    rows, node_attrs = inst.rows, inst.schema.node_attrs
+    keys: list[tuple] = []
+    for n in nodes:
+        if node_attrs[n]:
+            cols = [map(inst.attr(n, a).__getitem__, rows[n]) for (a, _ty) in node_attrs[n]]
+            keys.extend(zip(repeat(n), zip(*cols)))
+        else:
+            keys += [(n, ())] * len(rows[n])
+    return keys
+
+
 class _Numbering(dict):
     """Numbers its keys 0, 1, 2, ... in the order they are first looked up."""
 
@@ -302,19 +332,19 @@ class _Numbering(dict):
 def _refine(instances) -> list[int]:
     """Joint coarsest stable partition of the rows of instances on one schema.
 
-    The rows are numbered consecutively: by instance, then by sorted node,
-    then in row order.  Each row starts in the block of its (node, attribute
-    tuple).  A worklist refinement in the manner of Hopcroft (1971) and
-    Paige-Tarjan (1987) then splits a block by the preimage of a splitter
-    block under each edge into the splitter's node: only the blocks that the
-    preimage hits are touched, and of each split the smaller half gets a new
-    block and is queued.  At the start every block but the largest of each
-    node is queued.  Returns the color of each row index.  Two rows, of the
-    same or of different instances, share a color iff every attribute-valued
-    path agrees on them.
+    The rows are numbered consecutively: by instance, then by node in
+    `Schema.topo_order`, then in row order.  Each row starts in the block of
+    its (node, attribute tuple).  A worklist refinement in the manner of
+    Hopcroft (1971) and Paige-Tarjan (1987) then splits a block by the
+    preimage of a splitter block under each edge into the splitter's node:
+    only the blocks that the preimage hits are touched, and of each split the
+    smaller half gets a new block and is queued.  At the start every block
+    but the largest of each node is queued.  Returns the color of each row
+    index.  Two rows, of the same or of different instances, share a color
+    iff every attribute-valued path agrees on them.
     """
     s = instances[0].schema
-    nodes = sorted(s.nodes)
+    nodes = s.topo_order
     index = []  # per instance: node -> {row: row index}
     color: list[int] = []
     initial = _Numbering()  # (node, attribute tuple) -> initial color
@@ -323,9 +353,7 @@ def _refine(instances) -> list[int]:
         for n in nodes:
             rows = inst.rows[n]
             at[n] = dict(zip(rows, range(len(color), len(color) + len(rows))))
-            cols = [map(inst.attr(n, a).__getitem__, rows) for (a, _ty) in s.node_attrs[n]]
-            keys = zip(repeat(n), zip(*cols)) if cols else repeat((n, ()), len(rows))
-            color.extend(map(initial.__getitem__, keys))
+            color.extend(map(initial.__getitem__, _attr_keys(inst, (n,))))
         index.append(at)
     into: dict[str, list[dict]] = {n: [] for n in nodes}  # preimage tables of edges into n
     for (e, src, tgt) in sorted(s.edges):
@@ -378,7 +406,7 @@ def relationalize(I: Instance) -> Instance:
     so a class's first row index holds its least row.
     """
     s = I.schema
-    nodes = sorted(s.nodes)
+    nodes = s.topo_order
     color = _refine([I])
     flat = [r for n in nodes for r in I.rows[n]]
     rep = dict(zip(reversed(color), reversed(flat)))  # the first row of each class wins
@@ -405,65 +433,120 @@ def union(I: Instance, J: Instance) -> Instance:
     return relationalize(disjoint_union(I, J))
 
 
-def _homs(I: Instance, J: Instance, candidates, injective: bool = False):
-    """Yield every natural transformation I -> J as a {(node, row): row} dict.
+def _successors(inst: Instance) -> list[tuple[int, ...]]:
+    """Per row index, numbered by node in `Schema.topo_order` and then in row
+    order, the indices of the row's images under its node's out-edges, in
+    `Schema.out_edges` order."""
+    rows, out = inst.rows, inst.schema.out_edges
+    first = {}  # node -> the index of its first row
+    start = 0
+    for n in inst.schema.topo_order:
+        first[n] = start
+        start += len(rows[n])
+    at = {}  # edge target node -> {row: row index}
+    succ: list[tuple[int, ...]] = []
+    for n in first:
+        cols = []
+        for (e, tgt) in out[n]:
+            if tgt not in at:
+                at[tgt] = dict(zip(rows[tgt], range(first[tgt], first[tgt] + len(rows[tgt]))))
+            cols.append(map(at[tgt].__getitem__, map(inst.edge(n, e).__getitem__, rows[n])))
+        succ.extend(zip(*cols) if cols else repeat((), len(rows[n])))
+    return succ
 
-    Rows of I are assigned in a fixed order by backtracking over an explicit
-    stack; candidates(node, row) lists the rows of J a row may map to, and
-    must already respect attributes.  After each assignment every edge
-    constraint whose two ends are assigned is checked, the row's own loops
-    included.  With injective, no two rows of a node share an image.  The
-    yielded dict is live: copy it to keep it.
+
+def _homs(I: Instance, J: Instance, key_I, key_J, injective: bool = False):
+    """Yield every natural transformation I -> J as the J row index of each
+    I row index.
+
+    Rows are numbered on each side by node in `Schema.topo_order`, then in
+    row order, and key_I and key_J hold one key per row; rows of different
+    nodes never share a key.  A row may map only to the rows of J that have
+    its key: its candidates.
+
+    The search is a forced-image backtracking search without recursion.
+    Assigning row a to t forces each out-edge image e(a) to e(t); a worklist
+    follows these forced images and records every assignment on a trail.  A
+    forced image fails when its row already has another image, when its key
+    differs from the row's, or, with injective, when another row already has
+    it.  The search takes the lowest-numbered row that no assignment has
+    reached; so the rows an edge leads to come after the rows that force
+    them.  A row with one candidate is assigned it outright, and any other
+    opens a level that branches over its candidates.  Backtracking pops the
+    trail back to the level's mark.  The yielded list is live: copy it to
+    keep it.
     """
-    s = I.schema
-    order = [(n, r) for n in sorted(s.nodes) for r in I.rows[n]]
-    out = {n: [] for n in s.nodes}  # node -> [(I edge, target node, J edge)]
-    inc = {n: [] for n in s.nodes}  # node -> [(source node, I preimages, J edge)]
-    for (e, src, tgt) in s.edges:
-        fI, fJ = I.edge(src, e), J.edge(src, e)
-        out[src].append((fI, tgt, fJ))
-        pre: dict[str, list[str]] = {}
-        for r, v in fI.items():
-            pre.setdefault(v, []).append(r)
-        inc[tgt].append((src, pre, fJ))
-    asg: dict[tuple[str, str], str] = {}
-    used: set[tuple[str, str]] = set()
-    if not order:
-        yield asg
+    if not key_I:
+        yield []  # the empty map
         return
-    stack = [iter(candidates(*order[0]))]
-    while stack:
-        n, r = order[len(stack) - 1]
-        prev = asg.pop((n, r), None)  # undo this level's previous choice
-        used.discard((n, prev))
-        for t in stack[-1]:
-            if injective and (n, t) in used:
+    candidates: dict = {}
+    for t, k in enumerate(key_J):
+        candidates.setdefault(k, []).append(t)
+    if not candidates.keys() >= set(key_I):
+        return  # some row has no candidate
+    succ_I, succ_J = _successors(I), _successors(J)
+    img = [-1] * len(key_I)  # I row index -> J row index, -1 while unassigned
+    used = [False] * len(key_J)  # with injective: J rows that are some row's image
+    trail: list[int] = []  # the assigned I rows, in assignment order
+
+    def undo(mark):
+        """Unassign the rows assigned since the trail had length mark."""
+        for b in trail[mark:]:
+            used[img[b]] = False
+            img[b] = -1
+        del trail[mark:]
+
+    def place(a, t):
+        """Assign a to t and follow the images that forces; on a conflict,
+        undo them all and return False."""
+        mark = len(trail)
+        work = [(a, t)]
+        while work:
+            a, t = work.pop()
+            u = img[a]
+            if u < 0 and key_I[a] == key_J[t] and not used[t]:
+                img[a] = t
+                trail.append(a)
+                if injective:
+                    used[t] = True
+                work.extend(zip(succ_I[a], succ_J[t]))
+            elif u != t:
+                undo(mark)
+                return False
+        return True
+
+    stack = []  # per level: (row, candidate iterator, trail mark)
+    a, end = 0, len(key_I)
+    while True:
+        while a < end and img[a] >= 0:
+            a += 1
+        if a == end:
+            yield img
+        else:
+            ts = candidates[key_I[a]]
+            if len(ts) > 1:
+                stack.append((a, iter(ts), len(trail)))
+            elif place(a, ts[0]):  # a row with one candidate is forced to it
                 continue
-            asg[(n, r)] = t
-            if all(asg.get((tgt, fI[r]), fJ[t]) == fJ[t] for (fI, tgt, fJ) in out[n]) and all(
-                fJ[asg[(src, r2)]] == t
-                for (src, pre, fJ) in inc[n]
-                for r2 in pre.get(r, ())
-                if (src, r2) in asg
-            ):
-                break
-            del asg[(n, r)]
+        while stack:
+            a, ts, mark = stack[-1]
+            undo(mark)
+            for t in ts:
+                if place(a, t):
+                    break
+            else:
+                stack.pop()
+                continue
+            break
         else:
-            stack.pop()
-            continue
-        if injective:
-            used.add((n, t))
-        if len(stack) == len(order):
-            yield asg
-        else:
-            stack.append(iter(candidates(*order[len(stack)])))
+            return
 
 
 def iso_check(I: Instance, J: Instance) -> bool:
     """True iff a schema-preserving bijective natural transformation exists.
 
-    Searched as an injective hom whose candidates are the joint color classes
-    of partition refinement; equal row counts per node make it bijective.
+    Searched as an injective hom keyed by the joint colors of partition
+    refinement; equal row counts per node make it bijective.
     """
     if I.schema != J.schema:
         return False
@@ -475,26 +558,16 @@ def iso_check(I: Instance, J: Instance) -> bool:
     cI, cJ = color[:split], color[split:]
     if Counter(cI) != Counter(cJ):
         return False
-    nodes = sorted(s.nodes)
-    classes: dict[int, list[str]] = {}
-    for c, t in zip(cJ, (t for n in nodes for t in J.rows[n])):
-        classes.setdefault(c, []).append(t)
-    keys = ((n, r) for n in nodes for r in I.rows[n])
-    candidates = dict(zip(keys, map(classes.__getitem__, cI)))
-    found = _homs(I, J, lambda n, r: candidates[(n, r)], injective=True)
-    return next(found, None) is not None
+    return next(_homs(I, J, cI, cJ, injective=True), None) is not None
 
 
 def enumerate_homs(I: Instance, J: Instance, limit: int = 1_000_000) -> int:
     """Number of natural transformations I -> J (exact attribute preservation)."""
     if I.schema != J.schema:
         raise SchemaError("enumerate_homs requires instances on the same schema")
-    buckets: dict[tuple, list[str]] = {}
-    for n in J.schema.nodes:
-        for t in J.rows[n]:
-            buckets.setdefault((n, J.attr_tuple(n, t)), []).append(t)
+    nodes = I.schema.topo_order
     count = 0
-    for _ in _homs(I, J, lambda n, r: buckets.get((n, I.attr_tuple(n, r)), ())):
+    for _ in _homs(I, J, _attr_keys(I, nodes), _attr_keys(J, nodes)):
         count += 1
         if count > limit:
             raise LimitExceeded(f"more than {limit} homomorphisms")

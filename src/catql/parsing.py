@@ -88,7 +88,12 @@ class Parser:
                 if "\\" in value:
                     value = _ESCAPE.sub(r"\1", value)
             elif kind == "INT":
-                value = int(value)
+                try:
+                    value = int(value)
+                except ValueError:  # longer than the interpreter converts
+                    raise ParseError(
+                        f"integer literal of {len(value)} digits is too long", line, column
+                    ) from None
             self.tokens.append(Token(kind, value, line, column))
         self.pos = 0
 

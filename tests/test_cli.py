@@ -227,6 +227,16 @@ class TestExitCodes:
         code, _out, err = run_cli(capsys, "import-sql", str(sql))
         assert code == 1 and "catql: error: bad literal '999" in err
 
+    def test_catql_literal_too_long_for_int_is_a_user_error(self, tmp_path, capsys):
+        script = tmp_path / "big.catql"
+        script.write_text(
+            "schema S { nodes a; attribute n : a -> integer; }\n"
+            f"instance I : S {{ node a {{ x; }} attribute a.n {{ x = {'7' * 5000}; }} }}\n"
+        )
+        code, out, err = run_cli(capsys, "show", str(script), "I")
+        assert code == 1 and out == ""
+        assert "catql: error: integer literal of 5000 digits is too long (line 2" in err
+
     def test_internal_value_error_exits_2(self, monkeypatch, capsys):
         def broken(*_args, **_kwargs):
             raise ValueError("invariant broken")

@@ -255,6 +255,17 @@ class TestSchemaTables:
         gc.collect()
         assert ref() is None
 
+    def test_topo_order(self):
+        s = make_schema(
+            "T",
+            ["z", "b", "a", "m", "c", "d", "e"],
+            [("f", "z", "m"), ("g", "a", "m"), ("l", "m", "m"), ("h", "b", "z"),
+             ("p", "c", "d"), ("q", "d", "c"), ("r", "d", "e")],
+        )
+        # sources by name, a loop is no constraint, and c and d, on a cycle,
+        # and e, below it, come last
+        assert s.topo_order == ("a", "b", "z", "m", "c", "d", "e")
+
 
 class TestValidateSchema:
     def test_duplicate_edge_name_per_node(self):

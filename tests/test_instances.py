@@ -22,8 +22,9 @@ from catql.instances import (
     union,
     validate_instance,
 )
+from catql.migration import pi
 
-from conftest import rand_dag_schema, rand_instance
+from conftest import rand_adjunction_triple, rand_dag_schema, rand_instance
 
 
 def chain_schema():
@@ -65,6 +66,28 @@ class TestValidate:
         bad_attrs = {("Material", "name"): {"iron": 1, "metal": "m", "matter": "x"}}
         with pytest.raises(ValidationError):
             validate_instance(Instance(I.schema, I.rows, I.edge_fn, bad_attrs))
+
+    def test_bad_column_names_its_first_bad_entry(self):
+        I = chain_instance()
+
+        def named(*values):
+            names = {("Material", "name"): dict(zip(("iron", "metal", "matter"), values))}
+            return Instance(I.schema, I.rows, I.edge_fn, names)
+
+        with pytest.raises(ValidationError) as exc:
+            validate_instance(named("a", 2, 3))
+        assert str(exc.value) == "attribute 'name': row 'metal' has integer value, expected string"
+        with pytest.raises(ValidationError, match="^boolean is not an attribute value$"):
+            validate_instance(named("a", True, "c"))
+
+        class Name(str):
+            pass
+
+        validate_instance(named(Name("a"), LabelledNull("n"), "c"))
+        edges = {("Material", "parent"): {"iron": "metal", "metal": "gone", "matter": "void"}}
+        with pytest.raises(ValidationError) as exc:
+            validate_instance(Instance(I.schema, I.rows, edges, I.attr_fn))
+        assert str(exc.value) == "edge 'parent' sends row 'metal' to dangling target 'gone'"
 
     def test_equation_violation_names_row(self):
         s = make_schema(
@@ -325,6 +348,108 @@ class TestSearchAgainstExhaustiveOracle:
             iso = any(is_natural(I, K, h) for h in node_maps(I, K, True))
             assert iso_check(I, K) == iso
 
+    def test_dag_schemas_with_attributes(self):
+        """An edge image is forced, and may land outside the attribute
+        bucket of the row it is forced onto."""
+        rng = random.Random(12)
+        outside = 0
+        for _ in range(150):
+            edges = [(e, src, tgt) for (e, src, tgt) in
+                     [("f", "n0", "n1"), ("g", "n1", "n2"), ("h", "n0", "n2"), ("k", "n0", "n1")]
+                     if rng.random() < 0.6]
+            attrs = [("v", n, "string") for n in ("n0", "n1", "n2") if rng.random() < 0.7]
+            s = make_schema("D3", ["n0", "n1", "n2"], edges, attrs)
+            sizes = {n: rng.randint(1, 2) for n in s.nodes}
+            I = rand_loop_instance(rng, s, sizes)
+            J = rand_loop_instance(rng, s, {n: rng.randint(1, 3) for n in s.nodes})
+            K = rand_loop_instance(rng, s, sizes)
+            outside += forces_outside_bucket(I, J)
+            expected = sum(is_natural(I, J, h) for h in node_maps(I, J, False))
+            assert enumerate_homs(I, J) == expected
+            iso = any(is_natural(I, K, h) for h in node_maps(I, K, True))
+            assert iso_check(I, K) == iso
+        assert outside >= 30
+
+    def test_iso_with_equal_color_counts(self):
+        """Pairs that refinement cannot tell apart by color counts, among them
+        two fixed points against a 2-cycle, decided by the injective search."""
+        s = make_schema("L", ["a"], [("f", "a", "a")], [("v", "a", "string")])
+
+        def graph(f, values):
+            rows = [f"r{i}" for i in range(len(f))]
+            return Instance(s, {"a": rows}, {("a", "f"): {r: rows[j] for r, j in zip(rows, f)}},
+                            {("a", "v"): dict(zip(rows, values))})
+
+        fixed_and_cycle = graph([0, 1, 3, 2], "xxxx")
+        two_cycles = graph([1, 0, 3, 2], "xxxx")
+        assert not iso_check(fixed_and_cycle, two_cycles)
+        assert iso_check(two_cycles, graph([2, 3, 0, 1], "xxxx"))
+        rng = random.Random(13)
+        undecided = 0
+        for _ in range(300):
+            n = rng.randint(3, 5)
+            values = ["x"] * n if rng.random() < 0.5 else [rng.choice("xy") for _ in range(n)]
+            I = graph([rng.randrange(n) for _ in range(n)], values)
+            K = graph([rng.randrange(n) for _ in range(n)], rng.sample(values, n))
+            color = _refine([I, K])
+            if sorted(color[:n]) != sorted(color[n:]):
+                continue
+            iso = any(is_natural(I, K, h) for h in node_maps(I, K, True))
+            assert iso_check(I, K) == iso
+            undecided += not iso and len(set(color)) < n
+        assert undecided >= 20
+
+    def test_limit_when_most_rows_are_forced(self):
+        """Only the source rows branch; the count is exact up to the limit,
+        and LimitExceeded is raised exactly when it is passed."""
+        s = make_schema("F", ["s", "m", "t"],
+                        [("f", "s", "m"), ("g", "m", "t"), ("h", "s", "t")],
+                        [("v", "t", "string")])
+        rng = random.Random(14)
+        for _ in range(100):
+            ms = rng.randint(1, 3)
+            I = Instance(
+                s,
+                {"s": [f"s{i}" for i in range(ms)], "m": [f"m{i}" for i in range(ms)], "t": ["t0"]},
+                {("s", "f"): {f"s{i}": f"m{i}" for i in range(ms)},
+                 ("m", "g"): {f"m{i}": "t0" for i in range(ms)},
+                 ("s", "h"): {f"s{i}": "t0" for i in range(ms)}},
+                {("t", "v"): {"t0": "x"}},
+            )
+            J = rand_loop_instance(rng, s, {"s": rng.randint(1, 4), "m": rng.randint(1, 3),
+                                            "t": rng.randint(1, 2)})
+            homs = sum(is_natural(I, J, h) for h in node_maps(I, J, False))
+            assert enumerate_homs(I, J, limit=homs) == homs
+            if homs:
+                with pytest.raises(LimitExceeded):
+                    enumerate_homs(I, J, limit=homs - 1)
+
+
+def forces_outside_bucket(I, J):
+    """Whether some edge sends a row of J in a row's attribute bucket to a row
+    outside the bucket of that row's own image."""
+    s = I.schema
+    return any(
+        J.attr_tuple(src, t) == I.attr_tuple(src, r)
+        and J.attr_tuple(tgt, J.edge(src, e)[t]) != I.attr_tuple(tgt, I.edge(src, e)[r])
+        for (e, src, tgt) in s.edges for r in I.rows[src] for t in J.rows[src]
+    )
+
+
+class TestForcedImageSearch:
+    @pytest.mark.parametrize("case, homs", [(43, 432), (60, 9)])
+    def test_slow_criterion_2_counts(self, case, homs):
+        """J -> pi(F, I) in cases 43 and 60 of criterion 2 maps 4 rows into 98
+        and 5 rows into 84; assigning rows in node order without following
+        edge images took seconds on each."""
+        rng = random.Random(1002)
+        for _ in range(case + 1):
+            F, I, J = rand_adjunction_triple(rng)
+        target = pi(F, I)
+        start = time.perf_counter()
+        assert enumerate_homs(J, target) == homs
+        assert time.perf_counter() - start < 1.0
+
 
 class TestDeepInstances:
     def test_long_parent_chain(self):
@@ -448,7 +573,7 @@ class TestRefineAgainstMooreOracle:
                 other = relabelled(rng, I) if rng.random() < 0.5 else rand_refine_instance(rng, s)
                 instances.append(other)
             keys = [(k, n, r) for k, J in enumerate(instances)
-                    for n in sorted(s.nodes) for r in J.rows[n]]
+                    for n in s.topo_order for r in J.rows[n]]
             got = classes_of(keys, _refine(instances))
             expected = moore_partition(instances)
             assert got == expected

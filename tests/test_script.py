@@ -136,6 +136,13 @@ class TestParse:
         tokens = self.tokens('"a\nbc" x')
         assert tokens[1:] == [("IDENT", "x", 2, 5), ("EOF", None, 2, 6)]
 
+    def test_integer_literal_too_long_to_convert(self):
+        with pytest.raises(ParseError) as exc:
+            parse_script(f"schema S {{\n  nodes a; }}\nx = {'7' * 5000};")
+        assert str(exc.value) == (
+            "integer literal of 5000 digits is too long (line 3, column 5)"
+        )
+
     def test_eof_at_end_of_trailing_comment(self):
         assert self.tokens("x # end")[-1] == ("EOF", None, 1, 8)
         with pytest.raises(ParseError) as exc:
