@@ -114,7 +114,8 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
                         )
                     uf.union(g1, (tgt, fn[x], p))
 
-    # classes per target node: members, then classes, ordered by least member
+    # classes per target node: (row id, members), ordered by the least member,
+    # which names the class
     class_of = {}
     classes: dict[str, list] = {}
     for t in sorted(T.nodes):
@@ -122,18 +123,19 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
         for g in gens[t]:
             groups.setdefault(uf.find(g), []).append(g)
         members_sorted = (sorted(ms, key=_gen_key) for ms in groups.values())
-        classes[t] = sorted(members_sorted, key=lambda ms: _gen_key(ms[0]))
-        for members in classes[t]:
+        classes[t] = [(_row_id(ms[0]), ms)
+                      for ms in sorted(members_sorted, key=lambda ms: _gen_key(ms[0]))]
+        for rid, members in classes[t]:
             for m in members:
-                class_of[m] = (t, _row_id(members[0]))
+                class_of[m] = rid
 
-    rows = {t: [_row_id(ms[0]) for ms in classes[t]] for t in T.nodes}
+    rows = {t: [rid for rid, _ms in classes[t]] for t in T.nodes}
 
     edge_fn = {}
     for (gname, src, tgt) in sorted(T.edges):
         m = {}
         then_g: dict = {}  # p -> normal form of p.g
-        for members in classes[src]:
+        for rid, members in classes[src]:
             images = set()
             for (s_node, x, p) in members:
                 if p not in then_g:
@@ -144,21 +146,20 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
                     raise ValidationError(
                         f"sigma: edge image {q} left the enumerated path universe"
                     )
-                images.add(img[1])
+                images.add(img)
             if len(images) != 1:
                 raise ValidationError(
                     f"sigma: edge {gname!r} action is not well-defined "
                     f"(non-confluent target equations?)"
                 )
-            m[_row_id(members[0])] = images.pop()
+            m[rid] = images.pop()
         edge_fn[(src, gname)] = m
 
     attr_fn = {}
     for (aname, src, _ty) in sorted(T.attributes):
         m = {}
         readers: dict = {}  # (s_node, p) -> source attribute dicts a with F(a) == p.aname
-        for members in classes[src]:
-            rid = _row_id(members[0])
+        for rid, members in classes[src]:
             candidates = []
             for (s_node, x, p) in members:
                 if (s_node, p) not in readers:
@@ -203,8 +204,11 @@ def _same_row(r):
 def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
     """Right Kan extension: rows at t are edge-compatible families over the
     comma category (t down F), one row per comma object.  The families are
-    joined by `instances.join`, one equality per comma morphism, then pruned
-    to a valid instance (attribute-valued equations checked pointwise)."""
+    joined by `instances.join`, one equality per comma morphism.  Each joined
+    family is then checked once: its attribute readings must agree and each
+    attribute-valued equation of T must hold on it.  Last, a family with an
+    edge image that was not kept is dropped, until nothing changes, which
+    leaves the greatest set of checked families closed under edge images."""
     if I.schema != F.source:
         raise SchemaError("pi: instance is not on the mapping's source schema")
     S, T = F.source, F.target
@@ -290,65 +294,55 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
         t2, slots = image_slots[(t, gname)]
         return t2, tuple([fam[j] for j in slots])
 
-    # prune: reading conflicts, attribute-valued equations, missing edge images
-    attr_eqs = [eq for eq in T.equations if eq.lhs.attr is not None
-                or isinstance(eq.rhs, ConstPath) or (isinstance(eq.rhs, Path) and eq.rhs.attr is not None)]
+    # attribute-valued equations by start node; the sides of an equation
+    # have one target, so it is attribute-valued when its lhs is
+    attr_eqs: dict[str, list] = {t: [] for t in T.nodes}
+    for eq in T.equations:
+        if eq.lhs.attr is not None:
+            attr_eqs[eq.lhs.source].append(eq)
 
-    def eval_family_attr_path(t, fam, p):
-        """Evaluate an attribute-valued path from t on a family (follow edges, read attr)."""
-        cur_t, cur = t, fam
+    def attr_value(t, fam, p):
+        """read_attr of the family that p's edges lead fam to, or p's constant."""
+        if isinstance(p, ConstPath):
+            return True, p.value
         for step in p.steps:
-            cur_t, cur = edge_image(cur_t, cur, step)
-            if cur not in fam_sets[cur_t]:
-                return ("missing",)
-        ok, v = read_attr(cur_t, cur, p.attr)
-        if not ok:
-            return ("conflict",)
-        return ("value", v)
+            t, fam = edge_image(t, fam, step)
+        return read_attr(t, fam, p.attr)
 
+    def holds(t, fam):
+        """The readings on t agree and each attribute equation from t holds.
+        Unread attributes become per-family nulls, so a null side matches
+        only the same unread-null side."""
+        if not all(read_attr(t, fam, aname)[0] for (aname, _ty) in T.node_attrs[t]):
+            return False
+        for eq in attr_eqs[t]:
+            lok, lval = attr_value(t, fam, eq.lhs)
+            rok, rval = attr_value(t, fam, eq.rhs)
+            if not (lok and rok):
+                return False
+            if lval is None or rval is None:
+                if not (lval is None and rval is None and eq.lhs == eq.rhs):
+                    return False
+            elif lval != rval:
+                return False
+        return True
+
+    def images_kept(t, fam):
+        """Whether every edge image of fam is a kept family."""
+        for (gname, _tgt) in T.out_edges[t]:
+            t2, img = edge_image(t, fam, gname)
+            if img not in fam_sets[t2]:
+                return False
+        return True
+
+    # check each family once, then drop families with an edge image not kept
+    for t in sorted(T.nodes):
+        fam_sets[t] = {fam for fam in fam_sets[t] if holds(t, fam)}
     changed = True
     while changed:
         changed = False
         for t in sorted(T.nodes):
-            drop = set()
-            for fam in fam_sets[t]:
-                # attribute readings on t itself must not conflict
-                bad = False
-                for (aname, _ty) in T.node_attrs[t]:
-                    ok, _v = read_attr(t, fam, aname)
-                    if not ok:
-                        bad = True
-                        break
-                if not bad:
-                    for (gname, _tgt) in T.out_edges[t]:
-                        t2, img = edge_image(t, fam, gname)
-                        if img not in fam_sets[t2]:
-                            bad = True
-                            break
-                if not bad:
-                    for eq in attr_eqs:
-                        if eq.lhs.source != t:
-                            continue
-                        lv = eval_family_attr_path(t, fam, eq.lhs)
-                        if isinstance(eq.rhs, ConstPath):
-                            rv = ("value", eq.rhs.value)
-                        else:
-                            rv = eval_family_attr_path(t, fam, eq.rhs)
-                        if lv[0] != "value" or rv[0] != "value":
-                            bad = True
-                            break
-                        lval, rval = lv[1], rv[1]
-                        # unread attributes become per-family nulls; a null side
-                        # can only match the same unread-null side
-                        if lval is None or rval is None:
-                            if not (lval is None and rval is None and eq.lhs == eq.rhs):
-                                bad = True
-                                break
-                        elif lval != rval:
-                            bad = True
-                            break
-                if bad:
-                    drop.add(fam)
+            drop = {fam for fam in fam_sets[t] if not images_kept(t, fam)}
             if drop:
                 fam_sets[t] -= drop
                 changed = True

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Mapping, Path, Schema, make_schema
-from .errors import CatqlError, SchemaError
+from .errors import SchemaError
 from .instances import (
     Instance,
     LabelledNull,
@@ -71,8 +71,7 @@ def relation_shape(s: Schema):
 
 def build_fn(n: int, source: Schema = None, target: Schema = None) -> Mapping:
     """F_n: relation schema -> function schema; right becomes the n-fold parent path."""
-    if n < 0:
-        raise CatqlError("closure index must be nonnegative")
+    _check_depth(n)
     T = source or relation_schema()
     S = target or function_schema()
     rt = relation_shape(T)
@@ -225,12 +224,14 @@ class ScenarioConfig:
     path_bound: int = 512
     target_node: str = "material"
     name_attr: str = "material_Material_Name"
-    portal_name: str = "portal"
-    relation_name: str = "isa_prime"
 
 
-def generate_enrichment(s: Schema, target_node: str, name_attr: str,
-                        portal_name: str = "portal", relation_name: str = "isa_prime") -> str:
+# the names under which `enrich` binds the instance and the is-a relation
+PORTAL_NAME = "portal"
+RELATION_NAME = "isa_prime"
+
+
+def generate_enrichment(s: Schema, target_node: str, name_attr: str) -> str:
     """Script text that enriches an instance along every edge into target_node.
 
     Each incoming edge contributes an enrich step (a join of the instance with
@@ -249,7 +250,7 @@ def generate_enrichment(s: Schema, target_node: str, name_attr: str,
         f"# enrichment generated for schema {s.name}: "
         f"retarget edges into {target_node} along the is-a relation",
     ]
-    prev = portal_name
+    prev = PORTAL_NAME
     if not incoming:
         lines.append(f"let enriched = union {prev} {prev};")
         return "\n".join(lines) + "\n"
@@ -259,7 +260,7 @@ def generate_enrichment(s: Schema, target_node: str, name_attr: str,
         out_name = "enriched" if last else f"enriched_{i}"
         lines.append(
             f"let {new_name} = enrich {prev} edge {src}.{ename} "
-            f"using {relation_name} name {name_attr};"
+            f"using {RELATION_NAME} name {name_attr};"
         )
         lines.append(f"let {out_name} = union {prev} {new_name};")
         prev = out_name
@@ -351,11 +352,9 @@ def enrich(I: Instance, isa_prime: Instance, cfg: ScenarioConfig) -> Instance:
     from .parsing import parse_script
     from .scripts import Environment, run_script
 
-    text = generate_enrichment(
-        I.schema, cfg.target_node, cfg.name_attr, cfg.portal_name, cfg.relation_name
-    )
+    text = generate_enrichment(I.schema, cfg.target_node, cfg.name_attr)
     env = Environment()
-    env.define(cfg.portal_name, "instance", I, 0)
-    env.define(cfg.relation_name, "instance", isa_prime, 0)
+    env.define(PORTAL_NAME, "instance", I, 0)
+    env.define(RELATION_NAME, "instance", isa_prime, 0)
     env, _outputs = run_script(parse_script(text), env, cfg.path_bound)
     return env.lookup("enriched", "instance", 0)

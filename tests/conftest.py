@@ -8,10 +8,12 @@ import random
 import pytest
 
 from catql.core import (
+    ConstPath,
     Mapping,
     Path,
     PathEquation,
     Schema,
+    all_morphisms_from,
     enumerate_morphisms,
     make_schema,
     validate_mapping,
@@ -21,6 +23,10 @@ from catql.instances import Instance, validate_instance
 
 
 DATA = ir.files("catql") / "data"
+
+# attribute values of random instances, and the constants random schemas
+# and mappings use
+VALUE_POOLS = {"string": ["red", "blue", "green"], "integer": [0, 1, 7]}
 
 
 def read_data(name: str) -> str:
@@ -71,8 +77,22 @@ def _find_equation(rng, s):
     return []
 
 
+def _attr_paths(s: Schema, node):
+    """(attribute-valued path, base type) for each path class out of node
+    followed by an attribute at its end.  Sorted by str: the key order of
+    all_morphisms_from's result follows hash(None), which differs between
+    processes on Python 3.11 even under a fixed PYTHONHASHSEED."""
+    by_target, _saturated = all_morphisms_from(s, node)
+    found = [(Path(node, p.steps, a), ty)
+             for end, ps in by_target.items() for p in ps
+             for (a, ty) in s.node_attrs[end]]
+    return sorted(found, key=lambda pt: str(pt[0]))
+
+
 def rand_mapping(rng: random.Random, S: Schema, T: Schema, tries=30):
-    """A random functor S -> T, or None when the shapes don't allow one."""
+    """A random functor S -> T, or None when the shapes don't allow one.
+    Each attribute goes to an attribute path of its type, or to a constant
+    (always when T has no such path)."""
     s_nodes = sorted(S.nodes)
     t_nodes = sorted(T.nodes)
     for _ in range(tries):
@@ -91,7 +111,14 @@ def rand_mapping(rng: random.Random, S: Schema, T: Schema, tries=30):
             em[(src, ename)] = rng.choice(choices)
         if not ok:
             continue
-        F = Mapping(source=S, target=T, nodes=nm, edges=em, attrs={})
+        am = {}
+        for (aname, src, ty) in sorted(S.attributes):
+            choices = [p for (p, pty) in _attr_paths(T, nm[src]) if pty == ty]
+            if not choices or rng.random() < 0.2:
+                am[(src, aname)] = ConstPath(rng.choice(VALUE_POOLS[ty]))
+            else:
+                am[(src, aname)] = rng.choice(choices)
+        F = Mapping(source=S, target=T, nodes=nm, edges=em, attrs=am)
         try:
             validate_mapping(F)
         except CatqlError:
@@ -104,8 +131,6 @@ def rand_instance(rng: random.Random, s: Schema, max_rows=3, allow_empty=True,
                   tries=50) -> Instance:
     """A random valid instance; retries edge functions until equations hold."""
     lo = 0 if allow_empty else 1
-    str_pool = ["red", "blue", "green"]
-    int_pool = [0, 1, 7]
     for attempt in range(tries):
         rows = {n: [f"r{i}" for i in range(rng.randint(lo, max_rows))]
                 for n in sorted(s.nodes)}
@@ -120,7 +145,7 @@ def rand_instance(rng: random.Random, s: Schema, max_rows=3, allow_empty=True,
             continue
         attr_fn = {}
         for (aname, src, ty) in sorted(s.attributes):
-            pool = str_pool if ty == "string" else int_pool
+            pool = VALUE_POOLS[ty]
             attr_fn[(src, aname)] = {r: rng.choice(pool) for r in rows[src]}
         inst = Instance(s, rows, edge_fn, attr_fn)
         try:
@@ -143,6 +168,39 @@ def rand_adjunction_triple(rng: random.Random):
         I = rand_instance(rng, S)
         J = rand_instance(rng, T)
         return F, I, J
+
+
+def _attr_equations(rng: random.Random, s: Schema, k):
+    """Up to k attribute equations on s, whose every node has an attribute.
+    Each starts at a random node and sets an attribute path equal to a
+    constant or to another path of its type."""
+    eqs = []
+    for _ in range(k):
+        node = rng.choice(sorted(s.nodes))
+        paths = _attr_paths(s, node)
+        p, ty = rng.choice(paths)
+        if rng.random() < 0.5:
+            eqs.append(PathEquation(p, ConstPath(rng.choice(VALUE_POOLS[ty]))))
+            continue
+        others = [q for (q, qty) in paths if qty == ty and q != p]
+        if others:
+            eqs.append(PathEquation(p, rng.choice(others)))
+    return eqs
+
+
+def rand_attributed_triple(rng: random.Random):
+    """(F: S->T, I on S, J on T) with attributes on S and T.  T carries
+    attribute equations, constant and path, and F sends each attribute to
+    an attribute path of T or to a constant."""
+    while True:
+        T = rand_dag_schema(rng, "T", with_attrs=True, try_equation=rng.random() < 0.4)
+        eqs = _attr_equations(rng, T, rng.randint(1, 2))
+        T = make_schema(T.name, T.nodes, T.edges, T.attributes, T.equations + tuple(eqs))
+        S = rand_dag_schema(rng, "S", with_attrs=True, try_equation=rng.random() < 0.4)
+        F = rand_mapping(rng, S, T)
+        if F is None:
+            continue
+        return F, rand_instance(rng, S), rand_instance(rng, T)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,12 @@
 """The three migrations: pullback (delta), left pushforward (sigma), limit (pi)."""
 
+import itertools
+import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path as FsPath
 
 import pytest
@@ -15,8 +18,12 @@ from catql.core import (
     Mapping,
     Path,
     PathEquation,
+    enumerate_morphisms,
     identity_mapping,
     make_schema,
+    normalize_path,
+    path_compose,
+    paths_equal,
     validate_mapping,
 )
 from catql.errors import InconsistencyError, NotSaturated
@@ -31,7 +38,7 @@ from catql.instances import (
 from catql.migration import delta, pi, sigma
 from catql.scenario import build_fn, function_schema, relation_pairs, relation_schema
 
-from conftest import rand_adjunction_triple, rand_instance
+from conftest import rand_adjunction_triple, rand_attributed_triple, rand_instance
 
 
 def parent_chain():
@@ -224,6 +231,128 @@ class TestPi:
         for _ in range(15):
             F, I, _J = rand_adjunction_triple(rng)
             validate_instance(pi(F, I))
+
+
+def pi_oracle(F, I, drops, max_product=5000):
+    """pi by brute force, or None when a node's product exceeds max_product.
+
+    A node's families are the product of the source rows over its comma
+    objects, filtered by the comma morphisms.  Then, until nothing changes,
+    a family is dropped when its readings conflict, when an edge image is
+    not kept, or when an attribute equation fails on it, evaluated through
+    kept images only.  drops counts the rule that dropped each family.
+    """
+    S, T = F.source, F.target
+    comma, slot, fams = {}, {}, {}
+    for t in sorted(T.nodes):
+        objs = [(s, q) for s in sorted(S.nodes) for q in enumerate_morphisms(T, t, F.nodes[s])]
+        comma[t] = sorted(objs, key=lambda o: (o[0], len(o[1].steps), o[1].steps))
+        slot[t] = {o: i for i, o in enumerate(comma[t])}
+        if math.prod(len(I.rows[s]) for (s, _q) in comma[t]) > max_product:
+            return None
+    for t in sorted(T.nodes):
+        links = []  # (slot i, edge e, slot j): the row at j is e of the row at i
+        for (e, s, tgt) in sorted(S.edges):
+            for i, (s2, q) in enumerate(comma[t]):
+                if s2 == s:
+                    q2 = normalize_path(T, path_compose(q, F.edges[(s, e)]))
+                    links.append((i, I.edge(s, e), slot[t][(tgt, q2)]))
+        product = itertools.product(*[I.rows[s] for (s, _q) in comma[t]])
+        fams[t] = {f for f in product if all(fn[f[i]] == f[j] for (i, fn, j) in links)}
+
+    readings = {
+        (t, a): [(i, s, sa) for i, (s, q) in enumerate(comma[t])
+                 for (sa, _ty) in S.node_attrs[s]
+                 if isinstance(F.attrs[(s, sa)], Path)
+                 and paths_equal(T, Path(t, (), a), path_compose(q, F.attrs[(s, sa)]))]
+        for (a, t, _ty) in T.attributes
+    }
+
+    def read(t, fam, a):
+        """("conflict",), or ("value", v) for the one value the readings
+        give, None when nothing reads a."""
+        vals = {I.attr(s, sa)[fam[i]] for (i, s, sa) in readings[(t, a)]}
+        if len(vals) > 1:
+            return ("conflict",)
+        return ("value", vals.pop() if vals else None)
+
+    def image(t, fam, g):
+        t2 = T.edge_table[(t, g)]
+        return t2, tuple(fam[slot[t][(s, normalize_path(T, Path(t, (g,) + q.steps)))]]
+                         for (s, q) in comma[t2])
+
+    def value(t, fam, p):
+        if isinstance(p, ConstPath):
+            return ("value", p.value)
+        for g in p.steps:
+            t, fam = image(t, fam, g)
+            if fam not in fams[t]:
+                return ("missing",)
+        return read(t, fam, p.attr)
+
+    def drop_rule(t, fam):
+        if any(read(t, fam, a)[0] == "conflict" for (a, _ty) in T.node_attrs[t]):
+            return "reading conflict"
+        for (g, _t2) in T.out_edges[t]:
+            t2, img = image(t, fam, g)
+            if img not in fams[t2]:
+                return "edge image"
+        for eq in T.equations:
+            if eq.lhs.source != t or not (eq.lhs.attr or isinstance(eq.rhs, ConstPath)
+                                          or eq.rhs.attr):
+                continue
+            (lk, *lv), (rk, *rv) = value(t, fam, eq.lhs), value(t, fam, eq.rhs)
+            if lk != "value" or rk != "value":
+                return "equation side " + (lk if lk != "value" else rk)
+            if None in lv + rv:
+                if not (lv == rv and eq.lhs == eq.rhs):
+                    return "null rule"
+            elif lv != rv:
+                return "equation value"
+        return None
+
+    changed = True
+    while changed:
+        changed = False
+        for t in sorted(T.nodes):
+            for fam in sorted(fams[t]):
+                rule = drop_rule(t, fam)
+                if rule:
+                    fams[t].discard(fam)
+                    drops[rule] += 1
+                    changed = True
+
+    ids = {(t, fam): f"pi{i}_{t}" for t in T.nodes for i, fam in enumerate(sorted(fams[t]))}
+    rows = {t: [ids[(t, fam)] for fam in fams[t]] for t in T.nodes}
+    edge_fn = {(t, g): {ids[(t, fam)]: ids[image(t, fam, g)] for fam in fams[t]}
+               for (g, t, _t2) in T.edges}
+    attr_fn = {}
+    for (a, t, _ty) in T.attributes:
+        attr_fn[(t, a)] = {}
+        for fam in fams[t]:
+            v = read(t, fam, a)[1]
+            rid = ids[(t, fam)]
+            attr_fn[(t, a)][rid] = LabelledNull(f"pi!{t}!{a}!{rid}") if v is None else v
+    return Instance(T, rows, edge_fn, attr_fn)
+
+
+class TestPiAgainstOracle:
+    def test_attributed_triples(self):
+        rng = random.Random(41)
+        drops = Counter()
+        compared = 0
+        for _ in range(320):
+            F, I, _J = rand_attributed_triple(rng)
+            want = pi_oracle(F, I, drops)
+            if want is None:
+                continue
+            got = pi(F, I)
+            assert (got.rows, got.edge_fn, got.attr_fn) == (want.rows, want.edge_fn, want.attr_fn)
+            compared += 1
+        assert compared >= 300
+        rules = ["reading conflict", "edge image", "equation side conflict",
+                 "null rule", "equation value"]
+        assert all(drops[rule] >= 10 for rule in rules), drops
 
 
 class TestAdjunctionsSmoke:

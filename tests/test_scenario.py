@@ -81,7 +81,7 @@ class TestBuildFn:
         validate_mapping(F)
 
     def test_negative_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(SchemaError, match="^closure depth must be nonnegative, got -1$"):
             build_fn(-1)
 
 
