@@ -1,7 +1,7 @@
-"""The semantic-enrichment scenario: reflexive transitive closure of a
-parenthood function via the F_n mapping family, relation algebra over the
-span schema, synonym translation, and schema-driven enrichment of imported
-relational data.
+"""The semantic-enrichment scenario: the reflexive transitive closure of a
+parenthood function (the union of its pullbacks along the F_n mapping family)
+or of a relation, both by one semi-naive walk; relation algebra over the span
+schema; synonym translation; and schema-driven enrichment of imported data.
 """
 
 from __future__ import annotations
@@ -10,15 +10,7 @@ from dataclasses import dataclass
 
 from .core import Mapping, Path, Schema, make_schema
 from .errors import SchemaError
-from .instances import (
-    Instance,
-    LabelledNull,
-    disjoint_union_many,
-    join,
-    path_fn,
-    relationalize,
-    validate_instance,
-)
+from .instances import Instance, LabelledNull, join, path_fn, validate_instance
 
 
 def function_schema() -> Schema:
@@ -92,61 +84,87 @@ def build_fn(n: int, source: Schema = None, target: Schema = None) -> Mapping:
     )
 
 
+def _reach(succ: dict, n: int) -> dict:
+    """For each row of succ ({row: its successors}), {row: the least depth
+    <= n at which it is reached}.  Semi-naive (Bancilhon and Ramakrishnan,
+    1986): each round expands only the rows first reached in the round
+    before, so each (start, row) pair is expanded once, and a start stops as
+    soon as its frontier is empty.
+    """
+    out = {}
+    for x in succ:
+        out[x] = depth = {x: 0}
+        frontier = [x]
+        for d in range(1, n + 1):
+            frontier = {y: d for r in frontier for y in succ[r] if y not in depth}
+            if not frontier:
+                break
+            depth.update(frontier)
+    return out
+
+
+def _span(ids: dict, pairs: dict) -> Instance:
+    """The relation with one Material row ids[name] per name and the isa rows
+    {id: (left name, right name)}."""
+    left, right = ({r: ids[p[i]] for r, p in pairs.items()} for i in (0, 1))
+    return Instance(
+        relation_schema(),
+        {"Material": ids.values(), "isa": pairs},
+        {("isa", "left"): left, ("isa", "right"): right},
+        {("Material", "name"): {m: a for a, m in ids.items()}},
+    )
+
+
 def transitive_closure(parent_inst: Instance, n: int) -> Instance:
-    """Union of the F_k pullbacks for k = 0..n: the reflexive transitive
-    closure of the parenthood function once n is large enough."""
+    """The union of the pullbacks along F_k for k = 0..n, relationalized: the
+    reflexive transitive closure of the parenthood function once n is large
+    enough, and the diagonal at n = 0.  One semi-naive walk up each row's
+    parents gives it.  A Material row stands for all rows with its name and is
+    keyed "0.<least row>"; an isa row is keyed "<k>.<row>" by the least
+    (depth k, start row), k compared as a number, that gives its pair of names.
+    """
     _check_depth(n)
-    S = parent_inst.schema
-    if function_shape(S) is None:
+    shape = function_shape(parent_inst.schema)
+    if shape is None:
         raise SchemaError("transitive_closure expects an instance on a function schema")
-    T = relation_schema()
-    (fnode, parent, fname) = function_shape(S)
+    (fnode, parent, fname) = shape
     pfn = parent_inst.edge(fnode, parent)
-    mats = list(parent_inst.node_rows(fnode))
-    names = {("Material", "name"): dict(parent_inst.attr(fnode, fname))}
-    # step k is delta(build_fn(k)) — the right leg is the k-fold parent;
-    # computed incrementally instead of re-walking the path for every k
-    steps = []
-    right = {x: x for x in mats}
-    for _k in range(n + 1):
-        steps.append(
-            Instance(
-                T,
-                {"Material": mats, "isa": mats},
-                {("isa", "left"): {x: x for x in mats}, ("isa", "right"): dict(right)},
-                names,
-            )
-        )
-        right = {x: pfn[right[x]] for x in mats}
-    return relationalize(disjoint_union_many(steps))
+    name = parent_inst.attr(fnode, fname)
+    rows = parent_inst.node_rows(fnode)
+    # name -> "0.<its least row>": in reversed row order the least row comes last
+    mat = {name[x]: f"0.{x}" for x in reversed(rows)}
+    isa = {}  # (left, right name) -> least (depth, start row); starts run in row order
+    for x, depth in _reach({r: (pfn[r],) for r in rows}, n).items():
+        for y, d in depth.items():
+            key = (name[x], name[y])
+            if key not in isa or d < isa[key][0]:
+                isa[key] = (d, x)
+    return _span(mat, {f"{d}.{x}": key for key, (d, x) in isa.items()})
+
+
+def _legs(R: Instance):
+    """(relation rows, row -> left name, row -> right name) of a relation instance."""
+    shape = relation_shape(R.schema)
+    if shape is None:
+        raise SchemaError("not a relation instance")
+    (rnode, left, right, _elem, aname) = shape
+    return (R.rows[rnode], *(path_fn(R, Path(rnode, (e,), aname)) for e in (left, right)))
 
 
 def relation_pairs(R: Instance) -> set:
     """The relation as a set of (left name, right name) pairs."""
-    shape = relation_shape(R.schema)
-    if shape is None:
-        raise SchemaError("not a relation instance")
-    (rnode, left, right, elem, aname) = shape
-    out = set()
-    for r in R.node_rows(rnode):
-        a = R.attr(elem, aname)[R.edge(rnode, left)[r]]
-        b = R.attr(elem, aname)[R.edge(rnode, right)[r]]
-        out.add((a, b))
-    return out
+    rows, left, right = _legs(R)
+    return set(zip(map(left, rows), map(right, rows)))
 
 
 def relation_from_pairs(pairs) -> Instance:
-    """Build a relation instance on the canonical span schema from name pairs."""
-    T = relation_schema()
-    names = sorted({x for p in pairs for x in p})
-    spairs = sorted(pairs)
-    rows = {"Material": list(names), "isa": [f"p{i}" for i in range(len(spairs))]}
-    edge_fn = {
-        ("isa", "left"): {f"p{i}": a for i, (a, b) in enumerate(spairs)},
-        ("isa", "right"): {f"p{i}": b for i, (a, b) in enumerate(spairs)},
-    }
-    attr_fn = {("Material", "name"): {x: x for x in names}}
-    return Instance(T, rows, edge_fn, attr_fn)
+    """Build a relation instance on the canonical span schema from name pairs:
+    each name is its own Material id; the sorted pairs are p0, p1, ..."""
+    names = {x for p in pairs for x in p}
+    nulls = sorted(str(x) for x in names if isinstance(x, LabelledNull))
+    if nulls:
+        raise SchemaError(f"relation element {nulls[0]} is a labelled null, not a name")
+    return _span({x: x for x in names}, {f"p{i}": p for i, p in enumerate(sorted(pairs))})
 
 
 def op_relation(R: Instance) -> Instance:
@@ -166,18 +184,7 @@ def op_relation(R: Instance) -> Instance:
 def compose_relations(R1: Instance, R2: Instance) -> Instance:
     """Relation composition: the pairs (a.left, b.right) of the rows a of R1
     and b of R2 joined on a.right.name = b.left.name."""
-    sides = []
-    for R in (R1, R2):
-        shape = relation_shape(R.schema)
-        if shape is None:
-            raise SchemaError("not a relation instance")
-        (rnode, left, right, _elem, aname) = shape
-        sides.append((
-            R.rows[rnode],
-            path_fn(R, Path(rnode, (left,), aname)),
-            path_fn(R, Path(rnode, (right,), aname)),
-        ))
-    (rows1, left1, right1), (rows2, left2, right2) = sides
+    (rows1, left1, right1), (rows2, left2, right2) = _legs(R1), _legs(R2)
     joined = join([rows1, rows2], [[((0, right1), (1, left2))]])
     return relation_from_pairs({(left1(a), right2(b)) for (a, b) in joined})
 
@@ -188,19 +195,16 @@ def _check_depth(n: int):
 
 
 def closure_relation(R: Instance, n: int) -> Instance:
-    """Reflexive transitive closure of a relation: diagonal seeding plus
-    iterated composition up to n-fold."""
+    """Reflexive transitive closure of a relation up to n steps: one
+    semi-naive walk over the name graph from each name in R, so depth 0
+    gives the diagonal and depth 1 adds R."""
     _check_depth(n)
-    base = relation_pairs(R)
-    names = {x for p in base for x in p}
-    acc = {(x, x) for x in names} | base
-    cur = base
-    for _k in range(2, n + 1):
-        cur = relation_pairs(compose_relations(relation_from_pairs(cur), R))
-        if cur <= acc:
-            break
-        acc |= cur
-    return relation_from_pairs(acc)
+    succ = {}
+    for (a, b) in relation_pairs(R):
+        succ.setdefault(a, []).append(b)
+        succ.setdefault(b, [])
+    reach = _reach(succ, n)
+    return relation_from_pairs({(a, b) for a, depth in reach.items() for b in depth})
 
 
 def closure_auto(I: Instance, n: int) -> Instance:
@@ -213,7 +217,6 @@ def closure_auto(I: Instance, n: int) -> Instance:
 
 def translate_isa(isa: Instance, syn: Instance, n: int) -> Instance:
     """op(syn) ; isa ; syn, then the reflexive transitive closure of the result."""
-    _check_depth(n)
     isa2 = compose_relations(compose_relations(op_relation(syn), isa), syn)
     return closure_relation(isa2, n)
 
@@ -282,16 +285,12 @@ def enrich_edge(I: Instance, node: str, edge: str, rel: Instance, name_attr: str
     target = et[(node, edge)]
     if s.attr_table.get((target, name_attr)) != "string":
         raise SchemaError(f"target node {target!r} has no string attribute {name_attr!r}")
-    rshape = relation_shape(rel.schema)
-    if rshape is None:
+    if relation_shape(rel.schema) is None:
         raise SchemaError("enrich needs a relation instance")
-    (rnode, left, right, _elem, rname) = rshape
-
-    right_name = path_fn(rel, Path(rnode, (right,), rname))
+    rel_rows, left_name, right_name = _legs(rel)
     joined = join(
-        [I.rows[node], rel.rows[rnode]],
-        [[((0, path_fn(I, Path(node, (edge,), name_attr))),
-           (1, path_fn(rel, Path(rnode, (left,), rname))))]],
+        [I.rows[node], rel_rows],
+        [[((0, path_fn(I, Path(node, (edge,), name_attr))), (1, left_name))]],
     )
     pairs = {(x, right_name(p)) for (x, p) in joined}
     # a labelled-null new name names no target row

@@ -74,7 +74,85 @@ class TestImportSql:
         assert "fk spec" in err
 
 
+# `catql closure --closure-n 3 parent.catql`, pinned: materials keyed by their
+# least row, each pair by the least (depth, row) that reaches it
+PARENT_CLOSURE_3 = (
+    "Material (6 rows)\n"
+    "id       | name                \n"
+    "---------+---------------------\n"
+    "0.m17    | ferrous-17-4PH      \n"
+    "0.m420   | ferrous-420         \n"
+    "0.mal    | ferrous-alloy       \n"
+    "0.matter | matter              \n"
+    "0.mph    | ferrous-PH-stainless\n"
+    "0.mss    | ferrous-stainless   \n"
+    "\n"
+    "isa (18 rows)\n"
+    "id       | left     | right   \n"
+    "---------+----------+---------\n"
+    "0.m17    | 0.m17    | 0.m17   \n"
+    "0.m420   | 0.m420   | 0.m420  \n"
+    "0.mal    | 0.mal    | 0.mal   \n"
+    "0.matter | 0.matter | 0.matter\n"
+    "0.mph    | 0.mph    | 0.mph   \n"
+    "0.mss    | 0.mss    | 0.mss   \n"
+    "1.m17    | 0.m17    | 0.mph   \n"
+    "1.m420   | 0.m420   | 0.mph   \n"
+    "1.mal    | 0.mal    | 0.matter\n"
+    "1.mph    | 0.mph    | 0.mss   \n"
+    "1.mss    | 0.mss    | 0.mal   \n"
+    "2.m17    | 0.m17    | 0.mss   \n"
+    "2.m420   | 0.m420   | 0.mss   \n"
+    "2.mph    | 0.mph    | 0.mal   \n"
+    "2.mss    | 0.mss    | 0.matter\n"
+    "3.m17    | 0.m17    | 0.mal   \n"
+    "3.m420   | 0.m420   | 0.mal   \n"
+    "3.mph    | 0.mph    | 0.matter\n"
+    "\n"
+)
+
+# a relation whose element names are labelled nulls: sigma of a span schema
+# without a name attribute
+NULL_NAMED_RELATION = """
+schema P { nodes isa, Material; edge left : isa -> Material; edge right : isa -> Material; }
+schema T {
+  nodes isa, Material;
+  edge left : isa -> Material;
+  edge right : isa -> Material;
+  attribute name : Material -> string;
+}
+instance R0 : P {
+  node Material { a; b; }
+  node isa { p; }
+  edge isa.left { p -> a; }
+  edge isa.right { p -> b; }
+}
+mapping F : P -> T {
+  node isa -> isa;
+  node Material -> Material;
+  edge isa.left -> isa.left;
+  edge isa.right -> isa.right;
+}
+let R = sigma F R0;
+"""
+
+
 class TestClosure:
+    def test_parent_closure_pinned(self, capsys):
+        code, out, _err = run_cli(
+            capsys, "closure", "--closure-n", "3", data_path("parent.catql")
+        )
+        assert code == 0
+        assert out == PARENT_CLOSURE_3
+
+    def test_labelled_null_names_user_error(self, tmp_path, capsys):
+        script = tmp_path / "s.catql"
+        script.write_text(NULL_NAMED_RELATION)
+        code, _out, err = run_cli(capsys, "closure", str(script), "R")
+        assert code == 1
+        assert "relation element ?sk!Material!name!" in err
+        assert "is a labelled null" in err
+
     def test_parent_closure(self, capsys):
         code, out, _err = run_cli(
             capsys, "closure", "--closure-n", "3", data_path("parent.catql")

@@ -1,19 +1,22 @@
 """Scenario operations: F_n, closures, relation algebra, enrichment."""
 
 import random
+import time
 
 import pytest
 
-from catql.core import Path, validate_mapping
+from catql.core import Path, make_schema, validate_mapping
 from catql.errors import SchemaError
 from catql.instances import (
     Instance,
     LabelledNull,
+    disjoint_union_many,
     enumerate_homs,
     iso_check,
     relationalize,
     validate_instance,
 )
+from catql.migration import delta
 from catql.parsing import parse_script
 from catql.scenario import (
     ScenarioConfig,
@@ -64,6 +67,49 @@ def rt_closure_oracle(parent):
     return reach
 
 
+def bundled_parent():
+    env, _ = run_script(parse_script(read_data("parent.catql")))
+    return env.lookup("parent", "instance", 0)
+
+
+def union_of_pullbacks(I, n):
+    """The paper's construction: the pullbacks of I along F_0..F_n, unioned."""
+    steps = [delta(build_fn(k, relation_schema(), I.schema), I) for k in range(n + 1)]
+    return relationalize(disjoint_union_many(steps))
+
+
+def iterated_composition(R, n):
+    """R^0 | R^1 | ... | R^n by naive composition, R^0 the diagonal on R's names."""
+    base = relation_pairs(R)
+    cur = {(x, x) for p in base for x in p}
+    acc = set(cur)
+    for _k in range(n):
+        cur = relation_pairs(compose_relations(relation_from_pairs(cur), R))
+        acc |= cur
+    return relation_from_pairs(acc)
+
+
+def rand_parent(rng):
+    """A parent function on up to 12 rows, on a function schema with random
+    names, whose rows may share a name or have a labelled-null one."""
+    node, edge, attr = rng.choice([("Material", "parent", "name"), ("T", "up", "label")])
+    s = make_schema("P", [node], [(edge, node, node)], [(attr, node, "string")])
+    rows = [f"r{i}" for i in range(rng.randint(1, 12))]
+    pool = [f"w{i}" for i in range(rng.randint(1, len(rows)))]
+    pool += [LabelledNull("u"), LabelledNull("v")]
+    names = {r: rng.choice(pool) if rng.random() < 0.5 else f"n{r}" for r in rows}
+    return Instance(
+        s,
+        {node: rows},
+        {(node, edge): {r: rng.choice(rows) for r in rows}},
+        {(node, attr): names},
+    )
+
+
+def same_instance(a, b):
+    return (a.rows, a.edge_fn, a.attr_fn) == (b.rows, b.edge_fn, b.attr_fn)
+
+
 class TestBuildFn:
     def test_f0_both_identity(self):
         F = build_fn(0)
@@ -110,6 +156,73 @@ class TestTransitiveClosure:
         I = make_parent({"a": "b", "b": "b"})
         validate_instance(transitive_closure(I, 2))
 
+    def test_isa_id_is_least_depth_then_row(self):
+        """Depths compare as numbers: the pair first reached at depth 4 keeps
+        that depth in its id at any larger n."""
+        out = transitive_closure(bundled_parent(), 10)
+        name = out.attr("Material", "name")
+        ids = {
+            (name[out.edge("isa", "left")[r]], name[out.edge("isa", "right")[r]]): r
+            for r in out.node_rows("isa")
+        }
+        assert ids[("ferrous-17-4PH", "matter")] == "4.m17"
+        assert ids[("ferrous-420", "matter")] == "4.m420"
+        assert ids[("matter", "matter")] == "0.matter"
+
+
+class TestClosureOracles:
+    def test_transitive_closure_is_union_of_pullbacks(self):
+        """Same instance as the union of the F_k pullbacks up to depth 9, and
+        the same pairs at every depth; ids differ beyond 9 only because the
+        union's ids compare depths as strings."""
+        rng = random.Random(1101)
+        for case in range(200):
+            I = rand_parent(rng)
+            for n in (rng.randint(0, 9), rng.randint(10, 30)):
+                got, want = transitive_closure(I, n), union_of_pullbacks(I, n)
+                assert relation_pairs(got) == relation_pairs(want), f"case {case}, n={n}"
+                if n <= 9:
+                    assert same_instance(got, want), f"case {case}, n={n}"
+
+    def test_closure_relation_is_iterated_composition(self):
+        rng = random.Random(1102)
+        for case in range(200):
+            names = [f"a{i}" for i in range(rng.randint(1, 8))]
+            R = relation_from_pairs(
+                {(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 12))}
+            )
+            n = rng.randint(0, 8)
+            assert same_instance(closure_relation(R, n), iterated_composition(R, n)), (
+                f"case {case}, n={n}"
+            )
+
+    def test_shapes_agree_from_depth_0(self):
+        """A parent function and the relation of its (row, parent) pairs have
+        the same closure at every depth; at depth 0 it is the diagonal."""
+        rng = random.Random(1103)
+        for case in range(50):
+            names = [f"w{i}" for i in range(rng.randint(1, 10))]
+            parent = {a: rng.choice(names) for a in names}
+            fn = make_parent(parent)
+            rel = relation_from_pairs(set(parent.items()))
+            assert relation_pairs(closure_auto(fn, 0)) == {(a, a) for a in names}
+            for n in range(6):
+                assert relation_pairs(closure_auto(fn, n)) == relation_pairs(
+                    closure_auto(rel, n)
+                ), f"case {case}, n={n}"
+
+    def test_cost_does_not_grow_with_depth(self):
+        """Each walk stops once it reaches nothing new, so a huge depth costs
+        what depth |M| does and gives the same instance."""
+        rng = random.Random(1104)
+        names = [f"a{i}" for i in range(40)]
+        rel = relation_from_pairs({(rng.choice(names), rng.choice(names)) for _ in range(80)})
+        start = time.perf_counter()
+        for inst in (bundled_parent(), rel):
+            size = len(inst.node_rows("Material"))
+            assert same_instance(closure_auto(inst, 10**9), closure_auto(inst, size))
+        assert time.perf_counter() - start < 1.0
+
 
 class TestRelationAlgebra:
     def test_op_involution(self):
@@ -153,8 +266,7 @@ class TestRelationAlgebra:
             assert iso_check(a, b)
 
     def test_compose_on_bundled_closure_pinned(self):
-        env, _ = run_script(parse_script(read_data("parent.catql")))
-        isa = closure_auto(env.lookup("parent", "instance", 0), 3)
+        isa = closure_auto(bundled_parent(), 3)
         expected = set()
         for (a, bs) in [
             ("ferrous-17-4PH", "ferrous-17-4PH ferrous-PH-stainless ferrous-alloy "
@@ -170,6 +282,10 @@ class TestRelationAlgebra:
             expected |= {(a, b) for b in bs.split()}
         assert len(expected) == 20
         assert relation_pairs(compose_relations(isa, isa)) == expected
+
+    def test_labelled_null_name_rejected(self):
+        with pytest.raises(SchemaError, match=r"relation element \?x is a labelled null"):
+            relation_from_pairs({(LabelledNull("x"), "a"), ("a", "b")})
 
     def test_closure_relation_diagonal_seeded(self):
         R = relation_from_pairs({("a", "b"), ("b", "c")})

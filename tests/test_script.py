@@ -2,7 +2,7 @@
 
 import pytest
 
-from catql.errors import CatqlError, ParseError, ScriptError
+from catql.errors import CatqlError, ParseError, SchemaError, ScriptError
 from catql.parsing import Parser, parse_query, parse_script
 from catql.scripts import Environment, format_script, run_script
 
@@ -241,6 +241,15 @@ class TestRun:
         exports = [o for o in outputs if o[0] == "export"]
         assert len(exports) == 1
         assert "CREATE TABLE" in exports[0][2]
+
+    @pytest.mark.parametrize("stmt", ["closure R 2", "compose R Rop"])
+    def test_relation_of_labelled_nulls_rejected(self, stmt):
+        from test_cli import NULL_NAMED_RELATION
+
+        text = NULL_NAMED_RELATION + f"let Rop = op R;\nlet C = {stmt};\n"
+        with pytest.raises(ScriptError, match="is a labelled null") as info:
+            run_script(parse_script(text))
+        assert isinstance(info.value.__cause__, SchemaError)
 
     def test_closure_statement(self):
         env, outputs = run_script(parse_script(
