@@ -1,17 +1,22 @@
-"""The .catql lexer, and the recursive-descent parsers for the
-.catql script language and its embedded select/from/where query sub-language.
+"""The .catql scanner, and the recursive-descent parsers for the .catql
+script language and its embedded select/from/where query sub-language.
 
-`lex` scans text by a rule table: one master regex with a named group per
-token kind, tried in order.  Its table is CATQL_RULES.  sqlbridge scans SQL
-itself, with one `findall` over the rules of its own table.  The grammar, its
-lexical rules included, is documented bit-exactly in docs/grammar.ebnf.
+`scan_pattern` builds, from a rule table, the pattern by which both .catql
+and SQL (in sqlbridge) are scanned with one C-level regex call: skipped text,
+then one lexeme, to the end of the text.  The .catql scan also captures the
+skipped text, so `re.split` gives it and the lexemes in turn.  The parser
+works on the plain lexeme strings: a STRING lexeme keeps its quotes, so it
+never equals a symbol or a keyword.  A token's kind and value are worked out
+only where the grammar reads a literal or an error is raised, and a line and
+column only for an error or a statement's `line`.  Each node, edge and
+attribute block of an instance is read in one step.  The grammar, its lexical
+rules included, is documented bit-exactly in docs/grammar.ebnf.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import chain
+import sys
 
 from .core import ConstPath, Path
 from .errors import ParseError
@@ -20,37 +25,43 @@ from . import scripts
 
 
 def rule_table(**rules: str) -> re.Pattern:
-    """Compile `kind=regex` rules, in priority order, into one master regex.
-    Matches of the kind SKIP (whitespace, comments) are dropped by `lex`."""
+    """Compile `kind=regex` rules, in priority order, into one master regex:
+    the `lastgroup` of its fullmatch of a lexeme is the lexeme's kind."""
     return re.compile("|".join(f"(?P<{kind}>{rx})" for kind, rx in rules.items()))
 
 
-def lex(rules: re.Pattern, text: str):
-    """Yield the (kind, lexeme, offset) tokens of `text` by a `rule_table`.
-
-    The first character that no rule matches ends the scan: it is yielded as
-    the token (None, character, offset).
-    """
-    pos = 0
-    for m in rules.finditer(text):
-        if m.start() != pos:
-            break
-        kind = m.lastgroup
-        if kind != "SKIP":
-            yield kind, m.group(), pos
-        pos = m.end()
-    if pos < len(text):
-        yield None, text[pos], pos
+def scan_pattern(skip: str, rules: dict) -> re.Pattern:
+    """The regex `skip` (the text skipped before a lexeme), then one lexeme as
+    the last group: a token of `rules`, the empty string at the end of the
+    text, or the rest of the text from the first character that no rule
+    matches."""
+    return re.compile(skip + "(" + "|".join(rules.values()) + r"|\Z|(?s:.+))")
 
 
-CATQL_RULES = rule_table(
-    SKIP=r"[ \t\r\n]+|#[^\n]*",
+_RULES = dict(
     STRING=r'"(?s:\\.|[^"\\])*"',
     INT=r"-?\d+",
     IDENT=r"[^\W\d]\w*",
     SYM=r"->|[{}(),;:.=]",
 )
+_TOKEN = rule_table(**_RULES)
+# Whitespace and '#' comments, captured as the first group.
+_SCAN = scan_pattern(r"((?:[ \t\r\n]+|#[^\n]*)*)", _RULES)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _column(*kinds: str) -> re.Pattern:
+    """A regex for a block column's lexemes joined by spaces, each a token of
+    one of `kinds`.  No lexeme of these kinds holds a space but a STRING, and
+    a STRING ends at its first unescaped quote, so the match is exact."""
+    rx = "|".join(_RULES[k] for k in kinds)
+    return re.compile(rf"(?:(?:{rx})(?: (?:{rx}))*)?")
+
+
+_NAMES, _ROW_IDS = _column("IDENT"), _column("IDENT", "INT")
+_STRINGS, _LITERALS = _column("STRING"), _column("STRING", "INT")
+# int() converts every literal of at most this many digits, whatever its limit.
+_INT_SAFE = sys.int_info.str_digits_check_threshold
 
 KEYWORDS = {
     "schema", "instance", "mapping", "query", "let", "show", "export",
@@ -60,108 +71,162 @@ KEYWORDS = {
 }
 
 
-@dataclass
-class Token:
-    kind: str  # IDENT, INT, STRING, SYM, EOF
-    value: object
-    line: int
-    column: int
+def _kind(lexeme: str) -> str:
+    """IDENT, INT, STRING or SYM; EOF for the empty lexeme at the end."""
+    return _TOKEN.fullmatch(lexeme).lastgroup if lexeme else "EOF"
+
+
+def _unquote(lexeme: str) -> str:
+    s = lexeme[1:-1]
+    return _ESCAPE.sub(r"\1", s) if "\\" in s else s
+
+
+def _row_ids(col):
+    """The row ids of a column of lexemes, or None if one is not a NAME or an
+    INT.  An INT row id is the string of its value, so 01 is row "1"."""
+    if not KEYWORDS.isdisjoint(col):
+        return None
+    joined = " ".join(col)
+    if _NAMES.fullmatch(joined):
+        return col
+    if _ROW_IDS.fullmatch(joined):
+        return [str(int(x)) if _kind(x) == "INT" else x for x in col]
+    return None
+
+
+def _literals(col):
+    """The values of a column of lexemes, or None if one is not a literal."""
+    joined = " ".join(col)
+    if _STRINGS.fullmatch(joined):
+        return [x[1:-1] for x in col] if "\\" not in joined else list(map(_unquote, col))
+    if _LITERALS.fullmatch(joined):
+        return [_unquote(x) if x[0] == '"' else int(x) for x in col]
+    return None
 
 
 class Parser:
     def __init__(self, text: str):
-        self.tokens = []
-        line, line_start, last = 1, 0, 0
-        for kind, value, offset in chain(lex(CATQL_RULES, text), [("EOF", None, len(text))]):
-            newlines = text.count("\n", last, offset)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", last, offset) + 1
-            last = offset
-            column = offset - line_start + 1
-            if kind is None and value == '"':
-                raise ParseError("unterminated string literal", line, column)
-            if kind is None:
-                raise ParseError(f"unexpected character {value!r}", line, column)
-            if kind == "STRING":
-                value = value[1:-1]
-                if "\\" in value:
-                    value = _ESCAPE.sub(r"\1", value)
-            elif kind == "INT":
-                try:
-                    value = int(value)
-                except ValueError:  # longer than the interpreter converts
-                    raise ParseError(
-                        f"integer literal of {len(value)} digits is too long", line, column
-                    ) from None
-            self.tokens.append(Token(kind, value, line, column))
+        parts = _SCAN.split(text)
+        self.text, self.skips, self.lexemes = text, parts[1::3], parts[2::3]
+        # The last lexeme is the empty EOF; text that ends in skipped text
+        # gives a second one, which is dropped.
+        if len(self.lexemes) > 1 and not self.lexemes[-2]:
+            del self.skips[-1], self.lexemes[-1]
         self.pos = 0
+        self._mark = (0, 0, 1)  # a lexeme, and the offset and line of its skipped text
+        # The first character that no rule matches starts the last lexeme.
+        lexemes = self.lexemes
+        if len(lexemes) > 1 and _TOKEN.fullmatch(lexemes[-2]) is None:
+            c = lexemes[-2][0]
+            message = "unterminated string literal" if c == '"' else f"unexpected character {c!r}"
+            self.raise_at(len(lexemes) - 2, message)
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    # ---- tokens on demand ------------------------------------------------
 
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
+    def position(self, i: int):
+        """(line, column) of lexeme i, counted on from the lexeme last asked
+        for unless i is before it."""
+        j, offset, line = self._mark if i >= self._mark[0] else (0, 0, 1)
+        skip = offset + sum(map(len, self.skips[j:i])) + sum(map(len, self.lexemes[j:i]))
+        line += self.text.count("\n", offset, skip)
+        self._mark = (i, skip, line)
+        offset = skip + len(self.skips[i])
+        return line + self.skips[i].count("\n"), offset - self.text.rfind("\n", 0, offset)
+
+    def value(self, i: int):
+        """The value of lexeme i: an int for an INT, the unescaped text of a
+        STRING, None at the end of the text, else the lexeme."""
+        x = self.lexemes[i]
+        kind = _kind(x)
+        if kind == "STRING":
+            return _unquote(x)
+        if kind == "INT":
+            try:
+                return int(x)
+            except ValueError:  # longer than the interpreter converts
+                self.raise_at(i, f"integer literal of {len(x)} digits is too long")
+        return x or None
+
+    def token(self, i: int):
+        """(kind, value, line, column) of lexeme i."""
+        return (_kind(self.lexemes[i]), self.value(i), *self.position(i))
+
+    def raise_at(self, i: int, message: str):
+        """Raise a ParseError at lexeme i; but at the first INT lexeme that
+        int() refuses if there is one, as a scan that converted every INT
+        would."""
+        for j, x in enumerate(self.lexemes):
+            m = len(x) > _INT_SAFE and _TOKEN.fullmatch(x)
+            if m and m.lastgroup == "INT":
+                try:
+                    int(x)
+                except ValueError:
+                    i, message = j, f"integer literal of {len(x)} digits is too long"
+                    break
+        raise ParseError(message, *self.position(i))
+
+    # ---- reading ---------------------------------------------------------
+
+    def peek(self) -> str:
+        return self.lexemes[self.pos]
+
+    def next(self) -> str:
         self.pos += 1
-        return t
+        return self.lexemes[self.pos - 1]
+
+    def kind(self) -> str:
+        return _kind(self.lexemes[self.pos])
+
+    def at(self, lexeme: str) -> bool:
+        return self.lexemes[self.pos] == lexeme
 
     def error(self, message):
-        t = self.peek()
-        raise ParseError(message + f", got {t.value!r}", t.line, t.column)
+        self.raise_at(self.pos, f"{message}, got {self.value(self.pos)!r}")
 
-    def at_sym(self, sym):
-        t = self.peek()
-        return t.kind == "SYM" and t.value == sym
-
-    def at_kw(self, word):
-        t = self.peek()
-        return t.kind == "IDENT" and t.value == word
-
-    def expect_sym(self, sym) -> Token:
-        if not self.at_sym(sym):
+    def expect_sym(self, sym):
+        if self.lexemes[self.pos] != sym:
             self.error(f"expected {sym!r}")
-        return self.next()
+        self.pos += 1
 
-    def expect_kw(self, word) -> Token:
-        if not self.at_kw(word):
+    def expect_kw(self, word):
+        if self.lexemes[self.pos] != word:
             self.error(f"expected keyword {word!r}")
-        return self.next()
+        self.pos += 1
+
+    def expect_value(self, kinds, message):
+        """The value of the next token, which must be of one of `kinds`."""
+        if self.kind() not in kinds:
+            self.error(message)
+        self.pos += 1
+        return self.value(self.pos - 1)
 
     def expect_ident(self) -> str:
-        t = self.peek()
-        if t.kind != "IDENT":
-            self.error("expected identifier")
-        return self.next().value
+        return self.expect_value(("IDENT",), "expected identifier")
 
     def expect_name(self) -> str:
         """An identifier that is not a reserved keyword."""
-        t = self.peek()
-        if t.kind != "IDENT" or t.value in KEYWORDS:
+        x = self.lexemes[self.pos]
+        if x in KEYWORDS or _kind(x) != "IDENT":
             self.error("expected name")
-        return self.next().value
+        self.pos += 1
+        return x
 
     # ---- shared pieces -------------------------------------------------
 
     def parse_literal_value(self):
-        t = self.peek()
-        if t.kind == "STRING":
-            return self.next().value
-        if t.kind == "INT":
-            return self.next().value
-        self.error("expected literal")
+        return self.expect_value(("STRING", "INT"), "expected literal")
 
     def parse_path(self) -> Path:
         """Node [ '.' step ]* ; attribute terminals are resolved later."""
         source = self.expect_name()
         steps = []
-        while self.at_sym("."):
+        while self.at("."):
             self.next()
             steps.append(self.expect_name())
         return Path(source, tuple(steps))
 
     def parse_path_or_const(self):
-        t = self.peek()
-        if t.kind in ("STRING", "INT"):
+        if self.kind() in ("STRING", "INT"):
             return ConstPath(self.parse_literal_value())
         return self.parse_path()
 
@@ -170,19 +235,19 @@ class Parser:
     def parse_query_body(self) -> Query:
         self.expect_kw("select")
         selects = [self.parse_select_item()]
-        while self.at_sym(","):
+        while self.at(","):
             self.next()
             selects.append(self.parse_select_item())
         self.expect_kw("from")
         bindings = [self.parse_binding()]
-        while self.at_sym(","):
+        while self.at(","):
             self.next()
             bindings.append(self.parse_binding())
         where = []
-        if self.at_kw("where"):
+        if self.at("where"):
             self.next()
             where.append(self.parse_group())
-            while self.at_kw("and"):
+            while self.at("and"):
                 self.next()
                 where.append(self.parse_group())
         return Query(tuple(bindings), tuple(where), tuple(selects))
@@ -198,10 +263,10 @@ class Parser:
         return (self.expect_name(), node)
 
     def parse_group(self) -> Group:
-        if self.at_sym("("):
+        if self.at("("):
             self.next()
             alts = [self.parse_clause()]
-            while self.at_kw("or"):
+            while self.at("or"):
                 self.next()
                 alts.append(self.parse_clause())
             self.expect_sym(")")
@@ -214,15 +279,14 @@ class Parser:
         return Clause(lhs, self.parse_term())
 
     def parse_term(self):
-        t = self.peek()
-        if t.kind in ("STRING", "INT"):
+        if self.kind() in ("STRING", "INT"):
             return Literal(self.parse_literal_value())
         return self.parse_path_expr()
 
     def parse_path_expr(self) -> PathExpr:
         var = self.expect_name()
         steps = []
-        while self.at_sym("."):
+        while self.at("."):
             self.next()
             steps.append(self.expect_name())
         return PathExpr(var, tuple(steps))
@@ -231,43 +295,36 @@ class Parser:
 
     def parse_script(self) -> scripts.Script:
         stmts = []
-        while self.peek().kind != "EOF":
+        while self.peek():
             stmts.append(self.parse_statement())
         return scripts.Script(tuple(stmts))
 
     def parse_statement(self):
         t = self.peek()
-        if t.kind != "IDENT":
-            self.error("expected a declaration keyword")
-        line = t.line
-        if t.value == "schema":
+        line = self.position(self.pos)[0]
+        if t == "schema":
             return self.parse_schema_decl(line)
-        if t.value == "instance":
+        if t == "instance":
             return self.parse_instance_decl(line)
-        if t.value == "mapping":
+        if t == "mapping":
             return self.parse_mapping_decl(line)
-        if t.value == "query":
+        if t == "query":
             return self.parse_query_decl(line)
-        if t.value == "let":
+        if t == "let":
             return self.parse_let(line)
-        if t.value == "show":
+        if t == "show":
             self.next()
             name = self.expect_name()
-            fmt = "ascii"
-            if self.peek().kind == "IDENT" and not self.at_sym(";"):
-                fmt = self.expect_ident()
+            fmt = self.next() if self.kind() == "IDENT" else "ascii"
             self.expect_sym(";")
             return scripts.ShowStmt(name, fmt, line)
-        if t.value == "export":
+        if t == "export":
             self.next()
             name = self.expect_name()
-            tok = self.peek()
-            if tok.kind != "STRING":
-                self.error("expected file name string")
-            fname = self.next().value
+            fname = self.expect_value(("STRING",), "expected file name string")
             self.expect_sym(";")
             return scripts.ExportStmt(name, fname, line)
-        self.error("unknown declaration")
+        self.error("unknown declaration" if self.kind() == "IDENT" else "expected a declaration keyword")
 
     def parse_schema_decl(self, line):
         self.expect_kw("schema")
@@ -276,12 +333,12 @@ class Parser:
         nodes, edges, attributes, equations = [], [], [], []
         self.expect_kw("nodes")
         nodes.append(self.expect_name())
-        while self.at_sym(","):
+        while self.at(","):
             self.next()
             nodes.append(self.expect_name())
         self.expect_sym(";")
-        while not self.at_sym("}"):
-            if self.at_kw("edge"):
+        while not self.at("}"):
+            if self.at("edge"):
                 self.next()
                 ename = self.expect_name()
                 self.expect_sym(":")
@@ -290,20 +347,18 @@ class Parser:
                 tgt = self.expect_name()
                 self.expect_sym(";")
                 edges.append((ename, src, tgt))
-            elif self.at_kw("attribute"):
+            elif self.at("attribute"):
                 self.next()
                 aname = self.expect_name()
                 self.expect_sym(":")
                 src = self.expect_name()
                 self.expect_sym("->")
-                ty = self.peek()
-                if ty.kind == "IDENT" and ty.value in ("string", "integer"):
-                    self.next()
-                else:
+                if self.peek() not in ("string", "integer"):
                     self.error("expected base type 'string' or 'integer'")
+                ty = self.next()
                 self.expect_sym(";")
-                attributes.append((aname, src, ty.value))
-            elif self.at_kw("equation"):
+                attributes.append((aname, src, ty))
+            elif self.at("equation"):
                 self.next()
                 lhs = self.parse_path()
                 self.expect_sym("=")
@@ -322,57 +377,74 @@ class Parser:
         schema_name = self.expect_name()
         self.expect_sym("{")
         rows, edges, attrs = [], [], []
-        while not self.at_sym("}"):
-            if self.at_kw("node"):
+        while not self.at("}"):
+            if self.at("node"):
                 self.next()
                 node = self.expect_name()
-                self.expect_sym("{")
-                ids = []
-                while not self.at_sym("}"):
-                    ids.append(self.parse_row_id())
-                    self.expect_sym(";")
-                self.next()
+                [ids] = self.parse_block(_row_ids, ";")
                 rows.append((node, ids))
-            elif self.at_kw("edge"):
+            elif self.at("edge"):
                 self.next()
                 node = self.expect_name()
                 self.expect_sym(".")
                 ename = self.expect_name()
-                self.expect_sym("{")
-                pairs = []
-                while not self.at_sym("}"):
-                    a = self.parse_row_id()
-                    self.expect_sym("->")
-                    b = self.parse_row_id()
-                    self.expect_sym(";")
-                    pairs.append((a, b))
-                self.next()
-                edges.append((node, ename, pairs))
-            elif self.at_kw("attribute"):
+                a, b = self.parse_block(_row_ids, "->", _row_ids, ";")
+                edges.append((node, ename, list(zip(a, b))))
+            elif self.at("attribute"):
                 self.next()
                 node = self.expect_name()
                 self.expect_sym(".")
                 aname = self.expect_name()
-                self.expect_sym("{")
-                pairs = []
-                while not self.at_sym("}"):
-                    a = self.parse_row_id()
-                    self.expect_sym("=")
-                    v = self.parse_literal_value()
-                    self.expect_sym(";")
-                    pairs.append((a, v))
-                self.next()
-                attrs.append((node, aname, pairs))
+                a, v = self.parse_block(_row_ids, "=", _literals, ";")
+                attrs.append((node, aname, list(zip(a, v))))
             else:
                 self.error("expected node/edge/attribute block")
         self.next()
         return scripts.InstanceDecl(name, schema_name, rows, edges, attrs, line)
 
-    def parse_row_id(self) -> str:
-        t = self.peek()
-        if t.kind == "INT":
-            return str(self.next().value)
-        return self.expect_name()
+    def parse_block(self, *shape):
+        """The columns of an instance block's entries, '{' to '}', read in
+        one step.  `shape` is one entry: `_row_ids` for a row id column,
+        `_literals` for a literal column, or a separator lexeme.  The lexemes
+        up to the first '}' are checked column by column, and the row id and
+        literal columns are returned.  A block that fails is walked entry by
+        entry, which raises the error at its first bad token."""
+        self.expect_sym("{")
+        lexemes, p, width = self.lexemes, self.pos, len(shape)
+        try:
+            q = lexemes.index("}", p)
+        except ValueError:
+            self._walk_block(shape)
+        n, rest = divmod(q - p, width)
+        columns, ok = [], not rest
+        for k, want in enumerate(shape):
+            if not ok:
+                break
+            col = lexemes[p + k:q:width]
+            if isinstance(want, str):
+                ok = col.count(want) == n
+            else:
+                try:
+                    col = want(col)
+                except ValueError:  # an INT that int() refuses
+                    col = None
+                ok = col is not None
+                columns.append(col)
+        if not ok:
+            self._walk_block(shape)
+        self.pos = q + 1
+        return columns
+
+    def _walk_block(self, shape):
+        """Read a block's entries token by token; the first bad token raises."""
+        while not self.at("}"):
+            for want in shape:
+                if want is _literals or (want is _row_ids and self.kind() == "INT"):
+                    self.parse_literal_value()
+                elif want is _row_ids:
+                    self.expect_name()
+                else:
+                    self.expect_sym(want)
 
     def parse_mapping_decl(self, line):
         self.expect_kw("mapping")
@@ -383,15 +455,15 @@ class Parser:
         tgt = self.expect_name()
         self.expect_sym("{")
         node_maps, edge_maps, attr_maps = [], [], []
-        while not self.at_sym("}"):
-            if self.at_kw("node"):
+        while not self.at("}"):
+            if self.at("node"):
                 self.next()
                 a = self.expect_name()
                 self.expect_sym("->")
                 b = self.expect_name()
                 self.expect_sym(";")
                 node_maps.append((a, b))
-            elif self.at_kw("edge"):
+            elif self.at("edge"):
                 self.next()
                 node = self.expect_name()
                 self.expect_sym(".")
@@ -400,7 +472,7 @@ class Parser:
                 p = self.parse_path()
                 self.expect_sym(";")
                 edge_maps.append((node, ename, p))
-            elif self.at_kw("attribute"):
+            elif self.at("attribute"):
                 self.next()
                 node = self.expect_name()
                 self.expect_sym(".")
@@ -441,10 +513,7 @@ class Parser:
             expr = (op, a, b)
         elif op == "closure":
             a = self.expect_name()
-            t = self.peek()
-            if t.kind != "INT":
-                self.error("expected closure depth")
-            expr = (op, a, self.next().value)
+            expr = (op, a, self.expect_value(("INT",), "expected closure depth"))
         elif op == "enrich":
             inst = self.expect_name()
             self.expect_kw("edge")
@@ -469,6 +538,6 @@ def parse_script(text: str) -> scripts.Script:
 def parse_query(text: str) -> Query:
     p = Parser(text)
     q = p.parse_query_body()
-    if p.peek().kind != "EOF":
+    if p.peek():
         p.error("trailing input after query")
     return q

@@ -196,13 +196,14 @@ def _check_depth(n: int):
 
 def closure_relation(R: Instance, n: int) -> Instance:
     """Reflexive transitive closure of a relation up to n steps: one
-    semi-naive walk over the name graph from each name in R, so depth 0
-    gives the diagonal and depth 1 adds R."""
+    semi-naive walk over the name graph from each element name of R, so
+    depth 0 gives the diagonal of every element and depth 1 adds R."""
     _check_depth(n)
-    succ = {}
-    for (a, b) in relation_pairs(R):
-        succ.setdefault(a, []).append(b)
-        succ.setdefault(b, [])
+    pairs = relation_pairs(R)
+    (_rnode, _left, _right, elem, aname) = relation_shape(R.schema)
+    succ = {x: [] for x in R.attr(elem, aname).values()}
+    for (a, b) in pairs:
+        succ[a].append(b)
     reach = _reach(succ, n)
     return relation_from_pairs({(a, b) for a, depth in reach.items() for b in depth})
 

@@ -122,6 +122,26 @@ class Environment:
         return name in self.entries
 
 
+def _block_functions(inst: str, what: str, blocks) -> dict:
+    """{(node, name): {row: value}} of an instance literal's edge or attribute
+    blocks.  A block given twice, or a row listed twice in one block, would
+    lose entries, so either raises a SchemaError."""
+    out = {}
+    for (node, name, pairs) in blocks:
+        if (node, name) in out:
+            raise SchemaError(f"instance {inst!r}: {what} {node}.{name} has two blocks")
+        fn = out[(node, name)] = dict(pairs)
+        if len(fn) < len(pairs):
+            seen = set()
+            for (row, _value) in pairs:
+                if row in seen:
+                    raise SchemaError(
+                        f"instance {inst!r}: {what} {node}.{name} lists row {row!r} twice"
+                    )
+                seen.add(row)
+    return out
+
+
 def run_script(script: Script, env: Optional[Environment] = None, bound: int = 512):
     """Evaluate declarations in order.  Returns (environment, outputs) where
     outputs is a list of ('show'|'export', name-or-filename, text)."""
@@ -141,9 +161,13 @@ def run_script(script: Script, env: Optional[Environment] = None, bound: int = 5
                 env.define(stmt.name, "schema", s, stmt.line)
             elif isinstance(stmt, InstanceDecl):
                 s = env.lookup(stmt.schema_name, "schema", stmt.line)
-                for (node, _ids) in stmt.rows:
+                rows = {}
+                for (node, ids) in stmt.rows:
                     if node not in s.nodes:
                         raise SchemaError(f"unknown node {node!r} in instance {stmt.name!r}")
+                    if node in rows:
+                        raise SchemaError(f"instance {stmt.name!r}: node {node} has two blocks")
+                    rows[node] = ids
                 for (node, e, _pairs) in stmt.edges:
                     if (node, e) not in s.edge_table:
                         raise SchemaError(f"unknown edge {node}.{e} in instance {stmt.name!r}")
@@ -152,9 +176,9 @@ def run_script(script: Script, env: Optional[Environment] = None, bound: int = 5
                         raise SchemaError(f"unknown attribute {node}.{a} in instance {stmt.name!r}")
                 inst = Instance(
                     s,
-                    {node: ids for (node, ids) in stmt.rows},
-                    {(node, e): dict(pairs) for (node, e, pairs) in stmt.edges},
-                    {(node, a): dict(pairs) for (node, a, pairs) in stmt.attrs},
+                    rows,
+                    _block_functions(stmt.name, "edge", stmt.edges),
+                    _block_functions(stmt.name, "attribute", stmt.attrs),
                 )
                 validate_instance(inst)
                 env.define(stmt.name, "instance", inst, stmt.line)

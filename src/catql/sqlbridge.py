@@ -4,12 +4,14 @@ Every table has one leading INT PRIMARY KEY id column; remaining columns are
 attributes (INT, VARCHAR(n)) or foreign keys (REFERENCES, or declared in a
 sidecar fk_spec, or optionally guessed from a *_id naming convention).
 
-The text is scanned by one C-level `findall` of _SQL_SCAN, built from the
-rules of _SQL_RULES: whitespace and `--` comments are skipped, a STRING is
-single- or double-quoted with the quote doubled inside it, INT is an optional
-minus and decimal digits, and IDENT is ASCII.  The first character that no
-rule matches starts one last lexeme, the rest of the text, which is reported
-as an error.  The parser looks a token's kind up only where it needs it.
+The text is scanned by one C-level `findall` of _SQL_SCAN, which
+`parsing.scan_pattern` builds from the rules of _SQL_RULES, as it builds the
+.catql scan: whitespace and `--` comments are skipped, a STRING is single- or
+double-quoted with the quote doubled inside it, INT is an optional minus and
+decimal digits, and IDENT is ASCII.  The first character that no rule matches
+starts one last lexeme, the rest of the text, which is reported as an error
+at its offset, worked out only then.  The parser looks a token's kind up only
+where it needs it.
 Table, column and REFERENCES names must be IDENT tokens, and a VARCHAR length
 an INT token of at least 1.  So export_sql refuses a schema with a node,
 attribute or edge name that is not an IDENT: the text could not be read back.
@@ -20,14 +22,13 @@ column by column.  The checks still raise the error of the first faulty row.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from types import NoneType
 
 from .core import Schema, make_schema
 from .errors import SqlExportError, SqlImportError
 from .instances import Instance, LabelledNull, validate_instance
-from .parsing import rule_table
+from .parsing import rule_table, scan_pattern
 
 
 @dataclass
@@ -51,12 +52,9 @@ _SQL_RULES = dict(
     SYM=r"[(),;]",
 )
 _SQL_TOKEN = rule_table(**_SQL_RULES)
-# Skipped text, then one lexeme: a token, the empty string at the end of the
-# text, or the rest of the text from the first character that no rule matches.
-# A comment must run to the end of its line, so no token is matched inside one.
-_SQL_SCAN = re.compile(
-    r"(?:\s+|--[^\n]*(?![^\n]))*(" + "|".join(_SQL_RULES.values()) + r"|\Z|(?s:.+))"
-)
+# Whitespace and comments are skipped.  A comment must run to the end of its
+# line, so no token is matched inside one.
+_SQL_SCAN = scan_pattern(r"(?:\s+|--[^\n]*(?![^\n]))*", _SQL_RULES)
 
 
 def _literal(tok):

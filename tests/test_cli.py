@@ -206,6 +206,16 @@ class TestShowRunQuery:
         assert code == 1
         assert out == ""
 
+    def test_duplicate_instance_entry_user_error(self, tmp_path, capsys):
+        from test_script import DUPLICATE_ENTRIES
+
+        script = tmp_path / "dup.catql"
+        script.write_text(DUPLICATE_ENTRIES + "show I;\n")
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert code == 1
+        assert out == ""
+        assert "instance 'I': edge a.f lists row 'x' twice" in err
+
     def test_query_subcommand(self, tmp_path, capsys):
         script = tmp_path / "s.catql"
         script.write_text(

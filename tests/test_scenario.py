@@ -211,6 +211,23 @@ class TestClosureOracles:
                     closure_auto(rel, n)
                 ), f"case {case}, n={n}"
 
+    def test_shapes_agree_on_an_element_in_no_pair(self):
+        """Material rows a, b, c and the one pair (a, b): c is in no pair,
+        but it is an element, so it keeps its diagonal pair (c, c), as it
+        does in the parent function a -> b, b -> b, c -> c."""
+        R = Instance(
+            relation_schema(),
+            {"Material": ["a", "b", "c"], "isa": ["p"]},
+            {("isa", "left"): {"p": "a"}, ("isa", "right"): {"p": "b"}},
+            {("Material", "name"): {"a": "a", "b": "b", "c": "c"}},
+        )
+        fn = make_parent({"a": "b", "b": "b", "c": "c"})
+        for n in range(4):
+            pairs = relation_pairs(closure_auto(R, n))
+            assert pairs == relation_pairs(closure_auto(fn, n)), n
+            assert ("c", "c") in pairs
+        assert pairs == {("a", "a"), ("a", "b"), ("b", "b"), ("c", "c")}
+
     def test_cost_does_not_grow_with_depth(self):
         """Each walk stops once it reaches nothing new, so a huge depth costs
         what depth |M| does and gives the same instance."""

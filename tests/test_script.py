@@ -71,7 +71,7 @@ class TestParse:
 
     @staticmethod
     def tokens(text):
-        return [(t.kind, t.value, t.line, t.column) for t in Parser(text).tokens]
+        return [p.token(i) for p in [Parser(text)] for i in range(len(p.lexemes))]
 
     def test_token_kinds_values_positions(self):
         text = "schema S {\n  nodes a_1, b2;\r\n\tattribute v : a_1 -> string; }\n"
@@ -187,6 +187,17 @@ schema S { nodes a; attribute n : a -> string; }
 instance I : S { node a { x; x; } attribute a.n { x = "u"; } }
 """
 
+# An instance literal whose blocks list row x twice; kept whole, it would be
+# a valid instance with f(x) = x and v(x) = 7.
+DUPLICATE_ENTRIES = """
+schema S { nodes a; edge f : a -> a; attribute v : a -> integer; }
+instance I : S {
+  node a { x; y; }
+  edge a.f { x -> y; x -> x; y -> y; }
+  attribute a.v { x = 5; x = 7; y = 1; }
+}
+"""
+
 
 class TestRun:
     def test_demo_outputs(self):
@@ -216,6 +227,23 @@ class TestRun:
     def test_repeated_row_id_rejected(self):
         with pytest.raises(ScriptError):
             run_script(parse_script(REPEATED_ROW))
+
+    @pytest.mark.parametrize("blocks, message", [
+        ("edge a.f { x -> y; x -> x; }", "edge a.f lists row 'x' twice"),
+        ("attribute a.v { x = 5; y = 6; x = 7; }", "attribute a.v lists row 'x' twice"),
+        ("edge a.f { x -> y; } edge a.f { y -> y; }", "edge a.f has two blocks"),
+        ("attribute a.v { x = 5; } attribute a.v { y = 7; }", "attribute a.v has two blocks"),
+        ("node a { z; }", "node a has two blocks"),
+    ])
+    def test_instance_literal_entries_given_once(self, blocks, message):
+        src = (
+            "schema S { nodes a; edge f : a -> a; attribute v : a -> integer; }\n"
+            f"instance I : S {{\n  node a {{ x; y; }}\n  {blocks}\n}}\n"
+        )
+        with pytest.raises(ScriptError) as info:
+            run_script(parse_script(src))
+        assert str(info.value) == f"instance 'I': {message} (statement at line 2)"
+        assert isinstance(info.value.__cause__, SchemaError)
 
     def test_let_union_and_eval(self):
         src = DEMO + "\nlet K = union J J;\nshow K csv;"
