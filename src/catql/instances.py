@@ -135,23 +135,27 @@ def _all_of(tests):
 def join(domains, groups) -> list[tuple]:
     """Every choice of one row per domain that satisfies every group.
 
-    domains holds one row sequence per variable, and variables are their
-    indices.  A group is a sequence of alternatives (lhs, rhs), each an
-    equality between two terms, and holds when one of them does.  A term is
-    (var, fn), the value fn(row) of var's row, or a constant: any value that
-    is not a tuple.
+    domains holds one sequence of distinct rows per variable, and variables
+    are their indices.  A group is a sequence of alternatives (lhs, rhs),
+    each an equality between two terms, and holds when one of them does.  A
+    term is (var, fn), the value fn(row) of var's row, or a constant: any
+    value that is not a tuple.
 
-    Variables are bound in ascending order of domain size, ties in declared
-    order.  Groups on the variable being bound alone filter its rows at the
-    scan.  The first single-alternative group relating it to a variable bound
-    earlier becomes a hash join, and every other group is checked on each
+    Groups on one variable alone filter its rows at the scan.  A
+    single-alternative group on two variables is a hash clause.  The plan
+    binds next an unbound variable with a hash clause to a bound one,
+    preferring one with a scan filter, then the fewest rows left by the
+    scan, then declared order; only when no unbound variable is connected
+    does it take the one with the fewest rows, so it never builds a product
+    that a clause could have joined.  The first hash clause to a bound
+    variable becomes a hash join, and every other group is checked on each
     extended assignment once its variables are bound.  Each satisfying
     assignment is returned once, as a tuple of rows in declared variable
-    order; the list is ordered by the rows' positions in their domains, taken
-    in binding order.
+    order.  The list is ordered by the rows' positions in their domains,
+    taken in ascending order of domain size, ties in declared order; it is
+    sorted only when the plan binds in another order.
     """
-    order = sorted(range(len(domains)), key=lambda v: (len(domains[v]), v))
-    pos = {v: i for i, v in enumerate(order)}
+    n = len(domains)
 
     def var_of(term):
         return term[0] if isinstance(term, tuple) else None
@@ -176,41 +180,64 @@ def join(domains, groups) -> list[tuple]:
             return lambda x: lhs(x) == rhs(x)
         return lambda x: any(lhs(x) == rhs(x) for (lhs, rhs) in sides)
 
-    pending = []
+    pending = []  # groups on two or more variables, with their variables
+    scan = [[] for _ in range(n)]  # per variable, the groups on it alone
+    links = [set() for _ in range(n)]  # per variable, the variables it hashes to
     for g in groups:
         vs = {var_of(t) for alt in g for t in alt} - {None}
-        if vs:
+        if len(vs) > 1:
             pending.append((g, vs))
-        elif not test(g, on_asg)(()):  # a group on constants alone holds always or never
+            if len(g) == 1:  # a term has one variable, so vs is a pair
+                v, w = vs
+                links[v].add(w)
+                links[w].add(v)
+        elif vs:
+            (v,) = vs
+            scan[v].append(test(g, on_row))
+        elif not test(g, on_row)(None):  # a group on constants alone holds always or never
             return []
+    # filtering keeps the rows' order
+    rows = [domains[v] if not scan[v] else list(filter(_all_of(scan[v]), domains[v]))
+            for v in range(n)]
+
+    order: list[int] = []
+    pos: dict[int, int] = {}  # variable -> its position in binding order
     assignments = [()]
-    bound: set[int] = set()
-    for v in order:
-        bound.add(v)
-        ready = [(g, vs) for (g, vs) in pending if vs <= bound]
-        pending = [(g, vs) for (g, vs) in pending if not vs <= bound]
-        # every ready group is on v; as a term has one variable, a
-        # single-alternative group on v and another variable can be hashed
-        joined = [g for (g, vs) in ready if len(vs) > 1]
-        hashed = next((g for g in joined if len(g) == 1), None)
-        keep = _all_of([test(g, on_row) for (g, vs) in ready if len(vs) == 1])
-        check = _all_of([test(g, on_asg) for g in joined if g is not hashed])
-        # filtering keeps the rows' order, so the assignments keep theirs
-        rows = domains[v] if keep is None else list(filter(keep, domains[v]))
+    while len(order) < n:
+        unbound = [v for v in range(n) if v not in pos]
+        connected = [v for v in unbound if not links[v].isdisjoint(pos)]
+        if connected:
+            v = min(connected, key=lambda v: (not scan[v], len(rows[v]), v))
+        else:
+            v = min(unbound, key=lambda v: (len(rows[v]), v))
+        pos[v] = len(order)
+        order.append(v)
+        ready = [g for (g, vs) in pending if vs.issubset(pos)]
+        pending = [(g, vs) for (g, vs) in pending if not vs.issubset(pos)]
+        # every ready group is on v and a bound variable
+        hashed = next((g for g in ready if len(g) == 1), None)
+        check = _all_of([test(g, on_asg) for g in ready if g is not hashed])
         if hashed is None:
-            extended = (a + (r,) for a in assignments for r in rows)
+            extended = (a + (r,) for a in assignments for r in rows[v])
         else:
             ((lhs, rhs),) = hashed
             if var_of(lhs) != v:
                 lhs, rhs = rhs, lhs
             key, probe = on_row(lhs), on_asg(rhs)
             index: dict = {}
-            for r in rows:
+            for r in rows[v]:
                 index.setdefault(key(r), []).append(r)
             extended = (a + (r,) for a in assignments for r in index.get(probe(a), ()))
         assignments = list(extended if check is None else filter(check, extended))
+        if not assignments:
+            return []
+    # assignments come out ordered by the rows' positions taken in binding order
+    documented = sorted(range(n), key=lambda v: (len(domains[v]), v))
+    if order != documented:
+        ranks = [({r: i for i, r in enumerate(domains[v])}, pos[v]) for v in documented]
+        assignments.sort(key=lambda a: [rank[a[i]] for (rank, i) in ranks])
     if order != sorted(order):
-        declared = itemgetter(*(pos[v] for v in range(len(order))))
+        declared = itemgetter(*(pos[v] for v in range(n)))
         assignments = [declared(a) for a in assignments]
     return assignments
 

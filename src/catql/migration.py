@@ -16,7 +16,6 @@ from .core import (
     all_morphisms_from,
     normalize_path,
     path_compose,
-    paths_equal,
     _path_key,
 )
 from .errors import InconsistencyError, NotSaturated, SchemaError, ValidationError
@@ -51,8 +50,8 @@ def _paths_between(T, a, bound):
 class _UnionFind:
     """Disjoint sets over hashable items; union keeps the first argument's root."""
 
-    def __init__(self):
-        self.parent = {}
+    def __init__(self, items=()):
+        self.parent = {x: x for x in items}
 
     def add(self, x):
         self.parent.setdefault(x, x)
@@ -72,81 +71,101 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-def _gen_key(g):
-    s, x, p = g
-    return (s, x, _path_key(p))
-
-
 def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
     """Left Kan extension via a term model quotiented by congruence closure.
 
-    Generators at target node t are (source node s, row x, path F(s) -> t).
-    The congruence identifies (x, F(e);p) with (e(x), p) for each source edge e.
-    Attributes take a constant carried by some generator, else a labelled null.
+    A generator at target node t is a row x of a source node s with a path
+    p: F(s) -> t, and (s, p) is its family.  Generators are numbered family
+    by family, so generator k of family f is the integer first[f] + k for
+    the row x at index k of s.  The congruence identifies (x, F(e);p) with
+    (e(x), p) for each source edge e; it is closed by one union-find over
+    the integers.  Listed by source node, then row, then path key, the
+    generators give the classes in least-member order, each with its members
+    sorted, and the least member names the class.  Attributes take a
+    constant carried by some generator, else a labelled null.
     """
     if I.schema != F.source:
         raise SchemaError("sigma: instance is not on the mapping's source schema")
     S, T = F.source, F.target
     paths_from = {n: _paths_between(T, F.nodes[n], bound) for n in sorted(S.nodes)}
 
-    # generator universe, per target node
-    gens: dict[str, list] = {t: [] for t in T.nodes}
-    uf = _UnionFind()
+    # families, numbered source node by source node; the generators of
+    # family f are first[f] .. first[f] + len(rows of its source node) - 1
+    fams: list[tuple[str, Path]] = []
+    fam_at: dict = {}  # (s_node, p) -> family
+    first: list[int] = []
+    gen_fam: list[int] = []  # generator -> its family
+    at_target: dict[str, dict] = {t: {} for t in T.nodes}  # t -> s_node -> families, sorted
     for s_node in sorted(S.nodes):
+        n_rows = len(I.rows[s_node])
         for t, ps in paths_from[s_node].items():
-            for p in ps:
-                for x in I.rows[s_node]:
-                    g = (s_node, x, p)
-                    gens[t].append(g)
-                    uf.add(g)
+            for p in ps:  # in path-key order
+                f = len(fams)
+                fam_at[(s_node, p)] = f
+                at_target[t].setdefault(s_node, []).append(f)
+                fams.append((s_node, p))
+                first.append(len(gen_fam))
+                gen_fam.extend([f] * n_rows)
+    fam_str = [str(p) for (_s, p) in fams]
+    uf = _UnionFind(range(len(gen_fam)))
 
     for (ename, src, tgt) in sorted(S.edges):
         e_img = F.edges[(src, ename)]  # path F(src) -> F(tgt)
-        fn = I.edge(src, ename)
+        index = {r: k for k, r in enumerate(I.rows[tgt])}
+        targets = [index[y] for y in map(I.edge(src, ename).__getitem__, I.rows[src])]
         for _t, ps in paths_from[tgt].items():
             for p in ps:
                 pre = normalize_path(T, path_compose(e_img, p), bound)
-                for x in I.rows[src]:
-                    g1 = (src, x, pre)
-                    if g1 not in uf.parent:
+                f = fam_at.get((src, pre))
+                if f is None:
+                    if targets:
                         raise ValidationError(
                             f"sigma: composite path {pre} left the enumerated path universe"
                         )
-                    uf.union(g1, (tgt, fn[x], p))
+                    continue
+                a, b = first[f], first[fam_at[(tgt, p)]]
+                for k, k2 in enumerate(targets):
+                    uf.union(a + k, b + k2)
 
-    # classes per target node: (row id, members), ordered by the least member,
-    # which names the class
-    class_of = {}
+    # classes per target node: (row id, members), ordered by the least member
+    class_of: list = [None] * len(gen_fam)  # generator -> row id of its class
     classes: dict[str, list] = {}
     for t in sorted(T.nodes):
         groups: dict = {}
-        for g in gens[t]:
-            groups.setdefault(uf.find(g), []).append(g)
-        members_sorted = (sorted(ms, key=_gen_key) for ms in groups.values())
-        classes[t] = [(_row_id(ms[0]), ms)
-                      for ms in sorted(members_sorted, key=lambda ms: _gen_key(ms[0]))]
-        for rid, members in classes[t]:
-            for m in members:
-                class_of[m] = rid
+        for s_node, fs in at_target[t].items():
+            for k in range(len(I.rows[s_node])):
+                for f in fs:
+                    g = first[f] + k
+                    groups.setdefault(uf.find(g), []).append(g)
+        classes[t] = []
+        for members in groups.values():
+            f = gen_fam[members[0]]
+            s_node = fams[f][0]
+            rid = f"{s_node}:{I.rows[s_node][members[0] - first[f]]}:{fam_str[f]}"
+            classes[t].append((rid, members))
+            for g in members:
+                class_of[g] = rid
 
     rows = {t: [rid for rid, _ms in classes[t]] for t in T.nodes}
 
     edge_fn = {}
     for (gname, src, tgt) in sorted(T.edges):
         m = {}
-        then_g: dict = {}  # p -> normal form of p.g
+        shift: dict = {}  # family -> first generator of its image family, minus its own
         for rid, members in classes[src]:
             images = set()
-            for (s_node, x, p) in members:
-                if p not in then_g:
-                    then_g[p] = normalize_path(T, Path(p.source, p.steps + (gname,)), bound)
-                q = then_g[p]
-                img = class_of.get((s_node, x, q))
-                if img is None:
-                    raise ValidationError(
-                        f"sigma: edge image {q} left the enumerated path universe"
-                    )
-                images.add(img)
+            for g in members:
+                f = gen_fam[g]
+                if f not in shift:
+                    s_node, p = fams[f]
+                    q = normalize_path(T, Path(p.source, p.steps + (gname,)), bound)
+                    f2 = fam_at.get((s_node, q))
+                    if f2 is None:
+                        raise ValidationError(
+                            f"sigma: edge image {q} left the enumerated path universe"
+                        )
+                    shift[f] = first[f2] - first[f]
+                images.add(class_of[g + shift[f]])
             if len(images) != 1:
                 raise ValidationError(
                     f"sigma: edge {gname!r} action is not well-defined "
@@ -155,26 +174,34 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
             m[rid] = images.pop()
         edge_fn[(src, gname)] = m
 
+    image_nf: dict = {}  # (s_node, source attribute) -> normal form of its image
+
+    def image_normal_form(s_node, sa):
+        if (s_node, sa) not in image_nf:
+            image_nf[(s_node, sa)] = normalize_path(T, F.attrs[(s_node, sa)], bound)
+        return image_nf[(s_node, sa)]
+
     attr_fn = {}
     for (aname, src, _ty) in sorted(T.attributes):
         m = {}
-        readers: dict = {}  # (s_node, p) -> source attribute dicts a with F(a) == p.aname
+        readers: dict = {}  # family (s, p) -> (rows of s, attribute dicts a with F(a) == p.aname)
         for rid, members in classes[src]:
-            candidates = []
-            for (s_node, x, p) in members:
-                if (s_node, p) not in readers:
-                    composite = Path(p.source, p.steps, aname)
-                    readers[(s_node, p)] = [
-                        I.attr(s_node, sa)
-                        for (sa, _saty) in S.node_attrs[s_node]
-                        if not isinstance(F.attrs[(s_node, sa)], ConstPath)
-                        and paths_equal(T, composite, F.attrs[(s_node, sa)], bound)
-                    ]
-                candidates.extend(fn[x] for fn in readers[(s_node, p)])
-            distinct = []
-            for c in candidates:
-                if c not in distinct:
-                    distinct.append(c)
+            distinct = []  # the members' values, first occurrences in member order
+            for g in members:
+                f = gen_fam[g]
+                if f not in readers:
+                    s_node, p = fams[f]
+                    names = [sa for (sa, _saty) in S.node_attrs[s_node]
+                             if not isinstance(F.attrs[(s_node, sa)], ConstPath)]
+                    if names:
+                        nf = normalize_path(T, Path(p.source, p.steps, aname), bound)
+                        names = [sa for sa in names if image_normal_form(s_node, sa) == nf]
+                    readers[f] = (I.rows[s_node], [I.attr(s_node, sa) for sa in names])
+                fam_rows, cols = readers[f]
+                for col in cols:
+                    v = col[fam_rows[g - first[f]]]
+                    if v not in distinct:
+                        distinct.append(v)
             constants = [c for c in distinct if not isinstance(c, LabelledNull)]
             if len(constants) > 1:
                 raise InconsistencyError(
@@ -192,23 +219,28 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
     return Instance(T, rows, edge_fn, attr_fn)
 
 
-def _row_id(gen):
-    s, x, p = gen
-    return f"{s}:{x}:{p}"
-
-
 def _same_row(r):
     return r
 
 
 def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
     """Right Kan extension: rows at t are edge-compatible families over the
-    comma category (t down F), one row per comma object.  The families are
-    joined by `instances.join`, one equality per comma morphism.  Each joined
-    family is then checked once: its attribute readings must agree and each
-    attribute-valued equation of T must hold on it.  Last, a family with an
-    edge image that was not kept is dropped, until nothing changes, which
-    leaves the greatest set of checked families closed under edge images."""
+    comma category (t down F), one row per comma object, computed as one
+    select-project-join per target node.
+
+    A T-attribute A on t is read at comma object (s, q) by each source
+    attribute a with q.F(a) and t.A of one normal form; a reading is (slot,
+    column).  `instances.join` gets one equality per comma morphism, one per
+    extra reading of an attribute (all readings must agree), and each
+    attribute equation of t without steps whose attributes are read: against
+    a constant it filters every reading slot at the scan, between two
+    attributes it joins a reading of each.  Each joined family's attribute
+    values are read once.  The equations left are checked on each family,
+    where an unread attribute is a null named by its end (node, family,
+    attribute), and a family whose path leaves the joined families fails.
+    Last, a family with an edge image that was not kept is dropped, until
+    nothing changes, which leaves the greatest set of checked families
+    closed under edge images."""
     if I.schema != F.source:
         raise SchemaError("pi: instance is not on the mapping's source schema")
     S, T = F.source, F.target
@@ -243,36 +275,60 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
                 groups.append([((index[(s_node, q)], fn), (index[o2], _same_row))])
         return groups
 
-    fam_sets = {
-        t: set(join([I.rows[s_node] for (s_node, _q) in comma[t]], comma_constraints(t)))
-        for t in sorted(T.nodes)
-    }
+    groups = {t: comma_constraints(t) for t in sorted(T.nodes)}
 
-    # attribute readings: for T-attribute A on t, via comma object (s, q) and
-    # source attribute a with F(a) == q.A
+    def term(reading):
+        i, col = reading
+        return (i, col.__getitem__)
+
+    # readings per (t, A): the images q.F(a) of a node's slots, grouped by
+    # normal form, looked up by the normal form of t.A; the join makes them agree
     readings: dict[tuple[str, str], list] = {}
-    for (aname, t, _ty) in T.attributes:
-        target_attr = Path(t, (), aname)
-        rds = []
+    for t in sorted(T.nodes):
+        if not T.node_attrs[t]:
+            continue
+        by_nf: dict = {}
         for i, (s_node, q) in enumerate(comma[t]):
             for (sa, _saty) in S.node_attrs[s_node]:
                 img = F.attrs[(s_node, sa)]
-                if isinstance(img, ConstPath):
-                    continue
-                if paths_equal(T, target_attr, path_compose(q, img), bound):
-                    rds.append((i, s_node, sa))
-        readings[(t, aname)] = rds
+                if not isinstance(img, ConstPath):
+                    nf = normalize_path(T, path_compose(q, img), bound)
+                    by_nf.setdefault(nf, []).append((i, I.attr(s_node, sa)))
+        for (aname, _ty) in T.node_attrs[t]:
+            rds = by_nf.get(normalize_path(T, Path(t, (), aname), bound), [])
+            readings[(t, aname)] = rds
+            groups[t] += [[(term(rds[0]), term(rd))] for rd in rds[1:]]
 
-    def read_attr(t, fam, aname):
-        """(ok, value or None): common reading, or conflict flag."""
-        vals = []
-        for (i, s_node, sa) in readings[(t, aname)]:
-            v = I.attr(s_node, sa)[fam[i]]
-            if v not in vals:
-                vals.append(v)
-        if len(vals) > 1:
-            return False, None
-        return True, (vals[0] if vals else None)
+    # push the step-free equations on read attributes into the join; the
+    # other attribute-valued equations are checked on the joined families
+    checked: dict[str, list] = {t: [] for t in T.nodes}
+    for eq in T.equations:
+        lhs, rhs, t = eq.lhs, eq.rhs, eq.lhs.source
+        if lhs.attr is None:  # the sides of an equation have one target
+            continue
+        lrds = readings[(t, lhs.attr)] if not lhs.steps else ()
+        if lrds and isinstance(rhs, ConstPath):
+            groups[t] += [[(term(rd), rhs.value)] for rd in lrds]
+        elif lrds and not rhs.steps and readings[(t, rhs.attr)]:
+            groups[t].append([(term(lrds[0]), term(readings[(t, rhs.attr)][0]))])
+        else:
+            checked[t].append(eq)
+
+    # joined families per node, each with its attribute values in node_attrs
+    # order, None for an unread attribute
+    fam_vals: dict[str, dict] = {}
+    attr_slot: dict = {}  # (t, A) -> position of A in t's values
+    for t in sorted(T.nodes):
+        first_reads = []
+        for k, (aname, _ty) in enumerate(T.node_attrs[t]):
+            attr_slot[(t, aname)] = k
+            rds = readings[(t, aname)]
+            first_reads.append(rds[0] if rds else None)
+        fams = join([I.rows[s_node] for (s_node, _q) in comma[t]], groups[t])
+        fam_vals[t] = {
+            fam: tuple([None if rd is None else rd[1][fam[rd[0]]] for rd in first_reads])
+            for fam in fams
+        }
 
     t_et = T.edge_table
 
@@ -294,36 +350,25 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
         t2, slots = image_slots[(t, gname)]
         return t2, tuple([fam[j] for j in slots])
 
-    # attribute-valued equations by start node; the sides of an equation
-    # have one target, so it is attribute-valued when its lhs is
-    attr_eqs: dict[str, list] = {t: [] for t in T.nodes}
-    for eq in T.equations:
-        if eq.lhs.attr is not None:
-            attr_eqs[eq.lhs.source].append(eq)
-
     def attr_value(t, fam, p):
-        """read_attr of the family that p's edges lead fam to, or p's constant."""
+        """p's constant, or the value of the family p's edges lead fam to:
+        its reading, or for an unread attribute its end (node, family,
+        attribute), which names pi's null there.  None when a family on the
+        way was not joined, so fam cannot be kept."""
         if isinstance(p, ConstPath):
-            return True, p.value
+            return p.value
         for step in p.steps:
             t, fam = edge_image(t, fam, step)
-        return read_attr(t, fam, p.attr)
+            if fam not in fam_vals[t]:
+                return None
+        v = fam_vals[t][fam][attr_slot[(t, p.attr)]]
+        return (t, fam, p.attr) if v is None else v
 
     def holds(t, fam):
-        """The readings on t agree and each attribute equation from t holds.
-        Unread attributes become per-family nulls, so a null side matches
-        only the same unread-null side."""
-        if not all(read_attr(t, fam, aname)[0] for (aname, _ty) in T.node_attrs[t]):
-            return False
-        for eq in attr_eqs[t]:
-            lok, lval = attr_value(t, fam, eq.lhs)
-            rok, rval = attr_value(t, fam, eq.rhs)
-            if not (lok and rok):
-                return False
-            if lval is None or rval is None:
-                if not (lval is None and rval is None and eq.lhs == eq.rhs):
-                    return False
-            elif lval != rval:
+        """Each attribute equation from t left after the join holds on fam."""
+        for eq in checked[t]:
+            lval = attr_value(t, fam, eq.lhs)
+            if lval is None or lval != attr_value(t, fam, eq.rhs):
                 return False
         return True
 
@@ -336,8 +381,7 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
         return True
 
     # check each family once, then drop families with an edge image not kept
-    for t in sorted(T.nodes):
-        fam_sets[t] = {fam for fam in fam_sets[t] if holds(t, fam)}
+    fam_sets = {t: {fam for fam in fam_vals[t] if holds(t, fam)} for t in sorted(T.nodes)}
     changed = True
     while changed:
         changed = False
@@ -363,9 +407,10 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
     attr_fn = {}
     for (aname, src, _ty) in T.attributes:
         attr_fn[(src, aname)] = {}
+        k = attr_slot[(src, aname)]
         for fam in fam_list[src]:
             rid = fam_id[(src, fam)]
-            _ok, v = read_attr(src, fam, aname)
+            v = fam_vals[src][fam][k]
             if v is None:
                 v = LabelledNull(f"pi!{src}!{aname}!{rid}")
             attr_fn[(src, aname)][rid] = v

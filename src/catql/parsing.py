@@ -526,6 +526,7 @@ class Parser:
             attr = self.expect_name()
             expr = (op, inst, node, ename, rel, attr)
         else:
+            self.pos -= 1  # point at the operation, not the token after it
             self.error("unknown let operation")
         self.expect_sym(";")
         return scripts.LetStmt(name, expr, line)

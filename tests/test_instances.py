@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -589,13 +590,13 @@ class TestRefineAgainstMooreOracle:
         assert min(seen.values()) >= 20, seen
 
 
-def rand_join_case(rng):
+def rand_join_case(rng, max_vars=4, max_groups=4):
     """Random domains over a shared row pool, and random groups of one to
     three alternatives whose terms read a random row -> value table, the row
     itself, or a constant (a labelled null among them)."""
     pool = ["r0", "r1", "r2", "r3", "r4"]
     values = ["a", "b", 0, 1, LabelledNull("x"), LabelledNull("y")] + pool[:2]
-    domains = [rng.sample(pool, rng.randint(0, 4)) for _ in range(rng.randint(0, 4))]
+    domains = [rng.sample(pool, rng.randint(0, 4)) for _ in range(rng.randint(0, max_vars))]
 
     def term():
         if not domains or rng.random() < 0.2:
@@ -608,29 +609,51 @@ def rand_join_case(rng):
 
     groups = [
         [(term(), term()) for _ in range(rng.choice([1, 1, 2, 3]))]
-        for _ in range(rng.randint(0, 4))
+        for _ in range(rng.randint(0, max_groups))
     ]
     return domains, groups
+
+
+def join_oracle(domains, groups):
+    """The filtered product, ordered by the rows' positions in their domains
+    taken in ascending order of domain size, ties in declared order."""
+
+    def value(term, a):
+        return term[1](a[term[0]]) if isinstance(term, tuple) else term
+
+    expected = [
+        a for a in itertools.product(*domains)
+        if all(any(value(l, a) == value(r, a) for (l, r) in g) for g in groups)
+    ]
+    order = sorted(range(len(domains)), key=lambda v: (len(domains[v]), v))
+    expected.sort(key=lambda a: [domains[v].index(a[v]) for v in order])
+    return expected
 
 
 class TestJoin:
     def test_matches_product_oracle(self):
         rng = random.Random(23)
-
-        def value(term, a):
-            return term[1](a[term[0]]) if isinstance(term, tuple) else term
-
         nonempty = 0
         for _ in range(600):
             domains, groups = rand_join_case(rng)
-            expected = [
-                a for a in itertools.product(*domains)
-                if all(any(value(l, a) == value(r, a) for (l, r) in g) for g in groups)
-            ]
-            order = sorted(range(len(domains)), key=lambda v: (len(domains[v]), v))
-            expected.sort(key=lambda a: [domains[v].index(a[v]) for v in order])
             got = join(domains, groups)
-            assert got == expected
+            assert got == join_oracle(domains, groups)
             assert len(set(got)) == len(got)
             nonempty += bool(got) and any(len(g) > 1 for g in groups)
         assert nonempty > 20
+
+    def test_connected_plans_match_product_oracle(self):
+        """Up to six variables and six groups, so the plan follows hash
+        clauses away from size order and the output must be re-sorted."""
+        rng = random.Random(29)
+        seen = Counter()
+        for _ in range(2000):
+            domains, groups = rand_join_case(rng, max_vars=6, max_groups=6)
+            got = join(domains, groups)
+            assert got == join_oracle(domains, groups)
+            kinds = {("var" if all(isinstance(t, tuple) for t in alt) else "const",
+                      "single" if len(g) == 1 else "disjunctive")
+                     for g in groups for alt in g}
+            seen.update(kinds)
+            seen["4+ variables, nonempty"] += len(domains) >= 4 and bool(got)
+        assert min(seen.values()) >= 20, seen

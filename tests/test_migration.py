@@ -32,6 +32,7 @@ from catql.instances import (
     LabelledNull,
     disjoint_union,
     enumerate_homs,
+    eval_path,
     iso_check,
     validate_instance,
 )
@@ -290,6 +291,12 @@ def pi_oracle(F, I, drops, max_product=5000):
                 return ("missing",)
         return read(t, fam, p.attr)
 
+    def end(t, fam, p):
+        """The (node, family, attribute) that p leads fam to."""
+        for g in p.steps:
+            t, fam = image(t, fam, g)
+        return (t, fam, p.attr)
+
     def drop_rule(t, fam):
         if any(read(t, fam, a)[0] == "conflict" for (a, _ty) in T.node_attrs[t]):
             return "reading conflict"
@@ -305,7 +312,7 @@ def pi_oracle(F, I, drops, max_product=5000):
             if lk != "value" or rk != "value":
                 return "equation side " + (lk if lk != "value" else rk)
             if None in lv + rv:
-                if not (lv == rv and eq.lhs == eq.rhs):
+                if not (lv == rv and end(t, fam, eq.lhs) == end(t, fam, eq.rhs)):
                     return "null rule"
             elif lv != rv:
                 return "equation value"
@@ -353,6 +360,30 @@ class TestPiAgainstOracle:
         rules = ["reading conflict", "edge image", "equation side conflict",
                  "null rule", "equation value"]
         assert all(drops[rule] >= 10 for rule in rules), drops
+
+
+class TestPiNullRule:
+    def test_two_paths_to_one_unread_attribute(self):
+        """T has two edges e1, e2: n0 -> n2 and the equation n0.e2.a =
+        n0.e1.a, and nothing reads a.  A family at n0 whose two slots hold
+        the same row reaches one family at n2 along both edges, so both
+        sides are the same labelled null and the family is kept; a family
+        with two different rows reaches two families, and is dropped."""
+        T = make_schema(
+            "T", ["n0", "n2"], [("e1", "n0", "n2"), ("e2", "n0", "n2")],
+            [("a", "n2", "string")],
+            [PathEquation(Path("n0", ("e2",), "a"), Path("n0", ("e1",), "a"))],
+        )
+        S = make_schema("S", ["s"], [], [])
+        F = Mapping(S, T, {"s": "n2"}, {}, {})
+        I = Instance(S, {"s": ["x", "y"]}, {}, {})
+        out = pi(F, I)
+        validate_instance(out)
+        assert len(out.rows["n0"]) == 2 and len(out.rows["n2"]) == 2
+        for r in out.rows["n0"]:
+            lhs = eval_path(out, Path("n0", ("e2",), "a"), r)
+            assert isinstance(lhs, LabelledNull)
+            assert lhs == eval_path(out, Path("n0", ("e1",), "a"), r)
 
 
 class TestAdjunctionsSmoke:

@@ -197,7 +197,7 @@ PINNED = [
     ('script', 'query q S { select x.a as y from t as x }',
      "expected ':', got 'S' (line 1, column 9)", 1, 9),
     ('script', 'let x = frobnicate a;',
-     "unknown let operation, got 'a' (line 1, column 20)", 1, 20),
+     "unknown let operation, got 'frobnicate' (line 1, column 9)", 1, 9),
     ('script', 'let x = closure a b;',
      "expected closure depth, got 'b' (line 1, column 19)", 1, 19),
     ('script', 'let x = enrich a edge b.c using d nme e;',
