@@ -128,6 +128,32 @@ class Schema:
         return (*order, *sorted(self.nodes.difference(order)))
 
     @cached_property
+    def settle_order(self) -> tuple[str, ...]:
+        """The nodes that no cycle reaches (a self-loop is a cycle), each
+        after the targets of its edges, ties broken by name.
+
+        A node settles once every target of its edges has settled, so the
+        list grows to a fixpoint from the nodes without out-edges.
+        `instances._refine` colors the rows of these nodes in this order, in
+        one pass.  The tail of `topo_order` is sorted by name, so its reverse
+        is not such an order.
+        """
+        waiting = {n: {tgt for (_name, tgt) in self.out_edges[n]} for n in self.nodes}
+        sources: dict[str, set[str]] = {n: set() for n in self.nodes}
+        for (_name, src, tgt) in self.edges:
+            sources[tgt].add(src)
+        ready = sorted(n for n, ts in waiting.items() if not ts)  # a sorted list is a heap
+        order = []
+        while ready:
+            n = heapq.heappop(ready)
+            order.append(n)
+            for src in sources[n]:
+                waiting[src].discard(n)
+                if not waiting[src]:
+                    heapq.heappush(ready, src)
+        return tuple(order)
+
+    @cached_property
     def node_attrs(self) -> dict[str, tuple[tuple[str, str], ...]]:
         """node -> sorted (attribute name, base type) pairs on it."""
         return _by_source(self.nodes, self.attributes)

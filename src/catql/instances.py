@@ -3,16 +3,23 @@
 Rows are opaque string ids scoped to one node of one instance.  Attribute
 values are strings, integers, or labelled nulls (equal only to the same
 label).  Union is disjoint union followed by relationalization, the quotient
-by observational equivalence.
+by observational equivalence; `union` takes that quotient of the two
+instances' rows directly, without building the disjoint union.
 
 One join planner (`join`) enumerates the row tuples that satisfy a set of
 equalities; direct queries, pi's families, relation composition and
 enrichment all run through it.  One partition refinement (`_refine`) colors
-the rows of one or more instances jointly: a Hopcroft-style worklist over
-integer row indices splits only the blocks that a splitter's preimage hits,
-so it runs in O(m log n) for m edge entries over n rows.  relationalize
-quotients by its color list and iso_check compares the color classes of two
-instances.  One forced-image search (`_homs`) enumerates natural
+the rows of one or more instances jointly, in two phases.  The rows of the
+nodes that no cycle reaches (`Schema.settle_order`) are colored in one
+bottom-up pass, each by its attribute tuple and the colors of its edge
+images.  The other rows start from their attribute tuple and the colors of
+their images in those nodes, and a Hopcroft-style worklist over integer row
+indices refines them along the edges between them: it splits only the
+blocks that a splitter's preimage hits, so it runs in O(m log n) for m edge
+entries over n rows.  On a schema without cycles that worklist is empty.
+One quotient (`_quotient`) reads relationalize and union off the colors,
+from one representative row per class, and iso_check compares the color
+classes of two instances.  One forced-image search (`_homs`) enumerates natural
 transformations: an assignment fixes the images of its row's edge targets,
 which are followed along the edges and undone from a trail, and the search
 branches only on rows that no assignment reaches.  enumerate_homs counts the
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, islice, repeat
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Union
 
@@ -300,22 +307,10 @@ def validate_instance(I: Instance):
 
 def disjoint_union(I: Instance, J: Instance) -> Instance:
     """Rows of I tagged "L.", rows of J tagged "R."."""
-    return _tagged_union([("L", I), ("R", J)])
-
-
-def disjoint_union_many(instances) -> Instance:
-    """n-ary disjoint union with flat index tags "<i>." (avoids nested re-tagging)."""
-    instances = list(instances)
-    if not instances:
-        raise SchemaError("disjoint_union_many needs at least one instance")
-    return _tagged_union([(str(i), inst) for i, inst in enumerate(instances)])
-
-
-def _tagged_union(tagged) -> Instance:
-    """Disjoint union of (tag, instance) pairs: row r becomes "<tag>.r"."""
-    s = tagged[0][1].schema
-    if any(inst.schema != s for (_tag, inst) in tagged):
+    s = I.schema
+    if J.schema != s:
         raise SchemaError("disjoint_union requires instances on the same schema")
+    tagged = [("L", I), ("R", J)]
     rows = {n: [f"{t}.{r}" for (t, inst) in tagged for r in inst.rows[n]] for n in s.nodes}
     edge_fn = {
         (src, name): {
@@ -360,44 +355,71 @@ def _refine(instances) -> list[int]:
     """Joint coarsest stable partition of the rows of instances on one schema.
 
     The rows are numbered consecutively: by instance, then by node in
-    `Schema.topo_order`, then in row order.  Each row starts in the block of
-    its (node, attribute tuple).  A worklist refinement in the manner of
-    Hopcroft (1971) and Paige-Tarjan (1987) then splits a block by the
-    preimage of a splitter block under each edge into the splitter's node:
-    only the blocks that the preimage hits are touched, and of each split the
-    smaller half gets a new block and is queued.  At the start every block
-    but the largest of each node is queued.  Returns the color of each row
+    `Schema.topo_order`, then in row order.  Returns the color of each row
     index.  Two rows, of the same or of different instances, share a color
     iff every attribute-valued path agrees on them.
+
+    The coloring has two phases.  First, the rows of the nodes that no cycle
+    reaches are colored in one pass in `Schema.settle_order`: a row's color
+    numbers its (node, attribute tuple, colors of its edge images), and those
+    images are colored already.  This is the well-founded case of Dovier,
+    Piazza and Policriti (2004), and no block of these rows is ever split.
+    Every other row starts in the block of its (node, attribute tuple,
+    colors of its images in settled nodes).  Second, a worklist refinement in
+    the manner of Hopcroft (1971) and Paige-Tarjan (1987) splits these blocks
+    by the preimage of a splitter block under each edge between two unsettled
+    nodes: only the blocks that the preimage hits are touched, and of each
+    split the smaller half gets a new block and is queued.  At the start
+    every block but the largest of each node is queued.  On a schema without
+    cycles the worklist is empty.
     """
     s = instances[0].schema
-    nodes = s.topo_order
+    settled = set(s.settle_order)
+    loose = [n for n in s.topo_order if n not in settled]
     index = []  # per instance: node -> {row: row index}
-    color: list[int] = []
-    initial = _Numbering()  # (node, attribute tuple) -> initial color
+    start = 0
     for inst in instances:
         at = {}
-        for n in nodes:
+        for n in s.topo_order:
             rows = inst.rows[n]
-            at[n] = dict(zip(rows, range(len(color), len(color) + len(rows))))
-            color.extend(map(initial.__getitem__, _attr_keys(inst, (n,))))
+            at[n] = dict(zip(rows, range(start, start + len(rows))))
+            start += len(rows)
         index.append(at)
-    into: dict[str, list[dict]] = {n: [] for n in nodes}  # preimage tables of edges into n
+    color = [0] * start
+    initial = _Numbering()  # (node, attribute tuple, settled image colors) -> color
+    for inst, at in zip(instances, index):
+        for n in (*s.settle_order, *loose):
+            rows = inst.rows[n]
+            if not rows:
+                continue
+            images = [
+                map(color.__getitem__, map(at[tgt].__getitem__, map(inst.edge(n, e).__getitem__, rows)))
+                for (e, tgt) in s.out_edges[n] if tgt in settled
+            ]
+            keys = zip(_attr_keys(inst, (n,)), zip(*images) if images else repeat(()))
+            lo = at[n][rows[0]]
+            color[lo:lo + len(rows)] = map(initial.__getitem__, keys)
+    into: dict[str, list[dict]] = {n: [] for n in loose}  # preimage tables of edges into n
     for (e, src, tgt) in sorted(s.edges):
+        if tgt in settled:  # then src is settled or its key holds the image colors
+            continue
         pre: dict[int, list[int]] = {}
         for inst, at in zip(instances, index):
             targets = map(at[tgt].__getitem__, map(inst.edge(src, e).__getitem__, inst.rows[src]))
             for x, t in zip(at[src].values(), targets):
                 pre.setdefault(t, []).append(x)
         into[tgt].append(pre)
+    if not any(into.values()):  # no edge joins two unsettled nodes, so no block splits
+        return color
     by_color = sorted(range(len(color)), key=color.__getitem__)
     members = [set(xs) for _c, xs in groupby(by_color, color.__getitem__)]
-    preimages = [into[n] for (n, _attrs) in initial]  # per block, those into its node
+    node_of = [n for ((n, _attrs), _images) in initial]  # per initial block
+    preimages = [into.get(n, ()) for n in node_of]  # per block, those into its node
     largest: dict[str, int] = {}
-    for c, (n, _attrs) in enumerate(initial):
+    for c, n in enumerate(node_of):
         if len(members[c]) > len(members[largest.setdefault(n, c)]):
             largest[n] = c
-    work = [c for c, (n, _attrs) in enumerate(initial) if into[n] and largest[n] != c]
+    work = [c for c, n in enumerate(node_of) if preimages[c] and largest[n] != c]
     while work:
         b = work.pop()
         splitter = tuple(members[b])
@@ -424,40 +446,63 @@ def _refine(instances) -> list[int]:
     return color
 
 
-def relationalize(I: Instance) -> Instance:
-    """Quotient by observational equivalence (worklist partition refinement).
+def _quotient(instances, tags=None) -> Instance:
+    """The joint rows of instances, one per class of `_refine`'s colors.
 
-    Rows merge iff every attribute-valued path agrees on them; each class is
-    represented by its smallest row id.  The quotient is read off the color
-    list of `_refine`: a class lies in one node and a node's rows are sorted,
-    so a class's first row index holds its least row.
+    Each class lies in one node and is represented by its first row index:
+    its least row in the first instance that has one, as each node's rows
+    are sorted.  With tags, row r of instance k is named "<tags[k]>.r", so
+    the first row index of a class holds its least name; without, instances
+    holds one instance and rows keep their ids.  Edges and attributes are
+    read from the representatives alone.
     """
-    s = I.schema
-    nodes = s.topo_order
-    color = _refine([I])
-    flat = [r for n in nodes for r in I.rows[n]]
-    rep = dict(zip(reversed(color), reversed(flat)))  # the first row of each class wins
-    reps = map(rep.__getitem__, color)
-    # node -> the representative of each of its rows, in row order
-    new_rows = {n: list(islice(reps, len(I.rows[n]))) for n in nodes}
-    new_id = {n: dict(zip(I.rows[n], new_rows[n])) for n in nodes}
-    edge_fn = {
-        (src, name): dict(zip(
-            new_rows[src],
-            map(new_id[tgt].__getitem__, map(I.edge(src, name).__getitem__, I.rows[src])),
-        ))
-        for (name, src, tgt) in s.edges
-    }
-    attr_fn = {
-        (src, name): dict(zip(new_rows[src], map(I.attr(src, name).__getitem__, I.rows[src])))
-        for (name, src, _ty) in s.attributes
-    }
-    return Instance(s, {n: set(new_rows[n]) for n in nodes}, edge_fn, attr_fn)
+    s = instances[0].schema
+    prefixes = [f"{t}." for t in tags] if tags else [""]
+    color = _refine(instances)
+    name: dict[int, str] = {}  # color -> the row id of its class
+    rows_out: dict[str, list[str]] = {n: [] for n in s.nodes}
+    reps = []  # (instance, its node -> {row: color}, node, representatives, their ids)
+    start = 0
+    for inst, prefix in zip(instances, prefixes):
+        color_of: dict[str, dict] = {}
+        for n in s.topo_order:
+            rows = inst.rows[n]
+            seg = color[start:start + len(rows)]
+            start += len(rows)
+            color_of[n] = dict(zip(rows, seg))
+            least = dict(zip(reversed(seg), reversed(rows)))  # color -> its least row here
+            fresh = [c for c in dict.fromkeys(seg) if c not in name]  # in first-index order
+            firsts = [least[c] for c in fresh]
+            ids = [prefix + r for r in firsts] if prefix else firsts
+            name.update(zip(fresh, ids))
+            rows_out[n] += ids
+            reps.append((inst, color_of, n, firsts, ids))
+    edge_fn: dict = {(src, e): {} for (e, src, _tgt) in s.edges}
+    attr_fn: dict = {(src, a): {} for (a, src, _ty) in s.attributes}
+    for (inst, color_of, n, firsts, ids) in reps:
+        for (e, tgt) in s.out_edges[n]:
+            images = map(color_of[tgt].__getitem__, map(inst.edge(n, e).__getitem__, firsts))
+            edge_fn[(n, e)].update(zip(ids, map(name.__getitem__, images)))
+        for (a, _ty) in s.node_attrs[n]:
+            attr_fn[(n, a)].update(zip(ids, map(inst.attr(n, a).__getitem__, firsts)))
+    return Instance(s, rows_out, edge_fn, attr_fn)
+
+
+def relationalize(I: Instance) -> Instance:
+    """Quotient by observational equivalence.
+
+    Rows merge iff every attribute-valued path agrees on them, which is when
+    `_refine` gives them one color; each class keeps its smallest row id.
+    """
+    return _quotient([I])
 
 
 def union(I: Instance, J: Instance) -> Instance:
-    """Disjoint union followed by relationalization."""
-    return relationalize(disjoint_union(I, J))
+    """The disjoint union of I and J, relationalized, in one quotient: a
+    class keeps its least id among its rows "L.r" of I and "R.r" of J."""
+    if J.schema != I.schema:
+        raise SchemaError("union requires instances on the same schema")
+    return _quotient([I, J], ("L", "R"))
 
 
 def _successors(inst: Instance) -> list[tuple[int, ...]]:

@@ -361,11 +361,12 @@ def split_disjuncts(q: Query):
 
 def eval_query_via_migration(q: Query, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
     """Evaluate through sigma . pi . delta; disjunction becomes a union of
-    conjunctive subqueries.  Relationalized to match set semantics."""
+    conjunctive subqueries.  Relationalized to match set semantics: a union
+    is relationalized already, so only a single part is relationalized."""
     parts = split_disjuncts(q) if not q.is_conjunctive() else [q]
     result = None
     for part in parts:
         d = desugar_query(part, I.schema)
         out = sigma(d.f_sigma, pi(d.f_pi, delta(d.f_delta, I), bound), bound)
         result = out if result is None else union(result, out)
-    return relationalize(result)
+    return relationalize(result) if len(parts) == 1 else result

@@ -157,6 +157,21 @@ def rand_instance(rng: random.Random, s: Schema, max_rows=3, allow_empty=True,
     return Instance(s, {n: [] for n in s.nodes}, {}, {})
 
 
+def disjoint_union_many(instances) -> Instance:
+    """The disjoint union of instances on one schema: row r of the i-th
+    becomes "<i>.r", so no tag is ever nested."""
+    s = instances[0].schema
+    tagged = list(enumerate(instances))
+    return Instance(
+        s,
+        {n: [f"{i}.{r}" for (i, I) in tagged for r in I.rows[n]] for n in s.nodes},
+        {(src, e): {f"{i}.{r}": f"{i}.{v}" for (i, I) in tagged for r, v in I.edge(src, e).items()}
+         for (e, src, _tgt) in s.edges},
+        {(src, a): {f"{i}.{r}": v for (i, I) in tagged for r, v in I.attr(src, a).items()}
+         for (a, src, _ty) in s.attributes},
+    )
+
+
 def rand_adjunction_triple(rng: random.Random):
     """(F: S->T, I on S, J on T), attribute-free, all finite hom-sets."""
     while True:

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from catql.core import Path, PathEquation, make_schema
-from catql.errors import LimitExceeded, ValidationError
+from catql.errors import LimitExceeded, SchemaError, ValidationError
 from catql.instances import (
     Instance,
     LabelledNull,
@@ -137,8 +137,6 @@ class TestDisjointUnion:
         assert iso_check(disjoint_union(I, empty_instance(I.schema)), I)
 
     def test_schema_mismatch(self):
-        from catql.errors import SchemaError
-
         I = chain_instance()
         other = empty_instance(make_schema("O", ["a"], []))
         with pytest.raises(SchemaError):
@@ -218,6 +216,12 @@ class TestUnion:
 
         u = union(relation_from_pairs({("a", "b")}), relation_from_pairs({("b", "c")}))
         assert relation_pairs(u) == {("a", "b"), ("b", "c")}
+
+    def test_schema_mismatch_names_union(self):
+        I = chain_instance()
+        other = empty_instance(make_schema("O", ["a"], []))
+        with pytest.raises(SchemaError, match="^union requires instances on the same schema$"):
+            union(I, other)
 
 
 class TestIso:
@@ -588,6 +592,96 @@ class TestRefineAgainstMooreOracle:
             seen["merged"] += len(expected) < len(keys)
             seen["joint"] += any(len({k for (k, _n, _r) in cl}) > 1 for cl in expected)
         assert min(seen.values()) >= 20, seen
+
+
+def rand_settle_schema(rng):
+    """Up to six nodes with shuffled names: a core of up to three, most often
+    on a ring, with random edges among them; a head node with an edge into
+    the core; a tail whose nodes each take an edge from the core or an
+    earlier tail node; and up to two edges anywhere.  So self-loops, longer
+    cycles, nodes that reach a cycle and chains that only a cycle reaches
+    all occur, and a name order often disagrees with edge order.  Up to
+    three attributes."""
+    names = rng.sample("abcdefgh", rng.randint(1, 6))
+    k = rng.randint(1, min(3, len(names)))
+    core, rest = names[:k], names[k:]
+    h = rng.randint(0, min(1, len(rest)))
+    head, tail = rest[:h], rest[h:]
+    pairs = [(a, b) for a, b in zip(core, core[1:] + core[:1]) if rng.random() < 0.8]
+    pairs += [(rng.choice(core), rng.choice(core)) for _ in range(rng.randint(0, 2))]
+    pairs += [(n, rng.choice(core)) for n in head]
+    pairs += [(rng.choice(core + tail[:i]), n) for i, n in enumerate(tail)]
+    pairs += [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 2))]
+    edges = [(f"e{i}", a, b) for i, (a, b) in enumerate(pairs)]
+    attrs = [(f"v{i}", rng.choice(names), "string") for i in range(rng.randint(0, 3))]
+    return make_schema("ST", names, edges, attrs)
+
+
+def reach_sets(s):
+    """node -> the nodes that a path of one or more edges leads to from it."""
+    succ = {n: {tgt for (_e, tgt) in s.out_edges[n]} for n in s.nodes}
+    out = {}
+    for n in s.nodes:
+        seen, todo = set(), list(succ[n])
+        while todo:
+            m = todo.pop()
+            if m not in seen:
+                seen.add(m)
+                todo.extend(succ[m])
+        out[n] = seen
+    return out
+
+
+class TestTwoPhaseRefine:
+    def test_settle_order(self):
+        """Schema.settle_order lists exactly the nodes that no cycle reaches,
+        each after the targets of its edges."""
+        rng = random.Random(43)
+        for _ in range(500):
+            s = rand_settle_schema(rng)
+            order = s.settle_order
+            reach = reach_sets(s)
+            on_cycle = {n for n in s.nodes if n in reach[n]}
+            assert set(order) == {n for n in s.nodes if on_cycle.isdisjoint(reach[n] | {n})}
+            assert len(set(order)) == len(order)
+            for (_e, src, tgt) in s.edges:
+                if src in order:
+                    assert order.index(tgt) < order.index(src)
+
+    def test_against_fixpoint_coloring(self):
+        """_refine's partition equals the naive fixpoint coloring, on one
+        instance and jointly on two, and union(I, J) equals the
+        relationalized disjoint union in rows, edges and attributes."""
+        rng = random.Random(47)
+        seen = Counter()
+        for _ in range(2000):
+            s = rand_settle_schema(rng)
+            I = rand_refine_instance(rng, s)
+            other = relabelled(rng, I) if rng.random() < 0.3 else rand_refine_instance(rng, s)
+            for instances in ([I], [I, other]):
+                keys = [(k, n, r) for k, J in enumerate(instances)
+                        for n in s.topo_order for r in J.rows[n]]
+                expected = moore_partition(instances)
+                assert classes_of(keys, _refine(instances)) == expected
+                seen["merged"] += len(expected) < len(keys)
+                seen["joint"] += any(len({k for (k, _n, _r) in cl}) > 1 for cl in expected)
+            for J in (other, I):
+                got, want = union(I, J), relationalize(disjoint_union(I, J))
+                assert (got.rows, got.edge_fn, got.attr_fn) == (want.rows, want.edge_fn, want.attr_fn)
+            settled, reach = set(s.settle_order), reach_sets(s)
+            on_cycle = {n for n in s.nodes if n in reach[n]}
+            filled = {n for n in s.nodes if I.rows[n]}
+            seen["self-loop"] += any(src == tgt and src in filled for (_e, src, tgt) in s.edges)
+            seen["longer cycle"] += any(a != b and a in reach[b]
+                                        for a in on_cycle & filled for b in reach[a])
+            seen["reaches a cycle"] += bool(filled - settled - on_cycle)
+            seen["below a cycle"] += any(filled & settled & reach[n] for n in on_cycle)
+            # reversed(topo_order) would color a settled node before a target
+            backwards = [n for n in reversed(s.topo_order) if n in settled]
+            seen["not reversed topo_order"] += any(
+                src in settled and backwards.index(tgt) > backwards.index(src)
+                for (_e, src, tgt) in s.edges)
+        assert min(seen.values()) >= 50, seen
 
 
 def rand_join_case(rng, max_vars=4, max_groups=4):

@@ -11,7 +11,6 @@ from catql.errors import DesugarError, TypecheckError
 from catql.instances import (
     Instance,
     LabelledNull,
-    disjoint_union_many,
     eval_path,
     iso_check,
     relationalize,
@@ -31,7 +30,7 @@ from catql.queries import (
     typecheck_query,
 )
 
-from conftest import rand_dag_schema, rand_instance, read_data
+from conftest import disjoint_union_many, rand_dag_schema, rand_instance, read_data
 
 
 def unitcode_instance():

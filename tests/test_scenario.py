@@ -10,7 +10,6 @@ from catql.errors import SchemaError
 from catql.instances import (
     Instance,
     LabelledNull,
-    disjoint_union_many,
     enumerate_homs,
     iso_check,
     relationalize,
@@ -37,7 +36,7 @@ from catql.scenario import (
 )
 from catql.scripts import run_script
 
-from conftest import read_data
+from conftest import disjoint_union_many, read_data
 
 
 def make_parent(pairs):
