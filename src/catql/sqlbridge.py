@@ -16,13 +16,16 @@ Table, column and REFERENCES names must be IDENT tokens, and a VARCHAR length
 an INT token of at least 1.  So export_sql refuses a schema with a node,
 attribute or edge name that is not an IDENT: the text could not be read back.
 
-A well-formed VALUES tuple is read in one step, and each table is built
-column by column.  The checks still raise the error of the first faulty row.
+An INSERT block of k-tuples has period 2k+2 in the token list: its `(`, `)`
+and `,` are counted on strided slices, and each column is one slice, read in
+one step.  Tables are built, and export_sql writes INSERTs, column by column.
+A block or check that fails is walked in order, to raise its first fault.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from types import NoneType
 
 from .core import Schema, make_schema
@@ -72,6 +75,32 @@ def _literal(tok):
     elif tok.upper() == "NULL":
         return None
     raise SqlImportError(f"bad literal {tok!r} in VALUES")
+
+
+def _column(lexemes):
+    """One column of VALUES lexemes, in one step if all INT or all alike quoted."""
+    q = lexemes[0][0]
+    if (q == "'" or q == '"') and all(map(str.startswith, lexemes, repeat(q))):
+        return [t[1:-1].replace(q + q, q) for t in lexemes]
+    try:
+        return list(map(int, lexemes))
+    except ValueError:  # a lexeme that is not an INT
+        return list(map(_literal, lexemes))
+
+
+def _block_columns(tokens, p, end):
+    """The columns of the VALUES block tokens[p:end]: column j is every
+    period-th token from offset 2j+1.  Raises ValueError on a block that is
+    not k-tuples, and SqlImportError on a value that is not a literal."""
+    k = (tokens.index(")", p, end) - p) // 2
+    period = 2 * k + 2
+    n, rest = divmod(end + 1 - p, period)
+    # (offset, symbol, how many tuples hold it there): the last tuple ends at `;`
+    marks = [(0, "(", n), (2 * k, ")", n), (2 * k + 1, ",", n - 1)]
+    marks += [(2 * j, ",", n) for j in range(1, k)]
+    if rest or any(tokens[p + i:end:period].count(sym) != m for (i, sym, m) in marks):
+        raise ValueError("not a block of tuples of one arity")
+    return [_column(tokens[p + 1 + 2 * j:end:period]) for j in range(k)]
 
 
 class _SqlParser:
@@ -177,39 +206,31 @@ class _SqlParser:
         return SqlTableDef(name, columns)
 
     def parse_insert(self):
-        """One step per well-formed tuple: its `)` is the first one after its
-        `(`, and every other token up to it is a `,`.  Any other tuple is read
-        token by token, which raises the error at its first fault."""
+        """(name, columns, rows) of one INSERT.  A block that is not read as
+        columns is read token by token, which raises the error at its first
+        fault; if it reads, its tuples differ in arity, and are the rows."""
         self.expect("INSERT")
         self.expect("INTO")
         name = self.next()
         self.expect("VALUES")
-        tokens = self.tokens
-        tuples = []
-        p = self.pos  # tokens ends with ";", so every index read here exists
+        p = self.pos
+        end = self.tokens.index(";", p)  # tokens ends with ";"
+        try:
+            cols = _block_columns(self.tokens, p, end)
+        except (ValueError, SqlImportError):
+            pass  # walked below, for the error at its first fault
+        else:
+            self.pos = end + 1
+            return name, cols, None
+        rows = []
         while True:
-            if tokens[p] != "(":
-                self.pos = p
-                self.expect("(")
-            p += 1
-            try:
-                q = tokens.index(")", p)
-            except ValueError:
-                q = p
-            if (q - p) % 2 and tokens[p + 1:q:2].count(",") == (q - p) // 2:
-                tuples.append(list(map(_literal, tokens[p:q:2])))
-            else:
-                self.pos = p
-                tuples.append(self._tuple_by_tokens())
-                q = self.pos - 1
-            sep = tokens[q + 1]
-            p = q + 2
+            self.expect("(")
+            rows.append(self._tuple_by_tokens())
+            sep = self.next()
             if sep == ";":
-                break
+                return name, [], rows
             if sep != ",":
                 raise SqlImportError(f"expected ',' or ';' after tuple, got {sep!r}")
-        self.pos = p
-        return (name, tuples)
 
     def _tuple_by_tokens(self):
         vals = []
@@ -311,31 +332,36 @@ def import_sql(text, fk_spec=None, guess_fk=False):
                 attributes.append((c.name, t.name, ty))
     schema = make_schema("sql_import", nodes, edges, attributes)
 
-    # Each INSERT's rows are checked in order: arity, integer key, duplicate key.
-    tuples = {t.name: [] for t in tables}
+    # One check per INSERT; if it fails, the rows are walked for the first fault.
+    values = {t.name: [[] for _ in t.columns] for t in tables}  # by column
     keys = {t.name: set() for t in tables}  # each table's integer row ids
-    for (name, new) in inserts:
+    for (name, cols, ragged) in inserts:
         if name not in by_name:
             raise SqlImportError(f"INSERT into unknown table {name!r}")
         arity = len(by_name[name].columns)
         seen = keys[name]
-        for vals in new:
-            if len(vals) != arity:
-                raise SqlImportError(
-                    f"table {name!r}: INSERT arity {len(vals)} != {arity} columns"
-                )
-            if not isinstance(vals[0], int):
-                raise SqlImportError(f"table {name!r}: primary key must be an integer")
-            if vals[0] in seen:
-                raise SqlImportError(f"table {name!r}: duplicate primary key {vals[0]}")
-            seen.add(vals[0])
-        tuples[name] += new
+        new = set(cols[0]) if cols else set()
+        if (len(cols) != arity or set(map(type, new)) != {int}
+                or len(new) != len(cols[0]) or not seen.isdisjoint(new)):
+            for vals in ragged or zip(*cols):
+                if len(vals) != arity:
+                    raise SqlImportError(
+                        f"table {name!r}: INSERT arity {len(vals)} != {arity} columns"
+                    )
+                if not isinstance(vals[0], int):
+                    raise SqlImportError(f"table {name!r}: primary key must be an integer")
+                if vals[0] in seen:
+                    raise SqlImportError(f"table {name!r}: duplicate primary key {vals[0]}")
+                seen.add(vals[0])
+        seen |= new
+        for acc, col in zip(values[name], cols):
+            acc += col
 
     # Each table is built column by column, after a type check of the whole
     # column; a failed check re-walks the column to raise its first row's error.
     rows, edge_fn, attr_fn = {}, {}, {}
     for t in tables:
-        columns = list(zip(*tuples[t.name])) or [()] * len(t.columns)
+        columns = values[t.name]
         rids = rows[t.name] = list(map(str, columns[0]))
         for c, col in zip(t.columns[1:], columns[1:]):
             types = set(map(type, col))
@@ -400,8 +426,8 @@ def export_sql(schema: Schema, I: Instance, warn=None) -> str:
     id_map = {}
     for node in sorted(schema.nodes):
         rws = I.node_rows(node)
-        if all(r.isdigit() for r in rws) and len(set(int(r) for r in rws)) == len(rws):
-            id_map[node] = {r: int(r) for r in rws}
+        if all(map(str.isdecimal, rws)) and len(set(map(int, rws))) == len(rws):
+            id_map[node] = dict(zip(rws, map(int, rws)))
         else:
             id_map[node] = {r: i + 1 for i, r in enumerate(rws)}
     lines = []
@@ -413,26 +439,29 @@ def export_sql(schema: Schema, I: Instance, warn=None) -> str:
             cols.append(f"  {name} INT REFERENCES {tgt}")
         lines.append(f"CREATE TABLE {node} (\n" + ",\n".join(cols) + "\n);")
     for node in sorted(schema.nodes):
-        rws = I.node_rows(node)
-        if not rws:
-            continue
         ids = id_map[node]
-        attrs = [(name, I.attr(node, name)) for (name, _ty) in schema.node_attrs[node]]
-        edges = [(I.edge(node, name), id_map[tgt]) for (name, tgt) in schema.out_edges[node]]
-        tuples = []
-        for r in sorted(rws, key=ids.__getitem__):
-            vals = [str(ids[r])]
-            for (name, col) in attrs:
-                v = col[r]
-                if isinstance(v, LabelledNull):
-                    warn(f"{node}.{name} row {r}: labelled null {v.label} exported as NULL")
-                    vals.append("NULL")
-                elif isinstance(v, str):
-                    vals.append(_sql_str(v))
-                else:
-                    vals.append(str(v))
-            for (col, tgt_ids) in edges:
-                vals.append(str(tgt_ids[col[r]]))
-            tuples.append("(" + ", ".join(vals) + ")")
-        lines.append(f"INSERT INTO {node} VALUES\n" + ",\n".join(tuples) + ";")
+        order = sorted(I.node_rows(node), key=ids.__getitem__)
+        if not order:
+            continue
+        # one list of SQL values per column; only a column that holds a
+        # labelled null is written value by value
+        cols = [list(map(str, map(ids.__getitem__, order)))]
+        nulls = []  # (row position, warning), sent in row order
+        for (name, _ty) in schema.node_attrs[node]:
+            col = list(map(I.attr(node, name).__getitem__, order))
+            kinds = set(map(type, col))
+            if kinds == {str} or kinds == {int}:
+                cols.append(list(map(_sql_str if str in kinds else str, col)))
+                continue
+            nulls += [(i, f"{node}.{name} row {r}: labelled null {v.label} exported as NULL")
+                      for i, (r, v) in enumerate(zip(order, col)) if isinstance(v, LabelledNull)]
+            cols.append(["NULL" if isinstance(v, LabelledNull) else
+                         _sql_str(v) if isinstance(v, str) else str(v) for v in col])
+        for (_i, msg) in sorted(nulls, key=lambda null: null[0]):
+            warn(msg)
+        for (name, tgt) in schema.out_edges[node]:
+            cols.append(list(map(str, map(id_map[tgt].__getitem__,
+                                          map(I.edge(node, name).__getitem__, order)))))
+        rows = "),\n(".join(map(", ".join, zip(*cols)))
+        lines.append(f"INSERT INTO {node} VALUES\n({rows});")
     return "\n".join(lines) + "\n"

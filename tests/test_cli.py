@@ -13,6 +13,8 @@ import pytest
 import catql
 from catql import cli
 from catql.cli import cli_main
+from catql.instances import Instance, iso_check
+from catql.sqlbridge import import_sql
 
 from conftest import DATA
 
@@ -238,6 +240,20 @@ class TestShowRunQuery:
         )
         code, out, _err = run_cli(capsys, "export-sql", str(script))
         assert code == 0 and "INSERT INTO a VALUES" in out
+
+    def test_export_sql_renumbers_ids_int_cannot_read(self, tmp_path, capsys):
+        # "²" is a .catql identifier that str.isdigit accepts but int() refuses
+        script = tmp_path / "s.catql"
+        script.write_text("schema S { nodes a; attribute v : a -> string; }\n"
+                          'instance I : S { node a { ²; } attribute a.v { ² = "hi"; } }\n',
+                          encoding="utf-8")
+        code, out, err = run_cli(capsys, "export-sql", str(script))
+        assert (code, err) == (0, "")
+        assert out == ("CREATE TABLE a (\n  id INT PRIMARY KEY,\n  v VARCHAR(255)\n);\n"
+                       "INSERT INTO a VALUES\n(1, 'hi');\n")
+        inst = cli._pick_instance(cli._run_file(str(script), 512)[0], None)
+        _schema, again = import_sql(out)
+        assert iso_check(Instance(again.schema, inst.rows, inst.edge_fn, inst.attr_fn), again)
 
     def test_export_sql_refuses_non_sql_name(self, tmp_path, capsys):
         script = tmp_path / "s.catql"

@@ -8,7 +8,8 @@ import pytest
 from catql.cli import cli_main
 from catql.errors import CatqlError
 from catql.parsing import parse_script
-from catql.sqlbridge import import_sql
+from catql.scripts import run_script
+from catql.sqlbridge import export_sql, import_sql
 
 from conftest import read_data
 
@@ -38,9 +39,18 @@ def mutate(rng: random.Random, text: str) -> str:
     return text
 
 
+def export_instances(text):
+    """Run a script and export each of its instances, as `catql export-sql` does."""
+    env, _outputs = run_script(parse_script(text))
+    for kind, value in env.entries.values():
+        if kind == "instance":
+            export_sql(value.schema, value)
+
+
 CASES = [
     ("portal_a.sql", "import-sql", import_sql, 11),
     ("parent.catql", "run", parse_script, 12),
+    ("parent.catql", "export-sql", export_instances, 13),
 ]
 
 

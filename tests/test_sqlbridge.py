@@ -9,7 +9,7 @@ import pytest
 from catql.core import make_schema
 from catql.errors import SqlExportError, SqlImportError
 from catql.instances import LabelledNull, empty_instance, iso_check, validate_instance
-from catql.sqlbridge import _SqlParser, export_sql, import_sql
+from catql.sqlbridge import _SqlParser, _literal, export_sql, import_sql
 
 from conftest import read_data
 
@@ -221,6 +221,30 @@ class TestImport:
         _s, inst = portal
         validate_instance(inst)
 
+    @pytest.mark.parametrize("create, values, columns", [
+        ("n INT, s VARCHAR(9)", "(1, NULL, 'a'), (2, 5, NULL)",
+         {"n": [None, 5], "s": ["a", None]}),
+        ("s VARCHAR(9)", """(1, 'a'), (2, "b"), (3, 'c')""", {"s": ["a", "b", "c"]}),
+        ("s VARCHAR(9)", "(1, 'it''s'), (2, '''')", {"s": ["it's", "'"]}),
+        ("s VARCHAR(9)", '(1, "say ""hi"""), (2, """")', {"s": ['say "hi"', '"']}),
+        ("s VARCHAR(9)", "(1, ''), (2, '')", {"s": ["", ""]}),
+        ("", "(3), (-1), (2)", {}),
+    ], ids=["null-int-and-varchar", "both-quotes", "doubled-single", "doubled-double",
+            "empty-strings", "id-only"])
+    def test_block_values(self, create, values, columns):
+        cols = "id INT PRIMARY KEY" + (f", {create}" if create else "")
+        _s, inst = import_sql(f"CREATE TABLE a ({cols});\nINSERT INTO a VALUES {values};")
+        rows = inst.node_rows("a")
+        assert len(rows) == values.count("), (") + 1
+        assert {c: [inst.attr("a", c)[r] for r in rows] for c in columns} == {
+            c: [LabelledNull(f"null!a!{c}!{r}") if v is None else v for r, v in zip(rows, vals)]
+            for c, vals in columns.items()
+        }
+
+    def test_two_blocks_into_one_table(self):
+        _s, inst = import_sql(A + "INSERT INTO a VALUES (1, 2), (3, 4);\nINSERT INTO a VALUES (5, 6);")
+        assert inst.attr("a", "v") == {"1": 2, "3": 4, "5": 6}
+
 
 class TestScanner:
     def test_comment_at_end_without_newline(self):
@@ -291,6 +315,19 @@ class TestErrorOrder:
         (A + "INSERT INTO a VALUES (1, 'x'", "expected ',' or ')' in VALUES, got ';'"),
         (A + "INSERT INTO a VALUES (1,", "bad literal ';' in VALUES"),
         (A + "INSERT INTO a VALUES (1, foo), (2, 'it''s');", "bad literal 'foo' in VALUES"),
+        (A + "INSERT INTO a VALUES (1, foo), (2, 3), (bar, 4);", "bad literal 'foo' in VALUES"),
+        (A + "INSERT INTO a VALUES (1, 2), (3, 4, 5), (6 7);",
+         "expected ',' or ')' in VALUES, got '7'"),
+        # one token out of place in a block of one period
+        (A + "INSERT INTO a VALUES (1, 2), 7 3, 4);", "expected '(', got '7'"),
+        (A + "INSERT INTO a VALUES (1, 2), (3, 4 x, (5, 6);",
+         "expected ',' or ')' in VALUES, got 'x'"),
+        (A + "INSERT INTO a VALUES (1, 2) x (3, 4);", "expected ',' or ';' after tuple, got 'x'"),
+        (A + "INSERT INTO a VALUES (1, 2 3 4);", "expected ',' or ')' in VALUES, got '3'"),
+        (A + "INSERT INTO a VALUES (1, 2), ('k', 3);", "table 'a': primary key must be an integer"),
+        (A + "INSERT INTO a VALUES (1, 2), (NULL, 3);", "table 'a': primary key must be an integer"),
+        (A + "INSERT INTO a VALUES (1, 2);\nINSERT INTO a VALUES (3, 4), (1, 5);",
+         "table 'a': duplicate primary key 1"),
         (A + "INSERT INTO zz VALUES (1, ((, 2));", "bad literal '(' in VALUES"),
         (A + "INSERT INTO a VALUES (1, 2); DROP TABLE a; INSERT INTO a VALUES ('q');",
          "unsupported SQL construct starting at 'DROP'"),
@@ -325,6 +362,34 @@ class TestExport:
         warnings = []
         out = export_sql(schema, inst, warn=warnings.append)
         assert "NULL" in out and len(warnings) == 1
+
+    def test_null_warnings_in_row_order(self):
+        schema, inst = import_sql(
+            "CREATE TABLE a (id INT PRIMARY KEY, v VARCHAR(9), w INT);\n"
+            "INSERT INTO a VALUES (2, NULL, NULL), (1, NULL, NULL), (3, 'x', 4);"
+        )
+        warnings = []
+        export_sql(schema, inst, warn=warnings.append)
+        assert warnings == [
+            f"a.{c} row {r}: labelled null null!a!{c}!{r} exported as NULL"
+            for r in "12" for c in "vw"
+        ]
+
+    def test_pinned_text(self):
+        schema, inst = import_sql(
+            "CREATE TABLE unit (id INT PRIMARY KEY, code VARCHAR(9), size INT);\n"
+            "CREATE TABLE part (id INT PRIMARY KEY, name VARCHAR(20), len INT,"
+            " unit INT REFERENCES unit);\n"
+            """INSERT INTO unit VALUES (-1, 'mm', -5), (2, "in""ch", NULL);\n"""
+            "INSERT INTO part VALUES (10, 'it''s', -3, -1), (7, NULL, 0, 2), (8, '', NULL, 2);\n"
+        )
+        assert export_sql(schema, inst) == (
+            "CREATE TABLE part (\n  id INT PRIMARY KEY,\n  len INT,\n  name VARCHAR(255),\n"
+            "  unit INT REFERENCES unit\n);\n"
+            "CREATE TABLE unit (\n  id INT PRIMARY KEY,\n  code VARCHAR(255),\n  size INT\n);\n"
+            "INSERT INTO part VALUES\n(7, 0, NULL, 2),\n(8, NULL, '', 2),\n(10, -3, 'it''s', 1);\n"
+            "INSERT INTO unit VALUES\n(1, 'mm', -5),\n(2, 'in\"ch', NULL);\n"
+        )
 
     def test_single_quote_output(self):
         schema, inst = import_sql(read_data("unitcode.sql"))
@@ -384,6 +449,46 @@ def rand_sql_text(rng: random.Random):
             tuples.append("(" + ", ".join(vals) + ")")
         lines.append(f"INSERT INTO {name} VALUES " + ", ".join(tuples) + ";")
     return "\n".join(lines)
+
+
+def reference_inserts(tokens):
+    """Each INSERT's (table, columns), read tuple by tuple with _literal."""
+    inserts = []
+    i = 0
+    while i < len(tokens):
+        if tokens[i] != "INSERT":
+            i += 1
+            continue
+        name, i, rows = tokens[i + 2], i + 4, []  # INSERT INTO name VALUES
+        while tokens[i - 1] != ";":  # i is at a tuple's "("
+            rows.append([])
+            while tokens[i] != ")":
+                rows[-1].append(_literal(tokens[i + 1]))
+                i += 2
+            i += 2
+        inserts.append((name, [list(col) for col in zip(*rows)]))
+    return inserts
+
+
+def requote(rng: random.Random, text: str) -> str:
+    """The text with about half its 'single-quoted' strings double-quoted."""
+    tokens = _SqlParser(text).tokens
+    for i, t in enumerate(tokens):
+        if t[0] == "'" and rng.random() < 0.5:
+            tokens[i] = '"' + t[1:-1].replace("''", "'").replace('"', '""') + '"'
+    return " ".join(tokens)
+
+
+class TestBlockRead:
+    def test_columns_match_reference_reader(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            text = rand_sql_text(rng)
+            for t in (text, requote(rng, text)):
+                _tables, inserts = _SqlParser(t).parse()
+                assert [(name, cols) for (name, cols, _rows) in inserts] == \
+                    reference_inserts(_SqlParser(t).tokens), t
+                assert all(rows is None for (_name, _cols, rows) in inserts)
 
 
 class TestRandomRoundTrip:
