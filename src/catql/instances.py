@@ -22,17 +22,21 @@ from one representative row per class, and iso_check compares the color
 classes of two instances.  One forced-image search (`_homs`) enumerates natural
 transformations: an assignment fixes the images of its row's edge targets,
 which are followed along the edges and undone from a trail, and the search
-branches only on rows that no assignment reaches.  enumerate_homs counts the
-transformations that keep each row's attribute tuple, and iso_check looks
-for an injective one that keeps each row's color.  Both number the rows by
-node in `Schema.topo_order`, then in row order.
+branches only on rows that no assignment reaches.  enumerate_homs counts
+the transformations that keep each row's attribute tuple on each connected
+component of I, found by the one union-find (`_UnionFind`), and multiplies
+the counts; its limit bounds one component's count.  iso_check searches
+all rows at once for an injective one that keeps each row's color, since
+injectivity links the components.  Both number the rows by node in
+`Schema.topo_order`, then in row order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import groupby, islice, repeat
 from operator import itemgetter
 from typing import Union
 
@@ -505,6 +509,29 @@ def union(I: Instance, J: Instance) -> Instance:
     return _quotient([I, J], ("L", "R"))
 
 
+class _UnionFind:
+    """Disjoint sets over hashable items; union keeps the first argument's root."""
+
+    def __init__(self, items=()):
+        self.parent = {x: x for x in items}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, x, y):
+        p = self.parent  # setdefault adds a new item, else gives its parent
+        rx, ry = self.find(p.setdefault(x, x)), self.find(p.setdefault(y, y))
+        if rx != ry:
+            self.parent[ry] = rx
+
+
 def _successors(inst: Instance) -> list[tuple[int, ...]]:
     """Per row index, numbered by node in `Schema.topo_order` and then in row
     order, the indices of the row's images under its node's out-edges, in
@@ -527,36 +554,38 @@ def _successors(inst: Instance) -> list[tuple[int, ...]]:
     return succ
 
 
-def _homs(I: Instance, J: Instance, key_I, key_J, injective: bool = False):
-    """Yield every natural transformation I -> J as the J row index of each
-    I row index.
+def _candidates(key_J) -> dict:
+    """key -> the indices of the rows with that key, in ascending order."""
+    candidates: dict = {}
+    for t, k in enumerate(key_J):
+        candidates.setdefault(k, []).append(t)
+    return candidates
+
+
+def _homs(key_I, key_J, succ_I, succ_J, candidates, injective: bool = False):
+    """The search for natural transformations I -> J.
 
     Rows are numbered on each side by node in `Schema.topo_order`, then in
-    row order, and key_I and key_J hold one key per row; rows of different
-    nodes never share a key.  A row may map only to the rows of J that have
-    its key: its candidates.
+    row order.  key_I and key_J hold one key per row, never shared by rows
+    of two nodes, and succ_I and succ_J the rows' edge images.  A row may
+    map only to the rows of J that have its key, its candidates (from
+    `_candidates(key_J)`), and every row of I has one.  search(rows), for an
+    ascending list of I row indices closed under I's edges, yields each
+    assignment of those rows as one list of J row indices for all I rows,
+    set up once for every call; the entries of other rows are stale.
 
     The search is a forced-image backtracking search without recursion.
     Assigning row a to t forces each out-edge image e(a) to e(t); a worklist
     follows these forced images and records every assignment on a trail.  A
     forced image fails when its row already has another image, when its key
     differs from the row's, or, with injective, when another row already has
-    it.  The search takes the lowest-numbered row that no assignment has
-    reached; so the rows an edge leads to come after the rows that force
+    it.  The search takes the lowest-numbered given row that no assignment
+    has reached; so the rows an edge leads to come after the rows that force
     them.  A row with one candidate is assigned it outright, and any other
     opens a level that branches over its candidates.  Backtracking pops the
-    trail back to the level's mark.  The yielded list is live: copy it to
-    keep it.
+    trail back to the level's mark.  Each call first undoes what the last
+    left assigned.  The yielded list is live: copy it to keep it.
     """
-    if not key_I:
-        yield []  # the empty map
-        return
-    candidates: dict = {}
-    for t, k in enumerate(key_J):
-        candidates.setdefault(k, []).append(t)
-    if not candidates.keys() >= set(key_I):
-        return  # some row has no candidate
-    succ_I, succ_J = _successors(I), _successors(J)
     img = [-1] * len(key_I)  # I row index -> J row index, -1 while unassigned
     used = [False] * len(key_J)  # with injective: J rows that are some row's image
     trail: list[int] = []  # the assigned I rows, in assignment order
@@ -587,38 +616,43 @@ def _homs(I: Instance, J: Instance, key_I, key_J, injective: bool = False):
                 return False
         return True
 
-    stack = []  # per level: (row, candidate iterator, trail mark)
-    a, end = 0, len(key_I)
-    while True:
-        while a < end and img[a] >= 0:
-            a += 1
-        if a == end:
-            yield img
-        else:
-            ts = candidates[key_I[a]]
-            if len(ts) > 1:
-                stack.append((a, iter(ts), len(trail)))
-            elif place(a, ts[0]):  # a row with one candidate is forced to it
-                continue
-        while stack:
-            a, ts, mark = stack[-1]
-            undo(mark)
-            for t in ts:
-                if place(a, t):
-                    break
+    def search(rows):
+        undo(0)
+        stack = []  # per level: (position in rows, candidate iterator, trail mark)
+        p, end = 0, len(rows)
+        while True:
+            while p < end and img[rows[p]] >= 0:
+                p += 1
+            if p == end:
+                yield img
             else:
-                stack.pop()
-                continue
-            break
-        else:
-            return
+                ts = candidates[key_I[rows[p]]]
+                if len(ts) > 1:
+                    stack.append((p, iter(ts), len(trail)))
+                elif place(rows[p], ts[0]):  # a row with one candidate is forced to it
+                    continue
+            while stack:
+                p, ts, mark = stack[-1]
+                undo(mark)
+                for t in ts:
+                    if place(rows[p], t):
+                        break
+                else:
+                    stack.pop()
+                    continue
+                break
+            else:
+                return
+
+    return search
 
 
 def iso_check(I: Instance, J: Instance) -> bool:
     """True iff a schema-preserving bijective natural transformation exists.
 
     Searched as an injective hom keyed by the joint colors of partition
-    refinement; equal row counts per node make it bijective.
+    refinement, over all rows at once, since injectivity links the
+    components; equal row counts per node make it bijective.
     """
     if I.schema != J.schema:
         return False
@@ -630,17 +664,53 @@ def iso_check(I: Instance, J: Instance) -> bool:
     cI, cJ = color[:split], color[split:]
     if Counter(cI) != Counter(cJ):
         return False
-    return next(_homs(I, J, cI, cJ, injective=True), None) is not None
+    search = _homs(cI, cJ, _successors(I), _successors(J), _candidates(cJ), injective=True)
+    return next(search(list(range(split))), None) is not None
 
 
 def enumerate_homs(I: Instance, J: Instance, limit: int = 1_000_000) -> int:
-    """Number of natural transformations I -> J (exact attribute preservation)."""
+    """Number of natural transformations I -> J (exact attribute preservation).
+
+    The product of the counts of I's connected components, along its edges
+    both ways, found by one union-find.  A row without edges counts its
+    candidates; any other component is searched over its rows alone, and
+    components with equal keys and edges in row order share one count.
+    LimitExceeded is raised when a component has more than limit homs and
+    none has no hom; the product itself may exceed limit.
+    """
     if I.schema != J.schema:
         raise SchemaError("enumerate_homs requires instances on the same schema")
     nodes = I.schema.topo_order
-    count = 0
-    for _ in _homs(I, J, _attr_keys(I, nodes), _attr_keys(J, nodes)):
-        count += 1
-        if count > limit:
-            raise LimitExceeded(f"more than {limit} homomorphisms")
-    return count
+    key_I = _attr_keys(I, nodes)
+    if not key_I:
+        return 1  # the empty map
+    key_J = _attr_keys(J, nodes)
+    candidates = _candidates(key_J)
+    if not candidates.keys() >= set(key_I):
+        return 0  # some row has no candidate
+    succ_I, search = _successors(I), None
+    uf = _UnionFind(range(len(key_I)))
+    for a, bs in enumerate(succ_I):
+        for b in bs:
+            uf.union(a, b)
+    parts: dict[int, list[int]] = {}
+    for a in range(len(key_I)):
+        parts.setdefault(uf.find(a), []).append(a)
+    total, exceeded = 1, False
+    counts: dict = {}  # component shape -> its count, capped at limit + 1
+    for rows in parts.values():
+        if len(rows) == 1 and not succ_I[rows[0]]:
+            count = len(candidates[key_I[rows[0]]])
+        else:
+            shape = tuple((key_I[a], tuple(map(bisect_left, repeat(rows), succ_I[a]))) for a in rows)
+            count = counts.get(shape)
+            if count is None:
+                search = search or _homs(key_I, key_J, succ_I, _successors(J), candidates)
+                count = counts[shape] = sum(1 for _ in islice(search(rows), limit + 1))
+        if count == 0:
+            return 0
+        total *= count
+        exceeded |= count > limit
+    if exceeded:
+        raise LimitExceeded(f"more than {limit} homomorphisms on one connected component")
+    return total

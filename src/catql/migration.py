@@ -19,7 +19,7 @@ from .core import (
     _path_key,
 )
 from .errors import InconsistencyError, NotSaturated, SchemaError, ValidationError
-from .instances import Instance, LabelledNull, join, path_fn
+from .instances import Instance, LabelledNull, _UnionFind, join, path_fn
 
 
 def delta(F: Mapping, I: Instance) -> Instance:
@@ -45,30 +45,6 @@ def _paths_between(T, a, bound):
     if not saturated:
         raise NotSaturated(T.name, a, bound)
     return by_target
-
-
-class _UnionFind:
-    """Disjoint sets over hashable items; union keeps the first argument's root."""
-
-    def __init__(self, items=()):
-        self.parent = {x: x for x in items}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y):
-        self.add(x)
-        self.add(y)
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
 
 
 def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:

@@ -25,8 +25,8 @@ from .core import (
     _walk_path,
 )
 from .errors import DesugarError, SchemaError, TypecheckError
-from .instances import Instance, join, path_fn, relationalize, union
-from .migration import _UnionFind, delta, pi, sigma
+from .instances import Instance, _UnionFind, join, path_fn, relationalize, union
+from .migration import delta, pi, sigma
 
 
 @dataclass(frozen=True)

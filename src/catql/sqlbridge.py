@@ -422,11 +422,13 @@ def export_sql(schema: Schema, I: Instance, warn=None) -> str:
     identifier."""
     _check_export_names(schema)
     warn = warn or (lambda _msg: None)
-    # integer ids are kept; otherwise rows are renumbered densely
+    # integer ids, negative ones included, are kept when no two are equal as
+    # integers; otherwise rows are renumbered densely
     id_map = {}
     for node in sorted(schema.nodes):
         rws = I.node_rows(node)
-        if all(map(str.isdecimal, rws)) and len(set(map(int, rws))) == len(rws):
+        digits = map(str.removeprefix, rws, repeat("-"))
+        if all(map(str.isdecimal, digits)) and len(set(map(int, rws))) == len(rws):
             id_map[node] = dict(zip(rws, map(int, rws)))
         else:
             id_map[node] = {r: i + 1 for i, r in enumerate(rws)}

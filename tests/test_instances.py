@@ -1,6 +1,7 @@
 """Instances: validation, path evaluation, unions, relationalize, isos, homs."""
 
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -25,7 +26,7 @@ from catql.instances import (
 )
 from catql.migration import pi
 
-from conftest import rand_adjunction_triple, rand_dag_schema, rand_instance
+from conftest import disjoint_union_many, rand_adjunction_triple, rand_dag_schema, rand_instance
 
 
 def chain_schema():
@@ -499,10 +500,11 @@ def rand_refine_schema(rng):
     return make_schema("RF", nodes, edges, attrs)
 
 
-def rand_refine_instance(rng, s):
-    """Up to six rows per node, values from a small pool with two labelled
-    nulls; a node is emptied when an edge out of it has an empty target."""
-    sizes = {n: rng.choice([0, 1, 2, 3, 4, 6]) for n in sorted(s.nodes)}
+def rand_refine_instance(rng, s, counts=(0, 1, 2, 3, 4, 6)):
+    """Up to six rows per node (a row count is drawn from counts), values
+    from a small pool with two labelled nulls; a node is emptied when an
+    edge out of it has an empty target."""
+    sizes = {n: rng.choice(counts) for n in sorted(s.nodes)}
     changed = True
     while changed:
         changed = False
@@ -682,6 +684,95 @@ class TestTwoPhaseRefine:
                 src in settled and backwards.index(tgt) > backwards.index(src)
                 for (_e, src, tgt) in s.edges)
         assert min(seen.values()) >= 50, seen
+
+
+def pairs_instance(k):
+    """k disjoint f-pairs a_i -> b_i on the schema a -> b."""
+    s = make_schema("P", ["a", "b"], [("f", "a", "b")])
+    a, b = [f"a{i}" for i in range(k)], [f"b{i}" for i in range(k)]
+    return Instance(s, {"a": a, "b": b}, {("a", "f"): dict(zip(a, b))}, {})
+
+
+def component_count(I):
+    """The number of connected components of I's rows along its edges."""
+    s = I.schema
+    linked = {(n, r): set() for n in s.nodes for r in I.rows[n]}
+    for (e, src, tgt) in s.edges:
+        for r, v in I.edge(src, e).items():
+            linked[(src, r)].add((tgt, v))
+            linked[(tgt, v)].add((src, r))
+    seen, count = set(), 0
+    for x in linked:
+        if x not in seen:
+            count += 1
+            todo = [x]
+            while todo:
+                y = todo.pop()
+                if y not in seen:
+                    seen.add(y)
+                    todo.extend(linked[y])
+    return count
+
+
+class TestComponentCount:
+    def test_against_exhaustive_oracle(self):
+        """The product of the component counts equals the exhaustive count,
+        and a disjoint union counts the product of its parts' counts."""
+        rng = random.Random(53)
+        seen = Counter()
+        while seen["pairs"] < 1000:
+            s = rand_settle_schema(rng)
+            I1, I2 = (rand_refine_instance(rng, s, (0, 1, 2, 3)) for _ in "12")
+            J = rand_refine_instance(rng, s, (0, 1, 2, 3))
+            space = max(math.prod(len(J.rows[n]) ** len(K.rows[n]) for n in s.nodes)
+                        for K in (I1, I2))
+            if space > 2000:
+                continue
+            counts = [enumerate_homs(K, J) for K in (I1, I2)]
+            for K, count in zip((I1, I2), counts):
+                assert count == sum(is_natural(K, J, h) for h in node_maps(K, J, False))
+            assert enumerate_homs(disjoint_union_many([I1, I2]), J) == counts[0] * counts[1]
+            filled = {n for n in s.nodes if I1.rows[n]}
+            split = component_count(I1) > 1
+            seen["pairs"] += 1
+            seen["components"] += split
+            seen["self-loop"] += any(src == tgt and src in filled for (_e, src, tgt) in s.edges)
+            seen["cycle"] += any(n in reach and n in filled for n, reach in reach_sets(s).items())
+            seen["null"] += any(isinstance(v, LabelledNull) for fn in I1.attr_fn.values()
+                                for v in fn.values())
+            seen["no hom"] += counts[0] == 0
+            seen["multiplied"] += split and counts[0] > 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_disjoint_pairs(self):
+        """k disjoint f-pairs into 2 have 2^k homs, counted exactly, beyond
+        the limit, and without enumerating them."""
+        J = pairs_instance(2)
+        start = time.perf_counter()
+        assert enumerate_homs(pairs_instance(21), J) == 2 ** 21
+        assert enumerate_homs(pairs_instance(21), J, limit=3) == 2 ** 21
+        assert enumerate_homs(pairs_instance(1000), J) == 2 ** 1000
+        assert time.perf_counter() - start < 1.0
+
+    def test_no_hom_beside_a_component_over_the_limit(self):
+        """A component with more than limit homs raises only when no other
+        component has none, in either order of the components."""
+        s = make_schema("L", ["a"], [("f", "a", "a")], [("v", "a", "string")])
+
+        def graph(f, values):
+            return Instance(s, {"a": list(f)}, {("a", "f"): f}, {("a", "v"): values})
+
+        # a 2-cycle and two fixed points: v is x on the cycle, y on the points
+        J = graph({"p": "q", "q": "p", "r": "r", "s": "s"}, {"p": "x", "q": "x", "r": "y", "s": "y"})
+        over = {"e0": "e1", "e1": "e0"}, {"e0": "y", "e1": "y"}  # 2 homs, onto r or s
+        none = {"z": "z"}, {"z": "x"}  # a fixed point with v = x: no hom
+        assert enumerate_homs(graph(*over), J) == 2
+        with pytest.raises(LimitExceeded):
+            enumerate_homs(graph(*over), J, limit=1)
+        assert enumerate_homs(graph(*none), J) == 0
+        for z in ("z", "a"):  # the fixed point's row sorts last, then first
+            f, v = {**over[0], z: z}, {**over[1], z: "x"}
+            assert enumerate_homs(graph(f, v), J, limit=1) == 0
 
 
 def rand_join_case(rng, max_vars=4, max_groups=4):

@@ -8,7 +8,7 @@ import pytest
 
 from catql.core import make_schema
 from catql.errors import SqlExportError, SqlImportError
-from catql.instances import LabelledNull, empty_instance, iso_check, validate_instance
+from catql.instances import Instance, LabelledNull, empty_instance, iso_check, validate_instance
 from catql.sqlbridge import _SqlParser, _literal, export_sql, import_sql
 
 from conftest import read_data
@@ -387,9 +387,28 @@ class TestExport:
             "CREATE TABLE part (\n  id INT PRIMARY KEY,\n  len INT,\n  name VARCHAR(255),\n"
             "  unit INT REFERENCES unit\n);\n"
             "CREATE TABLE unit (\n  id INT PRIMARY KEY,\n  code VARCHAR(255),\n  size INT\n);\n"
-            "INSERT INTO part VALUES\n(7, 0, NULL, 2),\n(8, NULL, '', 2),\n(10, -3, 'it''s', 1);\n"
-            "INSERT INTO unit VALUES\n(1, 'mm', -5),\n(2, 'in\"ch', NULL);\n"
+            "INSERT INTO part VALUES\n(7, 0, NULL, 2),\n(8, NULL, '', 2),\n(10, -3, 'it''s', -1);\n"
+            "INSERT INTO unit VALUES\n(-1, 'mm', -5),\n(2, 'in\"ch', NULL);\n"
         )
+
+    def test_negative_ids_are_kept(self):
+        """Negative integer ids, and the edges into their table, survive a
+        round trip as they are; ids that are equal as integers, such as -0
+        and 0, are still renumbered."""
+        text = ("CREATE TABLE unit (id INT PRIMARY KEY, code VARCHAR(9));\n"
+                "CREATE TABLE part (id INT PRIMARY KEY, unit INT REFERENCES unit);\n"
+                "INSERT INTO unit VALUES (-1, 'mm'), (2, 'in'), (-30, 'ft');\n"
+                "INSERT INTO part VALUES (-7, -1), (5, -30), (6, 2);\n")
+        schema, inst = import_sql(text)
+        out = export_sql(schema, inst)
+        assert "(-30, 'ft'),\n(-1, 'mm'),\n(2, 'in')" in out
+        assert "(-7, -1),\n(5, -30),\n(6, 2)" in out
+        _s2, again = import_sql(out)
+        assert again.rows == inst.rows
+        assert again.edge_fn == inst.edge_fn == {("part", "unit"): {"-7": "-1", "5": "-30", "6": "2"}}
+        s = make_schema("Z", ["t"], [])
+        zeros = Instance(s, {"t": ["-0", "0"]}, {}, {})
+        assert "INSERT INTO t VALUES\n(1),\n(2);" in export_sql(s, zeros)
 
     def test_single_quote_output(self):
         schema, inst = import_sql(read_data("unitcode.sql"))
