@@ -33,7 +33,6 @@ injectivity links the components.  Both number the rows by node in
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, islice, repeat
@@ -526,8 +525,9 @@ class _UnionFind:
         return x
 
     def union(self, x, y):
-        p = self.parent  # setdefault adds a new item, else gives its parent
-        rx, ry = self.find(p.setdefault(x, x)), self.find(p.setdefault(y, y))
+        self.add(x)
+        self.add(y)
+        rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[ry] = rx
 
@@ -569,10 +569,9 @@ def _homs(key_I, key_J, succ_I, succ_J, candidates, injective: bool = False):
     row order.  key_I and key_J hold one key per row, never shared by rows
     of two nodes, and succ_I and succ_J the rows' edge images.  A row may
     map only to the rows of J that have its key, its candidates (from
-    `_candidates(key_J)`), and every row of I has one.  search(rows), for an
-    ascending list of I row indices closed under I's edges, yields each
-    assignment of those rows as one list of J row indices for all I rows,
-    set up once for every call; the entries of other rows are stale.
+    `_candidates(key_J)`), and every row of I has one.  search(rows), for
+    ascending I row indices closed under I's edges, yields each assignment
+    of those rows in one list of J row indices over all I rows.
 
     The search is a forced-image backtracking search without recursion.
     Assigning row a to t forces each out-edge image e(a) to e(t); a worklist
@@ -583,8 +582,8 @@ def _homs(key_I, key_J, succ_I, succ_J, candidates, injective: bool = False):
     has reached; so the rows an edge leads to come after the rows that force
     them.  A row with one candidate is assigned it outright, and any other
     opens a level that branches over its candidates.  Backtracking pops the
-    trail back to the level's mark.  Each call first undoes what the last
-    left assigned.  The yielded list is live: copy it to keep it.
+    trail back to the level's mark.  Each call first undoes the last one's
+    assignments.  The yielded list is live: copy it to keep it.
     """
     img = [-1] * len(key_I)  # I row index -> J row index, -1 while unassigned
     used = [False] * len(key_J)  # with injective: J rows that are some row's image
@@ -671,19 +670,15 @@ def iso_check(I: Instance, J: Instance) -> bool:
 def enumerate_homs(I: Instance, J: Instance, limit: int = 1_000_000) -> int:
     """Number of natural transformations I -> J (exact attribute preservation).
 
-    The product of the counts of I's connected components, along its edges
-    both ways, found by one union-find.  A row without edges counts its
-    candidates; any other component is searched over its rows alone, and
-    components with equal keys and edges in row order share one count.
-    LimitExceeded is raised when a component has more than limit homs and
-    none has no hom; the product itself may exceed limit.
+    The product of the counts of I's connected components, found by one
+    union-find over its edges; a row without edges counts its candidates,
+    and any other component is searched over its rows alone.  LimitExceeded
+    means some component has more than limit homs and none has none.
     """
     if I.schema != J.schema:
         raise SchemaError("enumerate_homs requires instances on the same schema")
     nodes = I.schema.topo_order
     key_I = _attr_keys(I, nodes)
-    if not key_I:
-        return 1  # the empty map
     key_J = _attr_keys(J, nodes)
     candidates = _candidates(key_J)
     if not candidates.keys() >= set(key_I):
@@ -697,16 +692,12 @@ def enumerate_homs(I: Instance, J: Instance, limit: int = 1_000_000) -> int:
     for a in range(len(key_I)):
         parts.setdefault(uf.find(a), []).append(a)
     total, exceeded = 1, False
-    counts: dict = {}  # component shape -> its count, capped at limit + 1
     for rows in parts.values():
         if len(rows) == 1 and not succ_I[rows[0]]:
             count = len(candidates[key_I[rows[0]]])
-        else:
-            shape = tuple((key_I[a], tuple(map(bisect_left, repeat(rows), succ_I[a]))) for a in rows)
-            count = counts.get(shape)
-            if count is None:
-                search = search or _homs(key_I, key_J, succ_I, _successors(J), candidates)
-                count = counts[shape] = sum(1 for _ in islice(search(rows), limit + 1))
+        else:  # once a component is over the limit, the others need only one hom
+            search = search or _homs(key_I, key_J, succ_I, _successors(J), candidates)
+            count = sum(1 for _ in islice(search(rows), 1 if exceeded else limit + 1))
         if count == 0:
             return 0
         total *= count

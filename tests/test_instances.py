@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from catql import instances as instances_module
 from catql.core import Path, PathEquation, make_schema
 from catql.errors import LimitExceeded, SchemaError, ValidationError
 from catql.instances import (
@@ -773,6 +774,26 @@ class TestComponentCount:
         for z in ("z", "a"):  # the fixed point's row sorts last, then first
             f, v = {**over[0], z: z}, {**over[1], z: "x"}
             assert enumerate_homs(graph(f, v), J, limit=1) == 0
+
+    def test_components_after_the_limit_need_one_hom(self, monkeypatch):
+        """Once one component is over the limit, each later component is
+        searched for one hom only, and the count still raises."""
+        found = []  # the first row of the component of each hom found
+        homs = instances_module._homs
+
+        def counted(*args, **kwargs):
+            search = homs(*args, **kwargs)
+
+            def counting(rows):
+                for img in search(rows):
+                    found.append(rows[0])
+                    yield img
+            return counting
+
+        monkeypatch.setattr(instances_module, "_homs", counted)
+        with pytest.raises(LimitExceeded):  # three components of 5 homs each
+            enumerate_homs(pairs_instance(3), pairs_instance(5), limit=2)
+        assert Counter(found) == {0: 3, 1: 1, 2: 1}
 
 
 def rand_join_case(rng, max_vars=4, max_groups=4):
