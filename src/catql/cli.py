@@ -128,7 +128,10 @@ def _load_fk_spec(path):
     if path is None:
         return None
     with _open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise CatqlError(f"fk spec {path!r} is nested too deeply to read") from None
 
 
 def _dispatch(args) -> int:

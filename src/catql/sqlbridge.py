@@ -4,27 +4,31 @@ Every table has one leading INT PRIMARY KEY id column; remaining columns are
 attributes (INT, VARCHAR(n)) or foreign keys (REFERENCES, or declared in a
 sidecar fk_spec, or optionally guessed from a *_id naming convention).
 
-The text is scanned by one C-level `findall` of _SQL_SCAN, which
-`parsing.scan_pattern` builds from the rules of _SQL_RULES, as it builds the
-.catql scan: whitespace and `--` comments are skipped, a STRING is single- or
-double-quoted with the quote doubled inside it, INT is an optional minus and
-decimal digits, and IDENT is ASCII.  The first character that no rule matches
-starts one last lexeme, the rest of the text, which is reported as an error
-at its offset, worked out only then.  The parser looks a token's kind up only
-where it needs it.
+The text is lexed one token at a time, by a match of _SQL_SCAN at an offset,
+which `parsing.scan_pattern` builds from the rules of _SQL_RULES, as it
+builds the .catql scan: whitespace and `--` comments are skipped, a STRING is
+single- or double-quoted with the quote doubled inside it, INT is an optional
+minus and decimal digits, and IDENT is ASCII.  The first character that no
+rule matches starts one last lexeme, the rest of the text, which is an error
+at its offset.  If parsing fails first, the whole text is scanned, so that
+such a character is the error wherever it is.
 Table, column and REFERENCES names must be IDENT tokens, and a VARCHAR length
 an INT token of at least 1.  So export_sql refuses a schema with a node,
 attribute or edge name that is not an IDENT: the text could not be read back.
 
-An INSERT block of k-tuples has period 2k+2 in the token list: its `(`, `)`
-and `,` are counted on strided slices, and each column is one slice, read in
-one step.  Tables are built, and export_sql writes INSERTs, column by column.
-A block or check that fails is walked in order, to raise its first fault.
+An INSERT block into a table created before it is read up to its first `;`
+outside quotes by one `findall` of a pattern of k-tuples of literals, and
+each column is read in one step.  Any other block (a comment inside a tuple,
+a fault, tuples of another arity, no CREATE TABLE yet) is walked token by
+token, which raises at its first fault.  Tables are built, and export_sql
+writes INSERTs, column by column; a check that fails is walked in order.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from types import NoneType
 
@@ -49,7 +53,7 @@ class SqlTableDef:
 
 
 _SQL_RULES = dict(
-    STRING=r"'(?:[^']|'')*'" r'|"(?:[^"]|"")*"',
+    STRING=r"'[^']*(?:''[^']*)*'" r'|"[^"]*(?:""[^"]*)*"',
     INT=r"-?\d+",
     IDENT=r"[A-Za-z_][A-Za-z0-9_]*",
     SYM=r"[(),;]",
@@ -58,6 +62,19 @@ _SQL_TOKEN = rule_table(**_SQL_RULES)
 # Whitespace and comments are skipped.  A comment must run to the end of its
 # line, so no token is matched inside one.
 _SQL_SCAN = scan_pattern(r"(?:\s+|--[^\n]*(?![^\n]))*", _SQL_RULES)
+# Up to the first `;` outside quotes; a quote in a comment can misplace it,
+# and then the block's tuples do not fit up to it.
+_SQL_BLOCK_END = re.compile(r"""[^;'"]*(?:(?:'[^']*'|"[^"]*")[^;'"]*)*;""")
+
+
+def _tuple_pattern(k):
+    """One k-tuple of literals, a group each, then the `,` after it or the `;`
+    ending the text, as the last group; other text is `(?s:.+)`, groups empty.
+    Comments are skipped only before a tuple, by a skip that parses one way:
+    the scan's splits blank runs many ways, and would backtrack exponentially."""
+    value = rf"\s*({_SQL_RULES['STRING']}|{_SQL_RULES['INT']}|(?i:NULL)(?![A-Za-z0-9_]))\s*"
+    skip = r"\s*(?:--[^\n]*(?![^\n])\s*)*"
+    return re.compile(rf"{skip}\({','.join([value] * k)}\)\s*(,|;\Z)|(?s:.+)")
 
 
 def _literal(tok):
@@ -88,41 +105,33 @@ def _column(lexemes):
         return list(map(_literal, lexemes))
 
 
-def _block_columns(tokens, p, end):
-    """The columns of the VALUES block tokens[p:end]: column j is every
-    period-th token from offset 2j+1.  Raises ValueError on a block that is
-    not k-tuples, and SqlImportError on a value that is not a literal."""
-    k = (tokens.index(")", p, end) - p) // 2
-    period = 2 * k + 2
-    n, rest = divmod(end + 1 - p, period)
-    # (offset, symbol, how many tuples hold it there): the last tuple ends at `;`
-    marks = [(0, "(", n), (2 * k, ")", n), (2 * k + 1, ",", n - 1)]
-    marks += [(2 * j, ",", n) for j in range(1, k)]
-    if rest or any(tokens[p + i:end:period].count(sym) != m for (i, sym, m) in marks):
-        raise ValueError("not a block of tuples of one arity")
-    return [_column(tokens[p + 1 + 2 * j:end:period]) for j in range(k)]
-
-
 class _SqlParser:
     def __init__(self, text):
-        tokens = _SQL_SCAN.findall(text)
-        while tokens and not tokens[-1]:
-            tokens.pop()  # the empty lexemes matched at the end of the text
-        if tokens and _SQL_TOKEN.fullmatch(tokens[-1]) is None:
-            rest = tokens[-1]
-            raise SqlImportError(
-                f"unexpected SQL character {rest[0]!r} at offset {len(text) - len(rest)}"
-            )
-        tokens.append(";")  # tolerate missing final terminator
-        self.tokens = tokens
-        self.pos = 0
+        self.text = text + "\n;"  # tolerate missing final terminator
+        self.arity = {}  # the column count of each table created so far
+        self._lex(0)
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    @cached_property
+    def tokens(self):
+        """Every token of the text; raises at the first unexpected character."""
+        tokens = _SQL_SCAN.findall(self.text)
+        tokens.pop()  # the empty lexeme matched at the end of the text
+        if _SQL_TOKEN.fullmatch(tokens[-1]) is None:
+            self._lex(len(self.text) - len(tokens[-1]))  # raises there
+        return tokens
+
+    def _lex(self, at):
+        """Make the token after offset `at` current, or None at the end."""
+        m = _SQL_SCAN.match(self.text, at)
+        self.start, self.end, self.tok = at, m.end(), m[1] or None
+        if self.end == len(self.text) and self.tok and not _SQL_TOKEN.fullmatch(self.tok):
+            raise SqlImportError(
+                f"unexpected SQL character {self.tok[0]!r} at offset {m.start(1)}"
+            )
 
     def next(self):
-        t = self.peek()
-        self.pos += 1
+        t = self.tok
+        self._lex(self.end)
         return t
 
     def expect(self, word):
@@ -139,22 +148,29 @@ class _SqlParser:
         return t
 
     def at_kw(self, word):
-        t = self.peek()
-        return t is not None and t.upper() == word.upper()
+        return self.tok is not None and self.tok.upper() == word.upper()
 
     def parse(self):
+        """(tables, inserts).  An unexpected character anywhere in the text
+        is the error, whatever fault comes before it."""
         tables = []
         inserts = []
-        while self.peek() is not None:
-            if self.peek() == ";":
-                self.next()
-                continue
-            if self.at_kw("CREATE"):
-                tables.append(self.parse_create())
-            elif self.at_kw("INSERT"):
-                inserts.append(self.parse_insert())
-            else:
-                raise SqlImportError(f"unsupported SQL construct starting at {self.peek()!r}")
+        try:
+            while self.tok is not None:
+                if self.tok == ";":
+                    self.next()
+                    continue
+                if self.at_kw("CREATE"):
+                    tables.append(self.parse_create())
+                elif self.at_kw("INSERT"):
+                    inserts.append(self.parse_insert())
+                else:
+                    raise SqlImportError(
+                        f"unsupported SQL construct starting at {self.tok!r}"
+                    )
+        except SqlImportError:
+            self.tokens  # scans the whole text, to raise at an unexpected character
+            raise
         return tables, inserts
 
     def parse_create(self):
@@ -186,7 +202,7 @@ class _SqlParser:
             else:
                 raise SqlImportError(f"unsupported column type {ty!r} in table {name!r}")
             role, fk_target = "attribute", ""
-            while self.peek() not in (",", ")"):
+            while self.tok not in (",", ")"):
                 if self.at_kw("PRIMARY"):
                     self.next()
                     self.expect("KEY")
@@ -197,40 +213,45 @@ class _SqlParser:
                     role = "fk"
                 else:
                     raise SqlImportError(
-                        f"unsupported column modifier {self.peek()!r} in table {name!r}"
+                        f"unsupported column modifier {self.tok!r} in table {name!r}"
                     )
             columns.append(SqlColumn(col, sql_type, role, fk_target))
             if self.next() == ")":
                 break
         self.expect(";")
+        self.arity[name] = len(columns)
         return SqlTableDef(name, columns)
 
     def parse_insert(self):
-        """(name, columns, rows) of one INSERT.  A block that is not read as
-        columns is read token by token, which raises the error at its first
-        fault; if it reads, its tuples differ in arity, and are the rows."""
+        """(name, columns, rows) of one INSERT: its block as columns if its
+        tuples are of one arity, and else as rows."""
         self.expect("INSERT")
         self.expect("INTO")
-        name = self.next()
+        name = self.expect_kind("IDENT", "table name")
         self.expect("VALUES")
-        p = self.pos
-        end = self.tokens.index(";", p)  # tokens ends with ";"
-        try:
-            cols = _block_columns(self.tokens, p, end)
-        except (ValueError, SqlImportError):
-            pass  # walked below, for the error at its first fault
-        else:
-            self.pos = end + 1
-            return name, cols, None
+        end = name in self.arity and _SQL_BLOCK_END.match(self.text, self.start)
+        if end:
+            pattern = _tuple_pattern(self.arity[name])  # compiled once, by re's cache
+            *cols, seps = zip(*pattern.findall(self.text, self.start, end.end()))
+            try:  # a tuple that does not fit, or a bad literal, is walked below
+                cols = list(map(_column, cols)) if seps[-1] else None
+            except SqlImportError:
+                cols = None
+            if cols:
+                self._lex(end.end())
+                return name, cols, None
         rows = []
         while True:
             self.expect("(")
             rows.append(self._tuple_by_tokens())
             sep = self.next()
             if sep == ";":
-                return name, [], rows
+                break
             if sep != ",":
                 raise SqlImportError(f"expected ',' or ';' after tuple, got {sep!r}")
+        if len(set(map(len, rows))) > 1:
+            return name, [], rows
+        return name, list(map(list, zip(*rows))), None
 
     def _tuple_by_tokens(self):
         vals = []

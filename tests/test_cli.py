@@ -313,6 +313,14 @@ class TestExitCodes:
                                   "--fk-spec", str(spec))
         assert code == 1 and "catql: error:" in err
 
+    def test_deeply_nested_fk_spec(self, tmp_path, capsys):
+        spec = tmp_path / "fk.json"
+        spec.write_text("[" * 100_000 + "]" * 100_000)
+        code, _out, err = run_cli(capsys, "import-sql", data_path("unitcode.sql"),
+                                  "--fk-spec", str(spec))
+        assert code == 1
+        assert err == f"catql: error: fk spec {str(spec)!r} is nested too deeply to read\n"
+
     def test_non_utf8_input(self, tmp_path, capsys):
         sql = tmp_path / "latin1.sql"
         sql.write_bytes("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(9)); -- caf\xe9\n"

@@ -154,6 +154,10 @@ class TestImport:
          "expected table name after REFERENCES, got \"'a'\""),
         ("CREATE TABLE a (id INT PRIMARY KEY, v VARCHAR(abc));",
          "expected VARCHAR length, got 'abc'"),
+        ("CREATE TABLE a (id INT PRIMARY KEY);\nINSERT INTO 'a' VALUES (1);",
+         "expected table name, got \"'a'\""),
+        ("CREATE TABLE a (id INT PRIMARY KEY);\nINSERT INTO 5 VALUES (1);",
+         "expected table name, got '5'"),
     ])
     def test_names_must_be_identifiers(self, text, message):
         with pytest.raises(SqlImportError) as exc:
@@ -508,6 +512,85 @@ class TestBlockRead:
                 assert [(name, cols) for (name, cols, _rows) in inserts] == \
                     reference_inserts(_SqlParser(t).tokens), t
                 assert all(rows is None for (_name, _cols, rows) in inserts)
+
+
+    def test_comments_between_tokens(self, monkeypatch):
+        """The texts above, with comments and line breaks put between random
+        tokens, import as they do without them.  A comment inside a tuple
+        makes its block walked token by token, so both reads are compared."""
+        walked = []
+        tuple_by_tokens = _SqlParser._tuple_by_tokens
+        monkeypatch.setattr(_SqlParser, "_tuple_by_tokens",
+                            lambda self: walked.append(1) or tuple_by_tokens(self))
+        rng, gaps = random.Random(15), random.Random(16)
+        comments = ["x", "it's; y", "(1, 2);", "'", '"', "--", "NULL", ""]
+        for _ in range(300):
+            text = rand_sql_text(rng)
+            for t in (text, requote(rng, text)):
+                commented = "".join(
+                    tok + gaps.choice([" ", " ", " ", "\n", f" --{gaps.choice(comments)}\n"])
+                    for tok in _SqlParser(t).tokens[:-1]
+                )
+                _s, inst = import_sql(t)
+                _s, again = import_sql(commented)
+                assert (again.rows, again.edge_fn, again.attr_fn) == \
+                    (inst.rows, inst.edge_fn, inst.attr_fn), commented
+        assert len(walked) > 1000
+
+
+class TestTupleRead:
+    """INSERT blocks read by one tuple pattern import as they did when every
+    token was scanned."""
+
+    def test_strings_that_look_like_syntax(self):
+        _s, inst = import_sql(
+            "CREATE TABLE a (id INT PRIMARY KEY, s VARCHAR(99));\n"
+            "INSERT INTO a VALUES (1, 'x;y'), (2, '(1, 2)'), (3, '--'), (4, 'a\nb'),\n"
+            "  (5, 'it''s'), (6, \"say \"\"hi\"\"\"), (7, '\"\"'), (8, \"''\"), (9, ';');"
+        )
+        assert inst.attr("a", "s") == {
+            "1": "x;y", "2": "(1, 2)", "3": "--", "4": "a\nb",
+            "5": "it's", "6": 'say "hi"', "7": '""', "8": "''", "9": ";",
+        }
+
+    def test_nulls_and_integer_spellings(self):
+        _s, inst = import_sql(
+            "CREATE TABLE a (id INT PRIMARY KEY, v INT, w VARCHAR(9));\n"
+            "INSERT INTO a VALUES (-0, null, NULL), (007, -0, 'x'), (-12, 007, Null);"
+        )
+        assert inst.rows["a"] == ("-12", "0", "7")
+        assert inst.attr("a", "v") == {"0": LabelledNull("null!a!v!0"), "7": 0, "-12": 7}
+        assert inst.attr("a", "w") == {
+            "0": LabelledNull("null!a!w!0"), "7": "x", "-12": LabelledNull("null!a!w!-12"),
+        }
+
+    def test_comment_with_quote_and_semicolon_inside_a_block(self):
+        _s, inst = import_sql(A + "INSERT INTO a VALUES (1, 2), -- it's; x\n (3, 4);")
+        assert inst.attr("a", "v") == {"1": 2, "3": 4}
+        _s, inst = import_sql("CREATE TABLE b (id INT PRIMARY KEY, s VARCHAR(9));\n"
+                              "INSERT INTO b VALUES (1, 'a'), -- it's\n (2, 'x;y'), (3, 'b');")
+        assert inst.attr("b", "s") == {"1": "a", "2": "x;y", "3": "b"}
+
+    def test_insert_before_its_create(self):
+        _s, inst = import_sql("INSERT INTO a VALUES (1, 2), (3, 4);\n" + A)
+        assert inst.attr("a", "v") == {"1": 2, "3": 4}
+
+    @pytest.mark.parametrize("text", [
+        A + "INSERT INTO a VALUES (1, 2), (3, 4);\n@",
+        A + "INSERT INTO a VALUES (1, 2), (1, 3); @",
+        A + "INSERT INTO a VALUES (1, 2);\nINSERT INTO zz VALUES (1, 'x');@",
+    ])
+    def test_bad_character_after_a_block(self, text):
+        with pytest.raises(SqlImportError) as exc:
+            import_sql(text)
+        assert str(exc.value) == f"unexpected SQL character '@' at offset {text.index('@')}"
+
+    def test_many_blocks_in_linear_time(self):
+        text = A + "".join(f"INSERT INTO a VALUES ({i}, {-i});\n" for i in range(20_000))
+        started = time.perf_counter()
+        _s, inst = import_sql(text)
+        assert time.perf_counter() - started < 1.0
+        assert len(inst.rows["a"]) == 20_000 and inst.attr("a", "v")["19999"] == -19999
 
 
 class TestRandomRoundTrip:
