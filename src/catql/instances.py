@@ -19,10 +19,14 @@ blocks that a splitter's preimage hits, so it runs in O(m log n) for m edge
 entries over n rows.  On a schema without cycles that worklist is empty.
 One quotient (`_quotient`) reads relationalize and union off the colors,
 from one representative row per class, and iso_check compares the color
-classes of two instances.  One forced-image search (`_homs`) enumerates natural
-transformations: an assignment fixes the images of its row's edge targets,
-which are followed along the edges and undone from a trail, and the search
-branches only on rows that no assignment reaches.  enumerate_homs counts
+classes of two instances.  When one side of a union extends the other, only
+that side is refined, and it adds only its own rows to the quotient; an
+enrichment step builds such an extension with `extend`, which copies its
+input once and validates only the new rows.  One forced-image search
+(`_homs`) enumerates natural transformations: an assignment fixes the
+images of its row's edge targets, which are followed along the edges and
+undone from a trail, and the search branches only on rows that no
+assignment reaches.  enumerate_homs counts
 the transformations that keep each row's attribute tuple on each connected
 component of I, found by the one union-find (`_UnionFind`), and multiplies
 the counts; its limit bounds one component's count.  iso_check searches
@@ -33,9 +37,9 @@ injectivity links the components.  Both number the rows by node in
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import groupby, islice, repeat
+from itertools import count, groupby, islice, repeat
 from operator import itemgetter
 from typing import Union
 
@@ -262,16 +266,24 @@ _VALUE_CLASSES = {
 def validate_instance(I: Instance):
     """Distinct row ids, totality of edge/attribute functions, typing, and
     pointwise equations."""
+    _check_rows(I, I.rows, I.edge_fn, I.attr_fn)
+
+
+def _check_rows(I: Instance, rows, edge_fn, attr_fn):
+    """validate_instance's checks on some rows of I, {node: sorted ids}, with
+    their edge and attribute entries, {(node, name): {row: value}}; the other
+    rows of I must be valid already."""
     s = I.schema
     for n, rs in I.rows.items():
-        for r, nxt in zip(rs, rs[1:]):  # rows are sorted, so a repeat is adjacent
-            if r == nxt:
-                raise ValidationError(f"row {r!r} is listed more than once at node {n!r}")
+        if rows.get(n) and len(set(rs)) != len(rs):
+            for r, nxt in zip(rs, rs[1:]):  # rows are sorted, so a repeat is adjacent
+                if r == nxt:
+                    raise ValidationError(f"row {r!r} is listed more than once at node {n!r}")
     # each column is checked whole; only a column that fails is walked row by
     # row, to name its first bad entry
     for (name, src, tgt) in s.edges:
-        fn = I.edge(src, name)
-        if fn.keys() != set(I.rows[src]):
+        fn = edge_fn.get((src, name), {})
+        if fn.keys() != set(rows.get(src, ())):
             raise ValidationError(
                 f"edge {name!r} on {src!r} is not total on the declared row set"
             )
@@ -284,8 +296,8 @@ def validate_instance(I: Instance):
                     f"edge {name!r} sends row {r!r} to dangling target {v!r}"
                 )
     for (name, src, ty) in s.attributes:
-        fn = I.attr(src, name)
-        if fn.keys() != set(I.rows[src]):
+        fn = attr_fn.get((src, name), {})
+        if fn.keys() != set(rows.get(src, ())):
             raise ValidationError(
                 f"attribute {name!r} on {src!r} is not total on the declared row set"
             )
@@ -298,7 +310,7 @@ def validate_instance(I: Instance):
                 )
     for eq in s.equations:
         lhs, rhs = path_fn(I, eq.lhs), path_fn(I, eq.rhs)
-        for r in I.rows[eq.lhs.source]:
+        for r in rows.get(eq.lhs.source, ()):
             lv = lhs(r)
             rv = rhs(r)
             if lv != rv:
@@ -306,6 +318,24 @@ def validate_instance(I: Instance):
                     f"equation {eq} violated at node {eq.lhs.source!r}, row {r!r}: "
                     f"{lv!r} != {rv!r}"
                 )
+
+
+def extend(I: Instance, rows, edge_fn, attr_fn) -> Instance:
+    """I with new rows, {node: ids}, and their edge and attribute entries,
+    {(node, name): {row: value}}, built on one copy of I's functions.
+
+    Only the new rows are validated, as validate_instance validates all: an
+    id already used at its node is listed twice, and the equations are
+    checked on the new rows alone, since I is closed under its edges.
+    """
+    s = I.schema
+    out = Instance(s, {n: I.rows[n] + tuple(rows.get(n, ())) for n in s.nodes},
+                   I.edge_fn, I.attr_fn)
+    for fns, new in ((out.edge_fn, edge_fn), (out.attr_fn, attr_fn)):
+        for key, entries in new.items():
+            fns.setdefault(key, {}).update(entries)
+    _check_rows(out, {n: sorted(rs) for n, rs in rows.items()}, edge_fn, attr_fn)
+    return out
 
 
 def disjoint_union(I: Instance, J: Instance) -> Instance:
@@ -346,25 +376,17 @@ def _attr_keys(inst: Instance, nodes) -> list[tuple]:
     return keys
 
 
-class _Numbering(dict):
-    """Numbers its keys 0, 1, 2, ... in the order they are first looked up."""
-
-    def __missing__(self, key):
-        number = self[key] = len(self)
-        return number
-
-
 def _refine(instances) -> list[int]:
     """Joint coarsest stable partition of the rows of instances on one schema.
 
     The rows are numbered consecutively: by instance, then by node in
     `Schema.topo_order`, then in row order.  Returns the color of each row
-    index.  Two rows, of the same or of different instances, share a color
-    iff every attribute-valued path agrees on them.
+    index, an integer.  Two rows, of the same or of different instances,
+    share a color iff every attribute-valued path agrees on them.
 
     The coloring has two phases.  First, the rows of the nodes that no cycle
     reaches are colored in one pass in `Schema.settle_order`: a row's color
-    numbers its (node, attribute tuple, colors of its edge images), and those
+    labels its (node, attribute values, colors of its edge images), and those
     images are colored already.  This is the well-founded case of Dovier,
     Piazza and Policriti (2004), and no block of these rows is ever split.
     Every other row starts in the block of its (node, attribute tuple,
@@ -379,29 +401,33 @@ def _refine(instances) -> list[int]:
     s = instances[0].schema
     settled = set(s.settle_order)
     loose = [n for n in s.topo_order if n not in settled]
-    index = []  # per instance: node -> {row: row index}
+    first = []  # per instance: node -> the index of its first row
     start = 0
     for inst in instances:
-        at = {}
+        first.append({})
         for n in s.topo_order:
-            rows = inst.rows[n]
-            at[n] = dict(zip(rows, range(start, start + len(rows))))
-            start += len(rows)
-        index.append(at)
+            first[-1][n] = start
+            start += len(inst.rows[n])
     color = [0] * start
-    initial = _Numbering()  # (node, attribute tuple, settled image colors) -> color
-    for inst, at in zip(instances, index):
+    initial: dict = {}  # (node, *attribute values, *settled image colors) -> color
+    labels = count()  # a key's color is the label drawn with its first row
+    index = []  # per instance: unsettled node -> {row: row index}
+    led_to = {tgt for (_e, _src, tgt) in s.edges}
+    for inst, lo in zip(instances, first):
+        color_of = {}  # settled edge target -> {row: color}
         for n in (*s.settle_order, *loose):
             rows = inst.rows[n]
-            if not rows:
+            if not rows:  # then no row has an edge into n
                 continue
-            images = [
-                map(color.__getitem__, map(at[tgt].__getitem__, map(inst.edge(n, e).__getitem__, rows)))
-                for (e, tgt) in s.out_edges[n] if tgt in settled
-            ]
-            keys = zip(_attr_keys(inst, (n,)), zip(*images) if images else repeat(()))
-            lo = at[n][rows[0]]
-            color[lo:lo + len(rows)] = map(initial.__getitem__, keys)
+            cols = [map(inst.attr(n, a).__getitem__, rows) for (a, _ty) in s.node_attrs[n]]
+            cols += [map(color_of[tgt].__getitem__, map(inst.edge(n, e).__getitem__, rows))
+                     for (e, tgt) in s.out_edges[n] if tgt in settled]
+            seg = list(map(initial.setdefault, zip(repeat(n, len(rows)), *cols), labels))
+            color[lo[n]:lo[n] + len(rows)] = seg
+            if n in settled and n in led_to:
+                color_of[n] = dict(zip(rows, seg))
+        index.append({n: dict(zip(inst.rows[n], range(lo[n], lo[n] + len(inst.rows[n]))))
+                      for n in loose})
     into: dict[str, list[dict]] = {n: [] for n in loose}  # preimage tables of edges into n
     for (e, src, tgt) in sorted(s.edges):
         if tgt in settled:  # then src is settled or its key holds the image colors
@@ -414,9 +440,11 @@ def _refine(instances) -> list[int]:
         into[tgt].append(pre)
     if not any(into.values()):  # no edge joins two unsettled nodes, so no block splits
         return color
+    dense = dict(zip(initial.values(), count()))  # renumbered 0, 1, ... in key order
+    color = list(map(dense.__getitem__, color))
     by_color = sorted(range(len(color)), key=color.__getitem__)
     members = [set(xs) for _c, xs in groupby(by_color, color.__getitem__)]
-    node_of = [n for ((n, _attrs), _images) in initial]  # per initial block
+    node_of = [key[0] for key in initial]  # per initial block
     preimages = [into.get(n, ()) for n in node_of]  # per block, those into its node
     largest: dict[str, int] = {}
     for c, n in enumerate(node_of):
@@ -449,35 +477,36 @@ def _refine(instances) -> list[int]:
     return color
 
 
-def _quotient(instances, tags=None) -> Instance:
-    """The joint rows of instances, one per class of `_refine`'s colors.
+def _quotient(instances, parts) -> Instance:
+    """One row per class of `_refine`'s joint colors of instances, named
+    from parts.
 
-    Each class lies in one node and is represented by its first row index:
-    its least row in the first instance that has one, as each node's rows
-    are sorted.  With tags, row r of instance k is named "<tags[k]>.r", so
-    the first row index of a class holds its least name; without, instances
-    holds one instance and rows keep their ids.  Edges and attributes are
-    read from the representatives alone.
+    A part is (k, prefix, node -> sorted rows of instances[k]).  A class is
+    named prefix + r by the first part that holds one of its rows, r its
+    least row there, and that row represents it: edges and attributes are
+    read from the representatives alone.  So a part needs to list no row
+    whose class an earlier part holds.
     """
     s = instances[0].schema
-    prefixes = [f"{t}." for t in tags] if tags else [""]
-    color = _refine(instances)
+    color = iter(_refine(instances))  # in _refine's numbering
+    # zip stops at a node's last row, before it takes a color of the next
+    colors = [{n: dict(zip(inst.rows[n], color)) for n in s.topo_order} for inst in instances]
     name: dict[int, str] = {}  # color -> the row id of its class
     rows_out: dict[str, list[str]] = {n: [] for n in s.nodes}
     reps = []  # (instance, its node -> {row: color}, node, representatives, their ids)
-    start = 0
-    for inst, prefix in zip(instances, prefixes):
-        color_of: dict[str, dict] = {}
+    for i, (k, prefix, rows_of) in enumerate(parts):
+        inst, color_of = instances[k], colors[k]
         for n in s.topo_order:
-            rows = inst.rows[n]
-            seg = color[start:start + len(rows)]
-            start += len(rows)
-            color_of[n] = dict(zip(rows, seg))
-            least = dict(zip(reversed(seg), reversed(rows)))  # color -> its least row here
-            fresh = [c for c in dict.fromkeys(seg) if c not in name]  # in first-index order
-            firsts = [least[c] for c in fresh]
-            ids = [prefix + r for r in firsts] if prefix else firsts
-            name.update(zip(fresh, ids))
+            rows = rows_of[n]
+            if not rows:
+                continue
+            least: dict = {}  # color -> its least row here, in row order
+            deque(map(least.setdefault, map(color_of[n].__getitem__, rows), rows), 0)
+            if i:  # the first part names every class it holds
+                least = {c: r for c, r in least.items() if c not in name}
+            firsts = list(least.values())
+            ids = list(map(prefix.__add__, firsts))
+            name.update(zip(least, ids))
             rows_out[n] += ids
             reps.append((inst, color_of, n, firsts, ids))
     edge_fn: dict = {(src, e): {} for (e, src, _tgt) in s.edges}
@@ -497,15 +526,45 @@ def relationalize(I: Instance) -> Instance:
     Rows merge iff every attribute-valued path agrees on them, which is when
     `_refine` gives them one color; each class keeps its smallest row id.
     """
-    return _quotient([I])
+    return _quotient([I], [(0, "", I.rows)])
+
+
+def _extends(J: Instance, I: Instance) -> bool:
+    """Whether J extends I: I's rows are rows of J, and J's edges and
+    attributes agree with I's on them.  A node with an edge or attribute is
+    compared by its functions, whose keys are its rows; a node without, by
+    its rows."""
+    s = I.schema
+    for n in s.nodes:
+        fns = [(I.edge(n, e), J.edge(n, e)) for (e, _tgt) in s.out_edges[n]]
+        fns += [(I.attr(n, a), J.attr(n, a)) for (a, _ty) in s.node_attrs[n]]
+        if not fns:
+            if not set(J.rows[n]).issuperset(I.rows[n]):
+                return False
+        elif not all(fJ.items() >= fI.items() for (fI, fJ) in fns):
+            return False
+    return True
 
 
 def union(I: Instance, J: Instance) -> Instance:
     """The disjoint union of I and J, relationalized, in one quotient: a
-    class keeps its least id among its rows "L.r" of I and "R.r" of J."""
+    class keeps its least id among its rows "L.r" of I and "R.r" of J.
+
+    When one side extends the other, only that larger side is refined.
+    Observational equivalence is intrinsic and the smaller side is closed
+    under its edges, so each of its rows takes the color of its namesake,
+    and the partition is the same.  Then every class that holds a row of I
+    is named by it, and the J side lists only the rows of J outside I.
+    """
     if J.schema != I.schema:
         raise SchemaError("union requires instances on the same schema")
-    return _quotient([I, J], ("L", "R"))
+    big = J if _extends(J, I) else I if _extends(I, J) else None
+    if big is None:
+        return _quotient([I, J], [(0, "L.", I.rows), (1, "R.", J.rows)])
+    # a node where J has no more rows than I has none outside I
+    outside = {n: sorted(set(J.rows[n]).difference(I.rows[n]))
+               if len(J.rows[n]) > len(I.rows[n]) else () for n in I.schema.nodes}
+    return _quotient([big], [(0, "L.", I.rows), (0, "R.", outside)])
 
 
 class _UnionFind:

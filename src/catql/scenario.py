@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .core import Mapping, Path, Schema, make_schema
 from .errors import SchemaError
-from .instances import Instance, LabelledNull, join, path_fn, validate_instance
+from .instances import Instance, LabelledNull, extend, join, path_fn
 
 
 def function_schema() -> Schema:
@@ -277,7 +277,10 @@ def enrich_edge(I: Instance, node: str, edge: str, rel: Instance, name_attr: str
     The matching (row, new target name) pairs come from joining the rows of
     `node` with the relation's rows on the old target's name; missing target
     rows are created, copying attributes from the old target where possible.
-    Returns the instance extended with the new rows.
+    Returns the instance extended with the new rows (`instances.extend`),
+    which validates only them: I is taken to be valid.  A new row whose id
+    is already used at its node (a `mat!<name>` row named otherwise) raises
+    ValidationError, and an `enr!` row that exists already is skipped.
     """
     s = I.schema
     et = s.edge_table
@@ -297,54 +300,51 @@ def enrich_edge(I: Instance, node: str, edge: str, rel: Instance, name_attr: str
     # a labelled-null new name names no target row
     matches = sorted((x, b) for (x, b) in pairs if not isinstance(b, LabelledNull))
 
-    name_index = {}
-    for r in I.node_rows(target):
-        v = I.attr(target, name_attr)[r]
-        if not isinstance(v, LabelledNull) and v not in name_index:
-            name_index[v] = r
+    # name -> its least row: in reversed row order the least row comes last;
+    # a labelled-null name equals no new name
+    target_rows = I.node_rows(target)
+    name_index = dict(zip(map(I.attr(target, name_attr).__getitem__, reversed(target_rows)),
+                          reversed(target_rows)))
+    old = I.edge(node, edge)
+    created = {}  # a name no target row has -> the old target of its first match
+    for (x, b) in matches:
+        if b not in name_index:
+            created.setdefault(b, old[x])
+    mat = [f"mat!{b}" for b in created]
+    name_index.update(zip(created, mat))
+    fresh = {}  # new row of `node` -> (its row of I, its new target), by its first match
+    for (x, b) in matches:
+        fresh.setdefault(f"enr!{x}!{b}", (x, name_index[b]))
+    for rid in [r for r in fresh if r in old]:  # an enr! row that exists already is skipped
+        del fresh[rid]
 
-    new_rows = {n: list(I.node_rows(n)) for n in s.nodes}
-    seen = set(I.node_rows(node))  # the rows of `node`, for the duplicate check
-    new_edge = {k: dict(v) for k, v in I.edge_fn.items()}
-    new_attr = {k: dict(v) for k, v in I.attr_fn.items()}
+    # the new rows and their entries; `node` may be `target`
+    rows: dict = {}
+    edge_fn: dict = {}
+    attr_fn: dict = {}
 
-    def target_row_named(bname, source_row):
-        if bname in name_index:
-            return name_index[bname]
-        rid = f"mat!{bname}"
-        name_index[bname] = rid
-        new_rows[target].append(rid)
-        for (aname, _ty) in s.node_attrs[target]:
-            if aname == name_attr:
-                new_attr[(target, aname)][rid] = bname
-            else:
-                # copy from the old target where possible; null otherwise
-                v = new_attr[(target, aname)].get(source_row)
-                new_attr[(target, aname)][rid] = (
-                    v if v is not None else LabelledNull(f"en!{target}!{aname}!{rid}")
-                )
-        for (ename, _tgt) in s.out_edges[target]:
-            new_edge[(target, ename)][rid] = new_edge[(target, ename)][source_row]
-        return rid
+    def add(fns, key, ids, values):
+        fns.setdefault(key, {}).update(zip(ids, values))
 
-    for (xid, bname) in matches:
-        old_target = I.edge(node, edge)[xid]
-        tgt_row = target_row_named(bname, old_target)
-        rid = f"enr!{xid}!{bname}"
-        if rid in seen:
-            continue
-        seen.add(rid)
-        new_rows[node].append(rid)
-        for (ename, _tgt) in s.out_edges[node]:
-            new_edge[(node, ename)][rid] = (
-                tgt_row if ename == edge else I.edge(node, ename)[xid]
-            )
-        for (aname, _ty) in s.node_attrs[node]:
-            new_attr[(node, aname)][rid] = I.attr(node, aname)[xid]
-
-    out = Instance(s, new_rows, new_edge, new_attr)
-    validate_instance(out)
-    return out
+    rows.setdefault(target, []).extend(mat)
+    sources = list(created.values())
+    for (a, _ty) in s.node_attrs[target]:
+        if a == name_attr:
+            add(attr_fn, (target, a), mat, created)
+        else:  # copied from the old target where possible; null otherwise
+            col = I.attr(target, a)
+            add(attr_fn, (target, a), mat,
+                [v if (v := col.get(r)) is not None else LabelledNull(f"en!{target}!{a}!{rid}")
+                 for r, rid in zip(sources, mat)])
+    for (e, _tgt) in s.out_edges[target]:
+        add(edge_fn, (target, e), mat, map(I.edge(target, e).__getitem__, sources))
+    rows.setdefault(node, []).extend(fresh)
+    xs, ts = zip(*fresh.values()) if fresh else ((), ())
+    for (e, _tgt) in s.out_edges[node]:
+        add(edge_fn, (node, e), fresh, ts if e == edge else map(I.edge(node, e).__getitem__, xs))
+    for (a, _ty) in s.node_attrs[node]:
+        add(attr_fn, (node, a), fresh, map(I.attr(node, a).__getitem__, xs))
+    return extend(I, rows, edge_fn, attr_fn)
 
 
 def enrich(I: Instance, isa_prime: Instance, cfg: ScenarioConfig) -> Instance:

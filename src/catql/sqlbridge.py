@@ -20,13 +20,16 @@ An INSERT block into a table created before it is read up to its first `;`
 outside quotes by one `findall` of a pattern of k-tuples of literals, and
 each column is read in one step.  Any other block (a comment inside a tuple,
 a fault, tuples of another arity, no CREATE TABLE yet) is walked token by
-token, which raises at its first fault.  Tables are built, and export_sql
+token, which raises at its first fault, and so are the blocks of a table of
+64 or more columns until 64 of its rows would have been walked: the pattern
+costs about that much to compile.  Tables are built, and export_sql
 writes INSERTs, column by column; a check that fails is walked in order.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -109,6 +112,7 @@ class _SqlParser:
     def __init__(self, text):
         self.text = text + "\n;"  # tolerate missing final terminator
         self.arity = {}  # the column count of each table created so far
+        self.walked = Counter()  # per wide column count, the rows walked to spare a compile
         self._lex(0)
 
     @cached_property
@@ -230,8 +234,19 @@ class _SqlParser:
         name = self.expect_kind("IDENT", "table name")
         self.expect("VALUES")
         end = name in self.arity and _SQL_BLOCK_END.match(self.text, self.start)
+        k = self.arity.get(name, 0)
+        if end and k >= 64:
+            # A k-tuple pattern compiles in about the time that a walk over 64
+            # rows of k values takes, so blocks of a wide table are walked
+            # while its walked rows stay under 64, and only then compiled.  A
+            # narrower pattern is cheap, and re's cache keeps it.  Every row
+            # has a `(`, so the count bounds the block's rows from above.
+            rows = self.text.count("(", self.start, end.end())
+            if self.walked[k] + rows < 64:
+                self.walked[k] += rows
+                end = None
         if end:
-            pattern = _tuple_pattern(self.arity[name])  # compiled once, by re's cache
+            pattern = _tuple_pattern(k)  # compiled once, by re's cache
             *cols, seps = zip(*pattern.findall(self.text, self.start, end.end()))
             try:  # a tuple that does not fit, or a bad literal, is walked below
                 cols = list(map(_column, cols)) if seps[-1] else None

@@ -19,6 +19,9 @@ from catql.sqlbridge import import_sql
 from conftest import DATA
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def data_path(name):
     return str(DATA / name)
 
@@ -285,6 +288,19 @@ class TestEnrich:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["capabilitymaterials"]) == 10
+
+    @pytest.mark.parametrize("fmt, golden", [
+        ("ascii", "enrich.txt"), ("csv", "enrich.csv"), ("json", "enrich.json"),
+    ])
+    def test_golden_output(self, capsys, fmt, golden):
+        """The bundled run, byte for byte."""
+        code, out, _err = run_cli(
+            capsys, "enrich", "--sql", data_path("portal_a.sql"),
+            "--parent", data_path("parent.catql"), "--syn", data_path("syn.catql"),
+            "--format", fmt,
+        )
+        assert code == 0
+        assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 class TestUsage:

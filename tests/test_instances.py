@@ -687,6 +687,97 @@ class TestTwoPhaseRefine:
         assert min(seen.values()) >= 50, seen
 
 
+def extended(rng, I):
+    """I with the rows of a fresh instance on its schema, renamed apart;
+    their edges lead into the new rows or into I's."""
+    s = I.schema
+    K = rand_refine_instance(rng, s)
+    new = {n: {r: f"x{r}" for r in K.rows[n]} for n in s.nodes}
+    edge_fn = {}
+    for (e, src, tgt) in s.edges:
+        fn = edge_fn[(src, e)] = dict(I.edge(src, e))
+        for r, t in K.edge(src, e).items():
+            use_I = I.rows[tgt] and rng.random() < 0.4
+            fn[new[src][r]] = rng.choice(I.rows[tgt]) if use_I else new[tgt][t]
+    attr_fn = {(src, a): {**I.attr(src, a), **{new[src][r]: v for r, v in K.attr(src, a).items()}}
+               for (a, src, _t) in s.attributes}
+    return Instance(s, {n: [*I.rows[n], *new[n].values()] for n in s.nodes}, edge_fn, attr_fn)
+
+
+def near_misses(rng, I, J):
+    """(kind, copy of J) pairs, J an extension of I, each copy changed so
+    that it no longer extends I: one value or one edge image of a row of I
+    changed, or one row of I that no edge leads to dropped."""
+    s = I.schema
+
+    def changed(edit):
+        rows = {n: list(rs) for n, rs in J.rows.items()}
+        edge_fn = {k: dict(fn) for k, fn in J.edge_fn.items()}
+        attr_fn = {k: dict(fn) for k, fn in J.attr_fn.items()}
+        edit(rows, edge_fn, attr_fn)
+        return Instance(s, rows, edge_fn, attr_fn)
+
+    out = []
+    valued = [(n, a, r) for (a, n, _t) in sorted(s.attributes) for r in I.rows[n]]
+    if valued:
+        n, a, r = rng.choice(valued)
+        value = rng.choice([v for v in ["x", "y", LabelledNull("p"), LabelledNull("q")]
+                            if v != J.attr(n, a)[r]])
+        out.append(("changed value", changed(lambda _r, _e, af: af[(n, a)].update({r: value}))))
+    movable = [(n, e, tgt, r) for (e, n, tgt) in sorted(s.edges) for r in I.rows[n]
+               if len(J.rows[tgt]) > 1]
+    if movable:
+        n, e, tgt, r = rng.choice(movable)
+        image = rng.choice([t for t in J.rows[tgt] if t != J.edge(n, e)[r]])
+        out.append(("changed edge image",
+                    changed(lambda _r, ef, _a: ef[(n, e)].update({r: image}))))
+    images = {(tgt, t) for (e, src, tgt) in s.edges for t in J.edge(src, e).values()}
+    droppable = [(n, r) for n in sorted(s.nodes) for r in I.rows[n] if (n, r) not in images]
+    if droppable:
+        n, r = rng.choice(droppable)
+
+        def drop(rows, edge_fn, attr_fn):
+            rows[n].remove(r)
+            for fn in [edge_fn[(n, e)] for (e, _t) in s.out_edges[n]] + \
+                      [attr_fn[(n, a)] for (a, _t) in s.node_attrs[n]]:
+                del fn[r]
+
+        out.append(("row only in I", changed(drop)))
+    return out
+
+
+class TestUnionOnExtensions:
+    def test_against_disjoint_union(self):
+        """union(I, J) equals the relationalized disjoint union in rows,
+        edges and attributes when J extends I, equals I, or I is empty;
+        when I extends J; and on near misses, which the extension check
+        must refuse."""
+        rng = random.Random(53)
+        seen = Counter()
+        for _ in range(300):
+            s = rand_settle_schema(rng)
+            I = rand_refine_instance(rng, s)
+            J = extended(rng, I)
+            proper = J.total_rows() > I.total_rows()
+            cases = [("J == I", I, Instance(s, I.rows, I.edge_fn, I.attr_fn)),
+                     ("I empty", empty_instance(s), J)]
+            if proper:
+                cases += [("J extends I", I, J), ("J inside I", J, I)]
+            cases += [(kind, I, miss) for (kind, miss) in near_misses(rng, I, J)]
+            for kind, A, B in cases:
+                got, want = union(A, B), relationalize(disjoint_union(A, B))
+                assert (got.rows, got.edge_fn, got.attr_fn) == \
+                    (want.rows, want.edge_fn, want.attr_fn), kind
+                big, small = (A, B) if kind == "J inside I" else (B, A)
+                assert instances_module._extends(big, small) == (kind in (
+                    "J == I", "I empty", "J extends I", "J inside I")), kind
+                seen[kind] += 1
+            seen["labelled null"] += any(isinstance(v, LabelledNull)
+                                         for fn in J.attr_fn.values() for v in fn.values())
+            seen["cycle"] += bool(I.total_rows()) and len(s.settle_order) < len(s.nodes)
+        assert len(seen) == 9 and min(seen.values()) >= 50, seen
+
+
 def pairs_instance(k):
     """k disjoint f-pairs a_i -> b_i on the schema a -> b."""
     s = make_schema("P", ["a", "b"], [("f", "a", "b")])

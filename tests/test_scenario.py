@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from catql.core import Path, make_schema, validate_mapping
-from catql.errors import SchemaError
+from catql.core import Path, PathEquation, make_schema, validate_mapping
+from catql.errors import SchemaError, ValidationError
 from catql.instances import (
     Instance,
     LabelledNull,
@@ -459,3 +459,49 @@ class TestEnrichment:
         assert enumerate_homs(relationalize(inst), once) >= 1
         twice = enrich(once, isa_prime, cfg)
         assert iso_check(once, twice)
+
+
+NAME = "material_Material_Name"
+
+
+def link_instance(materials, links, equations=()):
+    """material rows {id: name} and link rows {id: (material, copied name)};
+    link.m leads to material, and link.mname holds a name."""
+    s = make_schema(
+        "L", ["material", "link"], [("m", "link", "material")],
+        [(NAME, "material", "string"), ("mname", "link", "string")], equations,
+    )
+    return Instance(
+        s, {"material": list(materials), "link": list(links)},
+        {("link", "m"): {x: m for x, (m, _n) in links.items()}},
+        {("material", NAME): dict(materials),
+         ("link", "mname"): {x: n for x, (_m, n) in links.items()}},
+    )
+
+
+class TestEnrichEdgeChecks:
+    """enrich_edge validates only the rows it adds, and each check still
+    fires on them."""
+
+    def test_new_target_id_taken_by_a_row_named_otherwise(self):
+        inst = link_instance({"1": "Steel", "mat!Zinc": "Lead"}, {"10": ("1", "Steel")})
+        with pytest.raises(ValidationError) as exc:
+            enrich_edge(inst, "link", "m", relation_from_pairs({("Steel", "Zinc")}), NAME)
+        assert str(exc.value) == "row 'mat!Zinc' is listed more than once at node 'material'"
+
+    def test_equation_that_only_a_new_row_violates(self):
+        eq = PathEquation(Path("link", (), "mname"), Path("link", ("m",), NAME))
+        inst = link_instance({"1": "Steel", "2": "Metal"}, {"10": ("1", "Steel")}, [eq])
+        validate_instance(inst)
+        with pytest.raises(ValidationError) as exc:
+            enrich_edge(inst, "link", "m", relation_from_pairs({("Steel", "Metal")}), NAME)
+        assert str(exc.value) == (
+            "equation link.mname = link.m.material_Material_Name violated at node 'link', "
+            "row 'enr!10!Metal': 'Steel' != 'Metal'"
+        )
+
+    def test_existing_enriched_row_is_skipped(self):
+        inst = link_instance({"1": "Steel", "2": "Metal"},
+                             {"10": ("1", "Steel"), "enr!10!Metal": ("2", "Old")})
+        out = enrich_edge(inst, "link", "m", relation_from_pairs({("Steel", "Metal")}), NAME)
+        assert (out.rows, out.edge_fn, out.attr_fn) == (inst.rows, inst.edge_fn, inst.attr_fn)

@@ -1,11 +1,17 @@
 """SQL dialect import/export: parsing, foreign-key discovery, round trips."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import catql
 from catql.core import make_schema
 from catql.errors import SqlExportError, SqlImportError
 from catql.instances import Instance, LabelledNull, empty_instance, iso_check, validate_instance
@@ -592,6 +598,51 @@ class TestTupleRead:
         assert time.perf_counter() - started < 1.0
         assert len(inst.rows["a"]) == 20_000 and inst.attr("a", "v")["19999"] == -19999
 
+
+    def test_wide_short_table_first_import_is_walked(self):
+        """A table of 5,000 columns and 20 rows is walked on its first import
+        in a fresh process: compiling its tuple pattern took about 1.3 s."""
+        code = (
+            "import json, sys, time\n"
+            "from catql.sqlbridge import import_sql\n"
+            "k = 5000\n"
+            "text = ('CREATE TABLE t (id INT PRIMARY KEY, '\n"
+            "        + ', '.join(f'c{i} INT' for i in range(k)) + ');\\n'\n"
+            "        + 'INSERT INTO t VALUES ' + ',\\n'.join(\n"
+            "            '(' + ', '.join(str(r * 7 + i) for i in range(k + 1)) + ')'\n"
+            "            for r in range(20)) + ';')\n"
+            "started = time.perf_counter()\n"
+            "_s, inst = import_sql(text)\n"
+            "elapsed = time.perf_counter() - started\n"
+            "ok = inst.rows['t'] == tuple(sorted(str(r * 7) for r in range(20))) and all(\n"
+            "    inst.attr('t', f'c{i}') == {str(r * 7): r * 7 + i + 1 for r in range(20)}\n"
+            "    for i in range(k))\n"
+            "print(json.dumps([elapsed, ok]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(catql.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        elapsed, ok = json.loads(run.stdout)
+        assert ok
+        assert elapsed < 0.5
+
+    def test_wide_table_compiles_after_64_walked_rows(self, monkeypatch):
+        """One-row blocks of a 64-column table are walked until 64 rows
+        would have been walked, and then read by the tuple pattern; a
+        63-column table is never walked."""
+        walked = []
+        tuple_by_tokens = _SqlParser._tuple_by_tokens
+        monkeypatch.setattr(_SqlParser, "_tuple_by_tokens",
+                            lambda self: walked.append(1) or tuple_by_tokens(self))
+        for k, expected in ((64, 63), (63, 0)):
+            walked.clear()
+            text = ("CREATE TABLE a (id INT PRIMARY KEY, "
+                    + ", ".join(f"c{i} INT" for i in range(k - 1)) + ");\n"
+                    + "".join(f"INSERT INTO a VALUES ({r}, " + ", ".join(["-1"] * (k - 1)) + ");\n"
+                              for r in range(100)))
+            _s, inst = import_sql(text)
+            assert len(walked) == expected
+            assert inst.attr("a", "c0") == {str(r): -1 for r in range(100)}
 
 class TestRandomRoundTrip:
     def test_random_files(self):
