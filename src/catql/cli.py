@@ -30,27 +30,24 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="catql", description=__doc__)
     sub = p.add_subparsers(dest="command", metavar="command")
 
-    def common(sp, fmt=True):
-        sp.add_argument("--path-bound", type=int, default=512)
-        if fmt:
-            sp.add_argument("--format", choices=sorted(FORMATS), default="ascii")
+    def add_format(sp):
+        sp.add_argument("--format", choices=sorted(FORMATS), default="ascii")
 
     sp = sub.add_parser("import-sql", help="import a SQL file and render its tables")
     sp.add_argument("file")
     sp.add_argument("--fk-spec", help="JSON sidecar {table: {column: target_table}}")
     sp.add_argument("--guess-fk", action="store_true",
                     help="treat *_id columns naming a table as foreign keys")
-    common(sp)
+    add_format(sp)
 
     sp = sub.add_parser("run", help="run a .catql script")
     sp.add_argument("script")
-    common(sp, fmt=False)
 
     sp = sub.add_parser("closure", help="reflexive transitive closure of an instance")
     sp.add_argument("script", help=".catql script defining the instance")
     sp.add_argument("name", nargs="?", help="instance name (default: the only one)")
     sp.add_argument("--closure-n", type=int, default=3)
-    common(sp)
+    add_format(sp)
 
     sp = sub.add_parser("enrich", help="run the semantic-enrichment pipeline")
     sp.add_argument("--sql", required=True, help="portal data (SQL file)")
@@ -61,7 +58,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--closure-n", type=int, default=3)
     sp.add_argument("--target-node", default="material")
     sp.add_argument("--name-attr", default="material_Material_Name")
-    common(sp)
+    add_format(sp)
 
     sp = sub.add_parser("query", help="evaluate a named query from a script")
     sp.add_argument("script")
@@ -69,18 +66,17 @@ def _build_parser() -> _Parser:
     sp.add_argument("instance_name")
     sp.add_argument("--via-migration", action="store_true",
                     help="evaluate through the pullback/limit/left-pushforward composite")
-    common(sp)
+    add_format(sp)
 
     sp = sub.add_parser("export-sql", help="export a named instance as SQL")
     sp.add_argument("script")
     sp.add_argument("name", nargs="?")
     sp.add_argument("-o", "--output", help="output file (default stdout)")
-    common(sp, fmt=False)
 
     sp = sub.add_parser("show", help="render a named instance")
     sp.add_argument("script")
     sp.add_argument("name", nargs="?")
-    common(sp)
+    add_format(sp)
 
     return p
 
@@ -93,10 +89,10 @@ def _open(path: str, mode: str = "r"):
     return open(path, mode, encoding="utf-8")
 
 
-def _run_file(path: str, bound: int):
+def _run_file(path: str):
     with _open(path) as fh:
         text = fh.read()
-    return run_script(parse_script(text), Environment(), bound)
+    return run_script(parse_script(text), Environment())
 
 
 def _pick_instance(env: Environment, name, what="instance") -> Instance:
@@ -143,12 +139,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "run":
-        _env, outputs = _run_file(args.script, args.path_bound)
+        _env, outputs = _run_file(args.script)
         _emit_outputs(outputs)
         return 0
 
     if args.command == "closure":
-        env, _ = _run_file(args.script, args.path_bound)
+        env, _ = _run_file(args.script)
         inst = _pick_instance(env, args.name)
         print(render_instance(closure_auto(inst, args.closure_n), args.format))
         return 0
@@ -158,13 +154,12 @@ def _dispatch(args) -> int:
             _schema, portal = import_sql(
                 fh.read(), _load_fk_spec(args.fk_spec), args.guess_fk
             )
-        parent_env, _ = _run_file(args.parent, args.path_bound)
-        syn_env, _ = _run_file(args.syn, args.path_bound)
+        parent_env, _ = _run_file(args.parent)
+        syn_env, _ = _run_file(args.syn)
         parent = _pick_instance(parent_env, None, "parent function")
         syn = _pick_instance(syn_env, None, "synonym relation")
         cfg = ScenarioConfig(
             closure_n=args.closure_n,
-            path_bound=args.path_bound,
             target_node=args.target_node,
             name_attr=args.name_attr,
         )
@@ -175,20 +170,20 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "query":
-        env, _ = _run_file(args.script, args.path_bound)
+        env, _ = _run_file(args.script)
         if args.query_name not in env.entries or env.entries[args.query_name][0] != "query":
             raise CatqlError(f"no query named {args.query_name!r} in script")
         q, _s = env.entries[args.query_name][1]
         inst = _pick_instance(env, args.instance_name)
         if args.via_migration:
-            result = eval_query_via_migration(q, inst, args.path_bound)
+            result = eval_query_via_migration(q, inst)
         else:
             result = eval_query_direct(q, inst)
         print(render_instance(result, args.format))
         return 0
 
     if args.command == "export-sql":
-        env, _ = _run_file(args.script, args.path_bound)
+        env, _ = _run_file(args.script)
         inst = _pick_instance(env, args.name)
         warnings: list[str] = []
         text = export_sql(inst.schema, inst, warn=warnings.append)
@@ -202,7 +197,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "show":
-        env, _ = _run_file(args.script, args.path_bound)
+        env, _ = _run_file(args.script)
         inst = _pick_instance(env, args.name)
         print(render_instance(inst, args.format))
         return 0

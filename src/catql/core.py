@@ -1,13 +1,14 @@
 """Schemas as finitely presented categories: paths, equations, mappings.
 
 A schema is a directed multigraph (nodes, edges) with typed attributes and
-equations between paths.  Path equality is decided by oriented rewriting
-(longer side to shorter side, ties broken lexicographically) explored to a
-fixpoint within a configurable step bound.
+equations between paths.  Path equality is decided by Knuth-Bendix
+completion, once per schema: the equations, oriented longer side to shorter
+side (ties broken lexicographically), are completed to a convergent
+rewriting system, so each path rewrites to the one least path of its class.
 
 The tables derived from a schema (edge and attribute lookups, each node's
 sorted out-edges and attributes, the node order of instance row numbering,
-the oriented rewrite rules, the morphism enumerations) are owned by the
+the completed rewrite rules, the morphism enumerations) are owned by the
 schema object: each is built on first use, once, and freed with the schema.
 There is no global cache.
 """
@@ -15,6 +16,7 @@ There is no global cache.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
@@ -23,7 +25,7 @@ from .errors import NormalizationInconclusive, NotSaturated, SchemaError, Valida
 
 BASE_TYPES = ("string", "integer")
 
-DEFAULT_BOUND = 512
+DEFAULT_BOUND = 4096  # completion's work limit: rules made, critical pairs checked, letters rewritten
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class Schema:
     edges: frozenset[tuple[str, str, str]]
     attributes: frozenset[tuple[str, str, str]] = frozenset()
     equations: tuple[PathEquation, ...] = ()
-    # all_morphisms_from results, keyed by (node, bound)
+    # all_morphisms_from results, keyed by node
     _morphisms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
@@ -159,26 +161,15 @@ class Schema:
         return _by_source(self.nodes, self.attributes)
 
     @cached_property
-    def rewrite_rules(self):
-        """Equations oriented larger -> smaller under the length-lex order.
+    def rewrite_rules(self) -> dict[str, list]:
+        """The equations completed to a convergent rewriting system, as
+        last letter -> [(source node, left word, right word or ConstPath)].
 
-        Each rule is (source node, lhs steps, lhs attr, rhs) where rhs is a
-        Path or ConstPath starting at the same node.
+        A word is a path's steps, with its attribute last when it has one
+        (see `_complete`).  Raises NormalizationInconclusive when completion
+        runs out of work.
         """
-        rules = []
-        for eq in self.equations:
-            lhs, rhs = eq.lhs, eq.rhs
-            kl, kr = _path_key(lhs), _path_key(rhs)
-            if kl == kr:
-                continue
-            if kl < kr:
-                if isinstance(rhs, ConstPath):
-                    raise SchemaError(
-                        f"constant equation must have the constant as smaller side: {eq}"
-                    )
-                lhs, rhs = rhs, lhs
-            rules.append((lhs.source, lhs.steps, lhs.attr, rhs))
-        return tuple(rules)
+        return _complete(self)
 
 
 def _by_source(nodes, triples):
@@ -255,129 +246,183 @@ def path_compose(p: Path, q: PathLike) -> PathLike:
     return Path(p.source, p.steps + q.steps, q.attr)
 
 
-def _word_key(steps, attr):
-    return (1, len(steps) + (attr is not None), steps, attr or "")
+def _letters(p: Path) -> tuple[str, ...]:
+    """p as a word: its steps, then its attribute when it has one."""
+    return p.steps if p.attr is None else (*p.steps, p.attr)
 
 
-def _path_key(p: PathLike):
-    if isinstance(p, ConstPath):
-        kind = "string" if isinstance(p.value, str) else "integer"
-        return (0, 0, (kind, str(p.value)), "")
-    return _word_key(p.steps, p.attr)
+def _completed(rules, w, nodes):
+    """The rule whose left side the word's last letter completes, if any."""
+    for r in rules.get(w[-1], ()):
+        n = len(r[1])
+        if n <= len(w) and nodes[-1 - n] == r[0] and tuple(w[-n:]) == r[1]:
+            return r
+    return None
 
 
-def _one_step_reducts(s: Schema, p: Path, rules):
-    nodes = nodes_along(s, p)
+def _rewrite(s: Schema, rules, src, w, read=None):
+    """The normal form of a word, or the constant a rule sends it to.
+
+    Letters move one at a time onto an irreducible prefix; when a move
+    completes a left side (as a suffix, anchored at its node), the left side
+    is replaced by the right one, whose letters are read next.  read, when
+    given, is called for each letter read.
+    """
+    et = s.edge_table
+    out, nodes = [], [src]
+    todo = list(reversed(w))
+    while todo:
+        x = todo.pop()
+        if read is not None:
+            read()
+        out.append(x)
+        nodes.append(et.get((nodes[-1], x)))
+        r = _completed(rules, out, nodes)
+        if r is not None:
+            if isinstance(r[2], ConstPath):
+                return r[2]
+            del out[-len(r[1]):], nodes[-len(r[1]):]
+            todo.extend(reversed(r[2]))
+    return tuple(out)
+
+
+def _one_step_reducts(s: Schema, src, w, rules) -> list:
+    """The words, or constants, that one rule application takes a word to."""
+    nodes = _walk_path(s, src, w, w)[0]
     out = []
-    for (src, lsteps, lattr, rhs) in rules:
-        n = len(lsteps)
-        if lattr is not None:
-            # attribute-valued rule: matches only the suffix ending in the attribute
-            if p.attr != lattr or len(p.steps) < n:
-                continue
-            pos = len(p.steps) - n
-            if nodes[pos] != src or p.steps[pos:] != lsteps:
-                continue
-            if isinstance(rhs, ConstPath):
-                out.append(rhs)
-            else:
-                out.append(Path(p.source, p.steps[:pos] + rhs.steps, rhs.attr))
-        else:
-            for pos in range(len(p.steps) - n + 1):
-                if nodes[pos] == src and p.steps[pos : pos + n] == lsteps:
-                    assert isinstance(rhs, Path)
-                    out.append(
-                        Path(p.source, p.steps[:pos] + rhs.steps + p.steps[pos + n :], p.attr)
-                    )
+    for (rsrc, lhs, rhs) in rules:
+        n = len(lhs)
+        for pos in range(len(w) - n + 1):
+            if nodes[pos] == rsrc and w[pos : pos + n] == lhs:
+                out.append(rhs if isinstance(rhs, ConstPath) else w[:pos] + rhs + w[pos + n :])
     return out
 
 
-def normalize_path(s: Schema, p: PathLike, bound: int = DEFAULT_BOUND) -> PathLike:
-    """Length-lex least path reachable by oriented rewriting, or the constant it reduces to."""
+def _overlaps(s: Schema, r1, r2) -> list:
+    """The words from r1's node on which a proper suffix of r1's left side
+    is a proper prefix of r2's, at r2's node."""
+    (src, l1, _r1), (src2, l2, _r2) = r1, r2
+    nodes = _walk_path(s, src, l1, l1)[0]
+    return [l1 + l2[k:] for k in range(1, min(len(l1), len(l2)))
+            if nodes[len(l1) - k] == src2 and l1[-k:] == l2[:k]]
+
+
+def _complete(s: Schema) -> dict[str, list]:
+    """Knuth-Bendix completion of the equations on node-anchored words,
+    under the length-lex order.
+
+    The equations, then the one-step reducts of each word on which two left
+    sides overlap, first in first out, are rewritten to normal forms, and
+    two different ones become a rule from the larger to the smaller (a
+    constant is the least).  Rules the new rule reduces are inter-reduced,
+    so at most one rule completes at a letter.  Two different constants
+    make no rule; their path normalizes to the one the rules reach.  Work
+    is rules made, critical pairs checked and letters rewritten; past
+    DEFAULT_BOUND, NormalizationInconclusive says how far it got.
+    """
+    rules: dict[str, list] = {}  # last letter -> [(source node, left word, right side)]
+    work = {"rules": 0, "pairs": 0, "letters": 0}
+
+    def spend(kind):
+        work[kind] += 1
+        if sum(work.values()) > DEFAULT_BOUND:
+            raise NormalizationInconclusive(s.name, DEFAULT_BOUND, **work)
+
+    def reduce(src, x):
+        return x if isinstance(x, ConstPath) else _rewrite(s, rules, src, x, lambda: spend("letters"))
+
+    pending = deque((eq.lhs.source, _letters(eq.lhs), eq.rhs if isinstance(eq.rhs, ConstPath)
+                     else _letters(eq.rhs)) for eq in s.equations)
+    while pending:
+        src, u, v = pending.popleft()
+        u, v = reduce(src, u), reduce(src, v)
+        if u == v or isinstance(u, ConstPath) and isinstance(v, ConstPath):
+            continue
+        if isinstance(u, ConstPath) or not isinstance(v, ConstPath) and (len(u), u) < (len(v), v):
+            u, v = v, u
+        new = (src, u, v)
+        spend("rules")
+        rules.setdefault(u[-1], []).append(new)
+        for rs in rules.values():
+            for i in reversed(range(len(rs))):
+                a, lhs, rhs = rs[i]
+                if rs[i] is new:
+                    continue
+                if _one_step_reducts(s, a, lhs, [new]):
+                    pending.append(rs.pop(i))
+                elif not isinstance(rhs, ConstPath) and _one_step_reducts(s, a, rhs, [new]):
+                    rs[i] = (a, lhs, reduce(a, rhs))
+        everything = [r for rs in rules.values() for r in rs]
+        for r in everything:
+            for (a, w) in [(src, w) for w in _overlaps(s, new, r)] + (
+                    [(r[0], w) for w in _overlaps(s, r, new)] if r is not new else []):
+                spend("pairs")
+                first, *rest = _one_step_reducts(s, a, w, everything)
+                pending += [(a, first, x) for x in rest]
+    return rules
+
+
+def normalize_path(s: Schema, p: PathLike) -> PathLike:
+    """The length-lex least path in p's class, or the constant it equals."""
     if isinstance(p, ConstPath):
         return p
     path_target(s, p)  # well-formedness
     rules = s.rewrite_rules
     if not rules:
         return p
-    steps_used = 0
-    normal_forms = []
-    memo: dict[PathLike, None] = {}
-    stack = [p]
-    while stack:
-        cur = stack.pop()
-        if cur in memo:
-            continue
-        memo[cur] = None
-        if isinstance(cur, ConstPath):
-            normal_forms.append(cur)
-            continue
-        reducts = _one_step_reducts(s, cur, rules)
-        if not reducts:
-            normal_forms.append(cur)
-            continue
-        steps_used += len(reducts)
-        if steps_used > bound:
-            raise NormalizationInconclusive(p, bound)
-        stack.extend(reducts)
-    return min(normal_forms, key=_path_key)
+    w = _rewrite(s, rules, p.source, _letters(p))
+    if isinstance(w, ConstPath):
+        return w
+    return Path(p.source, w) if p.attr is None else Path(p.source, w[:-1], w[-1])
 
 
-def paths_equal(s: Schema, p: PathLike, q: PathLike, bound: int = DEFAULT_BOUND) -> bool:
-    """Sound path-equality test: equal normal forms.  Complete when rewriting converges."""
-    return normalize_path(s, p, bound) == normalize_path(s, q, bound)
+def paths_equal(s: Schema, p: PathLike, q: PathLike) -> bool:
+    """Whether p and q are equal in the schema: equal normal forms."""
+    return normalize_path(s, p) == normalize_path(s, q)
 
 
-def all_morphisms_from(s: Schema, a: str, bound: int = DEFAULT_BOUND):
-    """All node-valued path classes out of a, as (dict target -> tuple of normal forms, saturated).
+def all_morphisms_from(s: Schema, a: str) -> dict[str, tuple[Path, ...]]:
+    """target -> the normal forms of the paths from a to it, length-lex.
 
-    BFS over path length; a length adds a class when its normal form is new.
-    Saturated iff the last two lengths added nothing.  The result is kept on
-    the schema, per (a, bound).
+    The irreducible paths are closed under prefixes, so they are listed by
+    length, extending each by every edge that completes no left side, until
+    a length adds none.  That depends only on a path's last W steps and
+    their node (W one less than the longest left side): a path that reaches
+    one such state twice repeats without end, and raises NotSaturated.  The
+    result is kept on the schema.
     """
-    found = s._morphisms.get((a, bound))
+    found = s._morphisms.get(a)
     if found is not None:
         return found
     if a not in s.nodes:
         raise SchemaError(f"{a!r} is not a node of schema {s.name!r}")
-    start = normalize_path(s, identity_path(a), bound)
-    assert isinstance(start, Path)
-    seen = {start}
-    frontier = [start]
-    zero_rounds = 0
-    saturated = False
-    for _ in range(bound):
-        new = []
-        for p in frontier:
-            end = nodes_along(s, p)[-1]
-            for (ename, _tgt) in s.out_edges[end]:
-                q = normalize_path(s, Path(a, p.steps + (ename,)), bound)
-                if isinstance(q, Path) and q not in seen:
-                    seen.add(q)
-                    new.append(q)
-        zero_rounds = zero_rounds + 1 if not new else 0
-        frontier = new
-        if zero_rounds >= 2:
-            saturated = True
-            break
-    by_target: dict[str, list[Path]] = {}
-    for p in seen:
-        by_target.setdefault(nodes_along(s, p)[-1], []).append(p)
-    found = s._morphisms[(a, bound)] = (
-        {t: tuple(sorted(ps, key=_path_key)) for t, ps in by_target.items()},
-        saturated,
-    )
+    rules = s.rewrite_rules
+    width = max((len(lhs) for rs in rules.values() for (_src, lhs, _rhs) in rs), default=1) - 1
+    by_target: dict[str, list[Path]] = {a: [Path(a)]}
+    frontier = [((), (a,), ((a, ()),))]  # word, its nodes, the states along it
+    while frontier:
+        longer = []
+        for (w, nodes, states) in frontier:
+            for (e, tgt) in s.out_edges[nodes[-1]]:
+                w2, nodes2 = w + (e,), nodes + (tgt,)
+                if _completed(rules, w2, nodes2):
+                    continue
+                k = max(len(w2) - width, 0)
+                state = (nodes2[k], w2[k:])
+                if state in states:
+                    raise NotSaturated(s.name, a, Path(a, w2), Path(*state))
+                longer.append((w2, nodes2, states + (state,)))
+                by_target.setdefault(tgt, []).append(Path(a, w2))
+        frontier = longer
+    found = s._morphisms[a] = {t: tuple(ps) for t, ps in by_target.items()}
     return found
 
 
-def enumerate_morphisms(s: Schema, a: str, b: str, bound: int = DEFAULT_BOUND) -> tuple[Path, ...]:
-    """Normal forms of all paths a -> b; raises NotSaturated on (potentially) infinite hom-sets."""
+def enumerate_morphisms(s: Schema, a: str, b: str) -> tuple[Path, ...]:
+    """Normal forms of all paths a -> b; raises NotSaturated when there are infinitely many."""
     if b not in s.nodes:
         raise SchemaError(f"{b!r} is not a node of schema {s.name!r}")
-    by_target, saturated = all_morphisms_from(s, a, bound)
-    if not saturated:
-        raise NotSaturated(s.name, a, bound)
-    return by_target.get(b, ())
+    return all_morphisms_from(s, a).get(b, ())
 
 
 def validate_schema(s: Schema):
@@ -396,6 +441,8 @@ def validate_schema(s: Schema):
             raise SchemaError(f"duplicate edge/attribute name {name!r} on node {src!r}")
         seen.add((src, name))
     for eq in s.equations:
+        if not isinstance(eq.lhs, Path):
+            raise SchemaError(f"equation left side must be a path: {eq}")
         lt = path_target(s, eq.lhs)
         rt = path_target(s, eq.rhs)
         if isinstance(eq.rhs, Path) and eq.lhs.source != eq.rhs.source:
@@ -436,7 +483,7 @@ def apply_mapping(F: Mapping, p: PathLike) -> PathLike:
     return out
 
 
-def validate_mapping(F: Mapping, bound: int = DEFAULT_BOUND):
+def validate_mapping(F: Mapping):
     """Check functoriality: endpoints, attribute types, and equation preservation."""
     s, t = F.source, F.target
     for n in s.nodes:
@@ -466,7 +513,7 @@ def validate_mapping(F: Mapping, bound: int = DEFAULT_BOUND):
     for eq in s.equations:
         li = apply_mapping(F, eq.lhs)
         ri = apply_mapping(F, eq.rhs)
-        if not paths_equal(t, li, ri, bound):
+        if not paths_equal(t, li, ri):
             raise ValidationError(f"equation not preserved by mapping: {eq}")
 
 

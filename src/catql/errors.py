@@ -10,26 +10,31 @@ class SchemaError(CatqlError):
 
 
 class NormalizationInconclusive(CatqlError):
-    """Path rewriting exhausted its step bound before reaching a fixpoint."""
+    """Completion of a schema's equations ran out of work before it converged."""
 
-    def __init__(self, path, bound):
+    def __init__(self, schema_name, limit, rules, pairs, letters):
         super().__init__(
-            f"path normalization inconclusive for {path} within bound {bound}"
+            f"completion of schema {schema_name!r} did not converge within {limit} units "
+            f"of work: {rules} rules made, {pairs} critical pairs checked, {letters} "
+            f"letters rewritten"
         )
-        self.path = path
-        self.bound = bound
+        self.rules = rules
+        self.pairs = pairs
+        self.letters = letters
 
 
 class NotSaturated(CatqlError):
-    """Morphism enumeration still finds new classes at the length bound."""
+    """A node has infinitely many morphisms out of it."""
 
-    def __init__(self, schema_name, node, bound):
+    def __init__(self, schema_name, node, path, state):
         super().__init__(
-            f"schema {schema_name!r} has (potentially) infinitely many morphisms "
-            f"out of {node!r}; enumeration not saturated at bound {bound}"
+            f"schema {schema_name!r} has infinitely many morphisms out of {node!r}: "
+            f"the normal form {path} ends twice in {state} (the same node, reached by the "
+            f"same last steps), so the steps between repeat without end"
         )
         self.node = node
-        self.bound = bound
+        self.path = path
+        self.state = state
 
 
 class ValidationError(CatqlError):

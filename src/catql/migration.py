@@ -3,22 +3,20 @@ extension by chase/congruence closure), pi (right Kan extension by limits
 over comma categories).
 
 sigma and pi require the relevant hom-sets of the target schema to be
-finite; enumeration refuses (raises) when it cannot certify that.
+finite; enumeration raises NotSaturated when one is infinite.
 """
 
 from __future__ import annotations
 
 from .core import (
-    DEFAULT_BOUND,
     ConstPath,
     Mapping,
     Path,
     all_morphisms_from,
     normalize_path,
     path_compose,
-    _path_key,
 )
-from .errors import InconsistencyError, NotSaturated, SchemaError, ValidationError
+from .errors import InconsistencyError, SchemaError
 from .instances import Instance, LabelledNull, _UnionFind, join, path_fn
 
 
@@ -39,15 +37,7 @@ def delta(F: Mapping, I: Instance) -> Instance:
     return Instance(s, rows, edge_fn, attr_fn)
 
 
-def _paths_between(T, a, bound):
-    """target node -> tuple of normal-form paths from a; raises when not saturated."""
-    by_target, saturated = all_morphisms_from(T, a, bound)
-    if not saturated:
-        raise NotSaturated(T.name, a, bound)
-    return by_target
-
-
-def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
+def sigma(F: Mapping, I: Instance) -> Instance:
     """Left Kan extension via a term model quotiented by congruence closure.
 
     A generator at target node t is a row x of a source node s with a path
@@ -57,13 +47,15 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
     (e(x), p) for each source edge e; it is closed by one union-find over
     the integers.  Listed by source node, then row, then path key, the
     generators give the classes in least-member order, each with its members
-    sorted, and the least member names the class.  Attributes take a
-    constant carried by some generator, else a labelled null.
+    sorted, and the least member names the class.  The congruence respects
+    the edges of T, so a class's edge images are those of its least member.
+    Attributes take a constant carried by some generator, else a labelled
+    null.
     """
     if I.schema != F.source:
         raise SchemaError("sigma: instance is not on the mapping's source schema")
     S, T = F.source, F.target
-    paths_from = {n: _paths_between(T, F.nodes[n], bound) for n in sorted(S.nodes)}
+    paths_from = {n: all_morphisms_from(T, F.nodes[n]) for n in sorted(S.nodes)}
 
     # families, numbered source node by source node; the generators of
     # family f are first[f] .. first[f] + len(rows of its source node) - 1
@@ -91,15 +83,8 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
         targets = [index[y] for y in map(I.edge(src, ename).__getitem__, I.rows[src])]
         for _t, ps in paths_from[tgt].items():
             for p in ps:
-                pre = normalize_path(T, path_compose(e_img, p), bound)
-                f = fam_at.get((src, pre))
-                if f is None:
-                    if targets:
-                        raise ValidationError(
-                            f"sigma: composite path {pre} left the enumerated path universe"
-                        )
-                    continue
-                a, b = first[f], first[fam_at[(tgt, p)]]
+                pre = normalize_path(T, path_compose(e_img, p))
+                a, b = first[fam_at[(src, pre)]], first[fam_at[(tgt, p)]]
                 for k, k2 in enumerate(targets):
                     uf.union(a + k, b + k2)
 
@@ -126,36 +111,16 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
 
     edge_fn = {}
     for (gname, src, tgt) in sorted(T.edges):
-        m = {}
-        shift: dict = {}  # family -> first generator of its image family, minus its own
+        m = edge_fn[(src, gname)] = {}
         for rid, members in classes[src]:
-            images = set()
-            for g in members:
-                f = gen_fam[g]
-                if f not in shift:
-                    s_node, p = fams[f]
-                    q = normalize_path(T, Path(p.source, p.steps + (gname,)), bound)
-                    f2 = fam_at.get((s_node, q))
-                    if f2 is None:
-                        raise ValidationError(
-                            f"sigma: edge image {q} left the enumerated path universe"
-                        )
-                    shift[f] = first[f2] - first[f]
-                images.add(class_of[g + shift[f]])
-            if len(images) != 1:
-                raise ValidationError(
-                    f"sigma: edge {gname!r} action is not well-defined "
-                    f"(non-confluent target equations?)"
-                )
-            m[rid] = images.pop()
-        edge_fn[(src, gname)] = m
+            g = members[0]
+            f = gen_fam[g]
+            s_node, p = fams[f]
+            f2 = fam_at[(s_node, normalize_path(T, Path(p.source, p.steps + (gname,))))]
+            m[rid] = class_of[first[f2] + g - first[f]]
 
-    image_nf: dict = {}  # (s_node, source attribute) -> normal form of its image
-
-    def image_normal_form(s_node, sa):
-        if (s_node, sa) not in image_nf:
-            image_nf[(s_node, sa)] = normalize_path(T, F.attrs[(s_node, sa)], bound)
-        return image_nf[(s_node, sa)]
+    # (s_node, source attribute) -> normal form of its image
+    image_nf = {key: normalize_path(T, img) for key, img in F.attrs.items()}
 
     attr_fn = {}
     for (aname, src, _ty) in sorted(T.attributes):
@@ -170,8 +135,8 @@ def sigma(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
                     names = [sa for (sa, _saty) in S.node_attrs[s_node]
                              if not isinstance(F.attrs[(s_node, sa)], ConstPath)]
                     if names:
-                        nf = normalize_path(T, Path(p.source, p.steps, aname), bound)
-                        names = [sa for sa in names if image_normal_form(s_node, sa) == nf]
+                        nf = normalize_path(T, Path(p.source, p.steps, aname))
+                        names = [sa for sa in names if image_nf[(s_node, sa)] == nf]
                     readers[f] = (I.rows[s_node], [I.attr(s_node, sa) for sa in names])
                 fam_rows, cols = readers[f]
                 for col in cols:
@@ -199,7 +164,7 @@ def _same_row(r):
     return r
 
 
-def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
+def pi(F: Mapping, I: Instance) -> Instance:
     """Right Kan extension: rows at t are edge-compatible families over the
     comma category (t down F), one row per comma object, computed as one
     select-project-join per target node.
@@ -220,7 +185,7 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
     if I.schema != F.source:
         raise SchemaError("pi: instance is not on the mapping's source schema")
     S, T = F.source, F.target
-    paths_from_t = {t: _paths_between(T, t, bound) for t in sorted(T.nodes)}
+    paths_from_t = {t: all_morphisms_from(T, t) for t in sorted(T.nodes)}
 
     # comma objects per target node: ordered list of (source node, path t -> F(s))
     comma: dict[str, list] = {}
@@ -229,7 +194,7 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
         for s_node in sorted(S.nodes):
             for q in paths_from_t[t].get(F.nodes[s_node], ()):
                 objs.append((s_node, q))
-        comma[t] = sorted(objs, key=lambda o: (o[0], _path_key(o[1])))
+        comma[t] = sorted(objs, key=lambda o: (o[0], len(o[1].steps), o[1].steps))
 
     def comma_constraints(t):
         """One join group per comma morphism induced by a source edge e:
@@ -242,13 +207,8 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
             for (s_node, q) in comma[t]:
                 if s_node != src:
                     continue
-                q2 = normalize_path(T, path_compose(q, e_img), bound)
-                o2 = (tgt, q2)
-                if o2 not in index:
-                    raise ValidationError(
-                        f"pi: comma path {q2} left the enumerated path universe"
-                    )
-                groups.append([((index[(s_node, q)], fn), (index[o2], _same_row))])
+                q2 = normalize_path(T, path_compose(q, e_img))
+                groups.append([((index[(s_node, q)], fn), (index[(tgt, q2)], _same_row))])
         return groups
 
     groups = {t: comma_constraints(t) for t in sorted(T.nodes)}
@@ -268,10 +228,10 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
             for (sa, _saty) in S.node_attrs[s_node]:
                 img = F.attrs[(s_node, sa)]
                 if not isinstance(img, ConstPath):
-                    nf = normalize_path(T, path_compose(q, img), bound)
+                    nf = normalize_path(T, path_compose(q, img))
                     by_nf.setdefault(nf, []).append((i, I.attr(s_node, sa)))
         for (aname, _ty) in T.node_attrs[t]:
-            rds = by_nf.get(normalize_path(T, Path(t, (), aname), bound), [])
+            rds = by_nf.get(normalize_path(T, Path(t, (), aname)), [])
             readings[(t, aname)] = rds
             groups[t] += [[(term(rds[0]), term(rd))] for rd in rds[1:]]
 
@@ -315,13 +275,8 @@ def pi(F: Mapping, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
         if (t, gname) not in image_slots:
             t2 = t_et[(t, gname)]
             index_t = {o: i for i, o in enumerate(comma[t])}
-            slots = []
-            for (s_node, q2) in comma[t2]:
-                q = normalize_path(T, Path(t, (gname,) + q2.steps), bound)
-                j = index_t.get((s_node, q))
-                if j is None:
-                    raise ValidationError("pi: precomposed path left the path universe")
-                slots.append(j)
+            slots = [index_t[(s_node, normalize_path(T, Path(t, (gname,) + q2.steps)))]
+                     for (s_node, q2) in comma[t2]]
             image_slots[(t, gname)] = (t2, slots)
         t2, slots = image_slots[(t, gname)]
         return t2, tuple([fam[j] for j in slots])

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Union
 
 from .core import (
-    DEFAULT_BOUND,
     ConstPath,
     Mapping,
     Path,
@@ -359,7 +358,7 @@ def split_disjuncts(q: Query):
     return out
 
 
-def eval_query_via_migration(q: Query, I: Instance, bound: int = DEFAULT_BOUND) -> Instance:
+def eval_query_via_migration(q: Query, I: Instance) -> Instance:
     """Evaluate through sigma . pi . delta; disjunction becomes a union of
     conjunctive subqueries.  Relationalized to match set semantics: a union
     is relationalized already, so only a single part is relationalized."""
@@ -367,6 +366,6 @@ def eval_query_via_migration(q: Query, I: Instance, bound: int = DEFAULT_BOUND) 
     result = None
     for part in parts:
         d = desugar_query(part, I.schema)
-        out = sigma(d.f_sigma, pi(d.f_pi, delta(d.f_delta, I), bound), bound)
+        out = sigma(d.f_sigma, pi(d.f_pi, delta(d.f_delta, I)))
         result = out if result is None else union(result, out)
     return relationalize(result) if len(parts) == 1 else result

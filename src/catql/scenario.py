@@ -225,7 +225,6 @@ def translate_isa(isa: Instance, syn: Instance, n: int) -> Instance:
 @dataclass
 class ScenarioConfig:
     closure_n: int = 3
-    path_bound: int = 512
     target_node: str = "material"
     name_attr: str = "material_Material_Name"
 
@@ -356,5 +355,5 @@ def enrich(I: Instance, isa_prime: Instance, cfg: ScenarioConfig) -> Instance:
     env = Environment()
     env.define(PORTAL_NAME, "instance", I, 0)
     env.define(RELATION_NAME, "instance", isa_prime, 0)
-    env, _outputs = run_script(parse_script(text), env, cfg.path_bound)
+    env, _outputs = run_script(parse_script(text), env)
     return env.lookup("enriched", "instance", 0)

@@ -142,7 +142,7 @@ def _block_functions(inst: str, what: str, blocks) -> dict:
     return out
 
 
-def run_script(script: Script, env: Optional[Environment] = None, bound: int = 512):
+def run_script(script: Script, env: Optional[Environment] = None):
     """Evaluate declarations in order.  Returns (environment, outputs) where
     outputs is a list of ('show'|'export', name-or-filename, text)."""
     from . import render, sqlbridge
@@ -196,14 +196,14 @@ def run_script(script: Script, env: Optional[Environment] = None, bound: int = 5
                         (node, a): resolve_path(tgt, p) for (node, a, p) in stmt.attr_maps
                     },
                 )
-                validate_mapping(F, bound)
+                validate_mapping(F)
                 env.define(stmt.name, "mapping", F, stmt.line)
             elif isinstance(stmt, QueryDecl):
                 s = env.lookup(stmt.schema_name, "schema", stmt.line)
                 typecheck_query(stmt.query, s)
                 env.define(stmt.name, "query", (stmt.query, s), stmt.line)
             elif isinstance(stmt, LetStmt):
-                value = _eval_let(stmt, env, bound)
+                value = _eval_let(stmt, env)
                 env.define(stmt.name, "instance", value, stmt.line)
             elif isinstance(stmt, ShowStmt):
                 inst = env.lookup(stmt.name, "instance", stmt.line)
@@ -224,7 +224,7 @@ def run_script(script: Script, env: Optional[Environment] = None, bound: int = 5
     return env, outputs
 
 
-def _eval_let(stmt: LetStmt, env: Environment, bound: int):
+def _eval_let(stmt: LetStmt, env: Environment):
     from . import scenario
 
     op = stmt.expr[0]
@@ -232,8 +232,7 @@ def _eval_let(stmt: LetStmt, env: Environment, bound: int):
     if op in ("delta", "sigma", "pi"):
         F = env.lookup(stmt.expr[1], "mapping", line)
         I = env.lookup(stmt.expr[2], "instance", line)
-        fn = {"delta": delta, "sigma": sigma, "pi": pi}[op]
-        return fn(F, I) if op == "delta" else fn(F, I, bound)
+        return {"delta": delta, "sigma": sigma, "pi": pi}[op](F, I)
     if op in ("union", "disjoint_union"):
         a = env.lookup(stmt.expr[1], "instance", line)
         b = env.lookup(stmt.expr[2], "instance", line)
@@ -245,7 +244,7 @@ def _eval_let(stmt: LetStmt, env: Environment, bound: int):
         return eval_query_direct(q, env.lookup(stmt.expr[2], "instance", line))
     if op == "eval_migration":
         q, _s = env.lookup(stmt.expr[1], "query", line)
-        return eval_query_via_migration(q, env.lookup(stmt.expr[2], "instance", line), bound)
+        return eval_query_via_migration(q, env.lookup(stmt.expr[2], "instance", line))
     if op == "closure":
         return scenario.closure_auto(env.lookup(stmt.expr[1], "instance", line), stmt.expr[2])
     if op == "op":

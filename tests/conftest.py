@@ -59,6 +59,57 @@ def rand_dag_schema(rng: random.Random, name, max_nodes=3, max_edges=4,
     return s
 
 
+def _rand_walk(rng: random.Random, s: Schema, a, steps):
+    """A path of up to `steps` random edges from a, and the node it ends at."""
+    path, end = [], a
+    for _ in range(steps):
+        if not s.out_edges[end]:
+            break
+        e, end = rng.choice(s.out_edges[end])
+        path.append(e)
+    return Path(a, tuple(path)), end
+
+
+def rand_presented_schema(rng: random.Random, name, with_attrs=False, max_edges=4,
+                          max_equations=3) -> Schema:
+    """A random schema on up to three nodes whose edges may form cycles and
+    loops, with up to max_equations equations between random paths of at
+    most three steps out of one node.  An equation sets two paths with one
+    end equal (one may be an identity, so cyclic presentations can be
+    finite), or, with attributes, an attribute at the end of a path equal
+    to a constant or to another such attribute of its type.  Hom-sets may
+    be infinite."""
+    nodes = [f"{name}_n{i}" for i in range(rng.randint(1, 3))]
+    edges = [(f"{name}_e{i}", rng.choice(nodes), rng.choice(nodes))
+             for i in range(rng.randint(1, max_edges))]
+    attrs = [(f"{name}_a{i}", n, rng.choice(["string", "integer"]))
+             for i, n in enumerate(nodes) if with_attrs and rng.random() < 0.8]
+    s = make_schema(name, nodes, edges, attrs)
+    eqs = []
+    for _ in range(rng.randint(0, max_equations)):
+        a = rng.choice(nodes)
+        p, end = _rand_walk(rng, s, a, rng.randint(1, 3))
+        if with_attrs and s.node_attrs[end] and rng.random() < 0.5:
+            attr, ty = s.node_attrs[end][0]
+            p = Path(a, p.steps, attr)
+            if rng.random() < 0.5:
+                eqs.append(PathEquation(p, ConstPath(rng.choice(VALUE_POOLS[ty]))))
+                continue
+            for _try in range(10):
+                q, qend = _rand_walk(rng, s, a, rng.randint(0, 3))
+                qattrs = [x for (x, xty) in s.node_attrs[qend] if xty == ty]
+                if qattrs and Path(a, q.steps, qattrs[0]) != p:
+                    eqs.append(PathEquation(p, Path(a, q.steps, qattrs[0])))
+                    break
+            continue
+        for _try in range(10):
+            q, qend = _rand_walk(rng, s, a, rng.randint(0, 3))
+            if qend == end and q != p:
+                eqs.append(PathEquation(p, q))
+                break
+    return make_schema(name, nodes, edges, attrs, eqs)
+
+
 def _find_equation(rng, s):
     """One equation between two distinct parallel node-valued paths, if any."""
     nodes = sorted(s.nodes)
@@ -82,7 +133,7 @@ def _attr_paths(s: Schema, node):
     followed by an attribute at its end.  Sorted by str: the key order of
     all_morphisms_from's result follows hash(None), which differs between
     processes on Python 3.11 even under a fixed PYTHONHASHSEED."""
-    by_target, _saturated = all_morphisms_from(s, node)
+    by_target = all_morphisms_from(s, node)
     found = [(Path(node, p.steps, a), ty)
              for end, ps in by_target.items() for p in ps
              for (a, ty) in s.node_attrs[end]]
@@ -183,6 +234,27 @@ def rand_adjunction_triple(rng: random.Random):
         I = rand_instance(rng, S)
         J = rand_instance(rng, T)
         return F, I, J
+
+
+def rand_presented_triple(rng: random.Random):
+    """(F: S->T, I on S, J on T), attribute-free, on rand_presented_schema
+    schemas whose completion converges and whose hom-sets are finite."""
+
+    def schema(name):
+        while True:
+            s = rand_presented_schema(rng, name)
+            try:
+                for n in s.nodes:
+                    all_morphisms_from(s, n)
+            except CatqlError:
+                continue
+            return s
+
+    while True:
+        T, S = schema("T"), schema("S")
+        F = rand_mapping(rng, S, T)
+        if F is not None:
+            return F, rand_instance(rng, S), rand_instance(rng, T)
 
 
 def _attr_equations(rng: random.Random, s: Schema, k):

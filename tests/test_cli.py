@@ -254,7 +254,7 @@ class TestShowRunQuery:
         assert (code, err) == (0, "")
         assert out == ("CREATE TABLE a (\n  id INT PRIMARY KEY,\n  v VARCHAR(255)\n);\n"
                        "INSERT INTO a VALUES\n(1, 'hi');\n")
-        inst = cli._pick_instance(cli._run_file(str(script), 512)[0], None)
+        inst = cli._pick_instance(cli._run_file(str(script))[0], None)
         _schema, again = import_sql(out)
         assert iso_check(Instance(again.schema, inst.rows, inst.edge_fn, inst.attr_fn), again)
 
@@ -313,6 +313,12 @@ class TestUsage:
         code, _out, err = run_cli(capsys)
         assert code == 1
         assert "usage" in err
+
+    def test_no_path_bound_option(self, tmp_path, capsys):
+        script = tmp_path / "s.catql"
+        script.write_text("schema S { nodes a; }\n")
+        code, _out, err = run_cli(capsys, "run", str(script), "--path-bound", "9")
+        assert code == 1 and "unrecognized arguments: --path-bound 9" in err
 
     def test_bad_format_value(self, capsys):
         code, _out, err = run_cli(
@@ -373,6 +379,24 @@ class TestExitCodes:
         code, _out, err = run_cli(capsys, "import-sql", data_path("unitcode.sql"))
         assert code == 2
         assert "catql: internal error: ValueError: invariant broken" in err
+
+    def test_infinite_hom_set_refused_at_once(self, tmp_path):
+        script = tmp_path / "loops.catql"
+        script.write_text(
+            "schema L { nodes a; edge f : a -> a; edge g : a -> a; }\n"
+            "schema S { nodes a; }\n"
+            "mapping F : S -> L { node a -> a; }\n"
+            "instance I : S { node a { x; } }\n"
+            "let J = sigma F I;\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(catql.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "catql", "run", str(script)], env=env,
+                              capture_output=True, text=True, timeout=5)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "catql: error: schema 'L' has infinitely many morphisms out of 'a': the normal "
+            "form a.f ends twice in a (the same node, reached by the same last steps), so "
+            "the steps between repeat without end (statement at line 5)\n")
 
     def test_python_m_catql(self):
         ok = run_module("import-sql", data_path("unitcode.sql"))

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 import weakref
 
 import pytest
@@ -11,21 +12,23 @@ from catql.core import (
     Mapping,
     Path,
     PathEquation,
+    all_morphisms_from,
     apply_mapping,
     compose_mappings,
     enumerate_morphisms,
     identity_mapping,
     identity_path,
     make_schema,
+    nodes_along,
     normalize_path,
     path_compose,
     paths_equal,
     validate_mapping,
     validate_schema,
 )
-from catql.errors import NotSaturated, SchemaError, ValidationError
+from catql.errors import NormalizationInconclusive, NotSaturated, SchemaError, ValidationError
 
-from conftest import rand_adjunction_triple
+from conftest import rand_adjunction_triple, rand_presented_schema
 
 
 def loop_schema(equations=()):
@@ -285,3 +288,241 @@ class TestValidateSchema:
                 [("v", "a", "string")],
                 [PathEquation(Path("a", ("f",)), Path("a", (), "v"))],
             )
+
+    @pytest.mark.parametrize("lhs, rhs", [
+        (ConstPath("cm"), Path("a", (), "code")),
+        (ConstPath("cm"), ConstPath("mm")),
+    ])
+    def test_constant_left_side(self, lhs, rhs):
+        with pytest.raises(SchemaError, match="left side must be a path"):
+            make_schema("K", ["a"], [], [("code", "a", "string")], [PathEquation(lhs, rhs)])
+
+
+def shortcut_schema():
+    """X -a-> Y -b-> Z -d-> W with shortcuts c: X -> Z and e: Y -> W, and
+    a.b = c, b.d = e.  Then X.c.d = X.a.b.d = X.a.e, which only the
+    critical pair a.b.d shows."""
+    return make_schema(
+        "SC", ["X", "Y", "Z", "W"],
+        [("a", "X", "Y"), ("b", "Y", "Z"), ("d", "Z", "W"), ("c", "X", "Z"), ("e", "Y", "W")],
+        [],
+        [PathEquation(Path("X", ("a", "b")), Path("X", ("c",))),
+         PathEquation(Path("Y", ("b", "d")), Path("Y", ("e",)))],
+    )
+
+
+def two_loops():
+    return make_schema("LL", ["a"], [("f", "a", "a"), ("g", "a", "a")])
+
+
+def braid():
+    """The positive braid monoid on three strands, whose completion under
+    the length-lex order never ends."""
+    return make_schema(
+        "BR", ["n"], [("a", "n", "n"), ("b", "n", "n")], [],
+        [PathEquation(Path("n", ("a", "b", "a")), Path("n", ("b", "a", "b")))],
+    )
+
+
+class TestCompletion:
+    def test_critical_pair_decides_shortcuts(self):
+        s = shortcut_schema()
+        assert paths_equal(s, Path("X", ("c", "d")), Path("X", ("a", "e")))
+        assert enumerate_morphisms(s, "X", "W") == (Path("X", ("a", "e")),)
+
+    def test_cyclic_finite_presentation(self):
+        s = loop_schema(
+            [PathEquation(Path("Material", ("parent",) * 3), Path("Material", ("parent",)))]
+        )
+        assert enumerate_morphisms(s, "Material", "Material") == (
+            Path("Material"), Path("Material", ("parent",)), Path("Material", ("parent",) * 2))
+
+    def test_free_loops_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(NotSaturated, match=r"the normal form a\.f ends twice in a "):
+            enumerate_morphisms(two_loops(), "a", "a")
+        assert time.perf_counter() - start < 0.1
+
+    def test_repeated_state_names_its_last_steps(self):
+        # g.f -> f.g leaves the words f^i.g^j; the state holds one step
+        s = make_schema("C", ["a"], [("f", "a", "a"), ("g", "a", "a")], [],
+                        [PathEquation(Path("a", ("g", "f")), Path("a", ("f", "g")))])
+        with pytest.raises(NotSaturated, match=r"normal form a\.f\.f ends twice in a\.f "):
+            enumerate_morphisms(s, "a", "a")
+
+    def test_braid_runs_out_of_work(self):
+        start = time.perf_counter()
+        with pytest.raises(NormalizationInconclusive,
+                           match=r"rules made, \d+ critical pairs checked") as err:
+            normalize_path(braid(), Path("n", ("a",)))
+        assert time.perf_counter() - start < 1.0
+        assert err.value.rules > 0 and err.value.pairs > 0
+
+    def test_two_constants_are_no_rule(self):
+        # X.f.A is forced to both "cm" and "mm"; the schema still builds, and
+        # the path normalizes to the constant of the equation on Y, whose
+        # left side lies inside the other's
+        for eqs in ([(("f",), "X", "cm"), ((), "Y", "mm")], [((), "Y", "mm"), (("f",), "X", "cm")]):
+            s = make_schema("K", ["X", "Y"], [("f", "X", "Y")], [("A", "Y", "string")],
+                            [PathEquation(Path(n, st, "A"), ConstPath(c)) for (st, n, c) in eqs])
+            assert normalize_path(s, Path("X", ("f",), "A")) == ConstPath("mm")
+
+
+def _word(p):
+    """A path as (source, letters): its steps, then its attribute."""
+    return (p.source, p.steps + ((p.attr,) if p.attr else ()))
+
+
+def _nodes(s, w):
+    """The node at each position of a word, None after an attribute."""
+    nodes = [w[0]]
+    for x in w[1]:
+        nodes.append(s.edge_table.get((nodes[-1], x)))
+    return nodes
+
+
+def _normal_word(s, w):
+    """normalize_path on a word, or a constant as it is."""
+    if isinstance(w, ConstPath):
+        return w
+    src, letters = w
+    if _nodes(s, w)[-1] is None:
+        nf = normalize_path(s, Path(src, letters[:-1], letters[-1]))
+    else:
+        nf = normalize_path(s, Path(src, letters))
+    return nf if isinstance(nf, ConstPath) else _word(nf)
+
+
+def _equation_sides(s):
+    """Each equation both ways (a constant side only as the result), as
+    (source, left letters, right letters or constant)."""
+    out = []
+    for eq in s.equations:
+        sides = [(eq.lhs, eq.rhs)] + ([(eq.rhs, eq.lhs)] if isinstance(eq.rhs, Path) else [])
+        out += [(l.source, _word(l)[1], r if isinstance(r, ConstPath) else _word(r)[1])
+                for (l, r) in sides]
+    return out
+
+
+def _equation_steps(s, sides, w):
+    """The words and constants that one equation side takes the word to,
+    at any place where it matches."""
+    src, letters = w
+    nodes = _nodes(s, w)
+    n_steps = len(letters) - (nodes[-1] is None)
+    out = []
+    for (a, ls, r) in sides:
+        n = len(ls)
+        for pos in range(min(len(letters) - n, n_steps) + 1):
+            if nodes[pos] == a and letters[pos:pos + n] == ls:
+                out.append(r if isinstance(r, ConstPath) else (src, letters[:pos] + r + letters[pos + n:]))
+    return out
+
+
+def _all_words(s, length):
+    """Every path of at most `length` letters, as a word."""
+    words, frontier = [], [(n, ()) for n in sorted(s.nodes)]
+    for depth in range(length + 1):
+        words += frontier
+        nxt = []
+        for w in frontier:
+            end = _nodes(s, w)[-1]
+            if depth < length:
+                words += [(w[0], w[1] + (a,)) for (a, _ty) in s.node_attrs[end]]
+            nxt += [(w[0], w[1] + (e,)) for (e, _t) in s.out_edges[end]]
+        frontier = nxt
+    return words
+
+
+def _joined(s, sides, u, v, budget=20_000):
+    """Whether equation steps join the word u to v: searched breadth first
+    from both ends (from u alone when v is a constant), through words of at
+    most 6, 8, 10 and then 12 letters, until more than `budget` words were
+    seen in one search."""
+    return any(_joined_within(s, sides, u, v, length, budget) for length in (6, 8, 10, 12))
+
+
+def _joined_within(s, sides, u, v, length, budget):
+    seen = [{u}, {v}]
+    frontiers = [[u], [] if isinstance(v, ConstPath) else [v]]
+    while not seen[0] & seen[1]:
+        side = 0 if not frontiers[1] or frontiers[0] and len(seen[0]) <= len(seen[1]) else 1
+        if not frontiers[side]:
+            return False
+        nxt = []
+        for w in frontiers[side]:
+            for x in _equation_steps(s, sides, w):
+                if x not in seen[side] and (isinstance(x, ConstPath) or len(x[1]) <= length):
+                    seen[side].add(x)
+                    if not isinstance(x, ConstPath):
+                        nxt.append(x)
+        frontiers[side] = nxt
+        if len(seen[0]) + len(seen[1]) > budget:
+            return None
+    return True
+
+
+class TestNormalFormsAgainstBruteForce:
+    def test_random_presentations(self):
+        """Normal forms against the congruence classes of all paths of at
+        most 4 letters (steps, then an attribute), found by brute force:
+        equation steps between such paths, either way, joined by a
+        union-find with the constants.  A path and any path one equation
+        step away have one normal form.  A class's normal form is the
+        least member of its own class, or its constant; when that lies in
+        another class (the proof runs through longer paths), a search
+        through paths of at most 12 letters joins the two.  Schemas whose
+        classes hold two constants, which no rule equates, are set aside."""
+        rng = random.Random(2024)
+        checked = extended = cyclic_finite = searched = 0
+        for i in range(360):
+            s = rand_presented_schema(rng, "P", with_attrs=rng.random() < 0.5, max_edges=3)
+            if i == 0:
+                s = shortcut_schema()
+            try:
+                rules = s.rewrite_rules
+            except NormalizationInconclusive:
+                continue
+            parent = {}
+
+            def find(x):
+                while parent.setdefault(x, x) != x:
+                    x = parent[x]
+                return x
+
+            sides = _equation_sides(s)
+            steps = [(w, x) for w in _all_words(s, 4) for x in [w, *_equation_steps(s, sides, w)]]
+            for (w, x) in steps:
+                if isinstance(x, ConstPath) or len(x[1]) <= 4:
+                    parent[find(w)] = find(x)
+            classes = {}
+            for x in sorted(parent, key=lambda x: isinstance(x, ConstPath)):
+                classes.setdefault(find(x), []).append(x)
+            nf = {w: _normal_word(s, w) for (w, _x) in steps}
+            consts = [(c[0], {x for x in c if isinstance(x, ConstPath)}) for c in classes.values()]
+            if any(len(cs) > 1 or cs and isinstance(nf[w], ConstPath) and nf[w] not in cs
+                   and _joined(s, sides, w, nf[w]) for (w, cs) in consts):
+                continue
+            for (w, x) in steps:
+                assert _normal_word(s, x) == nf[w], (s, w, x)
+            checked += 1
+            extended += sum(map(len, rules.values())) > len(s.equations)
+            if len(s.settle_order) < len(s.nodes):
+                try:
+                    for node in s.nodes:
+                        all_morphisms_from(s, node)
+                    cyclic_finite += 1
+                except NotSaturated:
+                    pass
+            for members in classes.values():
+                rep = members[0]
+                n = nf[rep]
+                if not isinstance(n, ConstPath):
+                    assert n == min((x for x in classes[find(n)] if not isinstance(x, ConstPath)),
+                                    key=lambda x: (len(x[1]), x[1])), (s, rep, n)
+                if find(n) != find(rep):
+                    searched += 1
+                    assert _joined(s, sides, rep, n), (s, rep, n)
+        print(f"normal forms: {checked} schemas checked, {extended} extended by completion, "
+              f"{cyclic_finite} cyclic with finite hom-sets, {searched} classes joined by search")
+        assert checked >= 300 and extended >= 10 and cyclic_finite >= 10

@@ -39,7 +39,12 @@ from catql.instances import (
 from catql.migration import delta, pi, sigma
 from catql.scenario import build_fn, function_schema, relation_pairs, relation_schema
 
-from conftest import rand_adjunction_triple, rand_attributed_triple, rand_instance
+from conftest import (
+    rand_adjunction_triple,
+    rand_attributed_triple,
+    rand_instance,
+    rand_presented_triple,
+)
 
 
 def parent_chain():
@@ -400,6 +405,21 @@ class TestAdjunctionsSmoke:
         for _ in range(10):
             F, I, J = rand_adjunction_triple(rng)
             assert enumerate_homs(delta(F, J), I) == enumerate_homs(J, pi(F, I))
+
+    def test_laws_on_presented_schemas(self):
+        """Both hom-count laws on attribute-free triples over random
+        presentations with cycles and up to three equations, whose
+        completion converges and whose hom-sets are finite."""
+        rng = random.Random(34)
+        extended = set()
+        for case in range(300):
+            F, I, J = rand_presented_triple(rng)
+            assert enumerate_homs(sigma(F, I), J) == enumerate_homs(I, delta(F, J)), case
+            assert enumerate_homs(delta(F, J), I) == enumerate_homs(J, pi(F, I)), case
+            extended |= {s for s in (F.source, F.target)
+                         if sum(map(len, s.rewrite_rules.values())) > len(s.equations)}
+        print(f"adjunction laws: {len(extended)} schemas extended by completion")
+        assert len(extended) >= 10
 
     def test_delta_functorial(self):
         rng = random.Random(33)
