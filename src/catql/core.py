@@ -30,7 +30,13 @@ DEFAULT_BOUND = 4096  # completion's work limit: rules made, critical pairs chec
 
 @dataclass(frozen=True)
 class Path:
-    """A node-valued or attribute-valued path: edge steps, optional attribute terminal."""
+    """A node-valued or attribute-valued path: edge steps, optional attribute terminal.
+
+    The parser's paths are raw: every step is in `steps` and `attr` is None,
+    since only a schema tells whether the last step is an attribute
+    (`scripts.resolve_path`).  A query term is a raw path whose source is a
+    variable.
+    """
 
     source: str
     steps: tuple[str, ...] = ()
@@ -161,15 +167,26 @@ class Schema:
         return _by_source(self.nodes, self.attributes)
 
     @cached_property
+    def _completion(self):
+        """`_complete`'s rules, or the NormalizationInconclusive it raised."""
+        try:
+            return _complete(self)
+        except NormalizationInconclusive as exc:
+            return exc
+
+    @property
     def rewrite_rules(self) -> dict[str, list]:
         """The equations completed to a convergent rewriting system, as
         last letter -> [(source node, left word, right word or ConstPath)].
 
         A word is a path's steps, with its attribute last when it has one
         (see `_complete`).  Raises NormalizationInconclusive when completion
-        runs out of work.
+        runs out of work, the same one each time: completion runs once.
         """
-        return _complete(self)
+        rules = self._completion
+        if isinstance(rules, NormalizationInconclusive):
+            raise rules.with_traceback(None)
+        return rules
 
 
 def _by_source(nodes, triples):
@@ -286,24 +303,15 @@ def _rewrite(s: Schema, rules, src, w, read=None):
     return tuple(out)
 
 
-def _one_step_reducts(s: Schema, src, w, rules) -> list:
-    """The words, or constants, that one rule application takes a word to."""
-    nodes = _walk_path(s, src, w, w)[0]
-    out = []
-    for (rsrc, lhs, rhs) in rules:
-        n = len(lhs)
-        for pos in range(len(w) - n + 1):
-            if nodes[pos] == rsrc and w[pos : pos + n] == lhs:
-                out.append(rhs if isinstance(rhs, ConstPath) else w[:pos] + rhs + w[pos + n :])
-    return out
-
-
-def _overlaps(s: Schema, r1, r2) -> list:
-    """The words from r1's node on which a proper suffix of r1's left side
-    is a proper prefix of r2's, at r2's node."""
-    (src, l1, _r1), (src2, l2, _r2) = r1, r2
+def _critical_pairs(s: Schema, r1, r2) -> list:
+    """The pairs of words, or a word and a constant, that r1 and r2 rewrite
+    a word to where a proper suffix of r1's left side is a proper prefix of
+    r2's, at r2's node.  r1's right side is a word there: a constant's left
+    side ends in an attribute, which nothing follows."""
+    (src, l1, rhs1), (src2, l2, rhs2) = r1, r2
     nodes = _walk_path(s, src, l1, l1)[0]
-    return [l1 + l2[k:] for k in range(1, min(len(l1), len(l2)))
+    return [(rhs1 + l2[k:], rhs2 if isinstance(rhs2, ConstPath) else l1[:-k] + rhs2)
+            for k in range(1, min(len(l1), len(l2)))
             if nodes[len(l1) - k] == src2 and l1[-k:] == l2[:k]]
 
 
@@ -311,14 +319,15 @@ def _complete(s: Schema) -> dict[str, list]:
     """Knuth-Bendix completion of the equations on node-anchored words,
     under the length-lex order.
 
-    The equations, then the one-step reducts of each word on which two left
-    sides overlap, first in first out, are rewritten to normal forms, and
-    two different ones become a rule from the larger to the smaller (a
-    constant is the least).  Rules the new rule reduces are inter-reduced,
-    so at most one rule completes at a letter.  Two different constants
-    make no rule; their path normalizes to the one the rules reach.  Work
-    is rules made, critical pairs checked and letters rewritten; past
-    DEFAULT_BOUND, NormalizationInconclusive says how far it got.
+    The equations, then the critical pairs (the two sides that two rules
+    rewrite a word to where their left sides overlap), first in first out,
+    are rewritten to normal forms, and two different ones become a rule
+    from the larger to the smaller (a constant is the least).  Rules the
+    new rule reduces are inter-reduced, so at most one rule completes at a
+    letter.  Two different constants make no rule; their path normalizes to
+    the one the rules reach.  Work is rules made, critical pairs checked and
+    letters rewritten; past DEFAULT_BOUND, NormalizationInconclusive says
+    how far it got.
     """
     rules: dict[str, list] = {}  # last letter -> [(source node, left word, right side)]
     work = {"rules": 0, "pairs": 0, "letters": 0}
@@ -343,22 +352,21 @@ def _complete(s: Schema) -> dict[str, list]:
         new = (src, u, v)
         spend("rules")
         rules.setdefault(u[-1], []).append(new)
+        only_new = {u[-1]: [new]}
         for rs in rules.values():
             for i in reversed(range(len(rs))):
                 a, lhs, rhs = rs[i]
                 if rs[i] is new:
                     continue
-                if _one_step_reducts(s, a, lhs, [new]):
+                if _rewrite(s, only_new, a, lhs) != lhs:
                     pending.append(rs.pop(i))
-                elif not isinstance(rhs, ConstPath) and _one_step_reducts(s, a, rhs, [new]):
+                elif not isinstance(rhs, ConstPath) and _rewrite(s, only_new, a, rhs) != rhs:
                     rs[i] = (a, lhs, reduce(a, rhs))
-        everything = [r for rs in rules.values() for r in rs]
-        for r in everything:
-            for (a, w) in [(src, w) for w in _overlaps(s, new, r)] + (
-                    [(r[0], w) for w in _overlaps(s, r, new)] if r is not new else []):
+        for r in [r for rs in rules.values() for r in rs]:
+            for (a, pair) in [(src, p) for p in _critical_pairs(s, new, r)] + (
+                    [(r[0], p) for p in _critical_pairs(s, r, new)] if r is not new else []):
                 spend("pairs")
-                first, *rest = _one_step_reducts(s, a, w, everything)
-                pending += [(a, first, x) for x in rest]
+                pending.append((a, *pair))
     return rules
 
 

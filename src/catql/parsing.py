@@ -20,7 +20,7 @@ import sys
 
 from .core import ConstPath, Path
 from .errors import ParseError
-from .queries import Clause, Group, Literal, PathExpr, Query, SelectItem
+from .queries import Clause, Group, Query, SelectItem
 from . import scripts
 
 
@@ -217,7 +217,8 @@ class Parser:
         return self.expect_value(("STRING", "INT"), "expected literal")
 
     def parse_path(self) -> Path:
-        """Node [ '.' step ]* ; attribute terminals are resolved later."""
+        """Name [ '.' step ]*, a raw Path: the name is a node, or a query's
+        variable; attribute terminals are resolved later."""
         source = self.expect_name()
         steps = []
         while self.at("."):
@@ -253,7 +254,7 @@ class Parser:
         return Query(tuple(bindings), tuple(where), tuple(selects))
 
     def parse_select_item(self) -> SelectItem:
-        expr = self.parse_path_expr()
+        expr = self.parse_path()
         self.expect_kw("as")
         return SelectItem(self.expect_name(), expr)
 
@@ -274,22 +275,9 @@ class Parser:
         return Group((self.parse_clause(),))
 
     def parse_clause(self) -> Clause:
-        lhs = self.parse_term()
+        lhs = self.parse_path_or_const()
         self.expect_sym("=")
-        return Clause(lhs, self.parse_term())
-
-    def parse_term(self):
-        if self.kind() in ("STRING", "INT"):
-            return Literal(self.parse_literal_value())
-        return self.parse_path_expr()
-
-    def parse_path_expr(self) -> PathExpr:
-        var = self.expect_name()
-        steps = []
-        while self.at("."):
-            self.next()
-            steps.append(self.expect_name())
-        return PathExpr(var, tuple(steps))
+        return Clause(lhs, self.parse_path_or_const())
 
     # ---- script declarations -------------------------------------------
 
@@ -501,35 +489,21 @@ class Parser:
         name = self.expect_name()
         self.expect_sym("=")
         op = self.expect_ident()
-        if op in ("delta", "sigma", "pi", "union", "disjoint_union", "compose"):
-            a = self.expect_name()
-            b = self.expect_name()
-            expr = (op, a, b)
-        elif op in ("relationalize", "op"):
-            expr = (op, self.expect_name())
-        elif op in ("eval", "eval_migration"):
-            a = self.expect_name()
-            b = self.expect_name()
-            expr = (op, a, b)
-        elif op == "closure":
-            a = self.expect_name()
-            expr = (op, a, self.expect_value(("INT",), "expected closure depth"))
-        elif op == "enrich":
-            inst = self.expect_name()
-            self.expect_kw("edge")
-            node = self.expect_name()
-            self.expect_sym(".")
-            ename = self.expect_name()
-            self.expect_kw("using")
-            rel = self.expect_name()
-            self.expect_kw("name")
-            attr = self.expect_name()
-            expr = (op, inst, node, ename, rel, attr)
-        else:
+        if op not in scripts.LET_OPS:
             self.pos -= 1  # point at the operation, not the token after it
             self.error("unknown let operation")
+        expr = [op]
+        for want in scripts.LET_OPS[op][1]:
+            if want == "INT":  # an operation's integer is its depth
+                expr.append(self.expect_value(("INT",), f"expected {op} depth"))
+            elif want in scripts.DEFINED or want == "NAME":
+                expr.append(self.expect_name())
+            elif want == ".":
+                self.expect_sym(want)
+            else:
+                self.expect_kw(want)
         self.expect_sym(";")
-        return scripts.LetStmt(name, expr, line)
+        return scripts.LetStmt(name, tuple(expr), line)
 
 
 def parse_script(text: str) -> scripts.Script:

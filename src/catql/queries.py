@@ -28,26 +28,9 @@ from .instances import Instance, _UnionFind, join, path_fn, relationalize, union
 from .migration import delta, pi, sigma
 
 
-@dataclass(frozen=True)
-class PathExpr:
-    """A variable followed by edge steps, possibly ending in an attribute."""
-
-    var: str
-    steps: tuple[str, ...] = ()
-
-    def __str__(self):
-        return ".".join((self.var,) + self.steps)
-
-
-@dataclass(frozen=True)
-class Literal:
-    value: Union[str, int]
-
-    def __str__(self):
-        return '"%s"' % self.value if isinstance(self.value, str) else str(self.value)
-
-
-Term = Union[PathExpr, Literal]
+# A term is a raw path, its first name the variable and an attribute its last
+# step, or a constant.
+Term = Union[Path, ConstPath]
 
 
 @dataclass(frozen=True)
@@ -74,7 +57,7 @@ class Group:
 @dataclass(frozen=True)
 class SelectItem:
     alias: str
-    expr: PathExpr
+    expr: Path
 
 
 @dataclass(frozen=True)
@@ -91,14 +74,14 @@ class Query:
 class Resolution:
     """Typechecking result: sort of every term occurrence."""
 
-    expr_sort: dict  # PathExpr -> ("row", node, Path) | ("attr", Path, base type)
+    expr_sort: dict  # raw Path -> ("row", node, Path) | ("attr", Path, base type)
     select_types: list  # [(alias, base type)] in select order
 
 
-def _resolve_expr(s: Schema, bindings: dict, e: PathExpr):
-    if e.var not in bindings:
-        raise TypecheckError(f"unbound variable {e.var!r}")
-    source = bindings[e.var]
+def _resolve_expr(s: Schema, bindings: dict, e: Path):
+    if e.source not in bindings:
+        raise TypecheckError(f"unbound variable {e.source!r}")
+    source = bindings[e.source]
     try:
         nodes, attr = _walk_path(s, source, e.steps, e)
     except SchemaError as exc:
@@ -119,7 +102,7 @@ def typecheck_query(q: Query, s: Schema) -> Resolution:
     expr_sort = {}
 
     def sort_of(term):
-        if isinstance(term, Literal):
+        if isinstance(term, ConstPath):
             return ("const", "string" if isinstance(term.value, str) else "integer")
         r = _resolve_expr(s, bindings, term)
         expr_sort[term] = r
@@ -177,10 +160,10 @@ def eval_query_direct(q: Query, I: Instance) -> Instance:
 
     def compiled(term):
         """The term as a join term: its variable and a function of its row."""
-        if isinstance(term, Literal):
+        if isinstance(term, ConstPath):
             return term.value
         sort = res.expr_sort[term]
-        return (var_index[term.var], path_fn(I, sort[1] if sort[0] == "attr" else sort[2]))
+        return (var_index[term.source], path_fn(I, sort[1] if sort[0] == "attr" else sort[2]))
 
     assignments = join(
         [I.rows[node] for (_var, node) in q.bindings],
@@ -224,7 +207,7 @@ def desugar_query(q: Query, s: Schema) -> Desugared:
     attr_clauses = []
     for g in q.where:
         c = g.alternatives[0]
-        ls = res.expr_sort.get(c.lhs) if isinstance(c.lhs, PathExpr) else None
+        ls = res.expr_sort.get(c.lhs)
         if ls is not None and ls[0] == "row":
             row_clauses.append(c)
         else:
@@ -256,8 +239,8 @@ def desugar_query(q: Query, s: Schema) -> Desugared:
         for e in sorted(members, key=str):
             ename = f"e{eidx}"
             eidx += 1
-            edges.append((ename, bnode(e.var), jnode))
-            fd_edges[(bnode(e.var), ename)] = res.expr_sort[e][2]
+            edges.append((ename, bnode(e.source), jnode))
+            fd_edges[(bnode(e.source), ename)] = res.expr_sort[e][2]
 
     # attributes: one per select item and per where-side occurrence
     c_attrs = []
@@ -265,10 +248,10 @@ def desugar_query(q: Query, s: Schema) -> Desugared:
     fs_attr_images = {}
     for i, (item, (alias, ty)) in enumerate(zip(q.selects, res.select_types)):
         aname = f"sel{i}"
-        attrs.append((aname, bnode(item.expr.var), ty))
-        fd_attrs[(bnode(item.expr.var), aname)] = res.expr_sort[item.expr][1]
+        attrs.append((aname, bnode(item.expr.source), ty))
+        fd_attrs[(bnode(item.expr.source), aname)] = res.expr_sort[item.expr][1]
         c_attrs.append((alias, "r", ty))
-        fp_attrs[(bnode(item.expr.var), aname)] = Path("r", (), alias)
+        fp_attrs[(bnode(item.expr.source), aname)] = Path("r", (), alias)
         fs_attr_images[alias] = Path("row", (), alias)
 
     c_equations = []
@@ -277,16 +260,16 @@ def desugar_query(q: Query, s: Schema) -> Desugared:
 
     def add_where_attr(term):
         nonlocal widx
-        if isinstance(term, Literal):
-            return ConstPath(term.value)
+        if isinstance(term, ConstPath):
+            return term
         sort = res.expr_sort[term]
         aname = f"w{widx}"
         cname = f"_w{widx}"
         widx += 1
-        attrs.append((aname, bnode(term.var), sort[2]))
-        fd_attrs[(bnode(term.var), aname)] = sort[1]
+        attrs.append((aname, bnode(term.source), sort[2]))
+        fd_attrs[(bnode(term.source), aname)] = sort[1]
         c_attrs.append((cname, "r", sort[2]))
-        fp_attrs[(bnode(term.var), aname)] = Path("r", (), cname)
+        fp_attrs[(bnode(term.source), aname)] = Path("r", (), cname)
         return Path("r", (), cname)
 
     for c in attr_clauses:

@@ -25,17 +25,11 @@ def _node_cells(I: Instance, node, row):
     return cells
 
 
-def _show_cell(v):
-    if isinstance(v, LabelledNull):
-        return f"?{v.label}"
-    return str(v)
-
-
 def render_ascii(I: Instance) -> str:
     out = []
     for node in sorted(I.schema.nodes):
         header = _node_header(I.schema, node)
-        rows = [[_show_cell(c) for c in _node_cells(I, node, r)] for r in I.node_rows(node)]
+        rows = [list(map(str, _node_cells(I, node, r))) for r in I.node_rows(node)]
         widths = [
             max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(header)
         ]
@@ -58,7 +52,7 @@ def render_csv(I: Instance) -> str:
             writer.writerow([f"#table:{node}"])
         writer.writerow(header)
         for r in I.node_rows(node):
-            writer.writerow([_show_cell(c) for c in _node_cells(I, node, r)])
+            writer.writerow(map(str, _node_cells(I, node, r)))
     return buf.getvalue()
 
 

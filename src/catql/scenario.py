@@ -234,14 +234,17 @@ PORTAL_NAME = "portal"
 RELATION_NAME = "isa_prime"
 
 
-def generate_enrichment(s: Schema, target_node: str, name_attr: str) -> str:
-    """Script text that enriches an instance along every edge into target_node.
+def enrichment_script(s: Schema, target_node: str, name_attr: str):
+    """The let statements that enrich an instance along every edge into
+    target_node, numbered from line 2, below `generate_enrichment`'s comment.
 
     Each incoming edge contributes an enrich step (a join of the instance with
     the is-a relation on names) whose new rows are unioned with the running
     instance; with no incoming edges, the script degenerates to the identity
     union.
     """
+    from .scripts import LetStmt, Script
+
     if (target_node, name_attr) not in s.attr_table:
         raise SchemaError(
             f"target node {target_node!r} has no attribute {name_attr!r}"
@@ -249,25 +252,23 @@ def generate_enrichment(s: Schema, target_node: str, name_attr: str) -> str:
     incoming = sorted(
         (src, ename) for (ename, src, tgt) in s.edges if tgt == target_node
     )
-    lines = [
-        f"# enrichment generated for schema {s.name}: "
-        f"retarget edges into {target_node} along the is-a relation",
-    ]
-    prev = PORTAL_NAME
-    if not incoming:
-        lines.append(f"let enriched = union {prev} {prev};")
-        return "\n".join(lines) + "\n"
+    steps, prev = [], PORTAL_NAME  # (name, expr) in turn
     for i, (src, ename) in enumerate(incoming):
-        last = i == len(incoming) - 1
-        new_name = f"new_{i}"
-        out_name = "enriched" if last else f"enriched_{i}"
-        lines.append(
-            f"let {new_name} = enrich {prev} edge {src}.{ename} "
-            f"using {RELATION_NAME} name {name_attr};"
-        )
-        lines.append(f"let {out_name} = union {prev} {new_name};")
+        out_name = "enriched" if i == len(incoming) - 1 else f"enriched_{i}"
+        steps.append((f"new_{i}", ("enrich", prev, src, ename, RELATION_NAME, name_attr)))
+        steps.append((out_name, ("union", prev, f"new_{i}")))
         prev = out_name
-    return "\n".join(lines) + "\n"
+    steps = steps or [("enriched", ("union", prev, prev))]
+    return Script(tuple(LetStmt(name, expr, line) for line, (name, expr) in enumerate(steps, 2)))
+
+
+def generate_enrichment(s: Schema, target_node: str, name_attr: str) -> str:
+    """The text of `enrichment_script`, under a comment line."""
+    from .scripts import format_script
+
+    script = enrichment_script(s, target_node, name_attr)
+    return (f"# enrichment generated for schema {s.name}: "
+            f"retarget edges into {target_node} along the is-a relation\n{format_script(script)}")
 
 
 def enrich_edge(I: Instance, node: str, edge: str, rel: Instance, name_attr: str) -> Instance:
@@ -347,13 +348,11 @@ def enrich_edge(I: Instance, node: str, edge: str, rel: Instance, name_attr: str
 
 
 def enrich(I: Instance, isa_prime: Instance, cfg: ScenarioConfig) -> Instance:
-    """Run the generated enrichment script against the instance and relation."""
-    from .parsing import parse_script
+    """Run the enrichment script against the instance and relation."""
     from .scripts import Environment, run_script
 
-    text = generate_enrichment(I.schema, cfg.target_node, cfg.name_attr)
     env = Environment()
     env.define(PORTAL_NAME, "instance", I, 0)
     env.define(RELATION_NAME, "instance", isa_prime, 0)
-    env, _outputs = run_script(parse_script(text), env)
+    env, _outputs = run_script(enrichment_script(I.schema, cfg.target_node, cfg.name_attr), env)
     return env.lookup("enriched", "instance", 0)

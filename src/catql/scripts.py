@@ -24,6 +24,7 @@ from .errors import ScriptError, SchemaError
 from .instances import Instance, disjoint_union, relationalize, union, validate_instance
 from .migration import delta, pi, sigma
 from .queries import Query, eval_query_direct, eval_query_via_migration, typecheck_query
+from .scenario import closure_auto, compose_relations, enrich_edge, op_relation
 
 
 @dataclass
@@ -68,8 +69,39 @@ class QueryDecl:
 @dataclass
 class LetStmt:
     name: str
-    expr: tuple
+    expr: tuple  # (operation, argument for each valued item of its syntax)
     line: int = field(default=0, compare=False)
+
+
+# The kinds of name a script defines; a let looks up an argument of each.
+DEFINED = ("instance", "mapping", "query")
+
+# let operation -> (function, syntax after the operation).  A syntax item is a
+# kind of DEFINED name, looked up and passed; NAME or INT, passed as read; or a
+# keyword or ".", which is only read.  A query is defined with its schema.
+LET_OPS = {
+    "delta": (delta, ("mapping", "instance")),
+    "sigma": (sigma, ("mapping", "instance")),
+    "pi": (pi, ("mapping", "instance")),
+    "union": (union, ("instance", "instance")),
+    "disjoint_union": (disjoint_union, ("instance", "instance")),
+    "compose": (compose_relations, ("instance", "instance")),
+    "relationalize": (relationalize, ("instance",)),
+    "op": (op_relation, ("instance",)),
+    "eval": (lambda q, I: eval_query_direct(q[0], I), ("query", "instance")),
+    "eval_migration": (lambda q, I: eval_query_via_migration(q[0], I), ("query", "instance")),
+    "closure": (closure_auto, ("instance", "INT")),
+    "enrich": (enrich_edge, ("instance", "edge", "NAME", ".", "NAME",
+                             "using", "instance", "name", "NAME")),
+}
+
+
+def _let_syntax(expr) -> list:
+    """(item, argument) for each item of the syntax of expr's operation; the
+    argument of a keyword or "." is None."""
+    args = iter(expr[1:])
+    return [(want, next(args) if want in (*DEFINED, "NAME", "INT") else None)
+            for want in LET_OPS[expr[0]][1]]
 
 
 @dataclass
@@ -225,39 +257,11 @@ def run_script(script: Script, env: Optional[Environment] = None):
 
 
 def _eval_let(stmt: LetStmt, env: Environment):
-    from . import scenario
-
     op = stmt.expr[0]
-    line = stmt.line
-    if op in ("delta", "sigma", "pi"):
-        F = env.lookup(stmt.expr[1], "mapping", line)
-        I = env.lookup(stmt.expr[2], "instance", line)
-        return {"delta": delta, "sigma": sigma, "pi": pi}[op](F, I)
-    if op in ("union", "disjoint_union"):
-        a = env.lookup(stmt.expr[1], "instance", line)
-        b = env.lookup(stmt.expr[2], "instance", line)
-        return union(a, b) if op == "union" else disjoint_union(a, b)
-    if op == "relationalize":
-        return relationalize(env.lookup(stmt.expr[1], "instance", line))
-    if op == "eval":
-        q, _s = env.lookup(stmt.expr[1], "query", line)
-        return eval_query_direct(q, env.lookup(stmt.expr[2], "instance", line))
-    if op == "eval_migration":
-        q, _s = env.lookup(stmt.expr[1], "query", line)
-        return eval_query_via_migration(q, env.lookup(stmt.expr[2], "instance", line))
-    if op == "closure":
-        return scenario.closure_auto(env.lookup(stmt.expr[1], "instance", line), stmt.expr[2])
-    if op == "op":
-        return scenario.op_relation(env.lookup(stmt.expr[1], "instance", line))
-    if op == "compose":
-        a = env.lookup(stmt.expr[1], "instance", line)
-        b = env.lookup(stmt.expr[2], "instance", line)
-        return scenario.compose_relations(a, b)
-    if op == "enrich":
-        inst = env.lookup(stmt.expr[1], "instance", line)
-        rel = env.lookup(stmt.expr[4], "instance", line)
-        return scenario.enrich_edge(inst, stmt.expr[2], stmt.expr[3], rel, stmt.expr[5])
-    raise ScriptError(f"unknown operation {op!r}", line)
+    if op not in LET_OPS:
+        raise ScriptError(f"unknown operation {op!r}", stmt.line)
+    return LET_OPS[op][0](*(env.lookup(x, want, stmt.line) if want in DEFINED else x
+                            for want, x in _let_syntax(stmt.expr) if x is not None))
 
 
 # ---- pretty printing ----------------------------------------------------
@@ -333,14 +337,9 @@ def _format_statement(stmt) -> str:
         body = format_query(stmt.query, indent="    ")
         indented = "\n".join("  " + ln for ln in body.splitlines())
         return f"query {stmt.name} : {stmt.schema_name} {{\n{indented}\n}}"
-    if isinstance(stmt, LetStmt):
-        op = stmt.expr[0]
-        if op == "enrich":
-            (_op, inst, node, ename, rel, attr) = stmt.expr
-            rhs = f"enrich {inst} edge {node}.{ename} using {rel} name {attr}"
-        else:
-            rhs = " ".join(str(x) for x in stmt.expr)
-        return f"let {stmt.name} = {rhs};"
+    if isinstance(stmt, LetStmt) and stmt.expr[0] in LET_OPS:
+        words = " ".join(want if x is None else str(x) for want, x in _let_syntax(stmt.expr))
+        return f"let {stmt.name} = {stmt.expr[0]} {words};".replace(" . ", ".")
     if isinstance(stmt, ShowStmt):
         fmt = "" if stmt.format == "ascii" else f" {stmt.format}"
         return f"show {stmt.name}{fmt};"

@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from catql import core
 from catql.core import (
     ConstPath,
     Mapping,
@@ -357,6 +358,22 @@ class TestCompletion:
             normalize_path(braid(), Path("n", ("a",)))
         assert time.perf_counter() - start < 1.0
         assert err.value.rules > 0 and err.value.pairs > 0
+
+    def test_inconclusive_completion_runs_once(self, monkeypatch):
+        runs = []
+        complete = core._complete
+        monkeypatch.setattr(core, "_complete", lambda s: runs.append(s) or complete(s))
+        s = braid()
+        raised = []
+        for call in (lambda: normalize_path(s, Path("n", ("a",))),
+                     lambda: all_morphisms_from(s, "n"),
+                     lambda: normalize_path(s, Path("n", ("b", "a")))):
+            with pytest.raises(NormalizationInconclusive) as err:
+                call()
+            e = err.value
+            raised.append((str(e), e.rules, e.pairs, e.letters))
+        assert len(runs) == 1
+        assert raised[0] == raised[1] == raised[2]
 
     def test_two_constants_are_no_rule(self):
         # X.f.A is forced to both "cm" and "mm"; the schema still builds, and

@@ -19,8 +19,8 @@ from catql.parsing import parse_query
 from catql.queries import (
     Clause,
     Group,
-    Literal,
-    PathExpr,
+    ConstPath,
+    Path,
     Query,
     SelectItem,
     desugar_query,
@@ -92,8 +92,8 @@ class TestTypecheck:
     def test_constant_only_clause_rejected(self):
         q = Query(
             bindings=(("x", "unitcode"),),
-            where=(Group((Clause(Literal("a"), Literal("a")),)),),
-            selects=(SelectItem("c", PathExpr("x", ("Code",))),),
+            where=(Group((Clause(ConstPath("a"), ConstPath("a")),)),),
+            selects=(SelectItem("c", Path("x", ("Code",))),),
         )
         with pytest.raises(TypecheckError):
             typecheck_query(q, unitcode_instance().schema)
@@ -155,11 +155,11 @@ def naive_oracle(q, I):
     res = typecheck_query(q, I.schema)
 
     def ev(term, asg):
-        if isinstance(term, Literal):
+        if isinstance(term, ConstPath):
             return term.value
         sort = res.expr_sort[term]
         p = sort[1] if sort[0] == "attr" else sort[2]
-        return eval_path(I, p, asg[term.var])
+        return eval_path(I, p, asg[term.source])
 
     from catql.queries import result_schema
 
@@ -199,7 +199,7 @@ def rand_query(rng, s, I, max_bindings=3):
             en, tgt = rng.choice(outs)
             steps.append(en)
             cur = tgt
-        return PathExpr(var, tuple(steps)), cur
+        return Path(var, tuple(steps)), cur
 
     def rand_attr_expr(var, node):
         e, cur = rand_row_expr(var, node)
@@ -207,7 +207,7 @@ def rand_query(rng, s, I, max_bindings=3):
         if not cands:
             return None
         an, ty = rng.choice(cands)
-        return PathExpr(var, e.steps + (an,)), ty
+        return Path(var, e.steps + (an,)), ty
 
     groups = []
     for _ in range(rng.randint(0, 3)):
@@ -231,7 +231,7 @@ def rand_query(rng, s, I, max_bindings=3):
                 e1, ty = a1
                 if kind < 0.8:
                     pool = ["red", "blue", "green"] if ty == "string" else [0, 1, 7]
-                    alts.append(Clause(e1, Literal(rng.choice(pool))))
+                    alts.append(Clause(e1, ConstPath(rng.choice(pool))))
                 else:
                     for _try in range(10):
                         (v2, n2) = rng.choice(bindings)

@@ -25,6 +25,7 @@ from catql.scenario import (
     compose_relations,
     enrich,
     enrich_edge,
+    enrichment_script,
     function_schema,
     generate_enrichment,
     op_relation,
@@ -368,6 +369,10 @@ class TestEnrichment:
         # one enrich step for the single linking table, then the final union
         assert len(script.statements) == 2
         assert "capabilitymaterials" in text
+        # the statements enrich runs are those the text parses to, line for line
+        stmts = enrichment_script(schema, "material", "material_Material_Name").statements
+        assert stmts == script.statements
+        assert [x.line for x in stmts] == [x.line for x in script.statements] == [2, 3]
 
     def test_no_incoming_edges_identity_union(self):
         from catql.sqlbridge import import_sql
@@ -446,6 +451,22 @@ class TestEnrichment:
         )
         names = set(out.attr("material", "material_Material_Name").values())
         assert "unobtanium" in names
+
+    def test_reserved_word_names_enrich(self):
+        """The enrichment runs as statements, not as text parsed back, so a
+        table or column named by a reserved word of .catql enriches too."""
+        from catql.sqlbridge import import_sql
+
+        _schema, inst = import_sql(
+            "CREATE TABLE material (id INT PRIMARY KEY, material_Material_Name VARCHAR(99));\n"
+            "CREATE TABLE node (id INT PRIMARY KEY, edge INT REFERENCES material);\n"
+            "INSERT INTO material VALUES (1, 'steel');\n"
+            "INSERT INTO node VALUES (10, 1);\n"
+        )
+        out = enrich(inst, relation_from_pairs({("steel", "alloy")}), ScenarioConfig())
+        validate_instance(out)
+        assert len(out.node_rows("node")) == 2
+        assert "alloy" in out.attr("material", NAME).values()
 
     def test_monotone_and_idempotent(self, portal):
         _s, inst = portal

@@ -1,10 +1,14 @@
 """Script language: parsing, evaluation, pretty-printing fixpoint, errors."""
 
+import pathlib
+import re
+
 import pytest
 
 from catql.errors import CatqlError, ParseError, SchemaError, ScriptError
+from catql.instances import validate_instance
 from catql.parsing import Parser, parse_query, parse_script
-from catql.scripts import Environment, format_script, run_script
+from catql.scripts import DEFINED, LET_OPS, Environment, format_script, run_script
 
 from conftest import read_data
 
@@ -287,3 +291,92 @@ class TestRun:
 
         isa = env.lookup("isa", "instance", 0)
         assert ("ferrous-17-4PH", "ferrous-alloy") in relation_pairs(isa)
+
+
+# a script that defines an argument for every let operation
+LET_DEFS = """
+schema S {
+  nodes a, b;
+  edge f : a -> b;
+  attribute v : b -> string;
+}
+schema T {
+  nodes isa, Material;
+  edge left : isa -> Material;
+  edge right : isa -> Material;
+  attribute name : Material -> string;
+}
+instance I : S {
+  node a { x; y; }
+  node b { u; w; }
+  edge a.f { x -> u; y -> w; }
+  attribute b.v { u = "steel"; w = "alloy"; }
+}
+instance R : T {
+  node Material { m1; m2; m3; }
+  node isa { p; q; }
+  edge isa.left { p -> m1; q -> m2; }
+  edge isa.right { p -> m2; q -> m3; }
+  attribute Material.name { m1 = "steel"; m2 = "alloy"; m3 = "metal"; }
+}
+mapping G : S -> S {
+  node a -> a;
+  node b -> b;
+  edge a.f -> a.f;
+  attribute b.v -> b.v;
+}
+query q : S {
+  select x.f.v as n
+  from a as x
+}
+"""
+
+# one let of each operation, on the names LET_DEFS defines
+LETS = {
+    "delta": "delta G I",
+    "sigma": "sigma G I",
+    "pi": "pi G I",
+    "union": "union R R",
+    "disjoint_union": "disjoint_union R R",
+    "compose": "compose R R",
+    "relationalize": "relationalize I",
+    "op": "op R",
+    "eval": "eval q I",
+    "eval_migration": "eval_migration q I",
+    "closure": "closure R 2",
+    "enrich": "enrich I edge a.f using R name v",
+}
+
+GRAMMAR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "grammar.ebnf"
+
+
+class TestLetOps:
+    def test_every_operation_has_a_case(self):
+        assert set(LETS) == set(LET_OPS)
+
+    @pytest.mark.parametrize("op", list(LET_OPS))
+    def test_parse_format_parse_and_run(self, op):
+        text = f"let J = {LETS[op]};\n"
+        script = parse_script(text)
+        assert script.statements[0].expr[0] == op
+        assert format_script(script) == text
+        assert parse_script(format_script(script)) == script
+        env, _outputs = run_script(parse_script(LET_DEFS + text))
+        validate_instance(env.lookup("J", "instance", 0))
+
+    def test_grammar_rule_names_the_table(self):
+        """The let-expr rule lists the operations of LET_OPS in its order,
+        each followed by its syntax: NAME for a defined name, keywords and
+        '.' quoted."""
+        rule = re.search(r"^let-expr\s*=(.*?);$", GRAMMAR.read_text(), re.M | re.S).group(1)
+        grammar = {}
+        for alt in re.split(r"\n\s*\|", rule):
+            tokens = re.findall(r'"[^"]*"|[()]|[A-Z]+', alt)
+            end = tokens.index(")") + 1 if tokens[0] == "(" else 1
+            for op in tokens[:end]:
+                if op.startswith('"'):
+                    grammar[op.strip('"')] = tokens[end:]
+        assert list(grammar) == list(LET_OPS)
+        for op, (_fn, syntax) in LET_OPS.items():
+            want = ["NAME" if x in DEFINED else x if x.isupper() else f'"{x}"' for x in syntax]
+            assert grammar[op] == want, op
