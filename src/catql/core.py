@@ -60,7 +60,7 @@ class ConstPath:
 
     def __str__(self):
         if isinstance(self.value, str):
-            return '"%s"' % self.value
+            return '"%s"' % self.value.replace("\\", "\\\\").replace('"', '\\"')
         return str(self.value)
 
 

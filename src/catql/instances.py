@@ -21,25 +21,26 @@ One quotient (`_quotient`) reads relationalize and union off the colors,
 from one representative row per class, and iso_check compares the color
 classes of two instances.  When one side of a union extends the other, only
 that side is refined, and it adds only its own rows to the quotient; an
-enrichment step builds such an extension with `extend`, which copies its
-input once and validates only the new rows.  One forced-image search
-(`_homs`) enumerates natural transformations: an assignment fixes the
-images of its row's edge targets, which are followed along the edges and
-undone from a trail, and the search branches only on rows that no
-assignment reaches.  enumerate_homs counts
-the transformations that keep each row's attribute tuple on each connected
+enrichment step builds such an extension with `extend`, which copies only
+the functions that gain entries and validates only the new rows.  One
+forced-image search (`_homs`) enumerates natural transformations: an
+assignment fixes the images of its row's edge targets, which are followed
+along the edges and undone from a trail, and the search branches only on
+rows that no assignment reaches.  enumerate_homs counts the
+transformations that keep each row's attribute tuple on each connected
 component of I, found by the one union-find (`_UnionFind`), and multiplies
 the counts; its limit bounds one component's count.  iso_check searches
 all rows at once for an injective one that keeps each row's color, since
-injectivity links the components.  Both number the rows by node in
-`Schema.topo_order`, then in row order.
+injectivity links the components.  _refine, enumerate_homs and iso_check
+read the tables that an instance builds once, on first use (`row_start`,
+`row_keys`, `row_images`); no instance is edited once it is built.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import count, groupby, islice, repeat
+from itertools import accumulate, count, groupby, islice, repeat
 from operator import itemgetter
 from typing import Union
 
@@ -70,17 +71,72 @@ def value_type(v: Value) -> str:
     raise ValidationError(f"not an attribute value: {v!r}")
 
 
+class _table:
+    """An instance's table, built on first read and kept in its __dict__:
+    functools.cached_property without the lock that Python 3.11 takes on
+    each first read, which costs as much as building a small table."""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, inst, owner=None):
+        if inst is None:
+            return self
+        table = inst.__dict__[self.name] = self.build(inst)
+        return table
+
+
 class Instance:
     """A set-valued functor: row sets per node, total functions per edge/attribute.
 
-    Treated as immutable after construction.
+    It keeps the edge and attribute dicts it is given, without a copy, and
+    is never edited.  Its tables number its rows by node in
+    `Schema.topo_order`, then in row order, and are built on first use.
     """
 
     def __init__(self, schema: Schema, rows, edge_fn, attr_fn):
         self.schema = schema
         self.rows = {n: tuple(sorted(rows.get(n, ()))) for n in schema.nodes}
-        self.edge_fn = {k: dict(v) for k, v in edge_fn.items()}
-        self.attr_fn = {k: dict(v) for k, v in attr_fn.items()}
+        self.edge_fn = edge_fn
+        self.attr_fn = attr_fn
+
+    @_table
+    def row_start(self) -> dict[str, int]:
+        """node -> the index of its first row."""
+        start, k = {}, 0
+        for n in self.schema.topo_order:
+            start[n] = k
+            k += len(self.rows[n])
+        return start
+
+    @_table
+    def row_keys(self) -> list[tuple]:
+        """Per row index, the row's (node, attribute tuple)."""
+        rows, node_attrs = self.rows, self.schema.node_attrs
+        keys: list[tuple] = []
+        for n in self.schema.topo_order:
+            if node_attrs[n]:
+                cols = [map(self.attr(n, a).__getitem__, rows[n]) for (a, _ty) in node_attrs[n]]
+                keys.extend(zip(repeat(n), zip(*cols)))
+            else:
+                keys += [(n, ())] * len(rows[n])
+        return keys
+
+    @_table
+    def row_images(self) -> list[tuple[int, ...]]:
+        """Per row index, the indices of the row's images under its node's
+        out-edges, in `Schema.out_edges` order."""
+        rows, out, start = self.rows, self.schema.out_edges, self.row_start
+        at = {}  # edge target node -> {row: row index}
+        images: list[tuple[int, ...]] = []
+        for n in start:
+            cols = []
+            for (e, tgt) in out[n]:
+                if tgt not in at:
+                    at[tgt] = dict(zip(rows[tgt], count(start[tgt])))
+                cols.append(map(at[tgt].__getitem__, map(self.edge(n, e).__getitem__, rows[n])))
+            images.extend(zip(*cols) if cols else repeat((), len(rows[n])))
+        return images
 
     def node_rows(self, node):
         return self.rows[node]
@@ -322,18 +378,17 @@ def _check_rows(I: Instance, rows, edge_fn, attr_fn):
 
 def extend(I: Instance, rows, edge_fn, attr_fn) -> Instance:
     """I with new rows, {node: ids}, and their edge and attribute entries,
-    {(node, name): {row: value}}, built on one copy of I's functions.
+    {(node, name): {row: value}}.  I is not edited: each function that gains
+    entries is a fresh copy of I's, and the others are shared.
 
     Only the new rows are validated, as validate_instance validates all: an
     id already used at its node is listed twice, and the equations are
     checked on the new rows alone, since I is closed under its edges.
     """
     s = I.schema
-    out = Instance(s, {n: I.rows[n] + tuple(rows.get(n, ())) for n in s.nodes},
-                   I.edge_fn, I.attr_fn)
-    for fns, new in ((out.edge_fn, edge_fn), (out.attr_fn, attr_fn)):
-        for key, entries in new.items():
-            fns.setdefault(key, {}).update(entries)
+    merged = [{**old, **{key: {**old.get(key, {}), **entries} for key, entries in new.items()}}
+              for old, new in ((I.edge_fn, edge_fn), (I.attr_fn, attr_fn))]
+    out = Instance(s, {n: I.rows[n] + tuple(rows.get(n, ())) for n in s.nodes}, *merged)
     _check_rows(out, {n: sorted(rs) for n, rs in rows.items()}, edge_fn, attr_fn)
     return out
 
@@ -362,25 +417,11 @@ def disjoint_union(I: Instance, J: Instance) -> Instance:
     return Instance(s, rows, edge_fn, attr_fn)
 
 
-def _attr_keys(inst: Instance, nodes) -> list[tuple]:
-    """The (node, attribute tuple) of each row, by node in the given order,
-    then in row order."""
-    rows, node_attrs = inst.rows, inst.schema.node_attrs
-    keys: list[tuple] = []
-    for n in nodes:
-        if node_attrs[n]:
-            cols = [map(inst.attr(n, a).__getitem__, rows[n]) for (a, _ty) in node_attrs[n]]
-            keys.extend(zip(repeat(n), zip(*cols)))
-        else:
-            keys += [(n, ())] * len(rows[n])
-    return keys
-
-
 def _refine(instances) -> list[int]:
     """Joint coarsest stable partition of the rows of instances on one schema.
 
-    The rows are numbered consecutively: by instance, then by node in
-    `Schema.topo_order`, then in row order.  Returns the color of each row
+    The rows are numbered consecutively: by instance, then as each instance
+    numbers its own (`Instance.row_start`).  Returns the color of each row
     index, an integer.  Two rows, of the same or of different instances,
     share a color iff every attribute-valued path agrees on them.
 
@@ -401,19 +442,12 @@ def _refine(instances) -> list[int]:
     s = instances[0].schema
     settled = set(s.settle_order)
     loose = [n for n in s.topo_order if n not in settled]
-    first = []  # per instance: node -> the index of its first row
-    start = 0
-    for inst in instances:
-        first.append({})
-        for n in s.topo_order:
-            first[-1][n] = start
-            start += len(inst.rows[n])
-    color = [0] * start
+    bases = list(accumulate((inst.total_rows() for inst in instances), initial=0))
+    color = [0] * bases.pop()  # each instance's rows follow the earlier instances' rows
     initial: dict = {}  # (node, *attribute values, *settled image colors) -> color
     labels = count()  # a key's color is the label drawn with its first row
-    index = []  # per instance: unsettled node -> {row: row index}
     led_to = {tgt for (_e, _src, tgt) in s.edges}
-    for inst, lo in zip(instances, first):
+    for inst, base in zip(instances, bases):
         color_of = {}  # settled edge target -> {row: color}
         for n in (*s.settle_order, *loose):
             rows = inst.rows[n]
@@ -423,20 +457,20 @@ def _refine(instances) -> list[int]:
             cols += [map(color_of[tgt].__getitem__, map(inst.edge(n, e).__getitem__, rows))
                      for (e, tgt) in s.out_edges[n] if tgt in settled]
             seg = list(map(initial.setdefault, zip(repeat(n, len(rows)), *cols), labels))
-            color[lo[n]:lo[n] + len(rows)] = seg
+            lo = base + inst.row_start[n]
+            color[lo:lo + len(rows)] = seg
             if n in settled and n in led_to:
                 color_of[n] = dict(zip(rows, seg))
-        index.append({n: dict(zip(inst.rows[n], range(lo[n], lo[n] + len(inst.rows[n]))))
-                      for n in loose})
     into: dict[str, list[dict]] = {n: [] for n in loose}  # preimage tables of edges into n
     for (e, src, tgt) in sorted(s.edges):
         if tgt in settled:  # then src is settled or its key holds the image colors
             continue
+        j = s.out_edges[src].index((e, tgt))
         pre: dict[int, list[int]] = {}
-        for inst, at in zip(instances, index):
-            targets = map(at[tgt].__getitem__, map(inst.edge(src, e).__getitem__, inst.rows[src]))
-            for x, t in zip(at[src].values(), targets):
-                pre.setdefault(t, []).append(x)
+        for inst, base in zip(instances, bases):
+            lo, images = inst.row_start[src], inst.row_images
+            for x in range(lo, lo + len(inst.rows[src])):
+                pre.setdefault(base + images[x][j], []).append(base + x)
         into[tgt].append(pre)
     if not any(into.values()):  # no edge joins two unsettled nodes, so no block splits
         return color
@@ -591,28 +625,6 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-def _successors(inst: Instance) -> list[tuple[int, ...]]:
-    """Per row index, numbered by node in `Schema.topo_order` and then in row
-    order, the indices of the row's images under its node's out-edges, in
-    `Schema.out_edges` order."""
-    rows, out = inst.rows, inst.schema.out_edges
-    first = {}  # node -> the index of its first row
-    start = 0
-    for n in inst.schema.topo_order:
-        first[n] = start
-        start += len(rows[n])
-    at = {}  # edge target node -> {row: row index}
-    succ: list[tuple[int, ...]] = []
-    for n in first:
-        cols = []
-        for (e, tgt) in out[n]:
-            if tgt not in at:
-                at[tgt] = dict(zip(rows[tgt], range(first[tgt], first[tgt] + len(rows[tgt]))))
-            cols.append(map(at[tgt].__getitem__, map(inst.edge(n, e).__getitem__, rows[n])))
-        succ.extend(zip(*cols) if cols else repeat((), len(rows[n])))
-    return succ
-
-
 def _candidates(key_J) -> dict:
     """key -> the indices of the rows with that key, in ascending order."""
     candidates: dict = {}
@@ -624,10 +636,10 @@ def _candidates(key_J) -> dict:
 def _homs(key_I, key_J, succ_I, succ_J, candidates, injective: bool = False):
     """The search for natural transformations I -> J.
 
-    Rows are numbered on each side by node in `Schema.topo_order`, then in
-    row order.  key_I and key_J hold one key per row, never shared by rows
-    of two nodes, and succ_I and succ_J the rows' edge images.  A row may
-    map only to the rows of J that have its key, its candidates (from
+    Rows are numbered on each side as `Instance.row_start` numbers them.
+    key_I and key_J hold one key per row, never shared by rows of two
+    nodes, and succ_I and succ_J the rows' edge images.  A row may map only
+    to the rows of J that have its key, its candidates (from
     `_candidates(key_J)`), and every row of I has one.  search(rows), for
     ascending I row indices closed under I's edges, yields each assignment
     of those rows in one list of J row indices over all I rows.
@@ -722,7 +734,7 @@ def iso_check(I: Instance, J: Instance) -> bool:
     cI, cJ = color[:split], color[split:]
     if Counter(cI) != Counter(cJ):
         return False
-    search = _homs(cI, cJ, _successors(I), _successors(J), _candidates(cJ), injective=True)
+    search = _homs(cI, cJ, I.row_images, J.row_images, _candidates(cJ), injective=True)
     return next(search(list(range(split))), None) is not None
 
 
@@ -736,13 +748,11 @@ def enumerate_homs(I: Instance, J: Instance, limit: int = 1_000_000) -> int:
     """
     if I.schema != J.schema:
         raise SchemaError("enumerate_homs requires instances on the same schema")
-    nodes = I.schema.topo_order
-    key_I = _attr_keys(I, nodes)
-    key_J = _attr_keys(J, nodes)
+    key_I, key_J = I.row_keys, J.row_keys
     candidates = _candidates(key_J)
     if not candidates.keys() >= set(key_I):
         return 0  # some row has no candidate
-    succ_I, search = _successors(I), None
+    succ_I, search = I.row_images, None
     uf = _UnionFind(range(len(key_I)))
     for a, bs in enumerate(succ_I):
         for b in bs:
@@ -755,7 +765,7 @@ def enumerate_homs(I: Instance, J: Instance, limit: int = 1_000_000) -> int:
         if len(rows) == 1 and not succ_I[rows[0]]:
             count = len(candidates[key_I[rows[0]]])
         else:  # once a component is over the limit, the others need only one hom
-            search = search or _homs(key_I, key_J, succ_I, _successors(J), candidates)
+            search = search or _homs(key_I, key_J, succ_I, J.row_images, candidates)
             count = sum(1 for _ in islice(search(rows), 1 if exceeded else limit + 1))
         if count == 0:
             return 0

@@ -267,18 +267,6 @@ def _eval_let(stmt: LetStmt, env: Environment):
 # ---- pretty printing ----------------------------------------------------
 
 
-def _fmt_value(v):
-    if isinstance(v, str):
-        return '"%s"' % v.replace("\\", "\\\\").replace('"', '\\"')
-    return str(v)
-
-
-def format_path(p) -> str:
-    if isinstance(p, ConstPath):
-        return _fmt_value(p.value)
-    return str(p)
-
-
 def format_query(q: Query, indent="  ") -> str:
     lines = ["select"]
     lines.append(
@@ -308,7 +296,7 @@ def _format_statement(stmt) -> str:
         for (a, src, ty) in stmt.attributes:
             lines.append(f"  attribute {a} : {src} -> {ty};")
         for (l, r) in stmt.equations:
-            lines.append(f"  equation {format_path(l)} = {format_path(r)};")
+            lines.append(f"  equation {l} = {r};")
         lines.append("}")
         return "\n".join(lines)
     if isinstance(stmt, InstanceDecl):
@@ -319,7 +307,7 @@ def _format_statement(stmt) -> str:
             body = " ".join(f"{a} -> {b};" for (a, b) in pairs)
             lines.append(f"  edge {node}.{e} {{ {body} }}")
         for (node, a, pairs) in stmt.attrs:
-            body = " ".join(f"{r} = {_fmt_value(v)};" for (r, v) in pairs)
+            body = " ".join(f"{r} = {ConstPath(v)};" for (r, v) in pairs)
             lines.append(f"  attribute {node}.{a} {{ {body} }}")
         lines.append("}")
         return "\n".join(lines)
@@ -328,9 +316,9 @@ def _format_statement(stmt) -> str:
         for (a, b) in stmt.node_maps:
             lines.append(f"  node {a} -> {b};")
         for (node, e, p) in stmt.edge_maps:
-            lines.append(f"  edge {node}.{e} -> {format_path(p)};")
+            lines.append(f"  edge {node}.{e} -> {p};")
         for (node, a, p) in stmt.attr_maps:
-            lines.append(f"  attribute {node}.{a} -> {format_path(p)};")
+            lines.append(f"  attribute {node}.{a} -> {p};")
         lines.append("}")
         return "\n".join(lines)
     if isinstance(stmt, QueryDecl):
@@ -344,5 +332,5 @@ def _format_statement(stmt) -> str:
         fmt = "" if stmt.format == "ascii" else f" {stmt.format}"
         return f"show {stmt.name}{fmt};"
     if isinstance(stmt, ExportStmt):
-        return f"export {stmt.name} {_fmt_value(stmt.filename)};"
+        return f"export {stmt.name} {ConstPath(stmt.filename)};"
     raise ScriptError(f"cannot format {stmt!r}")

@@ -1,5 +1,6 @@
 """Instances: validation, path evaluation, unions, relationalize, isos, homs."""
 
+import copy
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ from catql.instances import (
     empty_instance,
     enumerate_homs,
     eval_path,
+    extend,
     iso_check,
     join,
     relationalize,
@@ -704,6 +706,40 @@ def extended(rng, I):
     return Instance(s, {n: [*I.rows[n], *new[n].values()] for n in s.nodes}, edge_fn, attr_fn)
 
 
+def new_part(I, J):
+    """The rows of J, an extension of I, that I lacks, with their edge and
+    attribute entries: extend's arguments that build J from I."""
+    rows = {n: [r for r in rs if r not in I.rows[n]] for n, rs in J.rows.items()}
+    return (rows, *({(n, x): {r: fn[r] for r in rows[n]} for (n, x), fn in fns.items()}
+                    for fns in (J.edge_fn, J.attr_fn)))
+
+
+class TestExtend:
+    def test_against_merged_instance(self):
+        """extend leaves I as it was and equals the instance built from the
+        merged rows and functions, which validates."""
+        rng = random.Random(59)
+        for _ in range(200):
+            s = rand_settle_schema(rng)
+            I = rand_refine_instance(rng, s)
+            J = extended(rng, I)
+            before = copy.deepcopy((I.rows, I.edge_fn, I.attr_fn))
+            got = extend(I, *new_part(I, J))
+            assert (I.rows, I.edge_fn, I.attr_fn) == before
+            assert (got.rows, got.edge_fn, got.attr_fn) == (J.rows, J.edge_fn, J.attr_fn)
+            validate_instance(got)
+
+    def test_reused_row_or_broken_equation_raises(self):
+        s = make_schema("ID", ["a"], [("f", "a", "a")], [],
+                        [PathEquation(Path("a", ("f",)), Path("a"))])
+        I = Instance(s, {"a": ["x"]}, {("a", "f"): {"x": "x"}}, {})
+        validate_instance(extend(I, {"a": ["y"]}, {("a", "f"): {"y": "y"}}, {}))
+        with pytest.raises(ValidationError, match="^row 'x' is listed more than once"):
+            extend(I, {"a": ["x"]}, {("a", "f"): {"x": "x"}}, {})
+        with pytest.raises(ValidationError, match="^equation a.f = a violated at node 'a', row 'y'"):
+            extend(I, {"a": ["y"]}, {("a", "f"): {"y": "x"}}, {})
+
+
 def near_misses(rng, I, J):
     """(kind, copy of J) pairs, J an extension of I, each copy changed so
     that it no longer extends I: one value or one edge image of a row of I
@@ -750,8 +786,8 @@ class TestUnionOnExtensions:
     def test_against_disjoint_union(self):
         """union(I, J) equals the relationalized disjoint union in rows,
         edges and attributes when J extends I, equals I, or I is empty;
-        when I extends J; and on near misses, which the extension check
-        must refuse."""
+        when I extends J; when J is built from I by extend; and on near
+        misses, which the extension check must refuse."""
         rng = random.Random(53)
         seen = Counter()
         for _ in range(300):
@@ -760,7 +796,8 @@ class TestUnionOnExtensions:
             J = extended(rng, I)
             proper = J.total_rows() > I.total_rows()
             cases = [("J == I", I, Instance(s, I.rows, I.edge_fn, I.attr_fn)),
-                     ("I empty", empty_instance(s), J)]
+                     ("I empty", empty_instance(s), J),
+                     ("extend", I, extend(I, *new_part(I, J)))]
             if proper:
                 cases += [("J extends I", I, J), ("J inside I", J, I)]
             cases += [(kind, I, miss) for (kind, miss) in near_misses(rng, I, J)]
@@ -770,12 +807,12 @@ class TestUnionOnExtensions:
                     (want.rows, want.edge_fn, want.attr_fn), kind
                 big, small = (A, B) if kind == "J inside I" else (B, A)
                 assert instances_module._extends(big, small) == (kind in (
-                    "J == I", "I empty", "J extends I", "J inside I")), kind
+                    "J == I", "I empty", "extend", "J extends I", "J inside I")), kind
                 seen[kind] += 1
             seen["labelled null"] += any(isinstance(v, LabelledNull)
                                          for fn in J.attr_fn.values() for v in fn.values())
             seen["cycle"] += bool(I.total_rows()) and len(s.settle_order) < len(s.nodes)
-        assert len(seen) == 9 and min(seen.values()) >= 50, seen
+        assert len(seen) == 10 and min(seen.values()) >= 50, seen
 
 
 def pairs_instance(k):

@@ -171,11 +171,17 @@ class TestRoundTrip:
             assert parse_script(text) == ast1
 
     def test_query_statement_round_trip(self):
+        """String literals in query clauses and schema equations print
+        escaped, so a quote or a backslash reads back as itself."""
         src = (
             "schema S { nodes a; attribute v : a -> string; }\n"
             'query q : S {\n  select a.v as x\n  from a as a0\n  where (a0.v="p" or a0.v="q")\n}\n'
+            'schema E { nodes a; attribute v : a -> string; equation a.v = "c\\\\d\\"e"; }\n'
+            'query r : E {\n  select a.v as x\n  from a as a0\n  where a0.v = "a\\"b\\\\"\n}\n'
         )
         ast1 = parse_script(src)
+        assert ast1.statements[3].query.where[0].alternatives[0].rhs.value == 'a"b\\'
+        assert ast1.statements[2].equations[0][1].value == 'c\\d"e'
         assert parse_script(format_script(ast1)) == ast1
 
     def test_export_file_name_round_trip(self):
