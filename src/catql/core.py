@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Union
 
 from .errors import NormalizationInconclusive, NotSaturated, SchemaError, ValidationError
@@ -26,6 +25,22 @@ from .errors import NormalizationInconclusive, NotSaturated, SchemaError, Valida
 BASE_TYPES = ("string", "integer")
 
 DEFAULT_BOUND = 4096  # completion's work limit: rules made, critical pairs checked, letters rewritten
+
+
+class _table:
+    """A table derived from an object, built on first read and kept in the
+    object's __dict__: functools.cached_property without the lock that
+    Python 3.11 takes on each first read, which costs as much as building a
+    small table."""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        table = obj.__dict__[self.name] = self.build(obj)
+        return table
 
 
 @dataclass(frozen=True)
@@ -95,22 +110,22 @@ class Schema:
     # all_morphisms_from results, keyed by node
     _morphisms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    @cached_property
+    @_table
     def edge_table(self) -> dict[tuple[str, str], str]:
         """(source node, edge name) -> target node."""
         return {(src, name): tgt for (name, src, tgt) in self.edges}
 
-    @cached_property
+    @_table
     def attr_table(self) -> dict[tuple[str, str], str]:
         """(source node, attribute name) -> base type."""
         return {(src, name): ty for (name, src, ty) in self.attributes}
 
-    @cached_property
+    @_table
     def out_edges(self) -> dict[str, tuple[tuple[str, str], ...]]:
         """node -> sorted (edge name, target) pairs out of it."""
         return _by_source(self.nodes, self.edges)
 
-    @cached_property
+    @_table
     def topo_order(self) -> tuple[str, ...]:
         """Nodes in topological order over the non-loop edges, ties broken by
         name, then, sorted, the nodes that a cycle keeps out of that order.
@@ -135,7 +150,7 @@ class Schema:
                         heapq.heappush(ready, tgt)
         return (*order, *sorted(self.nodes.difference(order)))
 
-    @cached_property
+    @_table
     def settle_order(self) -> tuple[str, ...]:
         """The nodes that no cycle reaches (a self-loop is a cycle), each
         after the targets of its edges, ties broken by name.
@@ -161,12 +176,12 @@ class Schema:
                     heapq.heappush(ready, src)
         return tuple(order)
 
-    @cached_property
+    @_table
     def node_attrs(self) -> dict[str, tuple[tuple[str, str], ...]]:
         """node -> sorted (attribute name, base type) pairs on it."""
         return _by_source(self.nodes, self.attributes)
 
-    @cached_property
+    @_table
     def _completion(self):
         """`_complete`'s rules, or the NormalizationInconclusive it raised."""
         try:

@@ -44,7 +44,7 @@ from itertools import accumulate, count, groupby, islice, repeat
 from operator import itemgetter
 from typing import Union
 
-from .core import ConstPath, Schema
+from .core import ConstPath, Schema, _table
 from .errors import LimitExceeded, SchemaError, ValidationError
 
 
@@ -69,21 +69,6 @@ def value_type(v: Value) -> str:
     if isinstance(v, int):
         return "integer"
     raise ValidationError(f"not an attribute value: {v!r}")
-
-
-class _table:
-    """An instance's table, built on first read and kept in its __dict__:
-    functools.cached_property without the lock that Python 3.11 takes on
-    each first read, which costs as much as building a small table."""
-
-    def __init__(self, build):
-        self.build, self.name = build, build.__name__
-
-    def __get__(self, inst, owner=None):
-        if inst is None:
-            return self
-        table = inst.__dict__[self.name] = self.build(inst)
-        return table
 
 
 class Instance:
@@ -744,8 +729,11 @@ def enumerate_homs(I: Instance, J: Instance, limit: int = 1_000_000) -> int:
     The product of the counts of I's connected components, found by one
     union-find over its edges; a row without edges counts its candidates,
     and any other component is searched over its rows alone.  LimitExceeded
-    means some component has more than limit homs and none has none.
+    means some component has more than limit homs and none has none; a
+    negative limit raises ValueError.
     """
+    if limit < 0:
+        raise ValueError(f"enumerate_homs: limit must be 0 or more, not {limit}")
     if I.schema != J.schema:
         raise SchemaError("enumerate_homs requires instances on the same schema")
     key_I, key_J = I.row_keys, J.row_keys

@@ -13,6 +13,7 @@ from .core import (
     Mapping,
     Path,
     all_morphisms_from,
+    nodes_along,
     normalize_path,
     path_compose,
 )
@@ -169,19 +170,22 @@ def pi(F: Mapping, I: Instance) -> Instance:
     comma category (t down F), one row per comma object, computed as one
     select-project-join per target node.
 
+    A family at t has one slot per comma object (s, q) of t.  A path p from
+    t ends at a node whose slots are slots of t: its (s, q) is t's (s, p.q).
     A T-attribute A on t is read at comma object (s, q) by each source
-    attribute a with q.F(a) and t.A of one normal form; a reading is (slot,
-    column).  `instances.join` gets one equality per comma morphism, one per
-    extra reading of an attribute (all readings must agree), and each
-    attribute equation of t without steps whose attributes are read: against
-    a constant it filters every reading slot at the scan, between two
-    attributes it joins a reading of each.  Each joined family's attribute
-    values are read once.  The equations left are checked on each family,
-    where an unread attribute is a null named by its end (node, family,
-    attribute), and a family whose path leaves the joined families fails.
-    Last, a family with an edge image that was not kept is dropped, until
-    nothing changes, which leaves the greatest set of checked families
-    closed under edge images."""
+    attribute a with q.F(a) and t.A of one normal form; a reading is a join
+    term on a slot.  `instances.join` gets one equality per comma morphism,
+    one per extra reading of an attribute (all readings must agree), and
+    every attribute equation from t, its sides read on t's slots along their
+    paths: a read attribute against a constant filters each reading slot at
+    the scan, and two read attributes join a reading of each.  An unread
+    attribute is pi's null, named by its end (node, family, attribute), so
+    two unread sides agree when they end at one attribute and their families
+    are equal row for row, a row equality between the image slots; every
+    other equation never holds.  Last, a family with an edge image that was
+    not kept is dropped, until nothing changes, which leaves the greatest
+    set of joined families closed under edge images; a family whose path
+    leaves the joined families is dropped there."""
     if I.schema != F.source:
         raise SchemaError("pi: instance is not on the mapping's source schema")
     S, T = F.source, F.target
@@ -195,11 +199,25 @@ def pi(F: Mapping, I: Instance) -> Instance:
             for q in paths_from_t[t].get(F.nodes[s_node], ()):
                 objs.append((s_node, q))
         comma[t] = sorted(objs, key=lambda o: (o[0], len(o[1].steps), o[1].steps))
+    slot = {t: {o: i for i, o in enumerate(objs)} for t, objs in comma.items()}
+
+    ends: dict = {}  # (t, steps) -> (end node, slot of t per slot of the end node)
+
+    def along(t, steps):
+        """The node that steps lead to from t, and the slot of t holding
+        each of its slots."""
+        if (t, steps) not in ends:
+            t2 = nodes_along(T, Path(t, steps))[-1]
+            slots = range(len(comma[t]))  # no steps: t's own slots
+            if steps:
+                slots = [slot[t][(s_node, normalize_path(T, Path(t, steps + q.steps)))]
+                         for (s_node, q) in comma[t2]]
+            ends[(t, steps)] = (t2, slots)
+        return ends[(t, steps)]
 
     def comma_constraints(t):
         """One join group per comma morphism induced by a source edge e:
         the row at (src, q) must reach the row at (tgt, q.F(e)) along e."""
-        index = {o: i for i, o in enumerate(comma[t])}
         groups = []
         for (ename, src, tgt) in sorted(S.edges):
             e_img = F.edges[(src, ename)]
@@ -208,17 +226,14 @@ def pi(F: Mapping, I: Instance) -> Instance:
                 if s_node != src:
                     continue
                 q2 = normalize_path(T, path_compose(q, e_img))
-                groups.append([((index[(s_node, q)], fn), (index[(tgt, q2)], _same_row))])
+                groups.append([((slot[t][(s_node, q)], fn), (slot[t][(tgt, q2)], _same_row))])
         return groups
 
     groups = {t: comma_constraints(t) for t in sorted(T.nodes)}
 
-    def term(reading):
-        i, col = reading
-        return (i, col.__getitem__)
-
-    # readings per (t, A): the images q.F(a) of a node's slots, grouped by
-    # normal form, looked up by the normal form of t.A; the join makes them agree
+    # readings per (t, A), as join terms: the images q.F(a) of a node's
+    # slots, grouped by normal form, looked up by the normal form of t.A; the
+    # join makes them agree
     readings: dict[tuple[str, str], list] = {}
     for t in sorted(T.nodes):
         if not T.node_attrs[t]:
@@ -229,79 +244,40 @@ def pi(F: Mapping, I: Instance) -> Instance:
                 img = F.attrs[(s_node, sa)]
                 if not isinstance(img, ConstPath):
                     nf = normalize_path(T, path_compose(q, img))
-                    by_nf.setdefault(nf, []).append((i, I.attr(s_node, sa)))
+                    by_nf.setdefault(nf, []).append((i, I.attr(s_node, sa).__getitem__))
         for (aname, _ty) in T.node_attrs[t]:
-            rds = by_nf.get(normalize_path(T, Path(t, (), aname)), [])
-            readings[(t, aname)] = rds
-            groups[t] += [[(term(rds[0]), term(rd))] for rd in rds[1:]]
+            rds = readings[(t, aname)] = by_nf.get(normalize_path(T, Path(t, (), aname)), [])
+            groups[t] += [[(rds[0], rd)] for rd in rds[1:]]
 
-    # push the step-free equations on read attributes into the join; the
-    # other attribute-valued equations are checked on the joined families
-    checked: dict[str, list] = {t: [] for t in T.nodes}
+    def side(t, p):
+        """p's readings on t's slots, and for an unread attribute its end
+        (node, attribute, slot of t per slot of the node)."""
+        t2, slots = along(t, p.steps)
+        rds = readings[(t2, p.attr)]
+        return [(slots[j], fn) for (j, fn) in rds], (None if rds else (t2, p.attr, slots))
+
+    never = [(0, 1)]  # a join group that no family satisfies
     for eq in T.equations:
         lhs, rhs, t = eq.lhs, eq.rhs, eq.lhs.source
         if lhs.attr is None:  # the sides of an equation have one target
             continue
-        lrds = readings[(t, lhs.attr)] if not lhs.steps else ()
-        if lrds and isinstance(rhs, ConstPath):
-            groups[t] += [[(term(rd), rhs.value)] for rd in lrds]
-        elif lrds and not rhs.steps and readings[(t, rhs.attr)]:
-            groups[t].append([(term(lrds[0]), term(readings[(t, rhs.attr)][0]))])
+        lrds, lend = side(t, lhs)
+        if isinstance(rhs, ConstPath):
+            groups[t] += [[(rd, rhs.value)] for rd in lrds] or [never]
+            continue
+        rrds, rend = side(t, rhs)
+        if lrds and rrds:
+            groups[t].append([(lrds[0], rrds[0])])
+        elif lend and rend and lend[:2] == rend[:2]:
+            groups[t] += [[((i, _same_row), (j, _same_row))]
+                          for i, j in zip(lend[2], rend[2]) if i != j]
         else:
-            checked[t].append(eq)
-
-    # joined families per node, each with its attribute values in node_attrs
-    # order, None for an unread attribute
-    fam_vals: dict[str, dict] = {}
-    attr_slot: dict = {}  # (t, A) -> position of A in t's values
-    for t in sorted(T.nodes):
-        first_reads = []
-        for k, (aname, _ty) in enumerate(T.node_attrs[t]):
-            attr_slot[(t, aname)] = k
-            rds = readings[(t, aname)]
-            first_reads.append(rds[0] if rds else None)
-        fams = join([I.rows[s_node] for (s_node, _q) in comma[t]], groups[t])
-        fam_vals[t] = {
-            fam: tuple([None if rd is None else rd[1][fam[rd[0]]] for rd in first_reads])
-            for fam in fams
-        }
-
-    t_et = T.edge_table
-
-    image_slots: dict = {}  # (t, g) -> (target of g, slot of t per slot of the target)
+            groups[t].append(never)
 
     def edge_image(t, fam, gname):
         """Family at target of g obtained by precomposition with g."""
-        if (t, gname) not in image_slots:
-            t2 = t_et[(t, gname)]
-            index_t = {o: i for i, o in enumerate(comma[t])}
-            slots = [index_t[(s_node, normalize_path(T, Path(t, (gname,) + q2.steps)))]
-                     for (s_node, q2) in comma[t2]]
-            image_slots[(t, gname)] = (t2, slots)
-        t2, slots = image_slots[(t, gname)]
+        t2, slots = along(t, (gname,))
         return t2, tuple([fam[j] for j in slots])
-
-    def attr_value(t, fam, p):
-        """p's constant, or the value of the family p's edges lead fam to:
-        its reading, or for an unread attribute its end (node, family,
-        attribute), which names pi's null there.  None when a family on the
-        way was not joined, so fam cannot be kept."""
-        if isinstance(p, ConstPath):
-            return p.value
-        for step in p.steps:
-            t, fam = edge_image(t, fam, step)
-            if fam not in fam_vals[t]:
-                return None
-        v = fam_vals[t][fam][attr_slot[(t, p.attr)]]
-        return (t, fam, p.attr) if v is None else v
-
-    def holds(t, fam):
-        """Each attribute equation from t left after the join holds on fam."""
-        for eq in checked[t]:
-            lval = attr_value(t, fam, eq.lhs)
-            if lval is None or lval != attr_value(t, fam, eq.rhs):
-                return False
-        return True
 
     def images_kept(t, fam):
         """Whether every edge image of fam is a kept family."""
@@ -311,8 +287,9 @@ def pi(F: Mapping, I: Instance) -> Instance:
                 return False
         return True
 
-    # check each family once, then drop families with an edge image not kept
-    fam_sets = {t: {fam for fam in fam_vals[t] if holds(t, fam)} for t in sorted(T.nodes)}
+    # join each node's families, then drop families with an edge image not kept
+    fam_sets = {t: set(join([I.rows[s_node] for (s_node, _q) in comma[t]], groups[t]))
+                for t in sorted(T.nodes)}
     changed = True
     while changed:
         changed = False
@@ -337,12 +314,13 @@ def pi(F: Mapping, I: Instance) -> Instance:
             edge_fn[(src, gname)][fam_id[(src, fam)]] = fam_id[(t2, img)]
     attr_fn = {}
     for (aname, src, _ty) in T.attributes:
-        attr_fn[(src, aname)] = {}
-        k = attr_slot[(src, aname)]
+        m = attr_fn[(src, aname)] = {}
+        rds = readings[(src, aname)]
         for fam in fam_list[src]:
             rid = fam_id[(src, fam)]
-            v = fam_vals[src][fam][k]
-            if v is None:
-                v = LabelledNull(f"pi!{src}!{aname}!{rid}")
-            attr_fn[(src, aname)][rid] = v
+            if rds:  # the first reading
+                i, fn = rds[0]
+                m[rid] = fn(fam[i])
+            else:
+                m[rid] = LabelledNull(f"pi!{src}!{aname}!{rid}")
     return Instance(T, rows, edge_fn, attr_fn)

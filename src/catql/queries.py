@@ -185,9 +185,6 @@ class Desugared:
     f_delta: Mapping  # B -> S
     f_pi: Mapping  # B -> C
     f_sigma: Mapping  # C -> R
-    binding_schema: Schema
-    filter_schema: Schema
-    result: Schema
 
 
 def desugar_query(q: Query, s: Schema) -> Desugared:
@@ -323,7 +320,7 @@ def desugar_query(q: Query, s: Schema) -> Desugared:
         edges={},
         attrs=fs_attrs,
     )
-    return Desugared(f_delta, f_pi, f_sigma, B, C, R)
+    return Desugared(f_delta, f_pi, f_sigma)
 
 
 def split_disjuncts(q: Query):

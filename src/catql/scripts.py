@@ -267,16 +267,17 @@ def _eval_let(stmt: LetStmt, env: Environment):
 # ---- pretty printing ----------------------------------------------------
 
 
-def format_query(q: Query, indent="  ") -> str:
+_INDENT = "    "  # a query's items, under its select, from and where
+
+
+def format_query(q: Query) -> str:
     lines = ["select"]
-    lines.append(
-        ",\n".join(f"{indent}{item.expr} as {item.alias}" for item in q.selects)
-    )
+    lines.append(",\n".join(f"{_INDENT}{item.expr} as {item.alias}" for item in q.selects))
     lines.append("from")
-    lines.append(",\n".join(f"{indent}{node} as {var}" for (var, node) in q.bindings))
+    lines.append(",\n".join(f"{_INDENT}{node} as {var}" for (var, node) in q.bindings))
     if q.where:
         lines.append("where")
-        lines.append(" and\n".join(f"{indent}{g}" for g in q.where))
+        lines.append(" and\n".join(f"{_INDENT}{g}" for g in q.where))
     return "\n".join(lines)
 
 
@@ -322,7 +323,7 @@ def _format_statement(stmt) -> str:
         lines.append("}")
         return "\n".join(lines)
     if isinstance(stmt, QueryDecl):
-        body = format_query(stmt.query, indent="    ")
+        body = format_query(stmt.query)
         indented = "\n".join("  " + ln for ln in body.splitlines())
         return f"query {stmt.name} : {stmt.schema_name} {{\n{indented}\n}}"
     if isinstance(stmt, LetStmt) and stmt.expr[0] in LET_OPS:

@@ -31,11 +31,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from types import NoneType
 
-from .core import Schema, make_schema
+from .core import Schema, _table, make_schema
 from .errors import SqlExportError, SqlImportError
 from .instances import Instance, LabelledNull, validate_instance
 from .parsing import rule_table, scan_pattern
@@ -115,7 +114,7 @@ class _SqlParser:
         self.walked = Counter()  # per wide column count, the rows walked to spare a compile
         self._lex(0)
 
-    @cached_property
+    @_table
     def tokens(self):
         """Every token of the text; raises at the first unexpected character."""
         tokens = _SQL_SCAN.findall(self.text)

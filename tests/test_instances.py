@@ -304,6 +304,21 @@ class TestEnumerateHoms:
         assert enumerate_homs(one, cycle) == 0
         assert enumerate_homs(two, cycle) == 0
 
+    def test_negative_limit_refused(self):
+        """A negative limit raises one error naming it, on a searched
+        component and on a single-row one alike."""
+        s = make_schema("E", ["a", "b"], [("f", "a", "b")])
+        I = Instance(s, {"a": ["x"], "b": ["u"]}, {("a", "f"): {"x": "u"}}, {})
+        J = Instance(s, {"a": ["y", "z"], "b": ["v"]}, {("a", "f"): {"y": "v", "z": "v"}}, {})
+        assert enumerate_homs(I, J) == 2
+        p = make_schema("P", ["a"], [])
+        one = Instance(p, {"a": ["x"]}, {}, {})
+        three = Instance(p, {"a": ["u", "v", "w"]}, {}, {})
+        for source, target in ((I, J), (one, three)):
+            for limit in (-1, -3):
+                with pytest.raises(ValueError, match=f"not {limit}$"):
+                    enumerate_homs(source, target, limit=limit)
+
 
 def rand_loop_schema(rng):
     """Up to two nodes, with edges between any two nodes, loops included."""

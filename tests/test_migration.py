@@ -373,22 +373,32 @@ class TestPiNullRule:
         n0.e1.a, and nothing reads a.  A family at n0 whose two slots hold
         the same row reaches one family at n2 along both edges, so both
         sides are the same labelled null and the family is kept; a family
-        with two different rows reaches two families, and is dropped."""
-        T = make_schema(
-            "T", ["n0", "n2"], [("e1", "n0", "n2"), ("e2", "n0", "n2")],
-            [("a", "n2", "string")],
-            [PathEquation(Path("n0", ("e2",), "a"), Path("n0", ("e1",), "a"))],
-        )
-        S = make_schema("S", ["s"], [], [])
-        F = Mapping(S, T, {"s": "n2"}, {}, {})
-        I = Instance(S, {"s": ["x", "y"]}, {}, {})
-        out = pi(F, I)
-        validate_instance(out)
-        assert len(out.rows["n0"]) == 2 and len(out.rows["n2"]) == 2
-        for r in out.rows["n0"]:
-            lhs = eval_path(out, Path("n0", ("e2",), "a"), r)
-            assert isinstance(lhs, LabelledNull)
-            assert lhs == eval_path(out, Path("n0", ("e1",), "a"), r)
+        with two different rows reaches two families, and is dropped.  Two
+        paths of different lengths, n0.e.a = n0.f.g.a, keep the same
+        diagonal."""
+        cases = [
+            (["n0", "n2"], [("e1", "n0", "n2"), ("e2", "n0", "n2")],
+             Path("n0", ("e2",), "a"), Path("n0", ("e1",), "a")),
+            (["n0", "n1", "n2"], [("e", "n0", "n2"), ("f", "n0", "n1"), ("g", "n1", "n2")],
+             Path("n0", ("e",), "a"), Path("n0", ("f", "g"), "a")),
+        ]
+        for nodes, edges, lhs, rhs in cases:
+            T = make_schema("T", nodes, edges, [("a", "n2", "string")], [PathEquation(lhs, rhs)])
+            S = make_schema("S", ["s"], [], [])
+            F = Mapping(S, T, {"s": "n2"}, {}, {})
+            I = Instance(S, {"s": ["x", "y"]}, {}, {})
+            out = pi(F, I)
+            validate_instance(out)
+            assert len(out.rows["n0"]) == 2 and len(out.rows["n2"]) == 2
+            ends = set()
+            for r in out.rows["n0"]:
+                end = eval_path(out, Path("n0", lhs.steps), r)
+                assert end == eval_path(out, Path("n0", rhs.steps), r)
+                ends.add(end)
+                value = eval_path(out, lhs, r)
+                assert isinstance(value, LabelledNull)
+                assert value == eval_path(out, rhs, r)
+            assert ends == set(out.rows["n2"])
 
 
 class TestAdjunctionsSmoke:
