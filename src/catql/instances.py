@@ -603,8 +603,8 @@ class _UnionFind:
         return x
 
     def union(self, x, y):
-        self.add(x)
-        self.add(y)
+        self.parent.setdefault(x, x)
+        self.parent.setdefault(y, y)
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[ry] = rx

@@ -8,6 +8,10 @@ finite; enumeration raises NotSaturated when one is infinite.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import chain, compress, count, repeat
+from operator import itemgetter, not_
+
 from .core import (
     ConstPath,
     Mapping,
@@ -23,7 +27,7 @@ from .instances import Instance, LabelledNull, _UnionFind, join, path_fn
 
 def delta(F: Mapping, I: Instance) -> Instance:
     """Pullback migration: compose the instance with the mapping."""
-    if I.schema != F.target:
+    if I.schema is not F.target and I.schema != F.target:
         raise SchemaError("delta: instance is not on the mapping's target schema")
     s = F.source
     rows = {n: I.rows[F.nodes[n]] for n in s.nodes}
@@ -42,121 +46,128 @@ def sigma(F: Mapping, I: Instance) -> Instance:
     """Left Kan extension via a term model quotiented by congruence closure.
 
     A generator at target node t is a row x of a source node s with a path
-    p: F(s) -> t, and (s, p) is its family.  Generators are numbered family
-    by family, so generator k of family f is the integer first[f] + k for
-    the row x at index k of s.  The congruence identifies (x, F(e);p) with
-    (e(x), p) for each source edge e; it is closed by one union-find over
-    the integers.  Listed by source node, then row, then path key, the
-    generators give the classes in least-member order, each with its members
-    sorted, and the least member names the class.  The congruence respects
-    the edges of T, so a class's edge images are those of its least member.
-    Attributes take a constant carried by some generator, else a labelled
-    null.
+    p: F(s) -> t, and (s, p) is its family.  Generators are numbered in
+    listing order (target node, source node, row, path key), so generator k
+    of family f is first[f] + k * step[f].  The congruence identifies
+    (x, F(e);p) with (e(x), p) for each source edge e, in one union-find
+    over the integers.  In that order the generators give the classes by
+    least member, which names each class and gives its edge images.  Each
+    table is built in column passes.  An attribute takes the first constant
+    that its class's readings carry, in listing order (generator, then
+    reader column), else the first labelled null, else a fresh one; two
+    different constants raise.
     """
-    if I.schema != F.source:
+    if I.schema is not F.source and I.schema != F.source:
         raise SchemaError("sigma: instance is not on the mapping's source schema")
     S, T = F.source, F.target
     paths_from = {n: all_morphisms_from(T, F.nodes[n]) for n in sorted(S.nodes)}
 
-    # families, numbered source node by source node; the generators of
-    # family f are first[f] .. first[f] + len(rows of its source node) - 1
+    # families (s_node, p) of the source nodes with rows, by target node
     fams: list[tuple[str, Path]] = []
-    fam_at: dict = {}  # (s_node, p) -> family
-    first: list[int] = []
-    gen_fam: list[int] = []  # generator -> its family
-    at_target: dict[str, dict] = {t: {} for t in T.nodes}  # t -> s_node -> families, sorted
-    for s_node in sorted(S.nodes):
-        n_rows = len(I.rows[s_node])
-        for t, ps in paths_from[s_node].items():
-            for p in ps:  # in path-key order
-                f = len(fams)
-                fam_at[(s_node, p)] = f
-                at_target[t].setdefault(s_node, []).append(f)
-                fams.append((s_node, p))
-                first.append(len(gen_fam))
-                gen_fam.extend([f] * n_rows)
+    at_target: dict[str, dict] = {t: {} for t in T.nodes}  # t -> s_node -> families
+    for s_node, by_target in paths_from.items():
+        if I.rows[s_node]:
+            for t, ps in by_target.items():
+                at_target[t][s_node] = range(len(fams), len(fams) + len(ps))
+                fams += zip(repeat(s_node), ps)
+
+    # generators in listing order: family f's are first[f] + k * step[f],
+    # and those at t are bounds[t]
+    first, step, gen_fam, bounds = [0] * len(fams), [0] * len(fams), [], {}
+    for t in sorted(T.nodes):
+        lo = len(gen_fam)
+        for s_node, fs in at_target[t].items():
+            first[fs.start:fs.stop] = range(len(gen_fam), len(gen_fam) + len(fs))
+            step[fs.start:fs.stop] = [len(fs)] * len(fs)
+            gen_fam += list(fs) * len(I.rows[s_node])
+        bounds[t] = (lo, len(gen_fam))
+    fam_at = dict(zip(fams, count()))  # (s_node, p) -> family
     fam_str = [str(p) for (_s, p) in fams]
     uf = _UnionFind(range(len(gen_fam)))
 
     for (ename, src, tgt) in sorted(S.edges):
+        if not I.rows[src]:
+            continue
         e_img = F.edges[(src, ename)]  # path F(src) -> F(tgt)
-        index = {r: k for k, r in enumerate(I.rows[tgt])}
-        targets = [index[y] for y in map(I.edge(src, ename).__getitem__, I.rows[src])]
+        index = dict(zip(I.rows[tgt], count()))
+        targets = list(map(index.__getitem__, map(I.edge(src, ename).__getitem__, I.rows[src])))
         for _t, ps in paths_from[tgt].items():
             for p in ps:
-                pre = normalize_path(T, path_compose(e_img, p))
-                a, b = first[fam_at[(src, pre)]], first[fam_at[(tgt, p)]]
-                for k, k2 in enumerate(targets):
-                    uf.union(a + k, b + k2)
+                fa = fam_at[(src, normalize_path(T, path_compose(e_img, p)))]
+                fb = fam_at[(tgt, p)]
+                a, da, b, db = first[fa], step[fa], first[fb], step[fb]
+                images = map(b.__add__, map(db.__mul__, targets))
+                deque(map(uf.union, range(a, a + len(targets) * da, da), images), 0)
 
-    # classes per target node: (row id, members), ordered by the least member
-    class_of: list = [None] * len(gen_fam)  # generator -> row id of its class
-    classes: dict[str, list] = {}
-    for t in sorted(T.nodes):
-        groups: dict = {}
-        for s_node, fs in at_target[t].items():
-            for k in range(len(I.rows[s_node])):
-                for f in fs:
-                    g = first[f] + k
-                    groups.setdefault(uf.find(g), []).append(g)
-        classes[t] = []
-        for members in groups.values():
-            f = gen_fam[members[0]]
-            s_node = fams[f][0]
-            rid = f"{s_node}:{I.rows[s_node][members[0] - first[f]]}:{fam_str[f]}"
-            classes[t].append((rid, members))
-            for g in members:
-                class_of[g] = rid
-
-    rows = {t: [rid for rid, _ms in classes[t]] for t in T.nodes}
+    # classes in order of their least members, which name them; those at t are span[t]
+    root = list(map(uf.find, range(len(gen_fam))))
+    firsts: dict = {}  # root -> its least member
+    span = {}
+    for t, (lo, hi) in bounds.items():
+        n = len(firsts)
+        deque(map(firsts.setdefault, root[lo:hi], range(lo, hi)), 0)
+        span[t] = slice(n, len(firsts))
+    roots, least = list(firsts), list(firsts.values())
+    least_fam = list(map(gen_fam.__getitem__, least))
+    ids = [f"{fams[f][0]}:{I.rows[fams[f][0]][(g - first[f]) // step[f]]}:{fam_str[f]}"
+           for g, f in zip(least, least_fam)]
+    name = dict(zip(roots, ids))  # root -> row id of its class
+    rows = {t: ids[sp] for t, sp in span.items()}
 
     edge_fn = {}
     for (gname, src, tgt) in sorted(T.edges):
-        m = edge_fn[(src, gname)] = {}
-        for rid, members in classes[src]:
-            g = members[0]
-            f = gen_fam[g]
+        gs, fs = least[span[src]], least_fam[span[src]]
+        ahead = {}  # family -> the family one step further along gname
+        for f in set(fs):
             s_node, p = fams[f]
-            f2 = fam_at[(s_node, normalize_path(T, Path(p.source, p.steps + (gname,))))]
-            m[rid] = class_of[first[f2] + g - first[f]]
+            ahead[f] = fam_at[(s_node, normalize_path(T, Path(p.source, p.steps + (gname,))))]
+        images = [name[root[first[f2] + (g - first[f]) // step[f] * step[f2]]]
+                  for g, f, f2 in zip(gs, fs, map(ahead.__getitem__, fs))]
+        edge_fn[(src, gname)] = dict(zip(rows[src], images))
 
-    # (s_node, source attribute) -> normal form of its image
-    image_nf = {key: normalize_path(T, img) for key, img in F.attrs.items()}
+    # (s_node, source attribute) -> normal form of its image, when that is a path
+    image_nf = {key: normalize_path(T, img) for key, img in F.attrs.items()
+                if I.rows[key[0]] and not isinstance(img, ConstPath)}
 
     attr_fn = {}
     for (aname, src, _ty) in sorted(T.attributes):
-        m = {}
-        readers: dict = {}  # family (s, p) -> (rows of s, attribute dicts a with F(a) == p.aname)
-        for rid, members in classes[src]:
-            distinct = []  # the members' values, first occurrences in member order
-            for g in members:
-                f = gen_fam[g]
-                if f not in readers:
-                    s_node, p = fams[f]
-                    names = [sa for (sa, _saty) in S.node_attrs[s_node]
-                             if not isinstance(F.attrs[(s_node, sa)], ConstPath)]
-                    if names:
-                        nf = normalize_path(T, Path(p.source, p.steps, aname))
-                        names = [sa for sa in names if image_nf[(s_node, sa)] == nf]
-                    readers[f] = (I.rows[s_node], [I.attr(s_node, sa) for sa in names])
-                fam_rows, cols = readers[f]
-                for col in cols:
-                    v = col[fam_rows[g - first[f]]]
-                    if v not in distinct:
-                        distinct.append(v)
-            constants = [c for c in distinct if not isinstance(c, LabelledNull)]
-            if len(constants) > 1:
-                raise InconsistencyError(
-                    f"sigma: attribute {aname!r} on class {rid!r} forced to both "
-                    f"{constants[0]!r} and {constants[1]!r}"
-                )
-            if constants:
-                m[rid] = constants[0]
-            elif distinct:
-                m[rid] = distinct[0]
-            else:
-                m[rid] = LabelledNull(f"sk!{src}!{aname}!{rid}")
-        attr_fn[(src, aname)] = m
+        cls, vals = [], []  # the readings in listing order: class root, value
+        for s_node, fs in at_target[src].items():
+            names = [sa for (sa, _saty) in S.node_attrs[s_node] if (s_node, sa) in image_nf]
+            if not names:
+                continue
+            s_rows = I.rows[s_node]
+            class_cols, value_cols = [], []  # per family, then reader
+            for f in fs:
+                p = fams[f][1]
+                nf = normalize_path(T, Path(p.source, p.steps, aname))
+                for sa in names:
+                    if image_nf[(s_node, sa)] == nf:
+                        class_cols.append(root[first[f]:first[f] + step[f] * len(s_rows):step[f]])
+                        value_cols.append(map(I.attr(s_node, sa).__getitem__, s_rows))
+            cls += chain.from_iterable(zip(*class_cols))
+            vals += chain.from_iterable(zip(*value_cols))
+        got: dict = {}  # class root -> its first value, then its first constant
+        deque(map(got.setdefault, cls, vals), 0)
+        if len(got) < len(cls):  # some class has two readings: a constant wins, two clash
+            keep = list(map(not_, map(isinstance, vals, repeat(LabelledNull))))
+            cls, vals = list(compress(cls, keep)), list(compress(vals, keep))
+            const: dict = {}  # class root -> its first constant
+            deque(map(const.setdefault, cls, vals), 0)
+            if list(map(const.__getitem__, cls)) != vals:  # name the first class that clashes
+                second: dict = {}  # class root -> its first constant other than its first
+                for c, v in zip(cls, vals):
+                    if v != const[c]:
+                        second.setdefault(c, v)
+                r = next(filter(second.__contains__, roots[span[src]]))
+                raise InconsistencyError(f"sigma: attribute {aname!r} on class {name[r]!r} forced "
+                                         f"to both {const[r]!r} and {second[r]!r}")
+            got.update(const)
+        classes = roots[span[src]]
+        if len(got) < len(classes):  # a class that nothing reads takes a fresh null
+            got.update((r, LabelledNull(f"sk!{src}!{aname}!{name[r]}"))
+                       for r in classes if r not in got)
+        attr_fn[(src, aname)] = dict(zip(rows[src], map(got.__getitem__, classes)))
 
     return Instance(T, rows, edge_fn, attr_fn)
 
@@ -185,19 +196,21 @@ def pi(F: Mapping, I: Instance) -> Instance:
     other equation never holds.  Last, a family with an edge image that was
     not kept is dropped, until nothing changes, which leaves the greatest
     set of joined families closed under edge images; a family whose path
-    leaves the joined families is dropped there."""
-    if I.schema != F.source:
+    leaves the joined families is dropped there.  The families of t are
+    sorted once, row pi<i>_<t> being the i-th, and each table is a column
+    pass over them: an edge image picks a family's rows at the edge's slots,
+    and an attribute takes its first reading."""
+    if I.schema is not F.source and I.schema != F.source:
         raise SchemaError("pi: instance is not on the mapping's source schema")
     S, T = F.source, F.target
-    paths_from_t = {t: all_morphisms_from(T, t) for t in sorted(T.nodes)}
+    t_nodes, s_edges = sorted(T.nodes), sorted(S.edges)
+    paths_from_t = {t: all_morphisms_from(T, t) for t in t_nodes}
 
-    # comma objects per target node: ordered list of (source node, path t -> F(s))
+    # comma objects per target node: (source node, path t -> F(s)), sorted
+    # by source node, then path key
     comma: dict[str, list] = {}
-    for t in sorted(T.nodes):
-        objs = []
-        for s_node in sorted(S.nodes):
-            for q in paths_from_t[t].get(F.nodes[s_node], ()):
-                objs.append((s_node, q))
+    for t in t_nodes:
+        objs = [(s_node, q) for s_node in S.nodes for q in paths_from_t[t].get(F.nodes[s_node], ())]
         comma[t] = sorted(objs, key=lambda o: (o[0], len(o[1].steps), o[1].steps))
     slot = {t: {o: i for i, o in enumerate(objs)} for t, objs in comma.items()}
 
@@ -219,7 +232,7 @@ def pi(F: Mapping, I: Instance) -> Instance:
         """One join group per comma morphism induced by a source edge e:
         the row at (src, q) must reach the row at (tgt, q.F(e)) along e."""
         groups = []
-        for (ename, src, tgt) in sorted(S.edges):
+        for (ename, src, tgt) in s_edges:
             e_img = F.edges[(src, ename)]
             fn = I.edge(src, ename).__getitem__
             for (s_node, q) in comma[t]:
@@ -229,13 +242,13 @@ def pi(F: Mapping, I: Instance) -> Instance:
                 groups.append([((slot[t][(s_node, q)], fn), (slot[t][(tgt, q2)], _same_row))])
         return groups
 
-    groups = {t: comma_constraints(t) for t in sorted(T.nodes)}
+    groups = {t: comma_constraints(t) for t in t_nodes}
 
     # readings per (t, A), as join terms: the images q.F(a) of a node's
     # slots, grouped by normal form, looked up by the normal form of t.A; the
     # join makes them agree
     readings: dict[tuple[str, str], list] = {}
-    for t in sorted(T.nodes):
+    for t in t_nodes:
         if not T.node_attrs[t]:
             continue
         by_nf: dict = {}
@@ -274,53 +287,46 @@ def pi(F: Mapping, I: Instance) -> Instance:
         else:
             groups[t].append(never)
 
-    def edge_image(t, fam, gname):
-        """Family at target of g obtained by precomposition with g."""
-        t2, slots = along(t, (gname,))
-        return t2, tuple([fam[j] for j in slots])
+    def images(t, fams, gname):
+        """The image along edge gname of each of fams, families at t: its
+        rows at the slots that gname picks."""
+        slots = along(t, (gname,))[1]
+        if len(slots) > 1:
+            return map(itemgetter(*slots), fams)
+        return zip(map(itemgetter(*slots), fams)) if slots else repeat((), len(fams))
 
-    def images_kept(t, fam):
-        """Whether every edge image of fam is a kept family."""
-        for (gname, _tgt) in T.out_edges[t]:
-            t2, img = edge_image(t, fam, gname)
-            if img not in fam_sets[t2]:
-                return False
-        return True
-
-    # join each node's families, then drop families with an edge image not kept
-    fam_sets = {t: set(join([I.rows[s_node] for (s_node, _q) in comma[t]], groups[t]))
-                for t in sorted(T.nodes)}
+    # join each node's families, sorted, then drop families with an edge
+    # image not kept, until nothing changes; kept: edge target -> its families
+    fam_list = {t: sorted(join([I.rows[s_node] for (s_node, _q) in comma[t]], groups[t]))
+                for t in t_nodes}
+    kept: dict = {}
     changed = True
     while changed:
         changed = False
-        for t in sorted(T.nodes):
-            drop = {fam for fam in fam_sets[t] if not images_kept(t, fam)}
-            if drop:
-                fam_sets[t] -= drop
+        for t, out in T.out_edges.items():
+            fams = fam_list[t]
+            for (gname, t2) in out:
+                if t2 not in kept:
+                    kept[t2] = set(fam_list[t2])
+                fams = list(compress(fams, map(kept[t2].__contains__, images(t, fams, gname))))
+            if len(fams) < len(fam_list[t]):
+                fam_list[t] = fams
+                kept.pop(t, None)
                 changed = True
 
-    # materialize
-    fam_list = {t: sorted(fam_sets[t]) for t in T.nodes}
-    fam_id = {}
-    for t in sorted(T.nodes):
-        for i, fam in enumerate(fam_list[t]):
-            fam_id[(t, fam)] = f"pi{i}_{t}"
-    rows = {t: [fam_id[(t, fam)] for fam in fam_list[t]] for t in T.nodes}
+    # materialize: per node, the ids of its families in sorted order
+    rows = {t: [f"pi{i}_{t}" for i in range(len(fams))] for t, fams in fam_list.items()}
     edge_fn = {}
-    for (gname, src, _tgt) in T.edges:
-        edge_fn[(src, gname)] = {}
-        for fam in fam_list[src]:
-            t2, img = edge_image(src, fam, gname)
-            edge_fn[(src, gname)][fam_id[(src, fam)]] = fam_id[(t2, img)]
+    for (gname, src, tgt) in T.edges:
+        fam_id = dict(zip(fam_list[tgt], rows[tgt]))
+        imgs = images(src, fam_list[src], gname)
+        edge_fn[(src, gname)] = dict(zip(rows[src], map(fam_id.__getitem__, imgs)))
     attr_fn = {}
     for (aname, src, _ty) in T.attributes:
-        m = attr_fn[(src, aname)] = {}
-        rds = readings[(src, aname)]
-        for fam in fam_list[src]:
-            rid = fam_id[(src, fam)]
-            if rds:  # the first reading
-                i, fn = rds[0]
-                m[rid] = fn(fam[i])
-            else:
-                m[rid] = LabelledNull(f"pi!{src}!{aname}!{rid}")
+        ids, rds = rows[src], readings[(src, aname)]
+        if rds:  # the first reading
+            i, fn = rds[0]
+            attr_fn[(src, aname)] = dict(zip(ids, map(fn, map(itemgetter(i), fam_list[src]))))
+        else:
+            attr_fn[(src, aname)] = {rid: LabelledNull(f"pi!{src}!{aname}!{rid}") for rid in ids}
     return Instance(T, rows, edge_fn, attr_fn)

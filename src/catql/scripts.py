@@ -96,6 +96,10 @@ LET_OPS = {
 }
 
 
+# what the NAME items of an operation's syntax name, in order
+NAME_ROLES = {"enrich": ("node", "edge", "attribute")}
+
+
 def _let_syntax(expr) -> list:
     """(item, argument) for each item of the syntax of expr's operation; the
     argument of a keyword or "." is None."""
@@ -327,7 +331,12 @@ def _format_statement(stmt) -> str:
         indented = "\n".join("  " + ln for ln in body.splitlines())
         return f"query {stmt.name} : {stmt.schema_name} {{\n{indented}\n}}"
     if isinstance(stmt, LetStmt) and stmt.expr[0] in LET_OPS:
-        words = " ".join(want if x is None else str(x) for want, x in _let_syntax(stmt.expr))
+        from .parsing import KEYWORDS
+        syntax = _let_syntax(stmt.expr)
+        for role, x in zip(NAME_ROLES.get(stmt.expr[0], ()), [x for w, x in syntax if w == "NAME"]):
+            if x in KEYWORDS:
+                raise ScriptError(f"cannot print {role} {x!r}: it is a reserved word", stmt.line)
+        words = " ".join(want if x is None else str(x) for want, x in syntax)
         return f"let {stmt.name} = {stmt.expr[0]} {words};".replace(" . ", ".")
     if isinstance(stmt, ShowStmt):
         fmt = "" if stmt.format == "ascii" else f" {stmt.format}"

@@ -18,15 +18,17 @@ from catql.core import (
     Mapping,
     Path,
     PathEquation,
+    all_morphisms_from,
     enumerate_morphisms,
     identity_mapping,
     make_schema,
     normalize_path,
     path_compose,
+    path_target,
     paths_equal,
     validate_mapping,
 )
-from catql.errors import InconsistencyError, NotSaturated
+from catql.errors import CatqlError, InconsistencyError, NotSaturated
 from catql.instances import (
     Instance,
     LabelledNull,
@@ -119,6 +121,47 @@ except InconsistencyError as exc:
     print(exc)
 """
 
+# Two classes clash on two attributes, declared w before v.  Class A is
+# {x1 along f, b1, b9}, class B is {x2 along f, b2, b3}; A's least member
+# comes first, but in row order B's clashing reading b3 comes before A's b9.
+TWO_CLASS_CLASH = """
+from catql.core import Mapping, Path, make_schema
+from catql.errors import InconsistencyError
+from catql.instances import Instance
+from catql.migration import sigma
+
+attrs = [("w", "b", "string"), ("v", "b", "string")]
+S = make_schema("SC", ["a", "b"], [("f", "a", "b"), ("g", "a", "b")], attrs)
+T = make_schema("TC", ["a", "b"], [("f", "a", "b")], attrs)
+F = Mapping(
+    source=S, target=T, nodes={"a": "a", "b": "b"},
+    edges={("a", "f"): Path("a", ("f",)), ("a", "g"): Path("a", ("f",))},
+    attrs={("b", n): Path("b", (), n) for (n, _s, _t) in attrs},
+)
+I = Instance(
+    S, {"a": ["x1", "x2"], "b": ["b1", "b2", "b3", "b9"]},
+    {("a", "f"): {"x1": "b1", "x2": "b2"}, ("a", "g"): {"x1": "b9", "x2": "b3"}},
+    {("b", "v"): {"b1": "red", "b2": "red", "b3": "blue", "b9": "blue"},
+     ("b", "w"): {"b1": "green", "b2": "green", "b3": "red", "b9": "red"}},
+)
+try:
+    sigma(F, I)
+except InconsistencyError as exc:
+    print(exc)
+"""
+
+
+def messages_under_hash_seeds(script):
+    """The standard output of script under PYTHONHASHSEED 0 and 1, as a set."""
+    messages = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(FsPath(catql.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        messages.add(proc.stdout)
+    return messages
+
 
 class TestSigma:
     def test_identity(self):
@@ -177,15 +220,16 @@ class TestSigma:
 
     def test_clash_message_independent_of_hash_seed(self):
         # two attributes clash; the error names the first in sorted order
-        messages = set()
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=str(FsPath(catql.__file__).parents[1]))
-            proc = subprocess.run([sys.executable, "-c", TWO_ATTRIBUTE_CLASH], env=env,
-                                  capture_output=True, text=True, check=True)
-            messages.add(proc.stdout)
-        assert messages == {
+        assert messages_under_hash_seeds(TWO_ATTRIBUTE_CLASH) == {
             "sigma: attribute 'v' on class 'a:x:a.f' forced to both 'red' and 'blue'\n"
+        }
+
+    def test_clash_names_the_class_with_the_least_member(self):
+        # both classes clash on both attributes; the error names v, the first
+        # attribute in sorted order, and class A, whose least member is
+        # first, though B's clash comes first in row order
+        assert messages_under_hash_seeds(TWO_CLASS_CLASH) == {
+            "sigma: attribute 'v' on class 'a:x1:a.f' forced to both 'red' and 'blue'\n"
         }
 
     def test_refuses_unsaturated_target(self):
@@ -365,6 +409,121 @@ class TestPiAgainstOracle:
         rules = ["reading conflict", "edge image", "equation side conflict",
                  "null rule", "equation value"]
         assert all(drops[rule] >= 10 for rule in rules), drops
+
+
+def sigma_reference(F, I):
+    """sigma generator by generator, as its docstring states it.
+
+    A generator (s, x, p) is a row x of a source node s with a path p out of
+    F(s); (x, F(e).p) and (e(x), p) are one class for each source edge e.
+    Listed by source node, row and path key, the generators give the classes
+    in order of their least member, which names the class and gives its edge
+    images.  An attribute takes the first constant that the members' readings
+    carry, in member order and then reader order, else the first labelled
+    null, else sk!<node>!<attribute>!<row id>.  Two distinct constants raise,
+    for the first attribute in sorted order and its first class in order,
+    naming that class's first two constants.
+    """
+    S, T = F.source, F.target
+    paths = {s: all_morphisms_from(T, F.nodes[s]) for s in sorted(S.nodes)}
+    listing = [(s, x, p) for s in sorted(S.nodes) for x in I.rows[s]
+               for ps in paths[s].values() for p in ps]
+    linked = {g: [] for g in listing}
+    for (e, s, s2) in S.edges:
+        for x in I.rows[s]:
+            for ps in paths[s2].values():
+                for p in ps:
+                    a = (s, x, normalize_path(T, path_compose(F.edges[(s, e)], p)))
+                    b = (s2, I.edge(s, e)[x], p)
+                    linked[a].append(b)
+                    linked[b].append(a)
+    least = {}  # generator -> the least member of its class
+    for g in listing:
+        if g not in least:
+            least[g], todo = g, [g]
+            while todo:
+                for h in linked[todo.pop()]:
+                    if h not in least:
+                        least[h] = g
+                        todo.append(h)
+    members = {}  # least member -> the class's members, in listing order
+    for g in listing:
+        members.setdefault(least[g], []).append(g)
+    name = {g: f"{g[0]}:{g[1]}:{g[2]}" for g in members}
+    at = {t: [g for g in members if path_target(T, g[2]) == ("node", t)] for t in T.nodes}
+    rows = {t: [name[g] for g in gs] for t, gs in at.items()}
+    edge_fn = {}
+    for (e, t, _t2) in T.edges:
+        edge_fn[(t, e)] = {}
+        for (s, x, p) in at[t]:
+            image = (s, x, normalize_path(T, path_compose(p, Path(t, (e,)))))
+            edge_fn[(t, e)][name[(s, x, p)]] = name[least[image]]
+    attr_fn = {}
+    for (a, t, _ty) in sorted(T.attributes):
+        attr_fn[(t, a)] = {}
+        for g in at[t]:
+            values = [I.attr(s, sa)[x] for (s, x, p) in members[g]
+                      for (sa, _saty) in S.node_attrs[s]
+                      if isinstance(F.attrs[(s, sa)], Path)
+                      and paths_equal(T, F.attrs[(s, sa)], Path(p.source, p.steps, a))]
+            constants = []
+            for v in values:
+                if not isinstance(v, LabelledNull) and v not in constants:
+                    constants.append(v)
+            if len(constants) > 1:
+                raise InconsistencyError(
+                    f"sigma: attribute {a!r} on class {name[g]!r} forced to both "
+                    f"{constants[0]!r} and {constants[1]!r}")
+            default = LabelledNull(f"sk!{t}!{a}!{name[g]}")
+            attr_fn[(t, a)][name[g]] = (constants or values or [default])[0]
+    return Instance(T, rows, edge_fn, attr_fn)
+
+
+def with_nulls(rng, I):
+    """I with about a third of its attribute values replaced by labelled
+    nulls of two labels, so one class can read equal and different nulls."""
+    attr_fn = {key: {r: LabelledNull(rng.choice("pq")) if rng.random() < 0.3 else v
+                     for r, v in col.items()}
+               for key, col in I.attr_fn.items()}
+    return Instance(I.schema, I.rows, I.edge_fn, attr_fn)
+
+
+def outcome(fn, *args):
+    """fn's output as (rows, edge tables, attribute tables), or its error's
+    type and message."""
+    try:
+        out = fn(*args)
+    except CatqlError as exc:
+        return type(exc), str(exc)
+    return out if out is None else (out.rows, out.edge_fn, out.attr_fn)
+
+
+class TestAgainstReference:
+    """sigma and pi against per-row references, sigma_reference and
+    pi_oracle, on 1,200 triples of three generators.  About half of the
+    triples get labelled nulls among the values of their attributed
+    instances; errors are compared by type and message."""
+
+    def test_sigma_and_pi(self):
+        seen = Counter()
+        for gen, n in ((rand_adjunction_triple, 450), (rand_presented_triple, 100),
+                       (rand_attributed_triple, 650)):
+            rng = random.Random(f"reference/{gen.__name__}")
+            for case in range(n):
+                F, I, _J = gen(rng)
+                if rng.random() < 0.5:
+                    I = with_nulls(rng, I)
+                    seen["nulls"] += 1
+                got, want = outcome(sigma, F, I), outcome(sigma_reference, F, I)
+                assert got == want, (gen.__name__, case)
+                seen["sigma clash" if got[0] is InconsistencyError else "sigma"] += 1
+                want = outcome(pi_oracle, F, I, Counter())
+                if want is not None:
+                    assert outcome(pi, F, I) == want, (gen.__name__, case)
+                    seen["pi"] += 1
+        print(dict(seen))
+        assert seen["sigma"] + seen["sigma clash"] == 1200
+        assert seen["sigma clash"] >= 50 and seen["pi"] >= 1000 and seen["nulls"] >= 500
 
 
 class TestPiNullRule:

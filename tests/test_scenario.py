@@ -6,7 +6,7 @@ import time
 import pytest
 
 from catql.core import Path, PathEquation, make_schema, validate_mapping
-from catql.errors import SchemaError, ValidationError
+from catql.errors import SchemaError, ScriptError, ValidationError
 from catql.instances import (
     Instance,
     LabelledNull,
@@ -384,6 +384,30 @@ class TestEnrichment:
         text = generate_enrichment(schema, "material", "material_Material_Name")
         out = enrich(inst, relation_from_pairs(set()), ScenarioConfig())
         assert iso_check(out, relationalize(inst))
+
+    def test_reserved_word_names_are_refused_by_the_printer(self):
+        """A schema name that is a reserved .catql word cannot be printed as
+        a let: generate_enrichment raises ScriptError naming the word and
+        what it names, where it used to print text that parse_script
+        rejects.  enrich never prints the script, so it still runs."""
+        from catql.sqlbridge import import_sql
+
+        cases = [("portal", "edge", "material_Material_Name", "edge 'edge'"),
+                 ("node", "m", "material_Material_Name", "node 'node'"),
+                 ("portal", "m", "string", "attribute 'string'")]
+        for table, column, name_attr, named in cases:
+            schema, inst = import_sql(
+                f"CREATE TABLE material (id INT PRIMARY KEY, {name_attr} VARCHAR(9));\n"
+                f"CREATE TABLE {table} (id INT PRIMARY KEY,"
+                f" {column} INT REFERENCES material);\n"
+                f"INSERT INTO material VALUES (1, 'steel');\n"
+                f"INSERT INTO {table} VALUES (7, 1);"
+            )
+            with pytest.raises(ScriptError, match=f"cannot print {named}: it is a reserved word"):
+                generate_enrichment(schema, "material", name_attr)
+            cfg = ScenarioConfig(target_node="material", name_attr=name_attr)
+            out = enrich(inst, relation_from_pairs({("steel", "metal")}), cfg)
+            assert len(out.rows[table]) == 2
 
     def test_missing_attribute_rejected(self, portal):
         schema, _ = portal
