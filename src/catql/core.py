@@ -407,12 +407,13 @@ def paths_equal(s: Schema, p: PathLike, q: PathLike) -> bool:
 def all_morphisms_from(s: Schema, a: str) -> dict[str, tuple[Path, ...]]:
     """target -> the normal forms of the paths from a to it, length-lex.
 
-    The irreducible paths are closed under prefixes, so they are listed by
-    length, extending each by every edge that completes no left side, until
-    a length adds none.  That depends only on a path's last W steps and
-    their node (W one less than the longest left side): a path that reaches
-    one such state twice repeats without end, and raises NotSaturated.  The
-    result is kept on the schema.
+    The irreducible paths are closed under prefixes: each extends by every
+    edge that completes no left side.  That depends only on a path's last W
+    steps and their node (W one less than the longest left side), so these
+    states are searched first, depth first in out_edges order: an edge back
+    to a state on the current path repeats without end, and raises
+    NotSaturated.  Otherwise the paths are listed by length, until a length
+    adds none.  The result is kept on the schema.
     """
     found = s._morphisms.get(a)
     if found is not None:
@@ -421,21 +422,37 @@ def all_morphisms_from(s: Schema, a: str) -> dict[str, tuple[Path, ...]]:
         raise SchemaError(f"{a!r} is not a node of schema {s.name!r}")
     rules = s.rewrite_rules
     width = max((len(lhs) for rs in rules.values() for (_src, lhs, _rhs) in rs), default=1) - 1
+    on_path = {(a, ()): None}  # the states along the current path -> the step into each
+    seen = set(on_path)
+    stack = [((), (a,), iter(s.out_edges[a]))]  # a state's steps, their nodes, edges left
+    while stack:
+        w, nodes, edges = stack[-1]
+        for (e, tgt) in edges:
+            w2, nodes2 = w + (e,), nodes + (tgt,)
+            if _completed(rules, w2, nodes2):
+                continue
+            k = max(len(w2) - width, 0)
+            state = (nodes2[k], w2[k:])
+            if state in on_path:
+                raise NotSaturated(s.name, a, Path(a, (*on_path.values(), e)[1:]), Path(*state))
+            if state not in seen:
+                seen.add(state)
+                on_path[state] = e
+                stack.append((state[1], nodes2[k:], iter(s.out_edges[tgt])))
+                break
+        else:
+            stack.pop()
+            on_path.popitem()
     by_target: dict[str, list[Path]] = {a: [Path(a)]}
-    frontier = [((), (a,), ((a, ()),))]  # word, its nodes, the states along it
+    frontier = [((), (a,))]  # word, its nodes
     while frontier:
         longer = []
-        for (w, nodes, states) in frontier:
+        for (w, nodes) in frontier:
             for (e, tgt) in s.out_edges[nodes[-1]]:
                 w2, nodes2 = w + (e,), nodes + (tgt,)
-                if _completed(rules, w2, nodes2):
-                    continue
-                k = max(len(w2) - width, 0)
-                state = (nodes2[k], w2[k:])
-                if state in states:
-                    raise NotSaturated(s.name, a, Path(a, w2), Path(*state))
-                longer.append((w2, nodes2, states + (state,)))
-                by_target.setdefault(tgt, []).append(Path(a, w2))
+                if not _completed(rules, w2, nodes2):
+                    longer.append((w2, nodes2))
+                    by_target.setdefault(tgt, []).append(Path(a, w2))
         frontier = longer
     found = s._morphisms[a] = {t: tuple(ps) for t, ps in by_target.items()}
     return found

@@ -17,13 +17,16 @@ an INT token of at least 1.  So export_sql refuses a schema with a node,
 attribute or edge name that is not an IDENT: the text could not be read back.
 
 An INSERT block into a table created before it is read up to its first `;`
-outside quotes by one `findall` of a pattern of k-tuples of literals, and
-each column is read in one step.  Any other block (a comment inside a tuple,
-a fault, tuples of another arity, no CREATE TABLE yet) is walked token by
-token, which raises at its first fault, and so are the blocks of a table of
-64 or more columns until 64 of its rows would have been walked: the pattern
-costs about that much to compile.  Tables are built, and export_sql
+outside quotes and comments by one `findall` of a pattern of k-tuples of
+literals, and each column is read in one step.  Any other block (a comment
+inside a tuple, a fault, tuples of another arity, no CREATE TABLE yet) is
+walked token by token, which raises at its first fault, and so are the
+blocks of a table of 64 or more columns until 64 of its rows would have been
+walked: the pattern costs about that much to compile.  Tables are built, and export_sql
 writes INSERTs, column by column; a check that fails is walked in order.
+An id's string is made once per import, and every table's row and every
+foreign key with that id shares it; export_sql writes each node's ids once,
+and a foreign-key column by looking them up.
 """
 
 from __future__ import annotations
@@ -64,9 +67,11 @@ _SQL_TOKEN = rule_table(**_SQL_RULES)
 # Whitespace and comments are skipped.  A comment must run to the end of its
 # line, so no token is matched inside one.
 _SQL_SCAN = scan_pattern(r"(?:\s+|--[^\n]*(?![^\n]))*", _SQL_RULES)
-# Up to the first `;` outside quotes; a quote in a comment can misplace it,
-# and then the block's tuples do not fit up to it.
-_SQL_BLOCK_END = re.compile(r"""[^;'"]*(?:(?:'[^']*'|"[^"]*")[^;'"]*)*;""")
+# Up to the first `;` outside quotes and `--` comments.  Each piece between
+# two runs of plain text starts with its own character, and a comment runs
+# to the end of its line, so the text splits one way only.
+_SQL_BLOCK_END = re.compile(
+    r"""[^;'"-]*(?:(?:'[^']*'|"[^"]*"|--[^\n]*(?![^\n])|-(?!-))[^;'"-]*)*;""")
 
 
 def _tuple_pattern(k):
@@ -394,10 +399,12 @@ def import_sql(text, fk_spec=None, guess_fk=False):
 
     # Each table is built column by column, after a type check of the whole
     # column; a failed check re-walks the column to raise its first row's error.
+    # one string per integer id, shared by every row and foreign key with it
+    minted = {i: str(i) for i in set().union(*keys.values())}
     rows, edge_fn, attr_fn = {}, {}, {}
     for t in tables:
         columns = values[t.name]
-        rids = rows[t.name] = list(map(str, columns[0]))
+        rids = rows[t.name] = list(map(minted.__getitem__, columns[0]))
         for c, col in zip(t.columns[1:], columns[1:]):
             types = set(map(type, col))
             if c.role == "fk":
@@ -413,7 +420,7 @@ def import_sql(text, fk_spec=None, guess_fk=False):
                                 f"table {t.name!r}: row {rid} references missing "
                                 f"{c.fk_target!r} id {v}"
                             )
-                edge_fn[(t.name, c.name)] = dict(zip(rids, map(str, col)))
+                edge_fn[(t.name, c.name)] = dict(zip(rids, map(minted.__getitem__, col)))
                 continue
             want = int if c.sql_type == "INT" else str
             if types - {want, NoneType}:
@@ -458,15 +465,17 @@ def export_sql(schema: Schema, I: Instance, warn=None) -> str:
     _check_export_names(schema)
     warn = warn or (lambda _msg: None)
     # integer ids, negative ones included, are kept when no two are equal as
-    # integers; otherwise rows are renumbered densely
-    id_map = {}
+    # integers; otherwise rows are renumbered densely.  Each node's ids are
+    # written once: row -> SQL id, in id order.
+    sql_ids = {}
     for node in sorted(schema.nodes):
         rws = I.node_rows(node)
         digits = map(str.removeprefix, rws, repeat("-"))
         if all(map(str.isdecimal, digits)) and len(set(map(int, rws))) == len(rws):
-            id_map[node] = dict(zip(rws, map(int, rws)))
+            ids = sorted(zip(map(int, rws), rws))
         else:
-            id_map[node] = {r: i + 1 for i, r in enumerate(rws)}
+            ids = enumerate(rws, 1)
+        sql_ids[node] = {r: str(i) for i, r in ids}
     lines = []
     for node in sorted(schema.nodes):
         cols = ["  id INT PRIMARY KEY"]
@@ -476,13 +485,12 @@ def export_sql(schema: Schema, I: Instance, warn=None) -> str:
             cols.append(f"  {name} INT REFERENCES {tgt}")
         lines.append(f"CREATE TABLE {node} (\n" + ",\n".join(cols) + "\n);")
     for node in sorted(schema.nodes):
-        ids = id_map[node]
-        order = sorted(I.node_rows(node), key=ids.__getitem__)
+        order = list(sql_ids[node])
         if not order:
             continue
         # one list of SQL values per column; only a column that holds a
         # labelled null is written value by value
-        cols = [list(map(str, map(ids.__getitem__, order)))]
+        cols = [list(sql_ids[node].values())]
         nulls = []  # (row position, warning), sent in row order
         for (name, _ty) in schema.node_attrs[node]:
             col = list(map(I.attr(node, name).__getitem__, order))
@@ -497,8 +505,8 @@ def export_sql(schema: Schema, I: Instance, warn=None) -> str:
         for (_i, msg) in sorted(nulls, key=lambda null: null[0]):
             warn(msg)
         for (name, tgt) in schema.out_edges[node]:
-            cols.append(list(map(str, map(id_map[tgt].__getitem__,
-                                          map(I.edge(node, name).__getitem__, order)))))
+            cols.append(list(map(sql_ids[tgt].__getitem__,
+                                 map(I.edge(node, name).__getitem__, order))))
         rows = "),\n(".join(map(", ".join, zip(*cols)))
         lines.append(f"INSERT INTO {node} VALUES\n({rows});")
     return "\n".join(lines) + "\n"

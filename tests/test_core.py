@@ -351,6 +351,20 @@ class TestCompletion:
         with pytest.raises(NotSaturated, match=r"normal form a\.f\.f ends twice in a\.f "):
             enumerate_morphisms(s, "a", "a")
 
+    def test_four_loops_refused_at_once(self):
+        # completion gives 9 rules, and the paths out of n grow in number
+        # so fast with their length that the cycle must be found before any
+        # is listed
+        s = make_schema("L4", ["n"], [(f"e{i}", "n", "n") for i in range(4)], [], [
+            PathEquation(Path("n", ("e1", "e2", "e2")), Path("n", ("e0",))),
+            PathEquation(Path("n", ("e3", "e3")), Path("n", ("e2", "e0", "e1"))),
+        ])
+        start = time.perf_counter()
+        with pytest.raises(NotSaturated):
+            all_morphisms_from(s, "n")
+        assert time.perf_counter() - start < 1.0
+        assert sum(map(len, s.rewrite_rules.values())) == 9
+
     def test_braid_runs_out_of_work(self):
         start = time.perf_counter()
         with pytest.raises(NormalizationInconclusive,

@@ -18,6 +18,7 @@ from catql.instances import Instance, LabelledNull, empty_instance, iso_check, v
 from catql.sqlbridge import _SqlParser, _literal, export_sql, import_sql
 
 from conftest import read_data
+from test_fuzz import mutate
 
 
 class TestImport:
@@ -508,6 +509,16 @@ def requote(rng: random.Random, text: str) -> str:
     return " ".join(tokens)
 
 
+@pytest.fixture
+def walked(monkeypatch):
+    """A list that gains one entry per tuple walked token by token."""
+    tuples = []
+    tuple_by_tokens = _SqlParser._tuple_by_tokens
+    monkeypatch.setattr(_SqlParser, "_tuple_by_tokens",
+                        lambda self: tuples.append(1) or tuple_by_tokens(self))
+    return tuples
+
+
 class TestBlockRead:
     def test_columns_match_reference_reader(self):
         rng = random.Random(15)
@@ -520,14 +531,10 @@ class TestBlockRead:
                 assert all(rows is None for (_name, _cols, rows) in inserts)
 
 
-    def test_comments_between_tokens(self, monkeypatch):
+    def test_comments_between_tokens(self, walked):
         """The texts above, with comments and line breaks put between random
         tokens, import as they do without them.  A comment inside a tuple
         makes its block walked token by token, so both reads are compared."""
-        walked = []
-        tuple_by_tokens = _SqlParser._tuple_by_tokens
-        monkeypatch.setattr(_SqlParser, "_tuple_by_tokens",
-                            lambda self: walked.append(1) or tuple_by_tokens(self))
         rng, gaps = random.Random(15), random.Random(16)
         comments = ["x", "it's; y", "(1, 2);", "'", '"', "--", "NULL", ""]
         for _ in range(300):
@@ -542,6 +549,18 @@ class TestBlockRead:
                 assert (again.rows, again.edge_fn, again.attr_fn) == \
                     (inst.rows, inst.edge_fn, inst.attr_fn), commented
         assert len(walked) > 1000
+
+    def test_quotes_in_comments_between_tuples(self, walked):
+        """A quote or `;` in a `--` comment between tuples leaves the block
+        on the tuple path."""
+        comments = ["-- it's", '-- say "', "-- it's; x", "---'", "--", ""]
+        text = A + "".join(f"INSERT INTO a VALUES ({2 * i}, -1), {c}\n ({2 * i + 1}, 2);\n"
+                           for i, c in enumerate(comments * 50))
+        _tables, inserts = _SqlParser(text).parse()
+        assert walked == []
+        assert [(name, cols) for (name, cols, _rows) in inserts] == \
+            reference_inserts(_SqlParser(text).tokens)
+        assert len(inserts) == 300
 
 
 class TestTupleRead:
@@ -626,14 +645,10 @@ class TestTupleRead:
         assert ok
         assert elapsed < 0.5
 
-    def test_wide_table_compiles_after_64_walked_rows(self, monkeypatch):
+    def test_wide_table_compiles_after_64_walked_rows(self, walked):
         """One-row blocks of a 64-column table are walked until 64 rows
         would have been walked, and then read by the tuple pattern; a
         63-column table is never walked."""
-        walked = []
-        tuple_by_tokens = _SqlParser._tuple_by_tokens
-        monkeypatch.setattr(_SqlParser, "_tuple_by_tokens",
-                            lambda self: walked.append(1) or tuple_by_tokens(self))
         for k, expected in ((64, 63), (63, 0)):
             walked.clear()
             text = ("CREATE TABLE a (id INT PRIMARY KEY, "
@@ -653,6 +668,144 @@ class TestRandomRoundTrip:
             validate_instance(inst)
             _s2, reimported = import_sql(export_sql(schema, inst))
             assert iso_check(inst, reimported)
+
+
+def reference_import(text, fk_spec=None, guess_fk=False):
+    """import_sql's (schema, instance), or its error, built row by row with
+    one str() per id cell.  The schema comes from import_sql on the CREATE
+    statements alone, which raises what it would raise before reading any
+    row."""
+    tables, inserts = _SqlParser(text).parse()
+    creates = "".join(
+        f"CREATE TABLE {t.name} (" + ", ".join(
+            f"{c.name} {c.sql_type}" + {"id": " PRIMARY KEY", "attribute": "",
+                                        "fk": f" REFERENCES {c.fk_target}"}[c.role]
+            for c in t.columns) + ");\n" for t in tables)
+    schema, _empty = import_sql(creates, fk_spec, guess_fk)
+    targets = {(n, e): tgt for (e, n, tgt) in schema.edges}
+    columns = {t.name: t.columns for t in tables}
+    table_rows = {t.name: [] for t in tables}
+    for (name, cols, ragged) in inserts:
+        if name not in columns:
+            raise SqlImportError(f"INSERT into unknown table {name!r}")
+        arity, ids = len(columns[name]), [r[0] for r in table_rows[name]]
+        for vals in ragged or zip(*cols):
+            if len(vals) != arity:
+                raise SqlImportError(f"table {name!r}: INSERT arity {len(vals)} != {arity} columns")
+            if not isinstance(vals[0], int):
+                raise SqlImportError(f"table {name!r}: primary key must be an integer")
+            if vals[0] in ids:
+                raise SqlImportError(f"table {name!r}: duplicate primary key {vals[0]}")
+            ids.append(vals[0])
+            table_rows[name].append(vals)
+    rows, edge_fn, attr_fn = {}, {}, {}
+    for t in tables:
+        rows[t.name] = [str(vals[0]) for vals in table_rows[t.name]]
+        for j, c in enumerate(t.columns[1:], 1):
+            tgt = targets.get((t.name, c.name))
+            fn = (edge_fn if tgt else attr_fn)[(t.name, c.name)] = {}
+            for vals in table_rows[t.name]:
+                rid, v = vals[0], vals[j]
+                if tgt and not isinstance(v, int):
+                    raise SqlImportError(
+                        f"table {t.name!r}: foreign key {c.name!r} needs integer ids")
+                if tgt and v not in [r[0] for r in table_rows[tgt]]:
+                    raise SqlImportError(
+                        f"table {t.name!r}: row {rid} references missing {tgt!r} id {v}")
+                want = int if tgt or c.sql_type == "INT" else str
+                if v is not None and not isinstance(v, want):
+                    raise SqlImportError(
+                        f"table {t.name!r}: column {c.name!r} row {rid}: type mismatch for {v!r}")
+                fn[str(rid)] = (str(v) if tgt else
+                                LabelledNull(f"null!{t.name}!{c.name}!{rid}") if v is None else v)
+    inst = Instance(schema, rows, edge_fn, attr_fn)
+    validate_instance(inst)
+    return schema, inst
+
+
+def import_outcome(read, text, **options):
+    """repr of an import's rows, edge and attribute dicts, or its error."""
+    try:
+        _schema, inst = read(text, **options)
+    except SqlImportError as exc:
+        return "SqlImportError", str(exc)
+    return repr((inst.rows, inst.edge_fn, inst.attr_fn))
+
+
+def assert_ids_shared(inst):
+    """Equal row ids are one object, in every table, edge and attribute dict."""
+    ids = {}
+    for node_rows in inst.rows.values():
+        assert all(ids.setdefault(r, r) is r for r in node_rows)
+    for fn in (*inst.edge_fn.values(), *inst.attr_fn.values()):
+        assert all(r is ids[r] for r in fn)
+    for fn in inst.edge_fn.values():
+        assert all(t is ids[t] for t in fn.values())
+
+
+class TestSharedIds:
+    """import_sql mints one string per integer id and import, and imports
+    as a row-by-row reader that calls str() per id cell."""
+
+    CASES = [
+        pytest.param("CREATE TABLE a (id INT PRIMARY KEY, v VARCHAR(9));\n"
+                     "CREATE TABLE b (id INT PRIMARY KEY, f INT REFERENCES a, w INT);\n"
+                     "INSERT INTO a VALUES (10, NULL), (11, 'x');\n"
+                     "INSERT INTO b VALUES (11, 10, NULL), (12, 11, 7);", {},
+                     id="null-column-in-a-table-before-others"),
+        pytest.param("CREATE TABLE a (id INT PRIMARY KEY, v INT);\n"
+                     "CREATE TABLE b (id INT PRIMARY KEY, f INT REFERENCES a);\n"
+                     "INSERT INTO a VALUES (-10, -- x\n 1), (20, 2);\n"
+                     "INSERT INTO b VALUES (-10, 20), (20, -10), (-30, -10);", {},
+                     id="walked-block-negative-ids"),
+        pytest.param(A + "INSERT INTO a VALUES (10, 1), (11);", {}, id="ragged-short"),
+        pytest.param(A + "INSERT INTO a VALUES (10), (11, 1);", {}, id="ragged-long"),
+        pytest.param("CREATE TABLE a (id INT PRIMARY KEY);\n"
+                     "CREATE TABLE b (id INT PRIMARY KEY, owner INT);\n"
+                     "INSERT INTO a VALUES (10), (11);\nINSERT INTO b VALUES (11, 10), (10, 11);",
+                     {"fk_spec": {"b": {"owner": "a"}}}, id="fk-spec"),
+        pytest.param("CREATE TABLE user (id INT PRIMARY KEY);\n"
+                     "CREATE TABLE post (id INT PRIMARY KEY, author_user_id INT);\n"
+                     "INSERT INTO user VALUES (10), (-11);\n"
+                     "INSERT INTO post VALUES (-11, 10), (10, -11);",
+                     {"guess_fk": True}, id="guess-fk"),
+        pytest.param(AB + "INSERT INTO b VALUES (10, 1, 'x');", {}, id="type-mismatch"),
+        pytest.param(AB + "INSERT INTO b VALUES (10, 2, 1);", {}, id="missing-target"),
+        pytest.param(AB + "INSERT INTO b VALUES (10, 'x', 1);", {}, id="string-foreign-key"),
+    ]
+
+    @pytest.mark.parametrize("text, options", CASES)
+    def test_cases(self, text, options):
+        outcome = import_outcome(import_sql, text, **options)
+        assert outcome == import_outcome(reference_import, text, **options)
+        if isinstance(outcome, str):
+            assert_ids_shared(import_sql(text, **options)[1])
+
+    def test_random_files_and_their_exports(self):
+        rng = random.Random(55)
+        for _ in range(100):
+            text = rand_sql_text(rng)
+            schema, inst = import_sql(text)
+            for t in (text, export_sql(schema, inst)):
+                assert import_outcome(import_sql, t) == import_outcome(reference_import, t), t
+            assert_ids_shared(inst)
+
+    def test_fuzzed_portals(self):
+        rng, original, imported = random.Random(11), read_data("portal_a.sql"), 0
+        for _ in range(400):
+            text = mutate(rng, original)
+            outcome = import_outcome(import_sql, text)
+            assert outcome == import_outcome(reference_import, text), text
+            imported += isinstance(outcome, str)
+        assert imported >= 50
+
+    def test_equal_ids_in_two_tables_are_one_object(self):
+        _s, inst = import_sql(portal_text(3))
+        assert_ids_shared(inst)
+        material, links = inst.rows["material"], inst.rows["capabilitymaterials"]
+        assert links[links.index("12")] is material[material.index("12")]
+        fk = inst.edge("capabilitymaterials", "capabilitymaterials_Material_id")["12"]
+        assert fk == "10" and fk is material[material.index("10")]
 
 
 def portal_text(n: int) -> str:
