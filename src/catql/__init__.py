@@ -58,6 +58,7 @@ from .migration import delta, pi, sigma
 from .parsing import parse_query, parse_script
 from .queries import (
     Query,
+    compile_query,
     desugar_query,
     eval_query_direct,
     eval_query_via_migration,

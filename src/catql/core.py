@@ -57,6 +57,17 @@ class Path:
     steps: tuple[str, ...] = ()
     attr: Optional[str] = None
 
+    def __init__(self, source, steps=(), attr=None):
+        """The fields, set without object.__setattr__, and the hash, kept: paths key dicts."""
+        d = self.__dict__
+        d["source"], d["steps"], d["attr"], d["_hash"] = source, steps, attr, hash((source, steps, attr))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # a str hash differs from process to process
+        return Path, (self.source, self.steps, self.attr)
+
     def is_node_valued(self):
         return self.attr is None
 
@@ -390,10 +401,15 @@ def normalize_path(s: Schema, p: PathLike) -> PathLike:
     if isinstance(p, ConstPath):
         return p
     path_target(s, p)  # well-formedness
-    rules = s.rewrite_rules
-    if not rules:
+    return _normal_form(s, p)
+
+
+def _normal_form(s: Schema, p: Path) -> PathLike:
+    """normalize_path of a path known to be well formed: no walk to check it."""
+    rules, w = s.rewrite_rules, _letters(p)
+    if rules.keys().isdisjoint(w):  # no letter ends a left side: nothing rewrites
         return p
-    w = _rewrite(s, rules, p.source, _letters(p))
+    w = _rewrite(s, rules, p.source, w)
     if isinstance(w, ConstPath):
         return w
     return Path(p.source, w) if p.attr is None else Path(p.source, w[:-1], w[-1])
@@ -413,7 +429,8 @@ def all_morphisms_from(s: Schema, a: str) -> dict[str, tuple[Path, ...]]:
     states are searched first, depth first in out_edges order: an edge back
     to a state on the current path repeats without end, and raises
     NotSaturated.  Otherwise the paths are listed by length, until a length
-    adds none.  The result is kept on the schema.
+    adds none.  A node in settle_order reaches no cycle, so it skips the
+    search.  The result is kept on the schema.
     """
     found = s._morphisms.get(a)
     if found is not None:
@@ -424,7 +441,8 @@ def all_morphisms_from(s: Schema, a: str) -> dict[str, tuple[Path, ...]]:
     width = max((len(lhs) for rs in rules.values() for (_src, lhs, _rhs) in rs), default=1) - 1
     on_path = {(a, ()): None}  # the states along the current path -> the step into each
     seen = set(on_path)
-    stack = [((), (a,), iter(s.out_edges[a]))]  # a state's steps, their nodes, edges left
+    # a state's steps, their nodes, edges left
+    stack = [] if not s.out_edges[a] or a in s.settle_order else [((), (a,), iter(s.out_edges[a]))]
     while stack:
         w, nodes, edges = stack[-1]
         for (e, tgt) in edges:

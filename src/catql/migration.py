@@ -16,10 +16,12 @@ from .core import (
     ConstPath,
     Mapping,
     Path,
+    _normal_form,
     all_morphisms_from,
     nodes_along,
     normalize_path,
     path_compose,
+    path_target,
 )
 from .errors import InconsistencyError, SchemaError
 from .instances import Instance, LabelledNull, _UnionFind, join, path_fn
@@ -40,6 +42,19 @@ def delta(F: Mapping, I: Instance) -> Instance:
         f = path_fn(I, F.attrs[(src, name)])
         attr_fn[(src, name)] = {r: f(r) for r in rows[src]}
     return Instance(s, rows, edge_fn, attr_fn)
+
+
+def _normalizer(T, img, start, end=None):
+    """How to normalize the paths composed with img, an image that should run
+    from node start to node end (to an attribute when end is None): once img
+    does, `core._normal_form`; else normalize_path, whose walk of each path
+    raises where and as it always has."""
+    try:
+        target = isinstance(img, Path) and img.source == start and path_target(T, img)
+    except SchemaError:
+        target = None
+    ok = target == ("node", end) if end is not None else bool(target) and target[0] == "attr"
+    return _normal_form if ok else normalize_path
 
 
 def sigma(F: Mapping, I: Instance) -> Instance:
@@ -89,11 +104,12 @@ def sigma(F: Mapping, I: Instance) -> Instance:
         if not I.rows[src]:
             continue
         e_img = F.edges[(src, ename)]  # path F(src) -> F(tgt)
+        normal = _normalizer(T, e_img, F.nodes[src], F.nodes[tgt])
         index = dict(zip(I.rows[tgt], count()))
         targets = list(map(index.__getitem__, map(I.edge(src, ename).__getitem__, I.rows[src])))
         for _t, ps in paths_from[tgt].items():
             for p in ps:
-                fa = fam_at[(src, normalize_path(T, path_compose(e_img, p)))]
+                fa = fam_at[(src, normal(T, path_compose(e_img, p)))]
                 fb = fam_at[(tgt, p)]
                 a, da, b, db = first[fa], step[fa], first[fb], step[fb]
                 images = map(b.__add__, map(db.__mul__, targets))
@@ -120,7 +136,7 @@ def sigma(F: Mapping, I: Instance) -> Instance:
         ahead = {}  # family -> the family one step further along gname
         for f in set(fs):
             s_node, p = fams[f]
-            ahead[f] = fam_at[(s_node, normalize_path(T, Path(p.source, p.steps + (gname,))))]
+            ahead[f] = fam_at[(s_node, _normal_form(T, Path(p.source, p.steps + (gname,))))]
         images = [name[root[first[f2] + (g - first[f]) // step[f] * step[f2]]]
                   for g, f, f2 in zip(gs, fs, map(ahead.__getitem__, fs))]
         edge_fn[(src, gname)] = dict(zip(rows[src], images))
@@ -140,7 +156,7 @@ def sigma(F: Mapping, I: Instance) -> Instance:
             class_cols, value_cols = [], []  # per family, then reader
             for f in fs:
                 p = fams[f][1]
-                nf = normalize_path(T, Path(p.source, p.steps, aname))
+                nf = _normal_form(T, Path(p.source, p.steps, aname))
                 for sa in names:
                     if image_nf[(s_node, sa)] == nf:
                         class_cols.append(root[first[f]:first[f] + step[f] * len(s_rows):step[f]])
@@ -223,10 +239,14 @@ def pi(F: Mapping, I: Instance) -> Instance:
             t2 = nodes_along(T, Path(t, steps))[-1]
             slots = range(len(comma[t]))  # no steps: t's own slots
             if steps:
-                slots = [slot[t][(s_node, normalize_path(T, Path(t, steps + q.steps)))]
+                slots = [slot[t][(s_node, _normal_form(T, Path(t, steps + q.steps)))]
                          for (s_node, q) in comma[t2]]
             ends[(t, steps)] = (t2, slots)
         return ends[(t, steps)]
+
+    # each image checked once; the paths composed with it are normalized by edge_nf or attr_nf
+    edge_nf = {(src, e): _normalizer(T, F.edges.get((src, e)), F.nodes[src], F.nodes[tgt])
+               for (e, src, tgt) in s_edges}
 
     def comma_constraints(t):
         """One join group per comma morphism induced by a source edge e:
@@ -238,7 +258,7 @@ def pi(F: Mapping, I: Instance) -> Instance:
             for (s_node, q) in comma[t]:
                 if s_node != src:
                     continue
-                q2 = normalize_path(T, path_compose(q, e_img))
+                q2 = edge_nf[(src, ename)](T, path_compose(q, e_img))
                 groups.append([((slot[t][(s_node, q)], fn), (slot[t][(tgt, q2)], _same_row))])
         return groups
 
@@ -248,6 +268,8 @@ def pi(F: Mapping, I: Instance) -> Instance:
     # slots, grouped by normal form, looked up by the normal form of t.A; the
     # join makes them agree
     readings: dict[tuple[str, str], list] = {}
+    attr_nf = {(src, a): _normalizer(T, F.attrs.get((src, a)), F.nodes[src])
+               for (a, src, _ty) in S.attributes}
     for t in t_nodes:
         if not T.node_attrs[t]:
             continue
@@ -256,10 +278,10 @@ def pi(F: Mapping, I: Instance) -> Instance:
             for (sa, _saty) in S.node_attrs[s_node]:
                 img = F.attrs[(s_node, sa)]
                 if not isinstance(img, ConstPath):
-                    nf = normalize_path(T, path_compose(q, img))
+                    nf = attr_nf[(s_node, sa)](T, path_compose(q, img))
                     by_nf.setdefault(nf, []).append((i, I.attr(s_node, sa).__getitem__))
         for (aname, _ty) in T.node_attrs[t]:
-            rds = readings[(t, aname)] = by_nf.get(normalize_path(T, Path(t, (), aname)), [])
+            rds = readings[(t, aname)] = by_nf.get(_normal_form(T, Path(t, (), aname)), [])
             groups[t] += [[(rds[0], rd)] for rd in rds[1:]]
 
     def side(t, p):

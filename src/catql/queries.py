@@ -1,11 +1,13 @@
 """select/from/where queries: typechecking, direct evaluation by joins, and
-desugaring into a sigma . pi . delta migration.
+compilation into sigma . pi . delta migrations.
 
 Direct evaluation resolves each term once per query to a path function, a
 chain of dict lookups (`instances.path_fn`), hands the tables and where-groups
 to the join planner (`instances.join`), then projects and relationalizes (set
-semantics).  Desugaring only accepts conjunctive queries; disjunction is
-handled by splitting into conjunctive subqueries and unioning their results.
+semantics).  Compilation typechecks once and gives one migration per
+conjunctive part of the where-clauses.  The parts that choose the same row
+clauses share one binding schema, so delta runs once for them, and the
+parts' results are unioned.  `desugar_query` is its conjunctive case.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .core import (
     Path,
     PathEquation,
     Schema,
-    make_schema,
     _walk_path,
 )
 from .errors import DesugarError, SchemaError, TypecheckError
@@ -138,14 +139,14 @@ def typecheck_query(q: Query, s: Schema) -> Resolution:
     return Resolution(expr_sort, select_types)
 
 
+def _schema(name, nodes, edges=(), attributes=(), equations=()) -> Schema:
+    """make_schema without validate_schema, for a schema well formed by construction."""
+    return Schema(name, frozenset(nodes), frozenset(edges), frozenset(attributes), tuple(equations))
+
+
 def result_schema(select_types) -> Schema:
     """Single-node schema of a query result: one attribute per alias."""
-    return make_schema(
-        "result",
-        ["row"],
-        [],
-        [(alias, "row", ty) for (alias, ty) in select_types],
-    )
+    return _schema("result", ["row"], (), [(alias, "row", ty) for (alias, ty) in select_types])
 
 
 def eval_query_direct(q: Query, I: Instance) -> Instance:
@@ -180,172 +181,125 @@ def eval_query_direct(q: Query, I: Instance) -> Instance:
 
 @dataclass
 class Desugared:
-    """The query as a migration: sigma(f_sigma, pi(f_pi, delta(f_delta, I)))."""
+    """A conjunctive query as a migration: sigma(f_sigma, pi(f_pi, delta(f_delta, I)))."""
 
     f_delta: Mapping  # B -> S
     f_pi: Mapping  # B -> C
     f_sigma: Mapping  # C -> R
 
 
-def desugar_query(q: Query, s: Schema) -> Desugared:
-    """Construct the three mappings realizing a conjunctive query.
+def compile_query(q: Query, s: Schema) -> list[Desugared]:
+    """The query typechecked once, as one Desugared per conjunctive part, in
+    split_disjuncts order.  B has a node per binding, a node per class of
+    the row-expressions that the part's row clauses join, and an attribute
+    per select item and per where-side path occurrence of every
+    alternative, so the parts that choose the same row clauses share one
+    f_delta object.  A part's C is one node with an attribute per select
+    alias and per where-side occurrence ("#<k>", which no alias can be),
+    and the part's attribute clauses as equations.  B, C and R are well
+    formed by construction and built without validation (tests validate)."""
+    res = typecheck_query(q, s)
+    b_attrs, c_attrs, fd_attrs, fp_attrs, fs_attrs = [], [], {}, {}, {}
 
-    B has one node per binding plus one shared node per joined row-expression
-    class; C is a single node carrying one attribute per select alias and per
-    where-side occurrence, with the where clauses as attribute equations.
-    """
+    def attribute(var, bname, path, ty, cname, image):
+        """B's bname on var's node, read along path; f_pi's image cname; f_sigma's image."""
+        key = (f"b_{var}", bname)
+        b_attrs.append((bname, key[0], ty))
+        fd_attrs[key], fp_attrs[key] = path, Path("r", (), cname)
+        c_attrs.append((cname, "r", ty))
+        fs_attrs[("r", cname)] = image
+
+    for i, (item, (alias, ty)) in enumerate(zip(q.selects, res.select_types)):
+        attribute(item.expr.source, f"sel{i}", res.expr_sort[item.expr][1], ty, alias,
+                  Path("row", (), alias))
+
+    def occurrence(term):
+        """A where-side term as a C path, or the constant it is.  f_sigma
+        sends the attribute to its clause's constant, or to a dummy one of
+        its type: it is never read back."""
+        if isinstance(term, ConstPath):
+            return term
+        _kind, path, ty = res.expr_sort[term]
+        k = len(c_attrs) - len(q.selects)
+        attribute(term.source, f"w{k}", path, ty, f"#{k}", ConstPath("" if ty == "string" else 0))
+        return Path("r", (), f"#{k}")
+
+    def equation(c):
+        lp, rp = occurrence(c.lhs), occurrence(c.rhs)
+        return PathEquation(rp, lp) if isinstance(lp, ConstPath) else PathEquation(lp, rp)
+
+    # each group's alternatives: (row clause, None) or (None, C equation)
+    alternatives = [[(c, None) if res.expr_sort.get(c.lhs, ("const",))[0] == "row"
+                     else (None, equation(c)) for c in g.alternatives] for g in q.where]
+
+    def binding_schema(row_clauses):
+        """f_delta, and f_pi's node and edge images, for one choice of row clauses."""
+        nodes = [f"b_{var}" for (var, _n) in q.bindings]
+        edges = []
+        fd_nodes = {f"b_{var}": node for (var, node) in q.bindings}
+        fd_edges = {}
+        # joined row-expression classes -> shared target nodes
+        uf = _UnionFind()
+        for c in row_clauses:
+            uf.union(c.lhs, c.rhs)
+        classes: dict = {}
+        for e in uf.parent:
+            classes.setdefault(uf.find(e), []).append(e)
+        for k, (rep, members) in enumerate(sorted(classes.items(), key=lambda kv: str(kv[0]))):
+            nodes.append(f"j{k}")
+            fd_nodes[f"j{k}"] = res.expr_sort[rep][1]
+            for e in sorted(members, key=str):
+                ename = f"e{len(edges)}"
+                edges.append((ename, f"b_{e.source}", f"j{k}"))
+                fd_edges[(f"b_{e.source}", ename)] = res.expr_sort[e][2]
+        B = _schema("B_query", nodes, edges, b_attrs)
+        f_delta = Mapping(source=B, target=s, nodes=fd_nodes, edges=fd_edges, attrs=fd_attrs)
+        return f_delta, {n: "r" for n in nodes}, {k: Path("r") for k in fd_edges}
+
+    R = result_schema(res.select_types)
+    shared = {}  # chosen row clauses -> binding_schema's result
+    parts = []
+    for choice in itertools.product(*alternatives):
+        rows = tuple(c for (c, _eq) in choice if c is not None)
+        if rows not in shared:
+            shared[rows] = binding_schema(rows)
+        f_delta, fp_nodes, fp_edges = shared[rows]
+        eqs = [eq for (_c, eq) in choice if eq is not None]
+        C = _schema("C_query", ["r"], (), c_attrs, eqs)
+        constants = {("r", eq.lhs.attr): eq.rhs for eq in eqs if isinstance(eq.rhs, ConstPath)}
+        parts.append(Desugared(f_delta, Mapping(f_delta.source, C, fp_nodes, fp_edges, fp_attrs),
+                               Mapping(C, R, {"r": "row"}, {}, {**fs_attrs, **constants})))
+    return parts
+
+
+def desugar_query(q: Query, s: Schema) -> Desugared:
+    """A conjunctive query's migration: compile_query's one part.  A
+    disjunction raises DesugarError; compile_query gives its parts."""
     if not q.is_conjunctive():
         raise DesugarError("query has disjunctive where-clauses; not desugarable "
                            "(use direct evaluation or split into subqueries)")
-    res = typecheck_query(q, s)
-    bindings = dict(q.bindings)
-
-    row_clauses = []
-    attr_clauses = []
-    for g in q.where:
-        c = g.alternatives[0]
-        ls = res.expr_sort.get(c.lhs)
-        if ls is not None and ls[0] == "row":
-            row_clauses.append(c)
-        else:
-            attr_clauses.append(c)
-
-    def bnode(var):
-        return f"b_{var}"
-
-    nodes = [bnode(var) for (var, _n) in q.bindings]
-    edges = []
-    attrs = []
-    fd_nodes = {bnode(var): node for (var, node) in q.bindings}
-    fd_edges = {}
-    fd_attrs = {}
-
-    # joined row-expression classes -> shared target nodes
-    uf = _UnionFind()
-    for c in row_clauses:
-        uf.union(c.lhs, c.rhs)
-    classes: dict = {}
-    for e in uf.parent:
-        classes.setdefault(uf.find(e), []).append(e)
-    eidx = 0
-    for k, (rep, members) in enumerate(sorted(classes.items(), key=lambda kv: str(kv[0]))):
-        jnode = f"j{k}"
-        target = res.expr_sort[rep][1]
-        nodes.append(jnode)
-        fd_nodes[jnode] = target
-        for e in sorted(members, key=str):
-            ename = f"e{eidx}"
-            eidx += 1
-            edges.append((ename, bnode(e.source), jnode))
-            fd_edges[(bnode(e.source), ename)] = res.expr_sort[e][2]
-
-    # attributes: one per select item and per where-side occurrence
-    c_attrs = []
-    fp_attrs = {}
-    fs_attr_images = {}
-    for i, (item, (alias, ty)) in enumerate(zip(q.selects, res.select_types)):
-        aname = f"sel{i}"
-        attrs.append((aname, bnode(item.expr.source), ty))
-        fd_attrs[(bnode(item.expr.source), aname)] = res.expr_sort[item.expr][1]
-        c_attrs.append((alias, "r", ty))
-        fp_attrs[(bnode(item.expr.source), aname)] = Path("r", (), alias)
-        fs_attr_images[alias] = Path("row", (), alias)
-
-    c_equations = []
-    wuf = _UnionFind()  # classes of where attributes and constants, for f_sigma images
-    widx = 0
-
-    def add_where_attr(term):
-        nonlocal widx
-        if isinstance(term, ConstPath):
-            return term
-        sort = res.expr_sort[term]
-        aname = f"w{widx}"
-        cname = f"_w{widx}"
-        widx += 1
-        attrs.append((aname, bnode(term.source), sort[2]))
-        fd_attrs[(bnode(term.source), aname)] = sort[1]
-        c_attrs.append((cname, "r", sort[2]))
-        fp_attrs[(bnode(term.source), aname)] = Path("r", (), cname)
-        return Path("r", (), cname)
-
-    for c in attr_clauses:
-        lp = add_where_attr(c.lhs)
-        rp = add_where_attr(c.rhs)
-        if isinstance(lp, ConstPath):
-            lp, rp = rp, lp
-        assert isinstance(lp, Path)
-        c_equations.append(PathEquation(lp, rp))
-        lk = lp.attr
-        rk = rp.value if isinstance(rp, ConstPath) else rp.attr
-        wuf.union(("a", lk), ("c", rk) if isinstance(rp, ConstPath) else ("a", rk))
-
-    B = make_schema("B_query", nodes, edges, attrs, [])
-    C = make_schema("C_query", ["r"], [], c_attrs, c_equations)
-    R = result_schema(res.select_types)
-
-    f_delta = Mapping(source=B, target=s, nodes=fd_nodes, edges=fd_edges, attrs=fd_attrs)
-    f_pi = Mapping(
-        source=B,
-        target=C,
-        nodes={n: "r" for n in nodes},
-        edges={k: Path("r") for k in fd_edges},
-        attrs=fp_attrs,
-    )
-
-    # f_sigma: aliases map to themselves; where attributes map to the constant
-    # of their class, or to a dummy constant of the right type (never read back)
-    wclass_const = {}
-    for x in list(wuf.parent):
-        r = wuf.find(x)
-        if x[0] == "c":
-            wclass_const[r] = x[1]
-    fs_attrs = {}
-    cat = {name: ty for (name, _n, ty) in c_attrs}
-    for (name, _n, ty) in c_attrs:
-        if name in fs_attr_images:
-            fs_attrs[("r", name)] = fs_attr_images[name]
-        else:
-            key = ("a", name)
-            wuf.add(key)
-            root = wuf.find(key)
-            if root in wclass_const:
-                fs_attrs[("r", name)] = ConstPath(wclass_const[root])
-            else:
-                fs_attrs[("r", name)] = ConstPath("" if cat[name] == "string" else 0)
-    f_sigma = Mapping(
-        source=C,
-        target=R,
-        nodes={"r": "row"},
-        edges={},
-        attrs=fs_attrs,
-    )
-    return Desugared(f_delta, f_pi, f_sigma)
+    return compile_query(q, s)[0]
 
 
 def split_disjuncts(q: Query):
     """All conjunctive subqueries obtained by choosing one alternative per group."""
-    choices = [g.alternatives for g in q.where]
-    out = []
-    for combo in itertools.product(*choices):
-        out.append(
-            Query(
-                bindings=q.bindings,
-                where=tuple(Group((c,)) for c in combo),
-                selects=q.selects,
-            )
-        )
-    return out
+    return [Query(q.bindings, tuple(Group((c,)) for c in combo), q.selects)
+            for combo in itertools.product(*(g.alternatives for g in q.where))]
 
 
 def eval_query_via_migration(q: Query, I: Instance) -> Instance:
-    """Evaluate through sigma . pi . delta; disjunction becomes a union of
-    conjunctive subqueries.  Relationalized to match set semantics: a union
-    is relationalized already, so only a single part is relationalized."""
-    parts = split_disjuncts(q) if not q.is_conjunctive() else [q]
+    """Evaluate through sigma . pi . delta, the query compiled once.
+
+    delta runs once per binding schema B, and each part runs pi and sigma
+    on it; a disjunction's parts are unioned in split_disjuncts order.
+    Relationalized to match set semantics: a union is relationalized
+    already, so only a single part is relationalized."""
+    parts = compile_query(q, I.schema)
+    pulled = {}  # id of a shared f_delta -> delta(f_delta, I)
     result = None
-    for part in parts:
-        d = desugar_query(part, I.schema)
-        out = sigma(d.f_sigma, pi(d.f_pi, delta(d.f_delta, I)))
+    for d in parts:
+        if id(d.f_delta) not in pulled:
+            pulled[id(d.f_delta)] = delta(d.f_delta, I)
+        out = sigma(d.f_sigma, pi(d.f_pi, pulled[id(d.f_delta)]))
         result = out if result is None else union(result, out)
     return relationalize(result) if len(parts) == 1 else result

@@ -14,6 +14,9 @@ import catql
 from catql import cli
 from catql.cli import cli_main
 from catql.instances import Instance, iso_check
+from catql.parsing import parse_query
+from catql.queries import eval_query_via_migration
+from catql.render import render_instance
 from catql.sqlbridge import import_sql
 
 from conftest import DATA
@@ -301,6 +304,13 @@ class TestEnrich:
         )
         assert code == 0
         assert out.encode() == (GOLDEN / golden).read_bytes()
+
+    def test_golden_query1_via_migration(self):
+        """The bundled query on the bundled portal via migration, in ascii,
+        byte for byte: its row ids name the union of its four parts."""
+        _schema, inst = import_sql((DATA / "portal_a.sql").read_text())
+        out = eval_query_via_migration(parse_query((DATA / "query1.txt").read_text()), inst)
+        assert render_instance(out).encode() == (GOLDEN / "query1_via_migration.txt").read_bytes()
 
 
 class TestUsage:

@@ -1,6 +1,9 @@
 """Schemas, paths, normalization, morphism enumeration, mappings."""
 
+import copy
+import dataclasses
 import gc
+import pickle
 import random
 import time
 import weakref
@@ -72,6 +75,38 @@ class TestPathCompose:
 
     def test_const_absorbed(self):
         assert path_compose(Path("a", ("f",)), ConstPath("x")) == ConstPath("x")
+
+
+class TestPathHash:
+    def test_equal_paths_hash_equal_and_dedupe(self):
+        """Equal paths, raw, attribute-ended or built by path_compose, hash
+        equal, with the hash kept on each, and are one set member and one
+        dict key."""
+        m = Path("M", ("parent",))
+        pairs = [
+            (Path("M", ("parent", "name")), Path("M", ("parent",) + ("name",))),
+            (Path("M", ("parent",), "name"), path_compose(m, Path("M", (), "name"))),
+            (Path("M", ("parent", "parent")), path_compose(m, m)),
+            (Path("M"), path_compose(identity_path("M"), Path("M"))),
+        ]
+        for p, q in pairs:
+            assert p == q and p is not q
+            assert hash(p) == hash(q) == hash((q.source, q.steps, q.attr)) == vars(q)["_hash"]
+            assert len({p, q}) == 1
+            assert {p: 1, q: 2} == {p: 2}
+        assert len({p for pair in pairs for p in pair}) == len(pairs)
+
+    def test_fields_repr_and_copies_unchanged(self):
+        p = Path("M", ("parent",), "name")
+        assert [f.name for f in dataclasses.fields(p)] == ["source", "steps", "attr"]
+        assert repr(p) == "Path(source='M', steps=('parent',), attr='name')"
+        assert p != Path("M", ("parent", "name")) and p != Path("M", ("parent",))
+        assert dataclasses.replace(p, attr=None) == Path("M", ("parent",))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.attr = "x"
+        # a pickle carries the fields alone: a str's hash differs between processes
+        assert p.__reduce__() == (Path, ("M", ("parent",), "name"))
+        assert pickle.loads(pickle.dumps(p)) == p and copy.deepcopy(p) == p
 
 
 class TestNormalize:
@@ -364,6 +399,30 @@ class TestCompletion:
             all_morphisms_from(s, "n")
         assert time.perf_counter() - start < 1.0
         assert sum(map(len, s.rewrite_rules.values())) == 9
+
+    def test_settled_nodes_skip_the_search(self):
+        """A node in settle_order reaches no cycle, so all_morphisms_from
+        lists its paths without the cycle search.  On random presented
+        schemas, every node gives the dict or the error that the search
+        gives on a copy of the schema whose settle_order is empty."""
+
+        def outcome(s, a):
+            try:
+                return all_morphisms_from(s, a)
+            except (NotSaturated, NormalizationInconclusive) as exc:
+                return type(exc), str(exc)
+
+        rng = random.Random(25)
+        settled = cyclic = 0
+        for _ in range(200):
+            s = rand_presented_schema(rng, "P", with_attrs=rng.random() < 0.5)
+            searched = dataclasses.replace(s)  # its tables not built yet
+            searched.__dict__["settle_order"] = ()
+            for a in sorted(s.nodes):
+                settled += a in s.settle_order
+                cyclic += a not in s.settle_order
+                assert outcome(s, a) == outcome(searched, a)
+        assert settled > 100 and cyclic > 200
 
     def test_braid_runs_out_of_work(self):
         start = time.perf_counter()
