@@ -65,12 +65,13 @@ def sigma(F: Mapping, I: Instance) -> Instance:
     listing order (target node, source node, row, path key), so generator k
     of family f is first[f] + k * step[f].  The congruence identifies
     (x, F(e);p) with (e(x), p) for each source edge e, in one union-find
-    over the integers.  In that order the generators give the classes by
-    least member, which names each class and gives its edge images.  Each
-    table is built in column passes.  An attribute takes the first constant
-    that its class's readings carry, in listing order (generator, then
-    reader column), else the first labelled null, else a fresh one; two
-    different constants raise.
+    over the integers, made only when a source edge has rows (a compiled
+    query's C -> R has no edge).  In that order the generators give the
+    classes by least member, which names each class and gives its edge
+    images.  Each table is built in column passes.  An attribute takes the
+    first constant that its class's readings carry, in listing order
+    (generator, then reader column), else the first labelled null, else a
+    fresh one; two different constants raise.
     """
     if I.schema is not F.source and I.schema != F.source:
         raise SchemaError("sigma: instance is not on the mapping's source schema")
@@ -98,11 +99,13 @@ def sigma(F: Mapping, I: Instance) -> Instance:
         bounds[t] = (lo, len(gen_fam))
     fam_at = dict(zip(fams, count()))  # (s_node, p) -> family
     fam_str = [str(p) for (_s, p) in fams]
-    uf = _UnionFind(range(len(gen_fam)))
+    uf = None  # made at the first source edge with rows
 
     for (ename, src, tgt) in sorted(S.edges):
         if not I.rows[src]:
             continue
+        if uf is None:
+            uf = _UnionFind(range(len(gen_fam)))
         e_img = F.edges[(src, ename)]  # path F(src) -> F(tgt)
         normal = _normalizer(T, e_img, F.nodes[src], F.nodes[tgt])
         index = dict(zip(I.rows[tgt], count()))
@@ -116,7 +119,7 @@ def sigma(F: Mapping, I: Instance) -> Instance:
                 deque(map(uf.union, range(a, a + len(targets) * da, da), images), 0)
 
     # classes in order of their least members, which name them; those at t are span[t]
-    root = list(map(uf.find, range(len(gen_fam))))
+    root = range(len(gen_fam)) if uf is None else list(map(uf.find, range(len(gen_fam))))
     firsts: dict = {}  # root -> its least member
     span = {}
     for t, (lo, hi) in bounds.items():
@@ -192,6 +195,133 @@ def _same_row(r):
     return r
 
 
+class _PiPlan:
+    """What pi(F, -) computes from F alone: each target node's comma slots,
+    links (slot i, source edge, slot j), one per comma morphism, readings
+    (slot, source attribute), and `along`; `run` binds them to an instance."""
+
+    def __init__(self, F: Mapping):
+        S, T = F.source, F.target
+        self.T, self.nodes, self.ends = T, sorted(T.nodes), {}
+        self.comma: dict[str, list] = {}  # t -> its comma objects, by source node, then path key
+        for t in self.nodes:
+            paths = all_morphisms_from(T, t)
+            self.comma[t] = sorted([(s_node, q) for s_node in S.nodes for q in paths.get(F.nodes[s_node], ())],
+                                   key=lambda o: (o[0], len(o[1].steps), o[1].steps))
+        self.slot = slot = {t: {o: i for i, o in enumerate(objs)} for t, objs in self.comma.items()}
+        # each image checked once; the paths composed with it are normalized by `normal`
+        s_edges = [(src, ename, tgt, img, _normalizer(T, img, F.nodes[src], F.nodes[tgt]))
+                   for (ename, src, tgt) in sorted(S.edges) for img in (F.edges[(src, ename)],)]
+        self.links = {t: [(slot[t][(src, q)], (src, ename), slot[t][(tgt, normal(T, path_compose(q, img)))])
+                          for (src, ename, tgt, img, normal) in s_edges
+                          for (s_node, q) in self.comma[t] if s_node == src]
+                      for t in self.nodes}
+        self.readings: dict[tuple[str, str], list] = {}
+        attr_nf = {(src, a): _normalizer(T, F.attrs.get((src, a)), F.nodes[src])
+                   for (a, src, _ty) in S.attributes}
+        for t in self.nodes:
+            if not T.node_attrs[t]:
+                continue
+            by_nf: dict = {}
+            for i, (s_node, q) in enumerate(self.comma[t]):
+                for (sa, _saty) in S.node_attrs[s_node]:
+                    img = F.attrs[(s_node, sa)]
+                    if not isinstance(img, ConstPath):
+                        nf = attr_nf[(s_node, sa)](T, path_compose(q, img))
+                        by_nf.setdefault(nf, []).append((i, (s_node, sa)))
+            for (aname, _ty) in T.node_attrs[t]:
+                self.readings[(t, aname)] = by_nf.get(_normal_form(T, Path(t, (), aname)), [])
+
+    def along(self, t, steps):
+        """The node that steps lead to from t, and the slot of t holding
+        each of its slots."""
+        end = self.ends.get((t, steps))
+        if end is None:
+            t2 = nodes_along(self.T, Path(t, steps))[-1]
+            slots = range(len(self.comma[t]))  # no steps: t's own slots
+            if steps:
+                slots = [self.slot[t][(s_node, _normal_form(self.T, Path(t, steps + q.steps)))]
+                         for (s_node, q) in self.comma[t2]]
+            end = self.ends[(t, steps)] = (t2, slots)
+        return end
+
+    def _images(self, t, fams, gname):
+        """The images along edge gname of fams, families at t: their rows at its slots."""
+        slots = self.along(t, (gname,))[1]
+        if len(slots) > 1:
+            return map(itemgetter(*slots), fams)
+        return zip(map(itemgetter(*slots), fams)) if slots else repeat((), len(fams))
+
+    def run(self, I, equations, schema):
+        """pi(F, I) on schema, F's target up to its attribute equations,
+        which are the given ones (see pi)."""
+        edge = I.edge_fn.get
+        groups = {t: [[((i, edge(e, {}).__getitem__), (j, _same_row))] for (i, e, j) in links]
+                  for t, links in self.links.items()}
+        for (t, _aname), rds in self.readings.items():
+            terms = [(i, I.attr(*a).__getitem__) for (i, a) in rds]
+            groups[t] += [[(terms[0], rd)] for rd in terms[1:]]
+
+        def side(t, p):
+            """p's readings as join terms, and for an unread attribute its
+            end (node, attribute, slot of t per slot of the node)."""
+            t2, slots = self.along(t, p.steps)
+            rds = self.readings[(t2, p.attr)]
+            return ([(slots[j], I.attr(*a).__getitem__) for (j, a) in rds],
+                    None if rds else (t2, p.attr, slots))
+
+        never = [(0, 1)]  # a join group that no family satisfies
+        for eq in equations:
+            lhs, rhs, t = eq.lhs, eq.rhs, eq.lhs.source
+            if lhs.attr is None:  # the sides of an equation have one target
+                continue
+            lrds, lend = side(t, lhs)
+            if isinstance(rhs, ConstPath):
+                groups[t] += [[(rd, rhs.value)] for rd in lrds] or [never]
+                continue
+            rrds, rend = side(t, rhs)
+            if lrds and rrds:
+                groups[t].append([(lrds[0], rrds[0])])
+            elif lend and rend and lend[:2] == rend[:2]:
+                groups[t] += [[((i, _same_row), (j, _same_row))] for i, j in zip(lend[2], rend[2]) if i != j]
+            else:
+                groups[t].append(never)
+
+        fam_list = {t: sorted(join([I.rows[s_node] for (s_node, _q) in self.comma[t]], groups[t]))
+                    for t in self.nodes}
+        kept: dict = {}  # edge target -> its families
+        changed = True
+        while changed:
+            changed = False
+            for t, out in self.T.out_edges.items():
+                fams = fam_list[t]
+                for (gname, t2) in out:
+                    if t2 not in kept:
+                        kept[t2] = set(fam_list[t2])
+                    fams = list(compress(fams, map(kept[t2].__contains__, self._images(t, fams, gname))))
+                if len(fams) < len(fam_list[t]):
+                    fam_list[t] = fams
+                    kept.pop(t, None)
+                    changed = True
+
+        rows = {t: [f"pi{i}_{t}" for i in range(len(fams))] for t, fams in fam_list.items()}
+        edge_fn = {}
+        for (gname, src, tgt) in self.T.edges:
+            fam_id = dict(zip(fam_list[tgt], rows[tgt]))
+            imgs = self._images(src, fam_list[src], gname)
+            edge_fn[(src, gname)] = dict(zip(rows[src], map(fam_id.__getitem__, imgs)))
+        attr_fn = {}
+        for (aname, src, _ty) in self.T.attributes:
+            ids, rds = rows[src], self.readings[(src, aname)]
+            if rds:
+                i, a = rds[0]
+                fn = I.attr(*a).__getitem__
+                attr_fn[(src, aname)] = dict(zip(ids, map(fn, map(itemgetter(i), fam_list[src]))))
+            else:
+                attr_fn[(src, aname)] = {rid: LabelledNull(f"pi!{src}!{aname}!{rid}") for rid in ids}
+        return Instance(schema, rows, edge_fn, attr_fn)
+
+
 def pi(F: Mapping, I: Instance) -> Instance:
     """Right Kan extension: rows at t are edge-compatible families over the
     comma category (t down F), one row per comma object, computed as one
@@ -203,7 +333,7 @@ def pi(F: Mapping, I: Instance) -> Instance:
     attribute a with q.F(a) and t.A of one normal form; a reading is a join
     term on a slot.  `instances.join` gets one equality per comma morphism,
     one per extra reading of an attribute (all readings must agree), and
-    every attribute equation from t, its sides read on t's slots along their
+    every attribute equation of T, its sides read on t's slots along their
     paths: a read attribute against a constant filters each reading slot at
     the scan, and two read attributes join a reading of each.  An unread
     attribute is pi's null, named by its end (node, family, attribute), so
@@ -211,144 +341,10 @@ def pi(F: Mapping, I: Instance) -> Instance:
     are equal row for row, a row equality between the image slots; every
     other equation never holds.  Last, a family with an edge image that was
     not kept is dropped, until nothing changes, which leaves the greatest
-    set of joined families closed under edge images; a family whose path
-    leaves the joined families is dropped there.  The families of t are
+    set of joined families closed under edge images.  The families of t are
     sorted once, row pi<i>_<t> being the i-th, and each table is a column
     pass over them: an edge image picks a family's rows at the edge's slots,
     and an attribute takes its first reading."""
     if I.schema is not F.source and I.schema != F.source:
         raise SchemaError("pi: instance is not on the mapping's source schema")
-    S, T = F.source, F.target
-    t_nodes, s_edges = sorted(T.nodes), sorted(S.edges)
-    paths_from_t = {t: all_morphisms_from(T, t) for t in t_nodes}
-
-    # comma objects per target node: (source node, path t -> F(s)), sorted
-    # by source node, then path key
-    comma: dict[str, list] = {}
-    for t in t_nodes:
-        objs = [(s_node, q) for s_node in S.nodes for q in paths_from_t[t].get(F.nodes[s_node], ())]
-        comma[t] = sorted(objs, key=lambda o: (o[0], len(o[1].steps), o[1].steps))
-    slot = {t: {o: i for i, o in enumerate(objs)} for t, objs in comma.items()}
-
-    ends: dict = {}  # (t, steps) -> (end node, slot of t per slot of the end node)
-
-    def along(t, steps):
-        """The node that steps lead to from t, and the slot of t holding
-        each of its slots."""
-        if (t, steps) not in ends:
-            t2 = nodes_along(T, Path(t, steps))[-1]
-            slots = range(len(comma[t]))  # no steps: t's own slots
-            if steps:
-                slots = [slot[t][(s_node, _normal_form(T, Path(t, steps + q.steps)))]
-                         for (s_node, q) in comma[t2]]
-            ends[(t, steps)] = (t2, slots)
-        return ends[(t, steps)]
-
-    # each image checked once; the paths composed with it are normalized by edge_nf or attr_nf
-    edge_nf = {(src, e): _normalizer(T, F.edges.get((src, e)), F.nodes[src], F.nodes[tgt])
-               for (e, src, tgt) in s_edges}
-
-    def comma_constraints(t):
-        """One join group per comma morphism induced by a source edge e:
-        the row at (src, q) must reach the row at (tgt, q.F(e)) along e."""
-        groups = []
-        for (ename, src, tgt) in s_edges:
-            e_img = F.edges[(src, ename)]
-            fn = I.edge(src, ename).__getitem__
-            for (s_node, q) in comma[t]:
-                if s_node != src:
-                    continue
-                q2 = edge_nf[(src, ename)](T, path_compose(q, e_img))
-                groups.append([((slot[t][(s_node, q)], fn), (slot[t][(tgt, q2)], _same_row))])
-        return groups
-
-    groups = {t: comma_constraints(t) for t in t_nodes}
-
-    # readings per (t, A), as join terms: the images q.F(a) of a node's
-    # slots, grouped by normal form, looked up by the normal form of t.A; the
-    # join makes them agree
-    readings: dict[tuple[str, str], list] = {}
-    attr_nf = {(src, a): _normalizer(T, F.attrs.get((src, a)), F.nodes[src])
-               for (a, src, _ty) in S.attributes}
-    for t in t_nodes:
-        if not T.node_attrs[t]:
-            continue
-        by_nf: dict = {}
-        for i, (s_node, q) in enumerate(comma[t]):
-            for (sa, _saty) in S.node_attrs[s_node]:
-                img = F.attrs[(s_node, sa)]
-                if not isinstance(img, ConstPath):
-                    nf = attr_nf[(s_node, sa)](T, path_compose(q, img))
-                    by_nf.setdefault(nf, []).append((i, I.attr(s_node, sa).__getitem__))
-        for (aname, _ty) in T.node_attrs[t]:
-            rds = readings[(t, aname)] = by_nf.get(_normal_form(T, Path(t, (), aname)), [])
-            groups[t] += [[(rds[0], rd)] for rd in rds[1:]]
-
-    def side(t, p):
-        """p's readings on t's slots, and for an unread attribute its end
-        (node, attribute, slot of t per slot of the node)."""
-        t2, slots = along(t, p.steps)
-        rds = readings[(t2, p.attr)]
-        return [(slots[j], fn) for (j, fn) in rds], (None if rds else (t2, p.attr, slots))
-
-    never = [(0, 1)]  # a join group that no family satisfies
-    for eq in T.equations:
-        lhs, rhs, t = eq.lhs, eq.rhs, eq.lhs.source
-        if lhs.attr is None:  # the sides of an equation have one target
-            continue
-        lrds, lend = side(t, lhs)
-        if isinstance(rhs, ConstPath):
-            groups[t] += [[(rd, rhs.value)] for rd in lrds] or [never]
-            continue
-        rrds, rend = side(t, rhs)
-        if lrds and rrds:
-            groups[t].append([(lrds[0], rrds[0])])
-        elif lend and rend and lend[:2] == rend[:2]:
-            groups[t] += [[((i, _same_row), (j, _same_row))]
-                          for i, j in zip(lend[2], rend[2]) if i != j]
-        else:
-            groups[t].append(never)
-
-    def images(t, fams, gname):
-        """The image along edge gname of each of fams, families at t: its
-        rows at the slots that gname picks."""
-        slots = along(t, (gname,))[1]
-        if len(slots) > 1:
-            return map(itemgetter(*slots), fams)
-        return zip(map(itemgetter(*slots), fams)) if slots else repeat((), len(fams))
-
-    # join each node's families, sorted, then drop families with an edge
-    # image not kept, until nothing changes; kept: edge target -> its families
-    fam_list = {t: sorted(join([I.rows[s_node] for (s_node, _q) in comma[t]], groups[t]))
-                for t in t_nodes}
-    kept: dict = {}
-    changed = True
-    while changed:
-        changed = False
-        for t, out in T.out_edges.items():
-            fams = fam_list[t]
-            for (gname, t2) in out:
-                if t2 not in kept:
-                    kept[t2] = set(fam_list[t2])
-                fams = list(compress(fams, map(kept[t2].__contains__, images(t, fams, gname))))
-            if len(fams) < len(fam_list[t]):
-                fam_list[t] = fams
-                kept.pop(t, None)
-                changed = True
-
-    # materialize: per node, the ids of its families in sorted order
-    rows = {t: [f"pi{i}_{t}" for i in range(len(fams))] for t, fams in fam_list.items()}
-    edge_fn = {}
-    for (gname, src, tgt) in T.edges:
-        fam_id = dict(zip(fam_list[tgt], rows[tgt]))
-        imgs = images(src, fam_list[src], gname)
-        edge_fn[(src, gname)] = dict(zip(rows[src], map(fam_id.__getitem__, imgs)))
-    attr_fn = {}
-    for (aname, src, _ty) in T.attributes:
-        ids, rds = rows[src], readings[(src, aname)]
-        if rds:  # the first reading
-            i, fn = rds[0]
-            attr_fn[(src, aname)] = dict(zip(ids, map(fn, map(itemgetter(i), fam_list[src]))))
-        else:
-            attr_fn[(src, aname)] = {rid: LabelledNull(f"pi!{src}!{aname}!{rid}") for rid in ids}
-    return Instance(T, rows, edge_fn, attr_fn)
+    return _PiPlan(F).run(I, F.target.equations, F.target)

@@ -6,14 +6,14 @@ chain of dict lookups (`instances.path_fn`), hands the tables and where-groups
 to the join planner (`instances.join`), then projects and relationalizes (set
 semantics).  Compilation typechecks once and gives one migration per
 conjunctive part of the where-clauses.  The parts that choose the same row
-clauses share one binding schema, so delta runs once for them, and the
-parts' results are unioned.  `desugar_query` is its conjunctive case.
+clauses share one binding schema, delta run and pi plan, and the parts'
+results are unioned.  `desugar_query` is its conjunctive case.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 from .core import (
@@ -26,7 +26,7 @@ from .core import (
 )
 from .errors import DesugarError, SchemaError, TypecheckError
 from .instances import Instance, _UnionFind, join, path_fn, relationalize, union
-from .migration import delta, pi, sigma
+from .migration import _PiPlan, delta, sigma
 
 
 # A term is a raw path, its first name the variable and an attribute its last
@@ -197,7 +197,10 @@ def compile_query(q: Query, s: Schema) -> list[Desugared]:
     f_delta object.  A part's C is one node with an attribute per select
     alias and per where-side occurrence ("#<k>", which no alias can be),
     and the part's attribute clauses as equations.  B, C and R are well
-    formed by construction and built without validation (tests validate)."""
+    formed by construction and built without validation (tests validate).
+    f_sigma sends a where attribute to its clause's constant, else to a dummy
+    "" or 0 that sigma drops unread; a check would refuse query1, whose part 0
+    sends #2 and #4 to "" and holds "Sinker EDM" and other values there."""
     res = typecheck_query(q, s)
     b_attrs, c_attrs, fd_attrs, fp_attrs, fs_attrs = [], [], {}, {}, {}
 
@@ -214,9 +217,7 @@ def compile_query(q: Query, s: Schema) -> list[Desugared]:
                   Path("row", (), alias))
 
     def occurrence(term):
-        """A where-side term as a C path, or the constant it is.  f_sigma
-        sends the attribute to its clause's constant, or to a dummy one of
-        its type: it is never read back."""
+        """A where-side term as a C path, or the constant it is."""
         if isinstance(term, ConstPath):
             return term
         _kind, path, ty = res.expr_sort[term]
@@ -290,16 +291,18 @@ def split_disjuncts(q: Query):
 def eval_query_via_migration(q: Query, I: Instance) -> Instance:
     """Evaluate through sigma . pi . delta, the query compiled once.
 
-    delta runs once per binding schema B, and each part runs pi and sigma
-    on it; a disjunction's parts are unioned in split_disjuncts order.
-    Relationalized to match set semantics: a union is relationalized
-    already, so only a single part is relationalized."""
+    Parts that share a binding schema B share one delta run and one pi plan,
+    made on C without equations and run with each part's own equations; they
+    are unioned in split_disjuncts order.  Relationalized to match set
+    semantics (a union is already, so only a lone part is)."""
     parts = compile_query(q, I.schema)
-    pulled = {}  # id of a shared f_delta -> delta(f_delta, I)
+    shared = {}  # id of a shared f_delta -> delta(f_delta, I), pi's plan
     result = None
     for d in parts:
-        if id(d.f_delta) not in pulled:
-            pulled[id(d.f_delta)] = delta(d.f_delta, I)
-        out = sigma(d.f_sigma, pi(d.f_pi, pulled[id(d.f_delta)]))
+        if id(d.f_delta) not in shared:
+            plan = _PiPlan(replace(d.f_pi, target=replace(d.f_pi.target, equations=())))
+            shared[id(d.f_delta)] = (delta(d.f_delta, I), plan)
+        J, plan = shared[id(d.f_delta)]
+        out = sigma(d.f_sigma, plan.run(J, d.f_pi.target.equations, d.f_pi.target))
         result = out if result is None else union(result, out)
     return relationalize(result) if len(parts) == 1 else result

@@ -312,6 +312,23 @@ class TestEnrich:
         out = eval_query_via_migration(parse_query((DATA / "query1.txt").read_text()), inst)
         assert render_instance(out).encode() == (GOLDEN / "query1_via_migration.txt").read_bytes()
 
+    def test_golden_disjunctive_via_migration(self):
+        """A disjunction of a row clause and a constant, and one of a row
+        clause and an attribute-to-attribute clause, on the bundled portal
+        via migration, in ascii, byte for byte: each of its four parts
+        chooses other row clauses, so each has its own binding schema, and
+        its row ids name the union of the four."""
+        _schema, inst = import_sql((DATA / "portal_a.sql").read_text())
+        q = parse_query(
+            "select c.capability_Capability_Name as ccn, p.productorservicecategory_Category_Name as pcn "
+            "from capability as c, productorservicecategory as p, capabilitycategories as cc, "
+            "unitcode as u where u = c.capability_Max_Length_Unit and "
+            '(c = cc.capabilitycategories_Capability_id or u.unitcode_Code = "Inch") and '
+            "(p = cc.capabilitycategories_ProductOrServiceCategory_id or "
+            "p.productorservicecategory_Category_Name = c.capability_Capability_Name)")
+        out = eval_query_via_migration(q, inst)
+        assert render_instance(out).encode() == (GOLDEN / "disjunctive_via_migration.txt").read_bytes()
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

@@ -47,6 +47,7 @@ from conftest import (
     rand_instance,
     rand_presented_triple,
 )
+from test_queries import disjunctive_corpus, sigma_inputs
 
 
 def parent_chain():
@@ -524,6 +525,52 @@ class TestAgainstReference:
         print(dict(seen))
         assert seen["sigma"] + seen["sigma clash"] == 1200
         assert seen["sigma clash"] >= 50 and seen["pi"] >= 1000 and seen["nulls"] >= 500
+
+
+def without_edges(F, I):
+    """F and I with the source's edges, and so its equations, dropped."""
+    S = F.source
+    S2 = make_schema(S.name, S.nodes, [], S.attributes)
+    return Mapping(S2, F.target, F.nodes, {}, F.attrs), Instance(S2, I.rows, {}, I.attr_fn)
+
+
+def without_edge_rows(I):
+    """I with no rows at a node that a source edge starts from."""
+    starts = {src for (_e, src, _tgt) in I.schema.edges}
+    return Instance(I.schema, {n: [] if n in starts else rs for n, rs in I.rows.items()},
+                    {key: {} for key in I.edge_fn},
+                    {key: {} if key[0] in starts else fn for key, fn in I.attr_fn.items()})
+
+
+class TestSigmaWithoutEdgeRows:
+    """With no source edge from a node with rows, sigma makes no union-find,
+    and its output, or its clash's class and message, is sigma_reference's:
+    on edge-free sources, such as a compiled query's C -> R, and on sources
+    whose edges all start at nodes without rows."""
+
+    def test_against_reference(self, monkeypatch):
+        made = []
+        union_find = catql.migration._UnionFind
+        monkeypatch.setattr(catql.migration, "_UnionFind",
+                            lambda *a: made.append(1) or union_find(*a))
+        seen = Counter()
+        for gen, n in ((rand_attributed_triple, 300), (rand_adjunction_triple, 100)):
+            rng = random.Random(f"no edge rows/{gen.__name__}")
+            for _ in range(n):
+                F, I, _J = gen(rng)
+                if rng.random() < 0.5:
+                    I = with_nulls(rng, I)
+                for G, K in (without_edges(F, I), (F, without_edge_rows(I))):
+                    got, want = outcome(sigma, G, K), outcome(sigma_reference, G, K)
+                    assert got == want
+                    seen["clash" if got[0] is InconsistencyError else "rows"] += 1
+        for q, I in disjunctive_corpus(31, 40):
+            for G, K in sigma_inputs(q, I):
+                assert outcome(sigma, G, K) == outcome(sigma_reference, G, K)
+                seen["query"] += 1
+        print(dict(seen))
+        assert made == []
+        assert seen["clash"] >= 20 and seen["rows"] >= 600 and seen["query"] >= 80, seen
 
 
 class TestPiNullRule:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from catql import queries
 from catql.core import make_schema, validate_mapping, validate_schema
 from catql.errors import DesugarError, TypecheckError
 from catql.instances import (
@@ -15,6 +16,7 @@ from catql.instances import (
     iso_check,
     relationalize,
 )
+from catql.migration import _PiPlan, delta, pi, sigma
 from catql.parsing import parse_query
 from catql.queries import (
     Clause,
@@ -349,6 +351,16 @@ def disjunctive_corpus(seed, count):
     return out
 
 
+def sigma_inputs(q, I):
+    """sigma's (mapping, instance) arguments in eval_query_via_migration(q,
+    I): each part's f_sigma and pi output, in order."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(queries, "sigma", lambda F, J: calls.append((F, J)) or sigma(F, J))
+        eval_query_via_migration(q, I)
+    return calls
+
+
 class TestOracleAgreement:
     def test_direct_matches_naive_oracle(self):
         for q, I in random_query_corpus(101, 300, max_bindings=4):
@@ -466,6 +478,21 @@ class TestDesugar:
             assert len(direct) in (2, 1000)
         assert time.perf_counter() - start < 2
 
+    def test_disjunction_of_constants_via_migration_filters_each_join(self):
+        """Two 1,000-row tables, no join clause, and a disjunction of a
+        constant on each side: each part joins with its own constant at the
+        scan, about 1,000 families, never the 1,000,000-row product of the
+        two tables, so the query runs within 0.5 s."""
+        s = make_schema("pair", ["A", "B"], [], [("name", t, "string") for t in "AB"])
+        rows = {t: [f"{t}{i}" for i in range(1000)] for t in "AB"}
+        I = Instance(s, rows, {}, {(t, "name"): {r: r for r in rows[t]} for t in "AB"})
+        q = parse_query('select a.name as x, b.name as y from A as a, B as b '
+                        'where (a.name = "A7" or b.name = "B9")')
+        start = time.perf_counter()
+        via = eval_query_via_migration(q, I)
+        assert time.perf_counter() - start < 0.5
+        assert result_rows(via) == {("A7", b) for b in rows["B"]} | {(a, "B9") for a in rows["A"]}
+
 
 class TestCompiledQuery:
     def test_fig_query_compiles_to_one_binding_schema(self, portal):
@@ -495,6 +522,32 @@ class TestCompiledQuery:
                 for g in q.where)
             kinds["different_terms"] += any(len({c.lhs for c in g.alternatives}) > 1 for g in q.where)
         assert min(kinds.values()) >= 10, kinds
+
+    def test_disjunctive_parts_through_the_shared_plan_match_pi(self):
+        """Each part's pi output through its binding schema's shared plan is
+        pi(d.f_pi, delta(d.f_delta, I)): the same schema, and rows, edge dicts
+        and attribute dicts of one repr, on disjunctive and conjunctive
+        queries."""
+        compared = 0
+        for q, I in disjunctive_corpus(27, 150) + random_query_corpus(28, 150, null_share=0.2):
+            parts = compile_query(q, I.schema)
+            got = sigma_inputs(q, I)
+            assert len(got) == len(parts)
+            for d, (_f, out) in zip(parts, got):
+                want = pi(d.f_pi, delta(d.f_delta, I))
+                assert out.schema == want.schema
+                assert repr((out.rows, out.edge_fn, out.attr_fn)) == repr((want.rows, want.edge_fn, want.attr_fn))
+                compared += 1
+        assert compared >= 500
+
+    def test_fig_query_via_migration_builds_one_pi_plan(self, portal, monkeypatch):
+        """query1's four parts share one B, so one pi plan serves them all."""
+        plans = []
+        monkeypatch.setattr(queries, "_PiPlan", lambda F: plans.append(F) or _PiPlan(F))
+        _s, inst = portal
+        out = eval_query_via_migration(parse_query(read_data("query1.txt")), inst)
+        assert len(plans) == 1
+        assert len(out.rows["row"]) == 2
 
     def test_parts_validate(self):
         """B, C and R are built without validation; they and the three

@@ -562,6 +562,21 @@ class TestBlockRead:
             reference_inserts(_SqlParser(text).tokens)
         assert len(inserts) == 300
 
+    def test_comments_after_a_tuple(self, walked):
+        """A comment between a tuple's `)` and the `,` or `;` after it leaves
+        the block on the tuple path, and reads as the comment after the
+        comma does."""
+        comments = ["-- it's", '-- say "', "-- (5, 6);", "---'", "--", ""]
+        before, after = A, A
+        for i, c in enumerate(comments * 50):
+            before += f"INSERT INTO a VALUES ({3 * i}, -1) {c}\n, ({3 * i + 1}, 2), ({3 * i + 2}, 3) {c}\n;\n"
+            after += f"INSERT INTO a VALUES ({3 * i}, -1), {c}\n ({3 * i + 1}, 2), ({3 * i + 2}, 3);\n"
+        _s, got = import_sql(before)
+        assert walked == []
+        _s, want = import_sql(after)
+        assert (got.rows, got.attr_fn) == (want.rows, want.attr_fn)
+        assert len(got.rows["a"]) == 900
+
 
 class TestTupleRead:
     """INSERT blocks read by one tuple pattern import as they did when every
