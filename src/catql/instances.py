@@ -196,10 +196,12 @@ def join(domains, groups) -> list[tuple]:
     term is (var, fn), the value fn(row) of var's row, or a constant: any
     value that is not a tuple.
 
-    Groups on one variable alone filter its rows at the scan.  A
-    single-alternative group on two variables is a hash clause.  The plan
-    binds next an unbound variable with a hash clause to a bound one,
-    preferring one with a scan filter, then the fewest rows left by the
+    Groups on one variable alone filter its rows at the scan.  A group
+    whose alternatives each lie on one variable, not all the same one, is
+    the union of one join per alternative, with that alternative as a scan
+    filter.  A single-alternative group on two variables is a hash clause.
+    The plan binds next an unbound variable with a hash clause to a bound
+    one, preferring one with a scan filter, then the fewest rows left by the
     scan, then declared order; only when no unbound variable is connected
     does it take the one with the fewest rows, so it never builds a product
     that a clause could have joined.  The first hash clause to a bound
@@ -208,12 +210,18 @@ def join(domains, groups) -> list[tuple]:
     assignment is returned once, as a tuple of rows in declared variable
     order.  The list is ordered by the rows' positions in their domains,
     taken in ascending order of domain size, ties in declared order; it is
-    sorted only when the plan binds in another order.
+    sorted only when the plan binds in another order, or after a union.
     """
     n = len(domains)
+    documented = sorted(range(n), key=lambda v: (len(domains[v]), v))
 
     def var_of(term):
         return term[0] if isinstance(term, tuple) else None
+
+    def in_documented_order(assignments: list):
+        ranks = [({r: i for i, r in enumerate(domains[v])}, v) for v in documented]
+        assignments.sort(key=lambda a: [rank[a[v]] for (rank, v) in ranks])
+        return assignments
 
     def on_row(term):
         """The term as a function of its variable's row."""
@@ -238,8 +246,11 @@ def join(domains, groups) -> list[tuple]:
     pending = []  # groups on two or more variables, with their variables
     scan = [[] for _ in range(n)]  # per variable, the groups on it alone
     links = [set() for _ in range(n)]  # per variable, the variables it hashes to
-    for g in groups:
+    for k, g in enumerate(groups):
         vs = {var_of(t) for alt in g for t in alt} - {None}
+        if len(vs) > 1 and len(g) > 1 and all(len({var_of(t) for t in alt} - {None}) == 1 for alt in g):
+            found = {a: None for alt in g for a in join(domains, [*groups[:k], [alt], *groups[k + 1:]])}
+            return in_documented_order(list(found))
         if len(vs) > 1:
             pending.append((g, vs))
             if len(g) == 1:  # a term has one variable, so vs is a pair
@@ -286,15 +297,11 @@ def join(domains, groups) -> list[tuple]:
         assignments = list(extended if check is None else filter(check, extended))
         if not assignments:
             return []
-    # assignments come out ordered by the rows' positions taken in binding order
-    documented = sorted(range(n), key=lambda v: (len(domains[v]), v))
-    if order != documented:
-        ranks = [({r: i for i, r in enumerate(domains[v])}, pos[v]) for v in documented]
-        assignments.sort(key=lambda a: [rank[a[i]] for (rank, i) in ranks])
     if order != sorted(order):
         declared = itemgetter(*(pos[v] for v in range(n)))
         assignments = [declared(a) for a in assignments]
-    return assignments
+    # assignments come out ordered by the rows' positions taken in binding order
+    return assignments if order == documented else in_documented_order(assignments)
 
 
 # the classes whose values an attribute of each base type accepts outright

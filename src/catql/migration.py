@@ -57,6 +57,11 @@ def _normalizer(T, img, start, end=None):
     return _normal_form if ok else normalize_path
 
 
+def _interleave(cols):
+    """The entries of equally long columns row by row: cols[0][0], cols[1][0], ..."""
+    return cols[0] if len(cols) == 1 else chain.from_iterable(zip(*cols))
+
+
 def sigma(F: Mapping, I: Instance) -> Instance:
     """Left Kan extension via a term model quotiented by congruence closure.
 
@@ -65,13 +70,17 @@ def sigma(F: Mapping, I: Instance) -> Instance:
     listing order (target node, source node, row, path key), so generator k
     of family f is first[f] + k * step[f].  The congruence identifies
     (x, F(e);p) with (e(x), p) for each source edge e, in one union-find
-    over the integers, made only when a source edge has rows (a compiled
-    query's C -> R has no edge).  In that order the generators give the
-    classes by least member, which names each class and gives its edge
-    images.  Each table is built in column passes.  An attribute takes the
-    first constant that its class's readings carry, in listing order
-    (generator, then reader column), else the first labelled null, else a
-    fresh one; two different constants raise.
+    over the integers, made only when a source edge has rows.  In that
+    order the generators give the classes by least member, which names each
+    class and gives its edge images.  When no source edge has rows (a
+    compiled query's C -> R has no edge), each generator is its own class:
+    the row ids are written per source node and family block, in listing
+    order, and a generator's class is its number.  Each table is built in
+    column passes.  An attribute takes the first constant that its class's
+    readings carry, in listing order (generator, then reader column), else
+    the first labelled null, else a fresh one; two different constants
+    raise.  When every class has one reading, which needs no union-find and
+    one reader per family, the attribute's column is the readings' column.
     """
     if I.schema is not F.source and I.schema != F.source:
         raise SchemaError("sigma: instance is not on the mapping's source schema")
@@ -98,7 +107,7 @@ def sigma(F: Mapping, I: Instance) -> Instance:
             gen_fam += list(fs) * len(I.rows[s_node])
         bounds[t] = (lo, len(gen_fam))
     fam_at = dict(zip(fams, count()))  # (s_node, p) -> family
-    fam_str = [str(p) for (_s, p) in fams]
+    fam_tail = [f":{p!s}" for (_s, p) in fams]  # the end of a row id: ":" and the family's path
     uf = None  # made at the first source edge with rows
 
     for (ename, src, tgt) in sorted(S.edges):
@@ -119,18 +128,29 @@ def sigma(F: Mapping, I: Instance) -> Instance:
                 deque(map(uf.union, range(a, a + len(targets) * da, da), images), 0)
 
     # classes in order of their least members, which name them; those at t are span[t]
-    root = range(len(gen_fam)) if uf is None else list(map(uf.find, range(len(gen_fam))))
-    firsts: dict = {}  # root -> its least member
-    span = {}
-    for t, (lo, hi) in bounds.items():
-        n = len(firsts)
-        deque(map(firsts.setdefault, root[lo:hi], range(lo, hi)), 0)
-        span[t] = slice(n, len(firsts))
-    roots, least = list(firsts), list(firsts.values())
-    least_fam = list(map(gen_fam.__getitem__, least))
-    ids = [f"{fams[f][0]}:{I.rows[fams[f][0]][(g - first[f]) // step[f]]}:{fam_str[f]}"
-           for g, f in zip(least, least_fam)]
-    name = dict(zip(roots, ids))  # root -> row id of its class
+    if uf is None:  # each generator is its own class
+        root = roots = least = range(len(gen_fam))
+        least_fam, span = gen_fam, {t: slice(lo, hi) for t, (lo, hi) in bounds.items()}
+        ids = []
+        for t in sorted(T.nodes):
+            for s_node, fs in at_target[t].items():
+                head = f"{s_node}:"
+                ids += _interleave([[f"{head}{x}{tail}" for x in I.rows[s_node]]
+                                    for tail in fam_tail[fs.start:fs.stop]])
+        name = ids  # generator -> row id of its class
+    else:
+        root = list(map(uf.find, range(len(gen_fam))))
+        firsts: dict = {}  # root -> its least member
+        span = {}
+        for t, (lo, hi) in bounds.items():
+            n = len(firsts)
+            deque(map(firsts.setdefault, root[lo:hi], range(lo, hi)), 0)
+            span[t] = slice(n, len(firsts))
+        roots, least = list(firsts), list(firsts.values())
+        least_fam = list(map(gen_fam.__getitem__, least))
+        ids = [f"{fams[f][0]}:{I.rows[fams[f][0]][(g - first[f]) // step[f]]}{fam_tail[f]}"
+               for g, f in zip(least, least_fam)]
+        name = dict(zip(roots, ids))  # root -> row id of its class
     rows = {t: ids[sp] for t, sp in span.items()}
 
     edge_fn = {}
@@ -150,22 +170,26 @@ def sigma(F: Mapping, I: Instance) -> Instance:
 
     attr_fn = {}
     for (aname, src, _ty) in sorted(T.attributes):
-        cls, vals = [], []  # the readings in listing order: class root, value
+        reads, once = [], uf is None  # once: each class has exactly one reading
         for s_node, fs in at_target[src].items():
             names = [sa for (sa, _saty) in S.node_attrs[s_node] if (s_node, sa) in image_nf]
-            if not names:
-                continue
-            s_rows = I.rows[s_node]
-            class_cols, value_cols = [], []  # per family, then reader
-            for f in fs:
+            rd = []  # (family, reader) per family, then reader
+            for f in fs if names else ():
                 p = fams[f][1]
                 nf = _normal_form(T, Path(p.source, p.steps, aname))
-                for sa in names:
-                    if image_nf[(s_node, sa)] == nf:
-                        class_cols.append(root[first[f]:first[f] + step[f] * len(s_rows):step[f]])
-                        value_cols.append(map(I.attr(s_node, sa).__getitem__, s_rows))
-            cls += chain.from_iterable(zip(*class_cols))
-            vals += chain.from_iterable(zip(*value_cols))
+                rd += [(f, sa) for sa in names if image_nf[(s_node, sa)] == nf]
+            once = once and [f for (f, _sa) in rd] == list(fs)
+            reads.append((s_node, rd))
+        vals = []  # the readings in listing order
+        for s_node, rd in reads:
+            vals += _interleave([map(I.attr(s_node, sa).__getitem__, I.rows[s_node]) for (_f, sa) in rd])
+        if once:
+            attr_fn[(src, aname)] = dict(zip(rows[src], vals))
+            continue
+        cls = []  # the class root of each reading
+        for s_node, rd in reads:
+            n = len(I.rows[s_node])
+            cls += _interleave([root[first[f]:first[f] + step[f] * n:step[f]] for (f, _sa) in rd])
         got: dict = {}  # class root -> its first value, then its first constant
         deque(map(got.setdefault, cls, vals), 0)
         if len(got) < len(cls):  # some class has two readings: a constant wins, two clash

@@ -993,7 +993,8 @@ class TestJoin:
 
     def test_connected_plans_match_product_oracle(self):
         """Up to six variables and six groups, so the plan follows hash
-        clauses away from size order and the output must be re-sorted."""
+        clauses away from size order and the output must be re-sorted, and
+        some groups' alternatives lie on different variables, one each."""
         rng = random.Random(29)
         seen = Counter()
         for _ in range(2000):
@@ -1005,4 +1006,7 @@ class TestJoin:
                      for g in groups for alt in g}
             seen.update(kinds)
             seen["4+ variables, nonempty"] += len(domains) >= 4 and bool(got)
+            one_var = [[{t[0] for t in alt if isinstance(t, tuple)} for alt in g] for g in groups]
+            seen["a union of one join per alternative"] += any(
+                len(g) > 1 and all(len(vs) == 1 for vs in g) and len(set().union(*g)) > 1 for g in one_var)
         assert min(seen.values()) >= 20, seen

@@ -42,6 +42,7 @@ from catql.migration import delta, pi, sigma
 from catql.scenario import build_fn, function_schema, relation_pairs, relation_schema
 
 from conftest import (
+    VALUE_POOLS,
     rand_adjunction_triple,
     rand_attributed_triple,
     rand_instance,
@@ -542,11 +543,65 @@ def without_edge_rows(I):
                     {key: {} if key[0] in starts else fn for key, fn in I.attr_fn.items()})
 
 
+def with_twins(rng, F, I):
+    """F and I with a twin of each source attribute, of the same image, so
+    each class that the attribute reads is read twice.  A twin's value is
+    the original's, a labelled null, or another constant."""
+    S = F.source
+    twins = [(f"{a}_twin", s, ty, a) for (a, s, ty) in sorted(S.attributes)]
+    S2 = make_schema(S.name, S.nodes, S.edges, [*S.attributes, *(t[:3] for t in twins)], S.equations)
+    other = {"string": "other", "integer": 7}
+    attr_fn = dict(I.attr_fn)
+    for (twin, s, ty, a) in twins:
+        attr_fn[(s, twin)] = {r: rng.choice([v, v, LabelledNull("t"), other[ty]])
+                              for r, v in I.attr(s, a).items()}
+    attrs = {**F.attrs, **{(s, twin): F.attrs[(s, a)] for (twin, s, _ty, a) in twins}}
+    return Mapping(S2, F.target, F.nodes, F.edges, attrs), Instance(S2, I.rows, I.edge_fn, attr_fn)
+
+
+def reading_each_family(rng, F, I):
+    """F and I without the source's edges, its attributes replaced by one
+    per family (s, p) and attribute a at p's end, read along p.a, with
+    values from VALUE_POOLS and a labelled null: so each class of sigma is
+    read once, unless two such paths are equal in the target."""
+    S, T = F.source, F.target
+    attrs, images, attr_fn = [], {}, {}
+    for s in sorted(S.nodes):
+        for t, ps in all_morphisms_from(T, F.nodes[s]).items():
+            for p, (a, ty) in itertools.product(ps, T.node_attrs[t]):
+                name = f"read{len(attrs)}"
+                attrs.append((name, s, ty))
+                images[(s, name)] = Path(p.source, p.steps, a)
+                attr_fn[(s, name)] = {r: rng.choice([*VALUE_POOLS[ty], LabelledNull("n")]) for r in I.rows[s]}
+    S2 = make_schema(S.name, S.nodes, [], attrs)
+    return Mapping(S2, T, F.nodes, {}, images), Instance(S2, I.rows, {}, attr_fn)
+
+
+def read_counts(F, I):
+    """(target node, attribute) -> per family (s, p) of a source node with
+    rows, the number of source attributes of s that read p.attribute."""
+    S, T = F.source, F.target
+    counts = {(t, a): [] for (a, t, _ty) in T.attributes}
+    for s in sorted(S.nodes):
+        for t, ps in all_morphisms_from(T, F.nodes[s]).items() if I.rows[s] else ():
+            for p, (a, _ty) in itertools.product(ps, T.node_attrs[t]):
+                counts[(t, a)].append(sum(
+                    isinstance(F.attrs[(s, sa)], Path)
+                    and paths_equal(T, F.attrs[(s, sa)], Path(p.source, p.steps, a))
+                    for (sa, _saty) in S.node_attrs[s]))
+    return counts
+
+
 class TestSigmaWithoutEdgeRows:
     """With no source edge from a node with rows, sigma makes no union-find,
     and its output, or its clash's class and message, is sigma_reference's:
-    on edge-free sources, such as a compiled query's C -> R, and on sources
-    whose edges all start at nodes without rows."""
+    on edge-free sources, such as a compiled query's C -> R, on sources
+    whose edges all start at nodes without rows, and on edge-free sources
+    whose attributes each have a twin or read each family once.  The cases
+    counted are the ones that decide how an attribute is filled: every
+    class read once (a column copy), also over several families of one
+    source node; a class read twice; a class that nothing reads; and a
+    labelled null read."""
 
     def test_against_reference(self, monkeypatch):
         made = []
@@ -554,23 +609,41 @@ class TestSigmaWithoutEdgeRows:
         monkeypatch.setattr(catql.migration, "_UnionFind",
                             lambda *a: made.append(1) or union_find(*a))
         seen = Counter()
-        for gen, n in ((rand_attributed_triple, 300), (rand_adjunction_triple, 100)):
+        value_rng = random.Random("no edge rows/twins")
+        for gen, n in ((rand_attributed_triple, 500), (rand_adjunction_triple, 100)):
             rng = random.Random(f"no edge rows/{gen.__name__}")
             for _ in range(n):
                 F, I, _J = gen(rng)
                 if rng.random() < 0.5:
                     I = with_nulls(rng, I)
-                for G, K in (without_edges(F, I), (F, without_edge_rows(I))):
+                G, K = without_edges(F, I)
+                for G, K in ((G, K), (F, without_edge_rows(I)), with_twins(value_rng, G, K),
+                             reading_each_family(value_rng, F, I)):
                     got, want = outcome(sigma, G, K), outcome(sigma_reference, G, K)
                     assert got == want
-                    seen["clash" if got[0] is InconsistencyError else "rows"] += 1
+                    if got[0] is InconsistencyError:
+                        seen["clash"] += 1
+                        continue
+                    seen["rows"] += 1
+                    counts = read_counts(G, K)
+                    several = {t for s in G.source.nodes if K.rows[s]
+                               for t, ps in all_morphisms_from(G.target, G.nodes[s]).items() if len(ps) > 1}
+                    once = [t for (t, _a), cs in counts.items() if cs and set(cs) == {1}]
+                    seen["read once"] += bool(once)
+                    seen["read once, several families of a node"] += not several.isdisjoint(once)
+                    seen["read twice"] += any(max(cs, default=0) > 1 for cs in counts.values())
+                    seen["unread"] += any(0 in cs for cs in counts.values())
+                    seen["null read"] += any(isinstance(v, LabelledNull) and not v.label.startswith("sk!")
+                                             for col in got[2].values() for v in col.values())
         for q, I in disjunctive_corpus(31, 40):
             for G, K in sigma_inputs(q, I):
                 assert outcome(sigma, G, K) == outcome(sigma_reference, G, K)
                 seen["query"] += 1
         print(dict(seen))
         assert made == []
-        assert seen["clash"] >= 20 and seen["rows"] >= 600 and seen["query"] >= 80, seen
+        assert seen["rows"] >= 1500 and seen["query"] >= 80, seen
+        assert min(seen[k] for k in ("clash", "read once", "read twice", "unread", "null read")) >= 100, seen
+        assert seen["read once, several families of a node"] >= 20, seen
 
 
 class TestPiNullRule:
