@@ -196,10 +196,11 @@ def join(domains, groups) -> list[tuple]:
     term is (var, fn), the value fn(row) of var's row, or a constant: any
     value that is not a tuple.
 
-    Groups on one variable alone filter its rows at the scan.  A group
-    whose alternatives each lie on one variable, not all the same one, is
-    the union of one join per alternative, with that alternative as a scan
-    filter.  A single-alternative group on two variables is a hash clause.
+    Groups on one variable alone filter its rows at the scan.  A group of
+    two or more alternatives on two or more variables is the union of one
+    join per alternative, with that alternative in the group's place: a
+    scan filter if it lies on one variable, a hash clause if on two.  A
+    single-alternative group on two variables is a hash clause.
     The plan binds next an unbound variable with a hash clause to a bound
     one, preferring one with a scan filter, then the fewest rows left by the
     scan, then declared order; only when no unbound variable is connected
@@ -248,7 +249,7 @@ def join(domains, groups) -> list[tuple]:
     links = [set() for _ in range(n)]  # per variable, the variables it hashes to
     for k, g in enumerate(groups):
         vs = {var_of(t) for alt in g for t in alt} - {None}
-        if len(vs) > 1 and len(g) > 1 and all(len({var_of(t) for t in alt} - {None}) == 1 for alt in g):
+        if len(vs) > 1 and len(g) > 1:
             found = {a: None for alt in g for a in join(domains, [*groups[:k], [alt], *groups[k + 1:]])}
             return in_documented_order(list(found))
         if len(vs) > 1:
@@ -598,9 +599,6 @@ class _UnionFind:
 
     def __init__(self, items=()):
         self.parent = {x: x for x in items}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
 
     def find(self, x):
         p = self.parent

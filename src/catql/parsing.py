@@ -9,8 +9,10 @@ works on the plain lexeme strings: a STRING lexeme keeps its quotes, so it
 never equals a symbol or a keyword.  A token's kind and value are worked out
 only where the grammar reads a literal or an error is raised, and a line and
 column only for an error or a statement's `line`.  Each node, edge and
-attribute block of an instance is read in one step.  The grammar, its lexical
-rules included, is documented bit-exactly in docs/grammar.ebnf.
+attribute block of an instance is read in one step, and each fixed-shape form
+(a statement's head, export, a schema or mapping item, a let operation) by its
+syntax in the tables of `scripts`.  The grammar, its lexical rules included,
+is documented bit-exactly in docs/grammar.ebnf.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ _RULES = dict(
     SYM=r"->|[{}(),;:.=]",
 )
 _TOKEN = rule_table(**_RULES)
+# A lexeme that this matches whole is an IDENT, as STRING and INT match no such text.
+_IDENT = re.compile(_RULES["IDENT"])
 # Whitespace and '#' comments, captured as the first group.
 _SCAN = scan_pattern(r"((?:[ \t\r\n]+|#[^\n]*)*)", _RULES)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
@@ -183,14 +187,10 @@ class Parser:
     def error(self, message):
         self.raise_at(self.pos, f"{message}, got {self.value(self.pos)!r}")
 
-    def expect_sym(self, sym):
-        if self.lexemes[self.pos] != sym:
-            self.error(f"expected {sym!r}")
-        self.pos += 1
-
-    def expect_kw(self, word):
-        if self.lexemes[self.pos] != word:
-            self.error(f"expected keyword {word!r}")
+    def expect(self, lexeme):
+        """Read `lexeme`, a keyword or a symbol, which must come next."""
+        if self.lexemes[self.pos] != lexeme:
+            self.error(f"expected keyword {lexeme!r}" if lexeme.isalpha() else f"expected {lexeme!r}")
         self.pos += 1
 
     def expect_value(self, kinds, message):
@@ -206,7 +206,7 @@ class Parser:
     def expect_name(self) -> str:
         """An identifier that is not a reserved keyword."""
         x = self.lexemes[self.pos]
-        if x in KEYWORDS or _kind(x) != "IDENT":
+        if x in KEYWORDS or not _IDENT.fullmatch(x):
             self.error("expected name")
         self.pos += 1
         return x
@@ -234,12 +234,12 @@ class Parser:
     # ---- query sub-language --------------------------------------------
 
     def parse_query_body(self) -> Query:
-        self.expect_kw("select")
+        self.expect("select")
         selects = [self.parse_select_item()]
         while self.at(","):
             self.next()
             selects.append(self.parse_select_item())
-        self.expect_kw("from")
+        self.expect("from")
         bindings = [self.parse_binding()]
         while self.at(","):
             self.next()
@@ -255,12 +255,12 @@ class Parser:
 
     def parse_select_item(self) -> SelectItem:
         expr = self.parse_path()
-        self.expect_kw("as")
+        self.expect("as")
         return SelectItem(self.expect_name(), expr)
 
     def parse_binding(self):
         node = self.expect_name()
-        self.expect_kw("as")
+        self.expect("as")
         return (self.expect_name(), node)
 
     def parse_group(self) -> Group:
@@ -270,13 +270,13 @@ class Parser:
             while self.at("or"):
                 self.next()
                 alts.append(self.parse_clause())
-            self.expect_sym(")")
+            self.expect(")")
             return Group(tuple(alts))
         return Group((self.parse_clause(),))
 
     def parse_clause(self) -> Clause:
         lhs = self.parse_path_or_const()
-        self.expect_sym("=")
+        self.expect("=")
         return Clause(lhs, self.parse_path_or_const())
 
     # ---- script declarations -------------------------------------------
@@ -290,80 +290,82 @@ class Parser:
     def parse_statement(self):
         t = self.peek()
         line = self.position(self.pos)[0]
-        if t == "schema":
-            return self.parse_schema_decl(line)
-        if t == "instance":
-            return self.parse_instance_decl(line)
-        if t == "mapping":
-            return self.parse_mapping_decl(line)
-        if t == "query":
-            return self.parse_query_decl(line)
-        if t == "let":
-            return self.parse_let(line)
+        if t not in scripts.STATEMENTS and t != "show":
+            self.error("unknown declaration" if self.kind() == "IDENT" else "expected a declaration keyword")
+        self.pos += 1
         if t == "show":
-            self.next()
             name = self.expect_name()
             fmt = self.next() if self.kind() == "IDENT" else "ascii"
-            self.expect_sym(";")
+            self.expect(";")
             return scripts.ShowStmt(name, fmt, line)
-        if t == "export":
-            self.next()
-            name = self.expect_name()
-            fname = self.expect_value(("STRING",), "expected file name string")
-            self.expect_sym(";")
-            return scripts.ExportStmt(name, fname, line)
-        self.error("unknown declaration" if self.kind() == "IDENT" else "expected a declaration keyword")
+        head = self.read(t, scripts.STATEMENTS[t])
+        if t == "schema":
+            return self.parse_schema_decl(*head, line)
+        if t == "instance":
+            return self.parse_instance_decl(*head, line)
+        if t == "mapping":
+            items = self.read_items(scripts.MAPPING_ITEMS, "expected node/edge/attribute mapping")
+            return scripts.MappingDecl(*head, *items, line)
+        if t == "query":
+            q = self.parse_query_body()
+            self.expect("}")
+            return scripts.QueryDecl(*head, q, line)
+        if t == "let":
+            return self.parse_let(*head, line)
+        return scripts.ExportStmt(*head, line)
 
-    def parse_schema_decl(self, line):
-        self.expect_kw("schema")
-        name = self.expect_name()
-        self.expect_sym("{")
-        nodes, edges, attributes, equations = [], [], [], []
-        self.expect_kw("nodes")
-        nodes.append(self.expect_name())
+    def read(self, head: str, syntax) -> tuple:
+        """The values of the fields of `syntax`, the form that the word
+        `head` opens (see scripts.STATEMENTS), read in turn; every other
+        item is a keyword or a symbol, which must come next."""
+        lexemes, names, values = self.lexemes, scripts.NAMES, []
+        for want in syntax:
+            if want in names:
+                values.append(self.expect_name())
+            elif not want.isupper():
+                if lexemes[self.pos] != want:
+                    self.expect(want)  # raises
+                self.pos += 1
+            elif want == "PATH":
+                values.append(self.parse_path())
+            elif want == "TERM":
+                values.append(self.parse_path_or_const())
+            elif want == "TYPE":
+                if self.peek() not in ("string", "integer"):
+                    self.error("expected base type 'string' or 'integer'")
+                values.append(self.next())
+            elif want == "DEPTH":
+                values.append(self.expect_value(("INT",), f"expected {head} depth"))
+            else:  # FILE
+                values.append(self.expect_value(("STRING",), "expected file name string"))
+        return tuple(values)
+
+    def read_items(self, items: dict, message: str):
+        """The items of a schema or a mapping, up to its '}': for each head
+        word of `items`, the values of its items, each read by its syntax
+        and ended by ';'.  A word that heads no item raises `message`."""
+        found = {head: [] for head in items}
+        while not self.at("}"):
+            head = self.peek()
+            if head not in items:
+                self.error(message)
+            self.pos += 1
+            found[head].append(self.read(head, items[head]))
+            self.expect(";")
+        self.pos += 1
+        return found.values()
+
+    def parse_schema_decl(self, name, line):
+        self.expect("nodes")
+        nodes = [self.expect_name()]
         while self.at(","):
             self.next()
             nodes.append(self.expect_name())
-        self.expect_sym(";")
-        while not self.at("}"):
-            if self.at("edge"):
-                self.next()
-                ename = self.expect_name()
-                self.expect_sym(":")
-                src = self.expect_name()
-                self.expect_sym("->")
-                tgt = self.expect_name()
-                self.expect_sym(";")
-                edges.append((ename, src, tgt))
-            elif self.at("attribute"):
-                self.next()
-                aname = self.expect_name()
-                self.expect_sym(":")
-                src = self.expect_name()
-                self.expect_sym("->")
-                if self.peek() not in ("string", "integer"):
-                    self.error("expected base type 'string' or 'integer'")
-                ty = self.next()
-                self.expect_sym(";")
-                attributes.append((aname, src, ty))
-            elif self.at("equation"):
-                self.next()
-                lhs = self.parse_path()
-                self.expect_sym("=")
-                rhs = self.parse_path_or_const()
-                self.expect_sym(";")
-                equations.append((lhs, rhs))
-            else:
-                self.error("expected edge/attribute/equation")
-        self.next()
-        return scripts.SchemaDecl(name, nodes, edges, attributes, equations, line)
+        self.expect(";")
+        items = self.read_items(scripts.SCHEMA_ITEMS, "expected edge/attribute/equation")
+        return scripts.SchemaDecl(name, nodes, *items, line)
 
-    def parse_instance_decl(self, line):
-        self.expect_kw("instance")
-        name = self.expect_name()
-        self.expect_sym(":")
-        schema_name = self.expect_name()
-        self.expect_sym("{")
+    def parse_instance_decl(self, name, schema_name, line):
         rows, edges, attrs = [], [], []
         while not self.at("}"):
             if self.at("node"):
@@ -374,14 +376,14 @@ class Parser:
             elif self.at("edge"):
                 self.next()
                 node = self.expect_name()
-                self.expect_sym(".")
+                self.expect(".")
                 ename = self.expect_name()
                 a, b = self.parse_block(_row_ids, "->", _row_ids, ";")
                 edges.append((node, ename, list(zip(a, b))))
             elif self.at("attribute"):
                 self.next()
                 node = self.expect_name()
-                self.expect_sym(".")
+                self.expect(".")
                 aname = self.expect_name()
                 a, v = self.parse_block(_row_ids, "=", _literals, ";")
                 attrs.append((node, aname, list(zip(a, v))))
@@ -397,7 +399,7 @@ class Parser:
         up to the first '}' are checked column by column, and the row id and
         literal columns are returned.  A block that fails is walked entry by
         entry, which raises the error at its first bad token."""
-        self.expect_sym("{")
+        self.expect("{")
         lexemes, p, width = self.lexemes, self.pos, len(shape)
         try:
             q = lexemes.index("}", p)
@@ -432,78 +434,16 @@ class Parser:
                 elif want is _row_ids:
                     self.expect_name()
                 else:
-                    self.expect_sym(want)
+                    self.expect(want)
 
-    def parse_mapping_decl(self, line):
-        self.expect_kw("mapping")
-        name = self.expect_name()
-        self.expect_sym(":")
-        src = self.expect_name()
-        self.expect_sym("->")
-        tgt = self.expect_name()
-        self.expect_sym("{")
-        node_maps, edge_maps, attr_maps = [], [], []
-        while not self.at("}"):
-            if self.at("node"):
-                self.next()
-                a = self.expect_name()
-                self.expect_sym("->")
-                b = self.expect_name()
-                self.expect_sym(";")
-                node_maps.append((a, b))
-            elif self.at("edge"):
-                self.next()
-                node = self.expect_name()
-                self.expect_sym(".")
-                ename = self.expect_name()
-                self.expect_sym("->")
-                p = self.parse_path()
-                self.expect_sym(";")
-                edge_maps.append((node, ename, p))
-            elif self.at("attribute"):
-                self.next()
-                node = self.expect_name()
-                self.expect_sym(".")
-                aname = self.expect_name()
-                self.expect_sym("->")
-                p = self.parse_path_or_const()
-                self.expect_sym(";")
-                attr_maps.append((node, aname, p))
-            else:
-                self.error("expected node/edge/attribute mapping")
-        self.next()
-        return scripts.MappingDecl(name, src, tgt, node_maps, edge_maps, attr_maps, line)
-
-    def parse_query_decl(self, line):
-        self.expect_kw("query")
-        name = self.expect_name()
-        self.expect_sym(":")
-        schema_name = self.expect_name()
-        self.expect_sym("{")
-        q = self.parse_query_body()
-        self.expect_sym("}")
-        return scripts.QueryDecl(name, schema_name, q, line)
-
-    def parse_let(self, line):
-        self.expect_kw("let")
-        name = self.expect_name()
-        self.expect_sym("=")
+    def parse_let(self, name, line):
         op = self.expect_ident()
         if op not in scripts.LET_OPS:
             self.pos -= 1  # point at the operation, not the token after it
             self.error("unknown let operation")
-        expr = [op]
-        for want in scripts.LET_OPS[op][1]:
-            if want == "INT":  # an operation's integer is its depth
-                expr.append(self.expect_value(("INT",), f"expected {op} depth"))
-            elif want in scripts.DEFINED or want == "NAME":
-                expr.append(self.expect_name())
-            elif want == ".":
-                self.expect_sym(want)
-            else:
-                self.expect_kw(want)
-        self.expect_sym(";")
-        return scripts.LetStmt(name, tuple(expr), line)
+        expr = (op, *self.read(op, scripts.LET_OPS[op][1]))
+        self.expect(";")
+        return scripts.LetStmt(name, expr, line)
 
 
 def parse_script(text: str) -> scripts.Script:

@@ -73,39 +73,57 @@ class LetStmt:
     line: int = field(default=0, compare=False)
 
 
-# The kinds of name a script defines; a let looks up an argument of each.
-DEFINED = ("instance", "mapping", "query")
+# The syntax of each fixed-shape form of .catql, after the word that opens it:
+# the parser reads a form by it (`Parser.read`) and the printer writes it
+# (`_write`).  An upper-case item is a field, which holds a value and says
+# what it is: a name of what NAMES says it names, a DEPTH (an integer), a
+# TYPE (a base type), a PATH, a TERM (a path or a literal) or a FILE (a file
+# name string).  Any other item is a keyword or a symbol.
+NAMES = {"SCHEMA", "INSTANCE", "MAPPING", "QUERY", "NODE", "EDGE", "ATTRIBUTE"}
+# the names of what a script defines that a let looks up
+DEFINED = ("INSTANCE", "MAPPING", "QUERY")
 
-# let operation -> (function, syntax after the operation).  A syntax item is a
-# kind of DEFINED name, looked up and passed; NAME or INT, passed as read; or a
-# keyword or ".", which is only read.  A query is defined with its schema.
-LET_OPS = {
-    "delta": (delta, ("mapping", "instance")),
-    "sigma": (sigma, ("mapping", "instance")),
-    "pi": (pi, ("mapping", "instance")),
-    "union": (union, ("instance", "instance")),
-    "disjoint_union": (disjoint_union, ("instance", "instance")),
-    "compose": (compose_relations, ("instance", "instance")),
-    "relationalize": (relationalize, ("instance",)),
-    "op": (op_relation, ("instance",)),
-    "eval": (lambda q, I: eval_query_direct(q[0], I), ("query", "instance")),
-    "eval_migration": (lambda q, I: eval_query_via_migration(q[0], I), ("query", "instance")),
-    "closure": (closure_auto, ("instance", "INT")),
-    "enrich": (enrich_edge, ("instance", "edge", "NAME", ".", "NAME",
-                             "using", "instance", "name", "NAME")),
+# statement keyword -> its syntax up to its body; export has none
+STATEMENTS = {
+    "schema": ("SCHEMA", "{"),
+    "instance": ("INSTANCE", ":", "SCHEMA", "{"),
+    "mapping": ("MAPPING", ":", "SCHEMA", "->", "SCHEMA", "{"),
+    "query": ("QUERY", ":", "SCHEMA", "{"),
+    "let": ("INSTANCE", "="),
+    "export": ("INSTANCE", "FILE", ";"),
 }
 
+# The items of a schema and of a mapping, each ended by ';': head word ->
+# syntax, in the order that SchemaDecl and MappingDecl list them.
+SCHEMA_ITEMS = {
+    "edge": ("EDGE", ":", "NODE", "->", "NODE"),
+    "attribute": ("ATTRIBUTE", ":", "NODE", "->", "TYPE"),
+    "equation": ("PATH", "=", "TERM"),
+}
+MAPPING_ITEMS = {
+    "node": ("NODE", "->", "NODE"),
+    "edge": ("NODE", ".", "EDGE", "->", "PATH"),
+    "attribute": ("NODE", ".", "ATTRIBUTE", "->", "TERM"),
+}
 
-# what the NAME items of an operation's syntax name, in order
-NAME_ROLES = {"enrich": ("node", "edge", "attribute")}
-
-
-def _let_syntax(expr) -> list:
-    """(item, argument) for each item of the syntax of expr's operation; the
-    argument of a keyword or "." is None."""
-    args = iter(expr[1:])
-    return [(want, next(args) if want in (*DEFINED, "NAME", "INT") else None)
-            for want in LET_OPS[expr[0]][1]]
+# let operation -> (function, syntax), ended by ';'.  The function takes the
+# field values in turn, a DEFINED name looked up.  A query is defined with
+# its schema.
+LET_OPS = {
+    "delta": (delta, ("MAPPING", "INSTANCE")),
+    "sigma": (sigma, ("MAPPING", "INSTANCE")),
+    "pi": (pi, ("MAPPING", "INSTANCE")),
+    "union": (union, ("INSTANCE", "INSTANCE")),
+    "disjoint_union": (disjoint_union, ("INSTANCE", "INSTANCE")),
+    "compose": (compose_relations, ("INSTANCE", "INSTANCE")),
+    "relationalize": (relationalize, ("INSTANCE",)),
+    "op": (op_relation, ("INSTANCE",)),
+    "eval": (lambda q, I: eval_query_direct(q[0], I), ("QUERY", "INSTANCE")),
+    "eval_migration": (lambda q, I: eval_query_via_migration(q[0], I), ("QUERY", "INSTANCE")),
+    "closure": (closure_auto, ("INSTANCE", "DEPTH")),
+    "enrich": (enrich_edge, ("INSTANCE", "edge", "NODE", ".", "EDGE",
+                             "using", "INSTANCE", "name", "ATTRIBUTE")),
+}
 
 
 @dataclass
@@ -261,11 +279,13 @@ def run_script(script: Script, env: Optional[Environment] = None):
 
 
 def _eval_let(stmt: LetStmt, env: Environment):
-    op = stmt.expr[0]
+    op, *args = stmt.expr
     if op not in LET_OPS:
         raise ScriptError(f"unknown operation {op!r}", stmt.line)
-    return LET_OPS[op][0](*(env.lookup(x, want, stmt.line) if want in DEFINED else x
-                            for want, x in _let_syntax(stmt.expr) if x is not None))
+    fn, syntax = LET_OPS[op]
+    fields = [want for want in syntax if want.isupper()]
+    return fn(*(env.lookup(x, want.lower(), stmt.line) if want in DEFINED else x
+                for want, x in zip(fields, args)))
 
 
 # ---- pretty printing ----------------------------------------------------
@@ -294,18 +314,12 @@ def format_script(script: Script) -> str:
 
 def _format_statement(stmt) -> str:
     if isinstance(stmt, SchemaDecl):
-        lines = [f"schema {stmt.name} {{"]
-        lines.append("  nodes " + ", ".join(stmt.nodes) + ";")
-        for (e, src, tgt) in stmt.edges:
-            lines.append(f"  edge {e} : {src} -> {tgt};")
-        for (a, src, ty) in stmt.attributes:
-            lines.append(f"  attribute {a} : {src} -> {ty};")
-        for (l, r) in stmt.equations:
-            lines.append(f"  equation {l} = {r};")
-        lines.append("}")
-        return "\n".join(lines)
+        lines = [_write("schema", STATEMENTS["schema"], (stmt.name,), stmt.line),
+                 "  nodes " + ", ".join(stmt.nodes) + ";",
+                 *_write_items(SCHEMA_ITEMS, (stmt.edges, stmt.attributes, stmt.equations), stmt.line)]
+        return "\n".join(lines + ["}"])
     if isinstance(stmt, InstanceDecl):
-        lines = [f"instance {stmt.name} : {stmt.schema_name} {{"]
+        lines = [_write("instance", STATEMENTS["instance"], (stmt.name, stmt.schema_name), stmt.line)]
         for (node, ids) in stmt.rows:
             lines.append(f"  node {node} {{ " + " ".join(f"{i};" for i in ids) + " }")
         for (node, e, pairs) in stmt.edges:
@@ -317,30 +331,52 @@ def _format_statement(stmt) -> str:
         lines.append("}")
         return "\n".join(lines)
     if isinstance(stmt, MappingDecl):
-        lines = [f"mapping {stmt.name} : {stmt.source_name} -> {stmt.target_name} {{"]
-        for (a, b) in stmt.node_maps:
-            lines.append(f"  node {a} -> {b};")
-        for (node, e, p) in stmt.edge_maps:
-            lines.append(f"  edge {node}.{e} -> {p};")
-        for (node, a, p) in stmt.attr_maps:
-            lines.append(f"  attribute {node}.{a} -> {p};")
-        lines.append("}")
-        return "\n".join(lines)
+        head = (stmt.name, stmt.source_name, stmt.target_name)
+        lines = [_write("mapping", STATEMENTS["mapping"], head, stmt.line),
+                 *_write_items(MAPPING_ITEMS, (stmt.node_maps, stmt.edge_maps, stmt.attr_maps), stmt.line)]
+        return "\n".join(lines + ["}"])
     if isinstance(stmt, QueryDecl):
-        body = format_query(stmt.query)
-        indented = "\n".join("  " + ln for ln in body.splitlines())
-        return f"query {stmt.name} : {stmt.schema_name} {{\n{indented}\n}}"
+        head = _write("query", STATEMENTS["query"], (stmt.name, stmt.schema_name), stmt.line)
+        body = "\n".join("  " + ln for ln in format_query(stmt.query).splitlines())
+        return f"{head}\n{body}\n}}"
     if isinstance(stmt, LetStmt) and stmt.expr[0] in LET_OPS:
-        from .parsing import KEYWORDS
-        syntax = _let_syntax(stmt.expr)
-        for role, x in zip(NAME_ROLES.get(stmt.expr[0], ()), [x for w, x in syntax if w == "NAME"]):
-            if x in KEYWORDS:
-                raise ScriptError(f"cannot print {role} {x!r}: it is a reserved word", stmt.line)
-        words = " ".join(want if x is None else str(x) for want, x in syntax)
-        return f"let {stmt.name} = {stmt.expr[0]} {words};".replace(" . ", ".")
+        op, *args = stmt.expr
+        head = _write("let", STATEMENTS["let"], (stmt.name,), stmt.line)
+        return f"{head} {_write(op, LET_OPS[op][1], args, stmt.line)};"
     if isinstance(stmt, ShowStmt):
         fmt = "" if stmt.format == "ascii" else f" {stmt.format}"
         return f"show {stmt.name}{fmt};"
     if isinstance(stmt, ExportStmt):
-        return f"export {stmt.name} {ConstPath(stmt.filename)};"
+        return _write("export", STATEMENTS["export"], (stmt.name, stmt.filename), stmt.line)
     raise ScriptError(f"cannot format {stmt!r}")
+
+
+def _write_items(items: dict, entries, line: int) -> list:
+    """A line for each item of a schema or a mapping: for each head word of
+    `items` in turn, one per values in its list of `entries`."""
+    return [f"  {_write(head, items[head], values, line)};"
+            for head, listed in zip(items, entries) for values in listed]
+
+
+def _write(head: str, syntax, values, line: int) -> str:
+    """The text of a form: `head`, then each item of `syntax`, a field as
+    the next of `values`.  Items are spaced, but for none before ';' and
+    none around '.'.  A name, or a name in a path, that is a reserved word
+    raises ScriptError, as the text would not parse."""
+    from .parsing import KEYWORDS
+
+    values = iter(values)
+    text, glue = head, " "
+    for want in syntax:
+        word = want
+        if want.isupper():
+            x = next(values)
+            word = str(ConstPath(x)) if want == "FILE" else str(x)
+            if want in NAMES or isinstance(x, Path):
+                for name in word.split("."):
+                    if name in KEYWORDS:
+                        message = f"cannot print {want.lower()} {name!r}: it is a reserved word"
+                        raise ScriptError(message, line)
+        text += word if want in (".", ";") else glue + word
+        glue = "" if want == "." else " "
+    return text

@@ -1,14 +1,19 @@
 """Script language: parsing, evaluation, pretty-printing fixpoint, errors."""
 
 import pathlib
+import random
 import re
 
 import pytest
 
 from catql.errors import CatqlError, ParseError, SchemaError, ScriptError
 from catql.instances import validate_instance
-from catql.parsing import Parser, parse_query, parse_script
-from catql.scripts import DEFINED, LET_OPS, Environment, format_script, run_script
+from catql.core import ConstPath, Path
+from catql.parsing import KEYWORDS, Parser, parse_query, parse_script
+from catql.scripts import (
+    LET_OPS, MAPPING_ITEMS, NAMES, SCHEMA_ITEMS, STATEMENTS, Environment, ExportStmt, LetStmt,
+    MappingDecl, SchemaDecl, Script, format_script, run_script,
+)
 
 from conftest import read_data
 
@@ -372,17 +377,159 @@ class TestLetOps:
 
     def test_grammar_rule_names_the_table(self):
         """The let-expr rule lists the operations of LET_OPS in its order,
-        each followed by its syntax: NAME for a defined name, keywords and
-        '.' quoted."""
-        rule = re.search(r"^let-expr\s*=(.*?);$", GRAMMAR.read_text(), re.M | re.S).group(1)
+        each followed by its syntax."""
         grammar = {}
-        for alt in re.split(r"\n\s*\|", rule):
-            tokens = re.findall(r'"[^"]*"|[()]|[A-Z]+', alt)
+        for alt in re.split(r"\n\s*\|", grammar_rule("let-expr")):
+            tokens = grammar_tokens(alt)
             end = tokens.index(")") + 1 if tokens[0] == "(" else 1
             for op in tokens[:end]:
                 if op.startswith('"'):
                     grammar[op.strip('"')] = tokens[end:]
         assert list(grammar) == list(LET_OPS)
         for op, (_fn, syntax) in LET_OPS.items():
-            want = ["NAME" if x in DEFINED else x if x.isupper() else f'"{x}"' for x in syntax]
-            assert grammar[op] == want, op
+            assert grammar[op] == table_tokens(syntax), op
+
+    @pytest.mark.parametrize("rule, items, head", [
+        ("edge-decl", SCHEMA_ITEMS, "edge"),
+        ("attr-decl", SCHEMA_ITEMS, "attribute"),
+        ("equation-decl", SCHEMA_ITEMS, "equation"),
+        ("node-map", MAPPING_ITEMS, "node"),
+        ("edge-map", MAPPING_ITEMS, "edge"),
+        ("attr-map", MAPPING_ITEMS, "attribute"),
+    ])
+    def test_grammar_item_rule_names_the_table(self, rule, items, head):
+        """A schema or mapping item's rule is its head word, its syntax and
+        ';'."""
+        want = [f'"{head}"', *table_tokens(items[head]), '";"']
+        assert grammar_tokens(grammar_rule(rule)) == want
+
+    @pytest.mark.parametrize("keyword", list(STATEMENTS))
+    def test_grammar_statement_rule_opens_with_the_table(self, keyword):
+        """A statement's rule opens with its keyword and its syntax, and an
+        export statement is no more."""
+        tokens = grammar_tokens(grammar_rule(f"{keyword}-{'stmt' if keyword in ('let', 'export') else 'decl'}"))
+        want = [f'"{keyword}"', *table_tokens(STATEMENTS[keyword])]
+        assert tokens[:len(want)] == want
+        assert keyword != "export" or tokens == want
+
+
+# the grammar token of each field of the syntax tables that holds no name
+GRAMMAR_FIELDS = {"DEPTH": "INT", "TYPE": "base-type", "PATH": "path",
+                  "TERM": "path-or-const", "FILE": "STRING"}
+
+
+def table_tokens(syntax) -> list:
+    """The grammar's tokens for a syntax of the tables: NAME for a name
+    field, keywords and symbols quoted."""
+    return ["NAME" if x in NAMES else GRAMMAR_FIELDS[x] if x.isupper() else f'"{x}"'
+            for x in syntax]
+
+
+def grammar_rule(name: str) -> str:
+    """The right-hand side of a rule of docs/grammar.ebnf, without comments."""
+    text = re.sub(r"\(\*.*?\*\)", "", GRAMMAR.read_text(), flags=re.S)
+    return re.search(rf"^{name}\s*=(.*?);[ \t]*$", text, re.M | re.S).group(1)
+
+
+def grammar_tokens(rule: str) -> list:
+    """A rule's quoted terminals, parentheses, upper-case tokens and rule
+    names, in order; the EBNF braces and bars are left out."""
+    return re.findall(r'"[^"]*"|[()]|[A-Z]+|[a-z][a-z-]*', rule)
+
+
+# string constants and file names are drawn from these pieces
+TEXT_PIECES = ['"', "\\", "--", "#", "\n", "a", " ", "é", ";", "}", "x.y"]
+
+
+class ScriptGen:
+    """A seeded generator of scripts of the tabled forms: schema and mapping
+    declarations, one let of each LET_OPS operation and an export.  When
+    `reserved_at` is k, the k-th name it draws for a field is a reserved
+    word, kept in `reserved` with the role its field names."""
+
+    def __init__(self, seed: int, reserved_at: int = 0):
+        self.rng = random.Random(seed)
+        self.drawn, self.reserved_at, self.reserved = 0, reserved_at, None
+
+    def ident(self) -> str:
+        rng = self.rng
+        return rng.choice(["a", "Z", "é", "_", "node_"]) + str(rng.randrange(40))
+
+    def name(self, role: str) -> str:
+        self.drawn += 1
+        if self.drawn != self.reserved_at:
+            return self.ident()
+        word = self.rng.choice(sorted(KEYWORDS))
+        self.reserved = (role, word)
+        return word
+
+    def text(self) -> str:
+        return "".join(self.rng.choice(TEXT_PIECES) for _ in range(self.rng.randint(0, 6)))
+
+    def path(self, role: str) -> Path:
+        return Path(self.name(role), tuple(self.name(role) for _ in range(self.rng.randint(0, 3))))
+
+    def value(self, want: str):
+        rng = self.rng
+        if want in NAMES:
+            return self.name(want.lower())
+        if want == "PATH" or (want == "TERM" and rng.random() < 0.5):
+            return self.path(want.lower())
+        if want == "TERM":
+            return ConstPath(self.text() if rng.random() < 0.6 else rng.randint(-10**6, 10**6))
+        if want == "TYPE":
+            return rng.choice(["string", "integer"])
+        if want == "DEPTH":
+            return rng.randint(-3, 30)
+        assert want == "FILE", want
+        return self.text()
+
+    def values(self, syntax) -> tuple:
+        return tuple(self.value(want) for want in syntax if want.isupper())
+
+    def items(self, table: dict) -> list:
+        return [[self.values(syntax) for _ in range(self.rng.randint(0, 3))]
+                for syntax in table.values()]
+
+    def script(self) -> Script:
+        rng = self.rng
+        stmts = []
+        for _ in range(rng.randint(1, 3)):
+            (name,) = self.values(STATEMENTS["schema"])
+            nodes = [self.ident() for _ in range(rng.randint(1, 3))]
+            stmts.append(SchemaDecl(name, nodes, *self.items(SCHEMA_ITEMS)))
+        for _ in range(rng.randint(1, 2)):
+            stmts.append(MappingDecl(*self.values(STATEMENTS["mapping"]), *self.items(MAPPING_ITEMS)))
+        for op, (_fn, syntax) in LET_OPS.items():
+            (name,) = self.values(STATEMENTS["let"])
+            stmts.append(LetStmt(name, (op, *self.values(syntax))))
+        stmts.append(ExportStmt(*self.values(STATEMENTS["export"])))
+        rng.shuffle(stmts)
+        return Script(tuple(stmts))
+
+
+class TestTabledForms:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_print_parse_round_trip(self, seed):
+        """A generated script prints to text that parses back to it, and
+        prints again to the same text."""
+        for k in range(120):
+            script = ScriptGen(1000 * seed + k).script()
+            text = format_script(script)
+            assert parse_script(text) == script, text
+            assert format_script(parse_script(text)) == text
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reserved_word_in_a_tabled_name_is_refused(self, seed):
+        """One name of a generated script that is a reserved word, in any
+        field, raises the ScriptError that names it and its field's role."""
+        rng = random.Random(seed)
+        for k in range(120):
+            plain = ScriptGen(1000 * seed + k)
+            plain.script()
+            # the same draws up to the reserved word, which is any of them
+            gen = ScriptGen(1000 * seed + k, reserved_at=rng.randint(1, plain.drawn))
+            script = gen.script()
+            role, word = gen.reserved
+            with pytest.raises(ScriptError, match=re.escape(f"cannot print {role} {word!r}: it is a reserved word")):
+                format_script(script)
