@@ -133,7 +133,7 @@ class Schema:
 
     @_table
     def out_edges(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """node -> sorted (edge name, target) pairs out of it."""
+        """node -> sorted (edge name, target) pairs out of it; nodes sorted."""
         return _by_source(self.nodes, self.edges)
 
     @_table
@@ -189,7 +189,7 @@ class Schema:
 
     @_table
     def node_attrs(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """node -> sorted (attribute name, base type) pairs on it."""
+        """node -> sorted (attribute name, base type) pairs on it; nodes sorted."""
         return _by_source(self.nodes, self.attributes)
 
     @_table
@@ -216,7 +216,10 @@ class Schema:
 
 
 def _by_source(nodes, triples):
-    return {n: tuple(sorted((name, x) for (name, src, x) in triples if src == n)) for n in nodes}
+    by = {n: [] for n in sorted(nodes)}
+    for (name, src, x) in sorted(triples):  # so each node's pairs are sorted; a source not a node is dropped
+        by.get(src, []).append((name, x))
+    return {n: tuple(pairs) for n, pairs in by.items()}
 
 
 def make_schema(name, nodes, edges, attributes=(), equations=()) -> Schema:
@@ -484,17 +487,19 @@ def enumerate_morphisms(s: Schema, a: str, b: str) -> tuple[Path, ...]:
 
 
 def validate_schema(s: Schema):
-    for (name, src, tgt) in s.edges:
+    # each kind of fault in sorted order: the error names the first, whatever the hash seed
+    edges, attributes = sorted(s.edges), sorted(s.attributes)
+    for (name, src, tgt) in edges:
         if src not in s.nodes or tgt not in s.nodes:
             raise SchemaError(f"edge {name!r}: endpoint not a node of {s.name!r}")
-    for (name, src, ty) in s.attributes:
+    for (name, src, ty) in attributes:
         if src not in s.nodes:
             raise SchemaError(f"attribute {name!r}: source not a node of {s.name!r}")
         if ty not in BASE_TYPES:
             raise SchemaError(f"attribute {name!r}: unknown base type {ty!r}")
     # edge and attribute names unique per source node
     seen: set[tuple[str, str]] = set()
-    for (name, src, _) in list(s.edges) + list(s.attributes):
+    for (name, src, _) in edges + attributes:
         if (src, name) in seen:
             raise SchemaError(f"duplicate edge/attribute name {name!r} on node {src!r}")
         seen.add((src, name))
@@ -542,12 +547,12 @@ def apply_mapping(F: Mapping, p: PathLike) -> PathLike:
 
 
 def validate_mapping(F: Mapping):
-    """Check functoriality: endpoints, attribute types, and equation preservation."""
+    """Check functoriality (endpoints, attribute types, equations) in sorted order."""
     s, t = F.source, F.target
-    for n in s.nodes:
+    for n in s.out_edges:  # its keys are the nodes, sorted
         if F.nodes.get(n) not in t.nodes:
             raise ValidationError(f"node {n!r} has no valid image under mapping")
-    for (name, src, tgt) in s.edges:
+    for src, name, tgt in ((src, name, tgt) for src, out in s.out_edges.items() for name, tgt in out):
         img = F.edges.get((src, name))
         if img is None:
             raise ValidationError(f"edge {name!r} on {src!r} has no image")
@@ -556,13 +561,12 @@ def validate_mapping(F: Mapping):
             raise ValidationError(
                 f"edge {name!r}: image {img} does not run {F.nodes[src]!r} -> {F.nodes[tgt]!r}"
             )
-    at = s.attr_table
-    for (name, src, ty) in s.attributes:
+    for src, name, ty in ((src, name, ty) for src, attrs in s.node_attrs.items() for name, ty in attrs):
         img = F.attrs.get((src, name))
         if img is None:
             raise ValidationError(f"attribute {name!r} on {src!r} has no image")
         kind, ity = path_target(t, img)
-        if kind != "attr" or ity != at[(src, name)]:
+        if kind != "attr" or ity != ty:
             raise ValidationError(
                 f"attribute {name!r}: image {img} is not {ty}-valued from {F.nodes[src]!r}"
             )

@@ -323,14 +323,16 @@ def _check_rows(I: Instance, rows, edge_fn, attr_fn):
     their edge and attribute entries, {(node, name): {row: value}}; the other
     rows of I must be valid already."""
     s = I.schema
-    for n, rs in I.rows.items():
+    # in the schema's sorted table order: the error names the first fault, whatever the hash seed
+    for n in s.out_edges:  # its keys are the nodes, sorted
+        rs = I.rows[n]
         if rows.get(n) and len(set(rs)) != len(rs):
             for r, nxt in zip(rs, rs[1:]):  # rows are sorted, so a repeat is adjacent
                 if r == nxt:
                     raise ValidationError(f"row {r!r} is listed more than once at node {n!r}")
     # each column is checked whole; only a column that fails is walked row by
     # row, to name its first bad entry
-    for (name, src, tgt) in s.edges:
+    for src, name, tgt in ((src, name, tgt) for src, out in s.out_edges.items() for name, tgt in out):
         fn = edge_fn.get((src, name), {})
         if fn.keys() != set(rows.get(src, ())):
             raise ValidationError(
@@ -344,7 +346,7 @@ def _check_rows(I: Instance, rows, edge_fn, attr_fn):
                 raise ValidationError(
                     f"edge {name!r} sends row {r!r} to dangling target {v!r}"
                 )
-    for (name, src, ty) in s.attributes:
+    for src, name, ty in ((src, name, ty) for src, attrs in s.node_attrs.items() for name, ty in attrs):
         fn = attr_fn.get((src, name), {})
         if fn.keys() != set(rows.get(src, ())):
             raise ValidationError(

@@ -8,11 +8,11 @@ skipped text, so `re.split` gives it and the lexemes in turn.  The parser
 works on the plain lexeme strings: a STRING lexeme keeps its quotes, so it
 never equals a symbol or a keyword.  A token's kind and value are worked out
 only where the grammar reads a literal or an error is raised, and a line and
-column only for an error or a statement's `line`.  Each node, edge and
-attribute block of an instance is read in one step, and each fixed-shape form
-(a statement's head, export, a schema or mapping item, a let operation) by its
-syntax in the tables of `scripts`.  The grammar, its lexical rules included,
-is documented bit-exactly in docs/grammar.ebnf.
+column only for an error or a statement's `line`.  Every form but a query
+body (each statement, and each schema, instance and mapping item and let
+operation) is read by its syntax in the tables of `scripts`, and the entries
+of an instance block are checked in one step.  The grammar, its lexical rules
+included, is documented bit-exactly in docs/grammar.ebnf.
 """
 
 from __future__ import annotations
@@ -106,6 +106,10 @@ def _literals(col):
     if _LITERALS.fullmatch(joined):
         return [_unquote(x) if x[0] == '"' else int(x) for x in col]
     return None
+
+
+# the column check of each field of an instance block's entries
+_COLUMNS = {"ROW": _row_ids, "VALUE": _literals}
 
 
 class Parser:
@@ -290,19 +294,16 @@ class Parser:
     def parse_statement(self):
         t = self.peek()
         line = self.position(self.pos)[0]
-        if t not in scripts.STATEMENTS and t != "show":
+        if t not in scripts.STATEMENTS:
             self.error("unknown declaration" if self.kind() == "IDENT" else "expected a declaration keyword")
         self.pos += 1
-        if t == "show":
-            name = self.expect_name()
-            fmt = self.next() if self.kind() == "IDENT" else "ascii"
-            self.expect(";")
-            return scripts.ShowStmt(name, fmt, line)
         head = self.read(t, scripts.STATEMENTS[t])
         if t == "schema":
-            return self.parse_schema_decl(*head, line)
+            items = self.read_items(scripts.SCHEMA_ITEMS, "expected edge/attribute/equation")
+            return scripts.SchemaDecl(*head, *items, line)
         if t == "instance":
-            return self.parse_instance_decl(*head, line)
+            items = self.read_items(scripts.INSTANCE_ITEMS, "expected node/edge/attribute block")
+            return scripts.InstanceDecl(*head, *items, line)
         if t == "mapping":
             items = self.read_items(scripts.MAPPING_ITEMS, "expected node/edge/attribute mapping")
             return scripts.MappingDecl(*head, *items, line)
@@ -312,6 +313,8 @@ class Parser:
             return scripts.QueryDecl(*head, q, line)
         if t == "let":
             return self.parse_let(*head, line)
+        if t == "show":
+            return scripts.ShowStmt(*head, line)
         return scripts.ExportStmt(*head, line)
 
     def read(self, head: str, syntax) -> tuple:
@@ -322,14 +325,28 @@ class Parser:
         for want in syntax:
             if want in names:
                 values.append(self.expect_name())
+            elif type(want) is tuple:
+                values.append(self.parse_block(head, want))
             elif not want.isupper():
                 if lexemes[self.pos] != want:
                     self.expect(want)  # raises
                 self.pos += 1
+            elif want == "NODES":
+                nodes = [self.expect_name()]
+                while lexemes[self.pos] == ",":
+                    self.pos += 1
+                    nodes.append(self.expect_name())
+                values.append(nodes)
             elif want == "PATH":
                 values.append(self.parse_path())
             elif want == "TERM":
                 values.append(self.parse_path_or_const())
+            elif want == "ROW":  # an INT row id is the string of its value, so 01 is row "1"
+                values.append(str(self.parse_literal_value()) if self.kind() == "INT" else self.expect_name())
+            elif want == "VALUE":
+                values.append(self.parse_literal_value())
+            elif want == "FORMAT":
+                values.append(self.next() if self.kind() == "IDENT" else "ascii")
             elif want == "TYPE":
                 if self.peek() not in ("string", "integer"):
                     self.error("expected base type 'string' or 'integer'")
@@ -341,100 +358,49 @@ class Parser:
         return tuple(values)
 
     def read_items(self, items: dict, message: str):
-        """The items of a schema or a mapping, up to its '}': for each head
-        word of `items`, the values of its items, each read by its syntax
-        and ended by ';'.  A word that heads no item raises `message`."""
-        found = {head: [] for head in items}
-        while not self.at("}"):
-            head = self.peek()
+        """The items of a schema, an instance or a mapping, up to its '}':
+        for each head word of `items`, the values of its items, each read by
+        its syntax.  A word that heads no item raises `message`."""
+        lexemes, found = self.lexemes, {head: [] for head in items}
+        while lexemes[self.pos] != "}":
+            head = lexemes[self.pos]
             if head not in items:
                 self.error(message)
             self.pos += 1
             found[head].append(self.read(head, items[head]))
-            self.expect(";")
         self.pos += 1
         return found.values()
 
-    def parse_schema_decl(self, name, line):
-        self.expect("nodes")
-        nodes = [self.expect_name()]
-        while self.at(","):
-            self.next()
-            nodes.append(self.expect_name())
-        self.expect(";")
-        items = self.read_items(scripts.SCHEMA_ITEMS, "expected edge/attribute/equation")
-        return scripts.SchemaDecl(name, nodes, *items, line)
-
-    def parse_instance_decl(self, name, schema_name, line):
-        rows, edges, attrs = [], [], []
-        while not self.at("}"):
-            if self.at("node"):
-                self.next()
-                node = self.expect_name()
-                [ids] = self.parse_block(_row_ids, ";")
-                rows.append((node, ids))
-            elif self.at("edge"):
-                self.next()
-                node = self.expect_name()
-                self.expect(".")
-                ename = self.expect_name()
-                a, b = self.parse_block(_row_ids, "->", _row_ids, ";")
-                edges.append((node, ename, list(zip(a, b))))
-            elif self.at("attribute"):
-                self.next()
-                node = self.expect_name()
-                self.expect(".")
-                aname = self.expect_name()
-                a, v = self.parse_block(_row_ids, "=", _literals, ";")
-                attrs.append((node, aname, list(zip(a, v))))
-            else:
-                self.error("expected node/edge/attribute block")
-        self.next()
-        return scripts.InstanceDecl(name, schema_name, rows, edges, attrs, line)
-
-    def parse_block(self, *shape):
-        """The columns of an instance block's entries, '{' to '}', read in
-        one step.  `shape` is one entry: `_row_ids` for a row id column,
-        `_literals` for a literal column, or a separator lexeme.  The lexemes
-        up to the first '}' are checked column by column, and the row id and
-        literal columns are returned.  A block that fails is walked entry by
-        entry, which raises the error at its first bad token."""
-        self.expect("{")
-        lexemes, p, width = self.lexemes, self.pos, len(shape)
+    def parse_block(self, head: str, entry):
+        """The entries of an instance block, up to its '}', each read by the
+        syntax `entry`: the list of their values, or of their tuples of
+        values when an entry has more than one.  The lexemes up to the first
+        '}' are checked column by column in one step.  A block that fails is
+        read entry by entry by `read`, which raises the error at its first
+        bad token."""
+        lexemes, p, width = self.lexemes, self.pos, len(entry)
         try:
             q = lexemes.index("}", p)
         except ValueError:
-            self._walk_block(shape)
-        n, rest = divmod(q - p, width)
-        columns, ok = [], not rest
-        for k, want in enumerate(shape):
+            q = p - 1  # no '}': no entry count fits
+        columns, ok = [], not (q - p) % width
+        for k, want in enumerate(entry):
             if not ok:
                 break
             col = lexemes[p + k:q:width]
-            if isinstance(want, str):
-                ok = col.count(want) == n
-            else:
+            if want in _COLUMNS:
                 try:
-                    col = want(col)
+                    col = _COLUMNS[want](col)
                 except ValueError:  # an INT that int() refuses
                     col = None
                 ok = col is not None
                 columns.append(col)
-        if not ok:
-            self._walk_block(shape)
-        self.pos = q + 1
-        return columns
-
-    def _walk_block(self, shape):
-        """Read a block's entries token by token; the first bad token raises."""
-        while not self.at("}"):
-            for want in shape:
-                if want is _literals or (want is _row_ids and self.kind() == "INT"):
-                    self.parse_literal_value()
-                elif want is _row_ids:
-                    self.expect_name()
-                else:
-                    self.expect(want)
+            else:
+                ok = col.count(want) == len(col)
+        while not ok:  # every check passes on entries that all read, so this raises
+            self.read(head, entry)
+        self.pos = q
+        return columns[0] if len(columns) == 1 else list(zip(*columns))
 
     def parse_let(self, name, line):
         op = self.expect_ident()

@@ -73,37 +73,49 @@ class LetStmt:
     line: int = field(default=0, compare=False)
 
 
-# The syntax of each fixed-shape form of .catql, after the word that opens it:
-# the parser reads a form by it (`Parser.read`) and the printer writes it
-# (`_write`).  An upper-case item is a field, which holds a value and says
-# what it is: a name of what NAMES says it names, a DEPTH (an integer), a
-# TYPE (a base type), a PATH, a TERM (a path or a literal) or a FILE (a file
-# name string).  Any other item is a keyword or a symbol.
+# The syntax of each form of .catql but a query body, after the word that
+# opens it: the parser reads a form by it (`Parser.read`) and the printer
+# writes it (`_write`).  An upper-case item is a field, which holds a value
+# and says what it is: a name of what NAMES says it names, NODES (node names
+# split by ','), a ROW (a row id: a name or an integer), a VALUE (a literal),
+# a FORMAT (an optional identifier, "ascii" when it is left out), a DEPTH (an
+# integer), a TYPE (a base type), a PATH, a TERM (a path or a literal) or a
+# FILE (a file name string).  A tuple is the syntax of each entry of an
+# instance block, which are read up to the block's '}'.  Any other item is a
+# keyword or a symbol.
 NAMES = {"SCHEMA", "INSTANCE", "MAPPING", "QUERY", "NODE", "EDGE", "ATTRIBUTE"}
 # the names of what a script defines that a let looks up
 DEFINED = ("INSTANCE", "MAPPING", "QUERY")
 
-# statement keyword -> its syntax up to its body; export has none
+# statement keyword -> its syntax up to its items, its query body or its let
+# operation; the whole of show and export
 STATEMENTS = {
-    "schema": ("SCHEMA", "{"),
+    "schema": ("SCHEMA", "{", "nodes", "NODES", ";"),
     "instance": ("INSTANCE", ":", "SCHEMA", "{"),
     "mapping": ("MAPPING", ":", "SCHEMA", "->", "SCHEMA", "{"),
     "query": ("QUERY", ":", "SCHEMA", "{"),
     "let": ("INSTANCE", "="),
+    "show": ("INSTANCE", "FORMAT", ";"),
     "export": ("INSTANCE", "FILE", ";"),
 }
 
-# The items of a schema and of a mapping, each ended by ';': head word ->
-# syntax, in the order that SchemaDecl and MappingDecl list them.
+# The items of a schema, an instance and a mapping, up to its '}': head word
+# -> syntax, in the order that SchemaDecl, InstanceDecl and MappingDecl list
+# them.
 SCHEMA_ITEMS = {
-    "edge": ("EDGE", ":", "NODE", "->", "NODE"),
-    "attribute": ("ATTRIBUTE", ":", "NODE", "->", "TYPE"),
-    "equation": ("PATH", "=", "TERM"),
+    "edge": ("EDGE", ":", "NODE", "->", "NODE", ";"),
+    "attribute": ("ATTRIBUTE", ":", "NODE", "->", "TYPE", ";"),
+    "equation": ("PATH", "=", "TERM", ";"),
+}
+INSTANCE_ITEMS = {
+    "node": ("NODE", "{", ("ROW", ";"), "}"),
+    "edge": ("NODE", ".", "EDGE", "{", ("ROW", "->", "ROW", ";"), "}"),
+    "attribute": ("NODE", ".", "ATTRIBUTE", "{", ("ROW", "=", "VALUE", ";"), "}"),
 }
 MAPPING_ITEMS = {
-    "node": ("NODE", "->", "NODE"),
-    "edge": ("NODE", ".", "EDGE", "->", "PATH"),
-    "attribute": ("NODE", ".", "ATTRIBUTE", "->", "TERM"),
+    "node": ("NODE", "->", "NODE", ";"),
+    "edge": ("NODE", ".", "EDGE", "->", "PATH", ";"),
+    "attribute": ("NODE", ".", "ATTRIBUTE", "->", "TERM", ";"),
 }
 
 # let operation -> (function, syntax), ended by ';'.  The function takes the
@@ -294,89 +306,99 @@ def _eval_let(stmt: LetStmt, env: Environment):
 _INDENT = "    "  # a query's items, under its select, from and where
 
 
-def format_query(q: Query) -> str:
-    lines = ["select"]
-    lines.append(",\n".join(f"{_INDENT}{item.expr} as {item.alias}" for item in q.selects))
-    lines.append("from")
-    lines.append(",\n".join(f"{_INDENT}{node} as {var}" for (var, node) in q.bindings))
-    if q.where:
-        lines.append("where")
-        lines.append(" and\n".join(f"{_INDENT}{g}" for g in q.where))
-    return "\n".join(lines)
+def _query_lines(q: Query) -> list:
+    """A query body's lines; a name in it that is a reserved word raises
+    ScriptError.  A string constant may hold a line break, so the body is
+    indented line by line from this list, not from its text."""
+    selects = [f"{_printed(s.expr, 'path')} as {_printed(s.alias, 'alias')}" for s in q.selects]
+    bindings = [f"{_printed(node, 'table')} as {_printed(var, 'variable')}" for var, node in q.bindings]
+    for term in (t for g in q.where for c in g.alternatives for t in (c.lhs, c.rhs)):
+        _printed(term, "term")
+    lines = []
+    for head, sep, texts in (("select", ",", selects), ("from", ",", bindings),
+                             ("where", " and", [str(g) for g in q.where])):
+        if texts or head != "where":
+            lines += [head] + [f"{_INDENT}{t}{sep}" for t in texts[:-1]] + [f"{_INDENT}{t}" for t in texts[-1:]]
+    return lines
 
 
 def format_script(script: Script) -> str:
-    out = []
-    for stmt in script.statements:
-        out.append(_format_statement(stmt))
-    return "\n".join(out) + "\n"
+    return "\n".join(map(_format_statement, script.statements)) + "\n"
 
 
 def _format_statement(stmt) -> str:
     if isinstance(stmt, SchemaDecl):
-        lines = [_write("schema", STATEMENTS["schema"], (stmt.name,), stmt.line),
-                 "  nodes " + ", ".join(stmt.nodes) + ";",
-                 *_write_items(SCHEMA_ITEMS, (stmt.edges, stmt.attributes, stmt.equations), stmt.line)]
-        return "\n".join(lines + ["}"])
+        return _write_body("schema", (stmt.name, stmt.nodes), SCHEMA_ITEMS,
+                           (stmt.edges, stmt.attributes, stmt.equations), stmt.line)
     if isinstance(stmt, InstanceDecl):
-        lines = [_write("instance", STATEMENTS["instance"], (stmt.name, stmt.schema_name), stmt.line)]
-        for (node, ids) in stmt.rows:
-            lines.append(f"  node {node} {{ " + " ".join(f"{i};" for i in ids) + " }")
-        for (node, e, pairs) in stmt.edges:
-            body = " ".join(f"{a} -> {b};" for (a, b) in pairs)
-            lines.append(f"  edge {node}.{e} {{ {body} }}")
-        for (node, a, pairs) in stmt.attrs:
-            body = " ".join(f"{r} = {ConstPath(v)};" for (r, v) in pairs)
-            lines.append(f"  attribute {node}.{a} {{ {body} }}")
-        lines.append("}")
-        return "\n".join(lines)
+        return _write_body("instance", (stmt.name, stmt.schema_name), INSTANCE_ITEMS,
+                           (stmt.rows, stmt.edges, stmt.attrs), stmt.line)
     if isinstance(stmt, MappingDecl):
-        head = (stmt.name, stmt.source_name, stmt.target_name)
-        lines = [_write("mapping", STATEMENTS["mapping"], head, stmt.line),
-                 *_write_items(MAPPING_ITEMS, (stmt.node_maps, stmt.edge_maps, stmt.attr_maps), stmt.line)]
-        return "\n".join(lines + ["}"])
+        return _write_body("mapping", (stmt.name, stmt.source_name, stmt.target_name), MAPPING_ITEMS,
+                           (stmt.node_maps, stmt.edge_maps, stmt.attr_maps), stmt.line)
     if isinstance(stmt, QueryDecl):
         head = _write("query", STATEMENTS["query"], (stmt.name, stmt.schema_name), stmt.line)
-        body = "\n".join("  " + ln for ln in format_query(stmt.query).splitlines())
+        body = "\n".join("  " + ln for ln in _query_lines(stmt.query))
         return f"{head}\n{body}\n}}"
     if isinstance(stmt, LetStmt) and stmt.expr[0] in LET_OPS:
         op, *args = stmt.expr
         head = _write("let", STATEMENTS["let"], (stmt.name,), stmt.line)
         return f"{head} {_write(op, LET_OPS[op][1], args, stmt.line)};"
     if isinstance(stmt, ShowStmt):
-        fmt = "" if stmt.format == "ascii" else f" {stmt.format}"
-        return f"show {stmt.name}{fmt};"
+        return _write("show", STATEMENTS["show"], (stmt.name, stmt.format), stmt.line)
     if isinstance(stmt, ExportStmt):
         return _write("export", STATEMENTS["export"], (stmt.name, stmt.filename), stmt.line)
     raise ScriptError(f"cannot format {stmt!r}")
 
 
-def _write_items(items: dict, entries, line: int) -> list:
-    """A line for each item of a schema or a mapping: for each head word of
-    `items` in turn, one per values in its list of `entries`."""
-    return [f"  {_write(head, items[head], values, line)};"
-            for head, listed in zip(items, entries) for values in listed]
+def _write_body(keyword: str, head, items: dict, entries, line: int) -> str:
+    """A declaration with items: its head, then a line for each item, for
+    each head word of `items` in turn one per values in its list of
+    `entries`, then '}'."""
+    lines = [_write(keyword, STATEMENTS[keyword], head, line)]
+    lines += [f"  {_write(word, items[word], values, line)}"
+              for word, listed in zip(items, entries) for values in listed]
+    return "\n".join(lines + ["}"])
 
 
 def _write(head: str, syntax, values, line: int) -> str:
     """The text of a form: `head`, then each item of `syntax`, a field as
-    the next of `values`.  Items are spaced, but for none before ';' and
-    none around '.'.  A name, or a name in a path, that is a reserved word
-    raises ScriptError, as the text would not parse."""
-    from .parsing import KEYWORDS
-
+    the next of `values`.  Items are spaced, but for none before ';', none
+    around '.' and a line break and an indent after a '{' that opens no
+    block; an instance block's entries are written in turn on its line.  A
+    default FORMAT is left out."""
     values = iter(values)
-    text, glue = head, " "
+    text, glue = head, " " if head else ""
     for want in syntax:
         word = want
-        if want.isupper():
+        if type(want) is tuple:  # a block's entries, each by its syntax
+            glue = " "
+            word = " ".join(_write("", want, x if type(x) is tuple else (x,), line) for x in next(values))
+        elif want.isupper():
             x = next(values)
-            word = str(ConstPath(x)) if want == "FILE" else str(x)
-            if want in NAMES or isinstance(x, Path):
-                for name in word.split("."):
-                    if name in KEYWORDS:
-                        message = f"cannot print {want.lower()} {name!r}: it is a reserved word"
-                        raise ScriptError(message, line)
+            if want == "FORMAT" and x == "ascii":
+                continue
+            if want == "NODES":
+                word = ", ".join(_printed(node, "node", line) for node in x)
+            elif want == "TYPE":
+                word = x
+            else:
+                word = _printed(ConstPath(x) if want in ("FILE", "VALUE") else x, want.lower(), line)
         text += word if want in (".", ";") else glue + word
-        glue = "" if want == "." else " "
+        glue = "" if want == "." else "\n  " if want == "{" else " "
     return text
+
+
+def _printed(x, role: str, line=None) -> str:
+    """The text of `x`, a name, a row id, a path or a literal of `role`.  A
+    name in it that is a reserved word raises ScriptError, as the text would
+    not parse; a literal, which is quoted or a number, is not checked."""
+    from .parsing import KEYWORDS
+
+    word = str(x)
+    if isinstance(x, ConstPath):
+        return word
+    for name in word.split("."):
+        if name in KEYWORDS:
+            raise ScriptError(f"cannot print {role} {name!r}: it is a reserved word", line)
+    return word

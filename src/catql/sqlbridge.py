@@ -448,14 +448,17 @@ def _sql_str(v: str) -> str:
 
 def _check_export_names(schema: Schema):
     """Every node, attribute and edge name must lex as one IDENT of _SQL_RULES,
-    or import_sql could not read the exported text back."""
-    named = [(f"node {n!r}", n) for n in sorted(schema.nodes)]
-    named += [(f"attribute {a!r} of node {n!r}", a) for (a, n, _ty) in sorted(schema.attributes)]
-    named += [(f"edge {e!r} of node {n!r}", e) for (e, n, _tgt) in sorted(schema.edges)]
-    for what, name in named:
+    and no attribute or edge may be named id, the key column of its node's
+    table, or import_sql could not read the exported text back."""
+    columns = [(f"attribute {a!r} of node {n!r}", a) for (a, n, _ty) in sorted(schema.attributes)]
+    columns += [(f"edge {e!r} of node {n!r}", e) for (e, n, _tgt) in sorted(schema.edges)]
+    for what, name in [(f"node {n!r}", n) for n in sorted(schema.nodes)] + columns:
         m = _SQL_TOKEN.fullmatch(name)
         if m is None or m.lastgroup != "IDENT":
             raise SqlExportError(f"cannot export {what} as SQL: not an ASCII identifier")
+    for what, name in columns:
+        if name == "id":
+            raise SqlExportError(f"cannot export {what} as SQL: id is its table's key column")
 
 
 def export_sql(schema: Schema, I: Instance, warn=None) -> str:

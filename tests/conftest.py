@@ -1,6 +1,6 @@
-"""Shared test helpers: random schema/mapping/instance generators and data
-file access.  Random schemas are DAGs so every hom-set is finite, which the
-left/right Kan migrations require."""
+"""Shared test helpers: random schema/mapping/instance generators, a random
+.catql script generator and data file access.  Random schemas are DAGs so
+every hom-set is finite, which the left/right Kan migrations require."""
 
 import importlib.resources as ir
 import random
@@ -20,6 +20,12 @@ from catql.core import (
 )
 from catql.errors import CatqlError
 from catql.instances import Instance, validate_instance
+from catql.parsing import KEYWORDS
+from catql.queries import Clause, Group, Query, SelectItem
+from catql.scripts import (
+    INSTANCE_ITEMS, LET_OPS, MAPPING_ITEMS, NAMES, SCHEMA_ITEMS, STATEMENTS, ExportStmt,
+    InstanceDecl, LetStmt, MappingDecl, QueryDecl, SchemaDecl, Script, ShowStmt,
+)
 
 
 DATA = ir.files("catql") / "data"
@@ -288,6 +294,122 @@ def rand_attributed_triple(rng: random.Random):
         if F is None:
             continue
         return F, rand_instance(rng, S), rand_instance(rng, T)
+
+
+# string constants and file names are drawn from these pieces
+TEXT_PIECES = ['"', "\\", "--", "#", "\n", "a", " ", "é", ";", "}", "x.y", ".node.", "a.and.b", "row"]
+
+
+class ScriptGen:
+    """A seeded generator of .catql scripts of every form, each drawn from
+    the syntax tables of `scripts`: schema, instance and mapping
+    declarations, one let of each LET_OPS operation, a show and an export;
+    and query declarations, their bodies from `random_query_corpus` or
+    `rand_disjunctive_query`.  `roles` lists the role of each name it draws
+    or passes on, a query's names included, in turn.  When `reserved_at`
+    is k, the k-th of them is a reserved word, kept in `reserved` with its
+    role."""
+
+    def __init__(self, seed: int, reserved_at: int = 0):
+        self.rng = random.Random(seed)
+        self.roles, self.reserved_at, self.reserved = [], reserved_at, None
+
+    def ident(self) -> str:
+        rng = self.rng
+        return rng.choice(["a", "Z", "é", "_", "node_"]) + str(rng.randrange(40))
+
+    def name(self, role: str, word=None) -> str:
+        """A new name for a field of `role`, or `word` when given."""
+        self.roles.append(role)
+        if len(self.roles) != self.reserved_at:
+            return word or self.ident()
+        word = self.rng.choice(sorted(KEYWORDS))
+        self.reserved = (role, word)
+        return word
+
+    def text(self) -> str:
+        return "".join(self.rng.choice(TEXT_PIECES) for _ in range(self.rng.randint(0, 6)))
+
+    def path(self, role: str, p=None) -> Path:
+        """A new path for a field of `role`, or p with its names passed to `name`."""
+        if isinstance(p, ConstPath):  # a constant, its text drawn anew
+            return ConstPath(self.literal())
+        words = (p.source, *p.steps) if p else [None] * self.rng.randint(1, 4)
+        source, *steps = (self.name(role, w) for w in words)
+        return Path(source, tuple(steps))
+
+    def literal(self):
+        rng = self.rng
+        return self.text() if rng.random() < 0.6 else rng.randint(-10**6, 10**6)
+
+    def value(self, want):
+        rng = self.rng
+        if isinstance(want, tuple):  # a block's entries, each a value if it holds one
+            entries = [self.values(want) for _ in range(rng.randint(0, 3))]
+            return [x for (x,) in entries] if sum(map(str.isupper, want)) == 1 else entries
+        if want in NAMES:
+            return self.name(want.lower())
+        if want == "NODES":
+            return [self.name("node") for _ in range(rng.randint(1, 3))]
+        if want == "ROW":
+            return self.name("row") if rng.random() < 0.6 else str(rng.randint(-10**6, 10**6))
+        if want == "VALUE":
+            return self.literal()
+        if want == "FORMAT":
+            return rng.choice(["ascii", "csv", "json"]) if rng.random() < 0.5 else self.name("format")
+        if want == "PATH" or (want == "TERM" and rng.random() < 0.5):
+            return self.path(want.lower())
+        if want == "TERM":
+            return ConstPath(self.literal())
+        if want == "TYPE":
+            return rng.choice(["string", "integer"])
+        if want == "DEPTH":
+            return rng.randint(-3, 30)
+        assert want == "FILE", want
+        return self.text()
+
+    def values(self, syntax) -> tuple:
+        return tuple(self.value(want) for want in syntax if isinstance(want, tuple) or want.isupper())
+
+    def items(self, table: dict) -> list:
+        return [[self.values(syntax) for _ in range(self.rng.randint(0, 3))]
+                for syntax in table.values()]
+
+    def query(self) -> Query:
+        """A query body of the test_queries generators, its names passed to `name`."""
+        from test_queries import rand_disjunctive_query, random_query_corpus
+
+        rng, q = self.rng, None
+        while q is None:
+            if rng.random() < 0.5:
+                [(q, _I)] = random_query_corpus(rng.randrange(10**6), 1)
+            else:
+                q = rand_disjunctive_query(rng, rand_dag_schema(rng, "Q", with_attrs=True))
+        return Query(
+            tuple((self.name("variable", v), self.name("table", n)) for (v, n) in q.bindings),
+            tuple(Group(tuple(Clause(self.path("term", c.lhs), self.path("term", c.rhs))
+                              for c in g.alternatives)) for g in q.where),
+            tuple(SelectItem(self.name("alias", s.alias), self.path("path", s.expr)) for s in q.selects),
+        )
+
+    def script(self) -> Script:
+        rng = self.rng
+        stmts = []
+        for _ in range(rng.randint(1, 3)):
+            stmts.append(SchemaDecl(*self.values(STATEMENTS["schema"]), *self.items(SCHEMA_ITEMS)))
+        for _ in range(rng.randint(1, 2)):
+            stmts.append(InstanceDecl(*self.values(STATEMENTS["instance"]), *self.items(INSTANCE_ITEMS)))
+        for _ in range(rng.randint(1, 2)):
+            stmts.append(MappingDecl(*self.values(STATEMENTS["mapping"]), *self.items(MAPPING_ITEMS)))
+        for _ in range(rng.randint(0, 2)):
+            stmts.append(QueryDecl(*self.values(STATEMENTS["query"]), self.query()))
+        for op, (_fn, syntax) in LET_OPS.items():
+            (name,) = self.values(STATEMENTS["let"])
+            stmts.append(LetStmt(name, (op, *self.values(syntax))))
+        stmts.append(ShowStmt(*self.values(STATEMENTS["show"])))
+        stmts.append(ExportStmt(*self.values(STATEMENTS["export"])))
+        rng.shuffle(stmts)
+        return Script(tuple(stmts))
 
 
 @pytest.fixture(scope="session")

@@ -33,6 +33,7 @@ from catql.core import (
 from catql.errors import NormalizationInconclusive, NotSaturated, SchemaError, ValidationError
 
 from conftest import rand_adjunction_triple, rand_presented_schema
+from test_migration import messages_under_hash_seeds
 
 
 def loop_schema(equations=()):
@@ -616,3 +617,55 @@ class TestNormalFormsAgainstBruteForce:
         print(f"normal forms: {checked} schemas checked, {extended} extended by completion, "
               f"{cyclic_finite} cyclic with finite hom-sets, {searched} classes joined by search")
         assert checked >= 300 and extended >= 10 and cyclic_finite >= 10
+
+
+# faults of each kind at three names or nodes, whose order in a set follows
+# the hash seed
+THREE_FAULTS = """
+from catql.core import Mapping, Path, make_schema, validate_mapping
+from catql.errors import CatqlError
+from catql.instances import Instance, validate_instance
+from catql.parsing import parse_script
+from catql.scripts import run_script
+
+text = '''schema S { nodes a, b, c, d; edge f : a -> b; edge g : a -> c; edge h : a -> d;
+  attribute u : b -> string; attribute v : c -> string; attribute w : a -> string; }
+instance I : S { node a { x; } }'''
+S = make_schema("S", "abcd", [("f", "a", "b"), ("g", "a", "c"), ("h", "a", "d")],
+                [("w", "a", "string"), ("v", "c", "string"), ("u", "b", "string")])
+F = {n: n for n in S.nodes}
+edges = {(src, e): {"x": "y"} for (e, src, _tgt) in S.edges}
+cases = [
+    lambda: run_script(parse_script(text)),
+    lambda: make_schema("S", ["a"], [("f", "a", "b"), ("g", "a", "c"), ("h", "a", "d")]),
+    lambda: make_schema("S", ["a"], [], [("u", "b", "string"), ("v", "c", "string")]),
+    lambda: make_schema("S", "ab", [("f", "a", "a"), ("g", "a", "a"), ("f", "a", "b"), ("g", "a", "b")]),
+    lambda: validate_mapping(Mapping(S, S, {})),
+    lambda: validate_mapping(Mapping(S, S, F)),
+    lambda: validate_mapping(Mapping(S, S, F, {k: Path(k[0], (k[1],)) for k in S.edge_table})),
+    lambda: validate_instance(Instance(S, {n: ["x", "x"] for n in "bcd"}, {}, {})),
+    lambda: validate_instance(Instance(S, {"a": ["x"], "b": ["y"], "c": ["y"], "d": ["y"]}, edges, {})),
+]
+for case in cases:
+    try:
+        case()
+    except CatqlError as exc:
+        print(exc)
+"""
+
+
+def test_validation_names_the_first_fault_in_sorted_order():
+    """validate_schema, validate_mapping and validate_instance look for each
+    kind of fault in sorted order, so under any hash seed the error names
+    the first, as does `catql run`."""
+    assert messages_under_hash_seeds(THREE_FAULTS) == {
+        "edge 'f' on 'a' is not total on the declared row set (statement at line 3)\n"
+        "edge 'f': endpoint not a node of 'S'\n"
+        "attribute 'u': source not a node of 'S'\n"
+        "duplicate edge/attribute name 'f' on node 'a'\n"
+        "node 'a' has no valid image under mapping\n"
+        "edge 'f' on 'a' has no image\n"
+        "attribute 'w' on 'a' has no image\n"
+        "row 'x' is listed more than once at node 'b'\n"
+        "attribute 'w' on 'a' is not total on the declared row set\n"
+    }

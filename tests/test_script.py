@@ -10,12 +10,14 @@ from catql.errors import CatqlError, ParseError, SchemaError, ScriptError
 from catql.instances import validate_instance
 from catql.core import ConstPath, Path
 from catql.parsing import KEYWORDS, Parser, parse_query, parse_script
+from catql.queries import Query, SelectItem
 from catql.scripts import (
-    LET_OPS, MAPPING_ITEMS, NAMES, SCHEMA_ITEMS, STATEMENTS, Environment, ExportStmt, LetStmt,
-    MappingDecl, SchemaDecl, Script, format_script, run_script,
+    INSTANCE_ITEMS, LET_OPS, MAPPING_ITEMS, NAMES, SCHEMA_ITEMS, STATEMENTS, Environment,
+    ExportStmt, InstanceDecl, LetStmt, MappingDecl, QueryDecl, SchemaDecl, Script, ShowStmt,
+    format_script, run_script,
 )
 
-from conftest import read_data
+from conftest import ScriptGen, read_data
 
 
 DEMO = """
@@ -393,36 +395,48 @@ class TestLetOps:
         ("edge-decl", SCHEMA_ITEMS, "edge"),
         ("attr-decl", SCHEMA_ITEMS, "attribute"),
         ("equation-decl", SCHEMA_ITEMS, "equation"),
+        ("node-block", INSTANCE_ITEMS, "node"),
+        ("edge-block", INSTANCE_ITEMS, "edge"),
+        ("attr-block", INSTANCE_ITEMS, "attribute"),
         ("node-map", MAPPING_ITEMS, "node"),
         ("edge-map", MAPPING_ITEMS, "edge"),
         ("attr-map", MAPPING_ITEMS, "attribute"),
     ])
     def test_grammar_item_rule_names_the_table(self, rule, items, head):
-        """A schema or mapping item's rule is its head word, its syntax and
-        ';'."""
-        want = [f'"{head}"', *table_tokens(items[head]), '";"']
+        """A schema, instance or mapping item's rule is its head word and
+        its syntax."""
+        want = [f'"{head}"', *table_tokens(items[head])]
         assert grammar_tokens(grammar_rule(rule)) == want
 
     @pytest.mark.parametrize("keyword", list(STATEMENTS))
     def test_grammar_statement_rule_opens_with_the_table(self, keyword):
-        """A statement's rule opens with its keyword and its syntax, and an
-        export statement is no more."""
-        tokens = grammar_tokens(grammar_rule(f"{keyword}-{'stmt' if keyword in ('let', 'export') else 'decl'}"))
+        """A statement's rule opens with its keyword and its syntax, and a
+        show or an export statement is no more."""
+        whole = keyword in ("show", "export")
+        tokens = grammar_tokens(grammar_rule(f"{keyword}-{'stmt' if whole or keyword == 'let' else 'decl'}"))
         want = [f'"{keyword}"', *table_tokens(STATEMENTS[keyword])]
         assert tokens[:len(want)] == want
-        assert keyword != "export" or tokens == want
+        assert not whole or tokens == want
 
 
-# the grammar token of each field of the syntax tables that holds no name
-GRAMMAR_FIELDS = {"DEPTH": "INT", "TYPE": "base-type", "PATH": "path",
-                  "TERM": "path-or-const", "FILE": "STRING"}
+# the grammar tokens of each field of the syntax tables that holds no single name
+GRAMMAR_FIELDS = {"NODES": ["NAME", "{", '","', "NAME", "}"], "ROW": ["row-id"],
+                  "VALUE": ["literal"], "FORMAT": ["[", "IDENT", "]"], "DEPTH": ["INT"],
+                  "TYPE": ["base-type"], "PATH": ["path"], "TERM": ["path-or-const"],
+                  "FILE": ["STRING"]}
 
 
 def table_tokens(syntax) -> list:
     """The grammar's tokens for a syntax of the tables: NAME for a name
-    field, keywords and symbols quoted."""
-    return ["NAME" if x in NAMES else GRAMMAR_FIELDS[x] if x.isupper() else f'"{x}"'
-            for x in syntax]
+    field, keywords and symbols quoted, and a block's entry syntax in
+    braces."""
+    tokens = []
+    for x in syntax:
+        if isinstance(x, tuple):
+            tokens += ["{", *table_tokens(x), "}"]
+        else:
+            tokens += ["NAME"] if x in NAMES else GRAMMAR_FIELDS[x] if x.isupper() else [f'"{x}"']
+    return tokens
 
 
 def grammar_rule(name: str) -> str:
@@ -432,80 +446,18 @@ def grammar_rule(name: str) -> str:
 
 
 def grammar_tokens(rule: str) -> list:
-    """A rule's quoted terminals, parentheses, upper-case tokens and rule
-    names, in order; the EBNF braces and bars are left out."""
-    return re.findall(r'"[^"]*"|[()]|[A-Z]+|[a-z][a-z-]*', rule)
+    """A rule's quoted terminals, parentheses, braces, brackets, upper-case
+    tokens and rule names, in order; the EBNF bars are left out."""
+    return re.findall(r'"[^"]*"|[(){}\[\]]|[A-Z]+|[a-z][a-z-]*', rule)
 
 
-# string constants and file names are drawn from these pieces
-TEXT_PIECES = ['"', "\\", "--", "#", "\n", "a", " ", "é", ";", "}", "x.y"]
+# the role of each name that a generated script holds
+ROLES = {"schema", "instance", "mapping", "query", "node", "edge", "attribute", "row",
+         "path", "term", "alias", "variable", "table", "format"}
 
 
-class ScriptGen:
-    """A seeded generator of scripts of the tabled forms: schema and mapping
-    declarations, one let of each LET_OPS operation and an export.  When
-    `reserved_at` is k, the k-th name it draws for a field is a reserved
-    word, kept in `reserved` with the role its field names."""
-
-    def __init__(self, seed: int, reserved_at: int = 0):
-        self.rng = random.Random(seed)
-        self.drawn, self.reserved_at, self.reserved = 0, reserved_at, None
-
-    def ident(self) -> str:
-        rng = self.rng
-        return rng.choice(["a", "Z", "é", "_", "node_"]) + str(rng.randrange(40))
-
-    def name(self, role: str) -> str:
-        self.drawn += 1
-        if self.drawn != self.reserved_at:
-            return self.ident()
-        word = self.rng.choice(sorted(KEYWORDS))
-        self.reserved = (role, word)
-        return word
-
-    def text(self) -> str:
-        return "".join(self.rng.choice(TEXT_PIECES) for _ in range(self.rng.randint(0, 6)))
-
-    def path(self, role: str) -> Path:
-        return Path(self.name(role), tuple(self.name(role) for _ in range(self.rng.randint(0, 3))))
-
-    def value(self, want: str):
-        rng = self.rng
-        if want in NAMES:
-            return self.name(want.lower())
-        if want == "PATH" or (want == "TERM" and rng.random() < 0.5):
-            return self.path(want.lower())
-        if want == "TERM":
-            return ConstPath(self.text() if rng.random() < 0.6 else rng.randint(-10**6, 10**6))
-        if want == "TYPE":
-            return rng.choice(["string", "integer"])
-        if want == "DEPTH":
-            return rng.randint(-3, 30)
-        assert want == "FILE", want
-        return self.text()
-
-    def values(self, syntax) -> tuple:
-        return tuple(self.value(want) for want in syntax if want.isupper())
-
-    def items(self, table: dict) -> list:
-        return [[self.values(syntax) for _ in range(self.rng.randint(0, 3))]
-                for syntax in table.values()]
-
-    def script(self) -> Script:
-        rng = self.rng
-        stmts = []
-        for _ in range(rng.randint(1, 3)):
-            (name,) = self.values(STATEMENTS["schema"])
-            nodes = [self.ident() for _ in range(rng.randint(1, 3))]
-            stmts.append(SchemaDecl(name, nodes, *self.items(SCHEMA_ITEMS)))
-        for _ in range(rng.randint(1, 2)):
-            stmts.append(MappingDecl(*self.values(STATEMENTS["mapping"]), *self.items(MAPPING_ITEMS)))
-        for op, (_fn, syntax) in LET_OPS.items():
-            (name,) = self.values(STATEMENTS["let"])
-            stmts.append(LetStmt(name, (op, *self.values(syntax))))
-        stmts.append(ExportStmt(*self.values(STATEMENTS["export"])))
-        rng.shuffle(stmts)
-        return Script(tuple(stmts))
+def query_naming(alias="x", var="v", table="a") -> Query:
+    return Query(((var, table),), (), (SelectItem(alias, Path(var, ("w",))),))
 
 
 class TestTabledForms:
@@ -513,7 +465,7 @@ class TestTabledForms:
     def test_print_parse_round_trip(self, seed):
         """A generated script prints to text that parses back to it, and
         prints again to the same text."""
-        for k in range(120):
+        for k in range(200):
             script = ScriptGen(1000 * seed + k).script()
             text = format_script(script)
             assert parse_script(text) == script, text
@@ -522,14 +474,62 @@ class TestTabledForms:
     @pytest.mark.parametrize("seed", range(5))
     def test_reserved_word_in_a_tabled_name_is_refused(self, seed):
         """One name of a generated script that is a reserved word, in any
-        field, raises the ScriptError that names it and its field's role."""
-        rng = random.Random(seed)
+        field or in a query body, raises the ScriptError that names it and
+        its field's role."""
+        rng, refused = random.Random(seed), set()
         for k in range(120):
             plain = ScriptGen(1000 * seed + k)
             plain.script()
-            # the same draws up to the reserved word, which is any of them
-            gen = ScriptGen(1000 * seed + k, reserved_at=rng.randint(1, plain.drawn))
+            # the same draws up to the reserved word, at a name of each role
+            # in turn where the script has one
+            role = sorted(ROLES)[k % len(ROLES)]
+            at = [i for i, r in enumerate(plain.roles, 1) if r == role] or range(1, len(plain.roles) + 1)
+            gen = ScriptGen(1000 * seed + k, reserved_at=rng.choice(at))
             script = gen.script()
             role, word = gen.reserved
+            refused.add(role)
             with pytest.raises(ScriptError, match=re.escape(f"cannot print {role} {word!r}: it is a reserved word")):
                 format_script(script)
+        assert refused == ROLES
+
+    @pytest.mark.parametrize("stmt, refused", [
+        (SchemaDecl("S", ["a", "node"], [], [], []), "node 'node'"),
+        (InstanceDecl("I", "S", [("edge", ["x"])], [], []), "node 'edge'"),
+        (InstanceDecl("I", "S", [("a", ["x", "node"])], [], []), "row 'node'"),
+        (InstanceDecl("I", "S", [], [("a", "f", [("x", "as")])], []), "row 'as'"),
+        (InstanceDecl("I", "S", [], [], [("a", "from", [])]), "attribute 'from'"),
+        (ShowStmt("select", "csv"), "instance 'select'"),
+        (QueryDecl("q", "S", query_naming(alias="as")), "alias 'as'"),
+        (QueryDecl("q", "S", query_naming(var="where")), "path 'where'"),
+        (QueryDecl("q", "S", query_naming(table="select")), "table 'select'"),
+        (ShowStmt("I", "node"), "format 'node'"),
+    ])
+    def test_reserved_word_in_a_list_block_show_or_query_is_refused(self, stmt, refused):
+        """A node list, an instance block's names and row ids, a show's
+        instance and format and a query body's names pass the printer's one
+        reserved-word check."""
+        with pytest.raises(ScriptError, match=re.escape(f"cannot print {refused}: it is a reserved word")):
+            format_script(Script((stmt,)))
+
+    def test_variable_is_checked_where_it_is_bound(self):
+        """A query's variable is refused in its binding, which is printed
+        after its select items."""
+        q = Query((("v", "a"), ("where", "b")), (), (SelectItem("x", Path("v", ("w",))),))
+        with pytest.raises(ScriptError, match="cannot print variable 'where'"):
+            format_script(Script((QueryDecl("q", "S", q),)))
+
+    @pytest.mark.parametrize("text", [
+        "show I;\nshow I ascii;\nshow I csv;\n",
+        "instance I : S {\n  node a { x; -1; 01; }\n  edge a.f {  }\n"
+        '  attribute a.v { x = "a\\"b"; -1 = -7; }\n}\n',
+        # a string constant is quoted: a reserved word in it is printed
+        'schema S {\n  nodes a;\n  attribute v : a -> string;\n  equation a.v = "x.and.y";\n}\n'
+        'instance I : S {\n  node a { r; }\n  attribute a.v { r = "a.node.b"; }\n}\n'
+        'mapping F : S -> S {\n  node a -> a;\n  attribute a.v -> "p.where";\n}\n'
+        'query q : S {\n  select\n      v.v as x\n  from\n      a as v\n  where\n'
+        '      v.v = "row.\nselect"\n}\n'
+        'export I "run.export.csv";\n',
+    ])
+    def test_show_and_instance_blocks_round_trip(self, text):
+        ast = parse_script(text)
+        assert parse_script(format_script(ast)) == ast

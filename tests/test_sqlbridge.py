@@ -431,6 +431,8 @@ class TestExport:
         (["t5", "5"], [], [], "cannot export node '5' as SQL"),
         (["a"], [], [("prix €", "a", "integer")], "cannot export attribute 'prix €' of node 'a'"),
         (["a", "b"], [("to-b", "a", "b")], [], "cannot export edge 'to-b' of node 'a'"),
+        (["id", "b"], [("id", "b", "id")], [], "cannot export edge 'id' of node 'b'"),
+        (["id"], [], [("id", "id", "string")], "cannot export attribute 'id' of node 'id'"),
     ])
     def test_names_import_cannot_read_are_refused(self, nodes, edges, attrs, message):
         schema = make_schema("S", nodes, edges, attrs)
