@@ -33,7 +33,10 @@ the counts; its limit bounds one component's count.  iso_check searches
 all rows at once for an injective one that keeps each row's color, since
 injectivity links the components.  _refine, enumerate_homs and iso_check
 read the tables that an instance builds once, on first use (`row_start`,
-`row_keys`, `row_images`); no instance is edited once it is built.
+`row_keys`, `row_images`).  No instance is edited once it is built, so
+outputs share their inputs' dicts: relationalize returns its input when no
+two rows merge, and `migration.delta` passes through the dict of an edge or
+attribute whose image is one step.
 """
 
 from __future__ import annotations
@@ -506,18 +509,18 @@ def _refine(instances) -> list[int]:
     return color
 
 
-def _quotient(instances, parts) -> Instance:
-    """One row per class of `_refine`'s joint colors of instances, named
-    from parts.
+def _quotient(instances, parts, color) -> Instance:
+    """One row per class of color, `_refine(instances)`, named from parts.
 
     A part is (k, prefix, node -> sorted rows of instances[k]).  A class is
     named prefix + r by the first part that holds one of its rows, r its
     least row there, and that row represents it: edges and attributes are
     read from the representatives alone.  So a part needs to list no row
-    whose class an earlier part holds.
+    whose class an earlier part holds.  The instance and its tables are
+    new, even where no two rows merge.
     """
     s = instances[0].schema
-    color = iter(_refine(instances))  # in _refine's numbering
+    color = iter(color)  # in _refine's numbering
     # zip stops at a node's last row, before it takes a color of the next
     colors = [{n: dict(zip(inst.rows[n], color)) for n in s.topo_order} for inst in instances]
     name: dict[int, str] = {}  # color -> the row id of its class
@@ -554,8 +557,14 @@ def relationalize(I: Instance) -> Instance:
 
     Rows merge iff every attribute-valued path agrees on them, which is when
     `_refine` gives them one color; each class keeps its smallest row id.
+    When every row has its own color, each class is one row and keeps its
+    id, so the quotient is I itself, and I is returned: its tables are
+    shared, never copied.
     """
-    return _quotient([I], [(0, "", I.rows)])
+    color = _refine([I])
+    if len(set(color)) == len(color):
+        return I
+    return _quotient([I], [(0, "", I.rows)], color)
 
 
 def _extends(J: Instance, I: Instance) -> bool:
@@ -589,11 +598,11 @@ def union(I: Instance, J: Instance) -> Instance:
         raise SchemaError("union requires instances on the same schema")
     big = J if _extends(J, I) else I if _extends(I, J) else None
     if big is None:
-        return _quotient([I, J], [(0, "L.", I.rows), (1, "R.", J.rows)])
+        return _quotient([I, J], [(0, "L.", I.rows), (1, "R.", J.rows)], _refine([I, J]))
     # a node where J has no more rows than I has none outside I
     outside = {n: sorted(set(J.rows[n]).difference(I.rows[n]))
                if len(J.rows[n]) > len(I.rows[n]) else () for n in I.schema.nodes}
-    return _quotient([big], [(0, "L.", I.rows), (0, "R.", outside)])
+    return _quotient([big], [(0, "L.", I.rows), (0, "R.", outside)], _refine([big]))
 
 
 class _UnionFind:

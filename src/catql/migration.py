@@ -28,19 +28,28 @@ from .instances import Instance, LabelledNull, _UnionFind, join, path_fn
 
 
 def delta(F: Mapping, I: Instance) -> Instance:
-    """Pullback migration: compose the instance with the mapping."""
+    """Pullback migration: compose the instance with the mapping.
+
+    A source edge or attribute whose image is one edge, or one attribute, of
+    its node's image gets I's own dict, which is total on exactly that
+    node's rows and is never edited, so the result shares it; every other
+    table is built.
+    """
     if I.schema is not F.target and I.schema != F.target:
         raise SchemaError("delta: instance is not on the mapping's target schema")
     s = F.source
     rows = {n: I.rows[F.nodes[n]] for n in s.nodes}
-    edge_fn = {}
-    for (name, src, _tgt) in s.edges:
-        f = path_fn(I, F.edges[(src, name)])
-        edge_fn[(src, name)] = {r: f(r) for r in rows[src]}
-    attr_fn = {}
-    for (name, src, _ty) in s.attributes:
-        f = path_fn(I, F.attrs[(src, name)])
-        attr_fn[(src, name)] = {r: f(r) for r in rows[src]}
+
+    def table(src, p, own):
+        if isinstance(p, Path) and p.source == F.nodes[src] and len(p.steps) + (p.attr is not None) == 1:
+            fn = own.get((p.source, p.steps[0] if p.steps else p.attr))
+            if fn is not None:
+                return fn
+        f = path_fn(I, p)
+        return {r: f(r) for r in rows[src]}
+
+    edge_fn = {(src, e): table(src, F.edges[(src, e)], I.edge_fn) for (e, src, _tgt) in s.edges}
+    attr_fn = {(src, a): table(src, F.attrs[(src, a)], I.attr_fn) for (a, src, _ty) in s.attributes}
     return Instance(s, rows, edge_fn, attr_fn)
 
 

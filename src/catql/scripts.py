@@ -392,12 +392,22 @@ def _write(head: str, syntax, values, line: int) -> str:
 def _printed(x, role: str, line=None) -> str:
     """The text of `x`, a name, a row id, a path or a literal of `role`.  A
     name in it that is a reserved word raises ScriptError, as the text would
-    not parse; a literal, which is quoted or a number, is not checked."""
-    from .parsing import KEYWORDS
+    not parse, and so does a row id that is neither a name nor an integer
+    in canonical form, as it would not read back as itself; a literal,
+    which is quoted or a number, is not checked."""
+    from .parsing import _TOKEN, KEYWORDS
 
     word = str(x)
     if isinstance(x, ConstPath):
         return word
+    if role == "row":
+        kind = (m := _TOKEN.fullmatch(word)) and m.lastgroup
+        try:  # the row id that the word reads back as
+            back = word if kind == "IDENT" else str(int(word)) if kind == "INT" else None
+        except ValueError:  # an INT that int() refuses
+            back = None
+        if back != word:
+            raise ScriptError(f"cannot print row {word!r}: it would not read back as that row id", line)
     for name in word.split("."):
         if name in KEYWORDS:
             raise ScriptError(f"cannot print {role} {name!r}: it is a reserved word", line)

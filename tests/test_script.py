@@ -511,6 +511,26 @@ class TestTabledForms:
         with pytest.raises(ScriptError, match=re.escape(f"cannot print {refused}: it is a reserved word")):
             format_script(Script((stmt,)))
 
+    @pytest.mark.parametrize("row", ["L.x", "a b", "01"])
+    def test_row_id_that_does_not_read_back_is_refused(self, row):
+        """A row id that is neither a name nor an integer in canonical form
+        (disjoint_union's "L.x", "a b", "01", which reads back as "1") is
+        refused in a node, edge or attribute block."""
+        for stmt in (InstanceDecl("I", "S", [("a", ["x", row])], [], []),
+                     InstanceDecl("I", "S", [], [("a", "f", [("x", row)])], []),
+                     InstanceDecl("I", "S", [], [], [("a", "v", [(row, 1)])])):
+            with pytest.raises(ScriptError, match=re.escape(f"cannot print row {row!r}: it would not read back")):
+                format_script(Script((stmt,)))
+
+    def test_row_ids_that_read_back_print_as_they_are(self):
+        decl = InstanceDecl("I", "S", [("a", ["x", "-1", "12", "é3", "_0"])],
+                            [("a", "f", [("x", "-1"), ("12", "x")])],
+                            [("a", "v", [("_0", "L.x"), ("-1", -7)])])
+        text = format_script(Script((decl,)))
+        assert text == ('instance I : S {\n  node a { x; -1; 12; é3; _0; }\n'
+                        '  edge a.f { x -> -1; 12 -> x; }\n  attribute a.v { _0 = "L.x"; -1 = -7; }\n}\n')
+        assert parse_script(text) == Script((decl,))
+
     def test_variable_is_checked_where_it_is_bound(self):
         """A query's variable is refused in its binding, which is printed
         after its select items."""
