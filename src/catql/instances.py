@@ -29,21 +29,24 @@ along the edges and undone from a trail, and the search branches only on
 rows that no assignment reaches.  enumerate_homs counts the
 transformations that keep each row's attribute tuple on each connected
 component of I, found by the one union-find (`_UnionFind`), and multiplies
-the counts; its limit bounds one component's count.  iso_check searches
-all rows at once for an injective one that keeps each row's color, since
-injectivity links the components.  _refine, enumerate_homs and iso_check
-read the tables that an instance builds once, on first use (`row_start`,
-`row_keys`, `row_images`).  No instance is edited once it is built, so
-outputs share their inputs' dicts: relationalize returns its input when no
-two rows merge, and `migration.delta` passes through the dict of an edge or
-attribute whose image is one step.
+the counts; its limit bounds one component's count.  iso_check first
+checks the one bijection that the colors suggest (`_iso_by_colors`): node
+by node, a row takes the image that an edge from an earlier node forces, or
+else the next free row of its color.  Only when that is no isomorphism does
+it search all rows at once for an injective hom that keeps each row's
+color, since injectivity links the components.  _refine, enumerate_homs
+and iso_check read the tables that an instance builds once, on first use
+(`row_start`, `row_keys`, `row_images`).  No instance is edited once it is
+built, so outputs share their inputs' dicts: relationalize returns its
+input when no two rows merge, and `migration.delta` passes through the dict
+of an edge or attribute whose image is one step.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, count, groupby, islice, repeat
+from itertools import accumulate, count, filterfalse, groupby, islice, repeat
 from operator import itemgetter
 from typing import Union
 
@@ -134,9 +137,6 @@ class Instance:
 
     def attr(self, node, name):
         return self.attr_fn.get((node, name), {})
-
-    def attr_tuple(self, node, row):
-        return tuple(self.attr(node, name)[row] for (name, _ty) in self.schema.node_attrs[node])
 
     def total_rows(self):
         return sum(len(r) for r in self.rows.values())
@@ -718,12 +718,58 @@ def _homs(key_I, key_J, succ_I, succ_J, candidates, injective: bool = False):
     return search
 
 
+def _iso_by_colors(I: Instance, J: Instance, cI, cJ) -> bool:
+    """Whether the one bijection that the joint colors suggest is an
+    isomorphism I -> J; cI and cJ are `_refine([I, J])`'s colors of I's and
+    J's rows, and every node has as many rows in I as in J.
+
+    Nodes are taken in `Schema.topo_order`.  A row that an edge from an
+    earlier node reaches takes the image that edge forces, and each other
+    row is paired, in row order, with the next J row of its color that no
+    forced image took.  The guess is checked exactly: at each node it must
+    be total, injective and keep colors, which include the attribute tuple,
+    and it must commute with every edge.  False means only that this one
+    guess is not an isomorphism.
+    """
+    s = I.schema
+    forced: dict[str, dict] = {n: {} for n in s.nodes}  # node not yet built -> {I row: J row}
+    h: dict[str, dict] = {}  # built node -> {I row: J row}
+    edges = []  # per edge: its target, the I rows it reaches, the J rows h must send them to
+    for n in s.topo_order:
+        rI, rJ, lo = I.rows[n], J.rows[n], I.row_start[n]  # n's rows start at lo in J too
+        seg = cI[lo:lo + len(rI)]
+        color_I, color_J = dict(zip(rI, seg)), dict(zip(rJ, cJ[lo:lo + len(rI)]))
+        got = h[n] = forced.pop(n)
+        taken = set(got.values())
+        if len(taken) != len(got):
+            return False
+        # with distinct forced images, as many J rows as I rows are free, so
+        # the pairing makes got total and injective; a stable sort by color
+        # keeps row order within each color
+        got.update(zip(sorted(filterfalse(got.__contains__, rI), key=color_I.__getitem__),
+                       sorted(filterfalse(taken.__contains__, rJ), key=color_J.__getitem__)))
+        if list(map(color_J.__getitem__, map(got.__getitem__, rI))) != seg:
+            return False
+        for (e, tgt) in s.out_edges[n]:
+            reached = list(map(I.edge(n, e).__getitem__, rI))
+            images = list(map(J.edge(n, e).__getitem__, map(got.__getitem__, rI)))
+            if tgt in forced:
+                forced[tgt].update(zip(reached, images))
+            edges.append((tgt, reached, images))
+    # an edge into a node built before its source forced nothing, and two
+    # edges, or two rows of one edge, may force one row two ways
+    return all(list(map(h[tgt].__getitem__, reached)) == images for (tgt, reached, images) in edges)
+
+
 def iso_check(I: Instance, J: Instance) -> bool:
     """True iff a schema-preserving bijective natural transformation exists.
 
-    Searched as an injective hom keyed by the joint colors of partition
-    refinement, over all rows at once, since injectivity links the
-    components; equal row counts per node make it bijective.
+    The joint colors of partition refinement must agree in count.  Then the
+    color-keeping bijection that `_iso_by_colors` builds node by node is
+    checked, and only when it is no isomorphism does a search run: an
+    injective hom keyed by the colors, over all rows at once, since
+    injectivity links the components; equal row counts per node make it
+    bijective.
     """
     if I.schema != J.schema:
         return False
@@ -733,8 +779,10 @@ def iso_check(I: Instance, J: Instance) -> bool:
     color = _refine([I, J])
     split = I.total_rows()  # I's rows are numbered first
     cI, cJ = color[:split], color[split:]
-    if Counter(cI) != Counter(cJ):
+    if sorted(cI) != sorted(cJ):
         return False
+    if _iso_by_colors(I, J, cI, cJ):
+        return True
     search = _homs(cI, cJ, I.row_images, J.row_images, _candidates(cJ), injective=True)
     return next(search(list(range(split))), None) is not None
 

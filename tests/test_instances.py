@@ -15,6 +15,9 @@ from catql.errors import LimitExceeded, SchemaError, ValidationError
 from catql.instances import (
     Instance,
     LabelledNull,
+    _candidates,
+    _homs,
+    _iso_by_colors,
     _refine,
     disjoint_union,
     empty_instance,
@@ -28,8 +31,15 @@ from catql.instances import (
     validate_instance,
 )
 from catql.migration import pi
+from catql.sqlbridge import export_sql, import_sql
 
-from conftest import disjoint_union_many, rand_adjunction_triple, rand_dag_schema, rand_instance
+from conftest import (
+    disjoint_union_many,
+    rand_adjunction_triple,
+    rand_dag_schema,
+    rand_instance,
+    read_data,
+)
 
 
 def chain_schema():
@@ -449,13 +459,18 @@ class TestSearchAgainstExhaustiveOracle:
                     enumerate_homs(I, J, limit=homs - 1)
 
 
+def attr_tuple(I, node, row):
+    """The values of row's attributes, in the schema's order."""
+    return tuple(I.attr(node, name)[row] for (name, _ty) in I.schema.node_attrs[node])
+
+
 def forces_outside_bucket(I, J):
     """Whether some edge sends a row of J in a row's attribute bucket to a row
     outside the bucket of that row's own image."""
     s = I.schema
     return any(
-        J.attr_tuple(src, t) == I.attr_tuple(src, r)
-        and J.attr_tuple(tgt, J.edge(src, e)[t]) != I.attr_tuple(tgt, I.edge(src, e)[r])
+        attr_tuple(J, src, t) == attr_tuple(I, src, r)
+        and attr_tuple(J, tgt, J.edge(src, e)[t]) != attr_tuple(I, tgt, I.edge(src, e)[r])
         for (e, src, tgt) in s.edges for r in I.rows[src] for t in J.rows[src]
     )
 
@@ -556,6 +571,178 @@ def relabelled(rng, I):
     )
 
 
+def search_iso(I, J):
+    """The reference: iso_check decided by the injective search alone, with
+    no guess by colors first."""
+    if I.schema != J.schema:
+        return False
+    if any(len(I.rows[n]) != len(J.rows[n]) for n in I.schema.nodes):
+        return False
+    color = _refine([I, J])
+    split = I.total_rows()
+    cI, cJ = color[:split], color[split:]
+    if Counter(cI) != Counter(cJ):
+        return False
+    search = _homs(cI, cJ, I.row_images, J.row_images, _candidates(cJ), injective=True)
+    return next(search(list(range(split))), None) is not None
+
+
+def guess(I, J):
+    """_iso_by_colors's answer on I and J, or None where iso_check answers
+    before it runs: the row or color counts differ."""
+    if any(len(I.rows[n]) != len(J.rows[n]) for n in I.schema.nodes):
+        return None
+    color = _refine([I, J])
+    cI, cJ = color[:I.total_rows()], color[I.total_rows():]
+    return _iso_by_colors(I, J, cI, cJ) if sorted(cI) == sorted(cJ) else None
+
+
+def with_row_copied(rng, K):
+    """A copy of K in which one row takes every edge image and attribute
+    value of another row of its node, or None where no node with an edge or
+    attribute has two rows."""
+    s = K.schema
+    choices = [(n, r, r2) for n in sorted(s.nodes) if s.out_edges[n] or s.node_attrs[n]
+               for r in K.rows[n] for r2 in K.rows[n] if r != r2]
+    if not choices:
+        return None
+    n, r, r2 = rng.choice(choices)
+    edge_fn = {k: dict(fn) for k, fn in K.edge_fn.items()}
+    attr_fn = {k: dict(fn) for k, fn in K.attr_fn.items()}
+    for fn in [edge_fn[(n, e)] for (e, _t) in s.out_edges[n]] + \
+              [attr_fn[(n, a)] for (a, _t) in s.node_attrs[n]]:
+        fn[r] = fn[r2]
+    return Instance(s, K.rows, edge_fn, attr_fn)
+
+
+def iso_near_misses(rng, K):
+    """Copies of K with one change each: one edge image or one attribute
+    value changed, one row dropped, or one row copied from another."""
+    copied = with_row_copied(rng, K)
+    return [J for _kind, J in near_misses(rng, K, K)] + ([copied] if copied else [])
+
+
+def portal_sql(rng, scale):
+    """The bundled portal's tables with scale times as many rows, in the
+    shape the benchmark's portals have: some names repeat, and a junction
+    table may list one pair twice."""
+    def insert(table, rows):
+        body = ",\n".join(f"({i}, {', '.join(map(str, r))})" for i, r in enumerate(rows, 1))
+        return f"INSERT INTO {table} VALUES\n{body};\n"
+
+    def names(prefix, n):  # about one in ten repeats an earlier name
+        return [(f"'{prefix}-{rng.randrange(i) if i and rng.random() < 0.1 else i}'",) for i in range(n)]
+
+    n_caps = 6 * scale
+    return "".join([
+        read_data("portal_a.sql").split("INSERT INTO")[0],
+        insert("unitcode", [(f"'{u}'",) for u in ("EA", "Thousands", "Inch", "mm", "cm")]),
+        insert("material", names("mat", 4 * scale)),
+        insert("productorservicecategory", names("cat", 4 * scale)),
+        insert("capability", [(f"'cap-{i}'", rng.randint(5, 500), rng.randint(1, 5))
+                              for i in range(n_caps)]),
+        insert("capabilitymaterials", [(rng.randint(1, n_caps), rng.randint(1, 4 * scale))
+                                       for _ in range(n_caps)]),
+        insert("capabilitycategories", [(rng.randint(1, n_caps), rng.randint(1, 4 * scale))
+                                        for _ in range(n_caps)]),
+    ])
+
+
+def roundtrip(sql):
+    """The instance that sql imports, and the one that its export imports."""
+    schema, I = import_sql(sql)
+    return I, import_sql(export_sql(schema, I))[1]
+
+
+class TestIsoByColors:
+    """iso_check first checks the one color-keeping bijection that
+    `_iso_by_colors` builds, and searches only when it is no isomorphism."""
+
+    def test_against_search_on_random_pairs(self):
+        """Permuted-id copies, near misses of them and random pairs, with
+        loops, cycles, attributes and labelled nulls."""
+        rng = random.Random(71)
+        outcomes = Counter()
+        for k in range(240):
+            if k % 3 == 0:
+                s = rand_loop_schema(rng)
+                I = rand_loop_instance(rng, s, {n: rng.randint(1, 5) for n in s.nodes})
+                other = rand_loop_instance(rng, s, {n: len(I.rows[n]) for n in s.nodes})
+            elif k % 3 == 1:
+                s = rand_refine_schema(rng)
+                I, other = rand_refine_instance(rng, s), rand_refine_instance(rng, s)
+            else:
+                s = rand_dag_schema(rng, "D", with_attrs=rng.random() < 0.5, try_equation=True)
+                I, other = rand_instance(rng, s, max_rows=5), rand_instance(rng, s, max_rows=5)
+            K = relabelled(rng, I)
+            for J in (K, *iso_near_misses(rng, K), other):
+                want = search_iso(I, J)
+                assert iso_check(I, J) == want
+                g = guess(I, J)
+                assert not g or want  # a guess that holds is an isomorphism
+                outcomes["proved" if g else f"fell back, {want}" if g is False else "not reached"] += 1
+        assert sum(outcomes.values()) >= 500, outcomes
+        assert outcomes["proved"] >= 100, outcomes
+        # the search runs, and answers both ways
+        assert outcomes["fell back, True"] + outcomes["fell back, False"] >= 100, outcomes
+        assert min(outcomes["fell back, True"], outcomes["fell back, False"]) >= 50, outcomes
+
+    def test_against_search_on_portals(self):
+        """Portals at scales 1 to 30 against their reimported export, which
+        keeps the row ids, and against a copy with permuted ids."""
+        rng = random.Random(72)
+        outcomes = Counter()
+        for scale in range(1, 31):
+            I, again = roundtrip(portal_sql(rng, scale))
+            for J in (again, relabelled(rng, I)):
+                assert iso_check(I, J) is search_iso(I, J) is True
+                outcomes[(J is again, guess(I, J))] += 1
+        assert outcomes[(True, True)] == 30, outcomes
+
+    def test_pinned_answers(self):
+        loop = make_schema("L", ["a"], [("f", "a", "a")])
+
+        def graph(f):
+            rows = [f"r{i}" for i in range(len(f))]
+            return Instance(loop, {"a": rows}, {("a", "f"): {r: rows[j] for r, j in zip(rows, f)}}, {})
+
+        # two fixed points against a 2-cycle: the guess fails, and so does the search
+        for I, J in ((graph([0, 1]), graph([1, 0])), (graph([1, 0]), graph([0, 1]))):
+            assert guess(I, J) is False and not iso_check(I, J)
+        # isomorphic, but pairing rows in order is not an isomorphism: the search finds one
+        I, J = graph([1, 0, 3, 2]), graph([2, 3, 0, 1])
+        assert guess(I, J) is False and iso_check(I, J)
+        # g ->f c: J's edge forces both g rows onto one c row, so the guess
+        # is not injective; it answers False and raises nothing
+        s = make_schema("GC", ["g", "c"], [("f", "g", "c")])
+        rows = {"g": ["g1", "g2"], "c": ["c1", "c2"]}
+        I = Instance(s, rows, {("g", "f"): {"g1": "c1", "g2": "c2"}}, {})
+        J = Instance(s, rows, {("g", "f"): {"g1": "c1", "g2": "c1"}}, {})
+        assert guess(I, J) is False and not iso_check(I, J)
+        # the guess checks the colors itself: given colors that the edge does
+        # not keep, it refuses a bijection that commutes with the edge but
+        # swaps two attribute values
+        s = make_schema("GV", ["g", "c"], [("f", "g", "c")], [("v", "c", "string")])
+        values = {("c", "v"): {"c1": "x", "c2": "y"}}
+        I = Instance(s, {"g": ["g1"], "c": ["c1", "c2"]}, {("g", "f"): {"g1": "c1"}}, values)
+        J = Instance(s, {"g": ["g1"], "c": ["c1", "c2"]}, {("g", "f"): {"g1": "c2"}}, values)
+        # rows are numbered g1, c1, c2 on each side; g1 is given one color on both
+        assert not _iso_by_colors(I, J, [0, 1, 2], [0, 1, 2])
+
+    def test_portal_roundtrip_needs_no_search(self, portal, monkeypatch):
+        """On the roundtrip workload's shape the guess is the isomorphism."""
+        def no_search(*_args, **_kwargs):
+            raise AssertionError("the search ran")
+
+        schema, inst = portal
+        pairs = [(inst, import_sql(export_sql(schema, inst))[1])]
+        rng = random.Random(73)
+        pairs += [roundtrip(portal_sql(rng, scale)) for scale in (8, 20, 34)]
+        monkeypatch.setattr(instances_module, "_homs", no_search)
+        for I, J in pairs:
+            assert iso_check(I, J)
+
+
 def moore_partition(instances):
     """The oracle: Moore rounds.  Every row is recolored by its color and its
     edge targets' colors, round after round, until the number of colors stops
@@ -567,7 +754,7 @@ def moore_partition(instances):
         ids = {}
         return {key: ids.setdefault(signature(key), len(ids)) for key in keys}
 
-    color = renumber(lambda key: (key[1], instances[key[0]].attr_tuple(key[1], key[2])))
+    color = renumber(lambda key: (key[1], attr_tuple(instances[key[0]], key[1], key[2])))
     while True:
         new = renumber(lambda key: (color[key], tuple(
             color[(key[0], tgt, instances[key[0]].edge(key[1], e)[key[2]])]

@@ -18,7 +18,9 @@ from catql.instances import (
     _quotient,
     _refine,
     disjoint_union,
+    enumerate_homs,
     extend,
+    iso_check,
     path_fn,
     relationalize,
     union,
@@ -33,7 +35,14 @@ from conftest import (
     rand_instance,
     rand_presented_triple,
 )
-from test_instances import extended, new_part, rand_refine_instance, rand_refine_schema
+from test_instances import (
+    extended,
+    iso_near_misses,
+    new_part,
+    rand_refine_instance,
+    rand_refine_schema,
+    relabelled,
+)
 from test_queries import rand_disjunctive_query, random_query_corpus, with_nulls
 
 
@@ -118,6 +127,18 @@ class TestSharingKeepsInputs:
             leaves_inputs(lambda: union(I, big), I, big)
             leaves_inputs(lambda: union(big, I), I, big)
         assert shared >= 20, shared
+
+    def test_iso_and_homs(self):
+        """iso_check on permuted copies, where its guess by colors holds or
+        fails, and on near misses of them; enumerate_homs both ways."""
+        rng = random.Random(307)
+        for _ in range(200):
+            I = rand_refine_instance(rng, rand_refine_schema(rng))
+            K = relabelled(rng, I)
+            for J in (K, *iso_near_misses(rng, K)):
+                leaves_inputs(lambda: iso_check(I, J), I, J)
+                leaves_inputs(lambda: enumerate_homs(I, J, limit=1000), I, J)
+                leaves_inputs(lambda: enumerate_homs(J, I, limit=1000), I, J)
 
     def test_queries(self):
         rng = random.Random(304)
