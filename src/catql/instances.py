@@ -30,11 +30,11 @@ rows that no assignment reaches.  enumerate_homs counts the
 transformations that keep each row's attribute tuple on each connected
 component of I, found by the one union-find (`_UnionFind`), and multiplies
 the counts; its limit bounds one component's count.  iso_check first
-checks the one bijection that the colors suggest (`_iso_by_colors`): node
-by node, a row takes the image that an edge from an earlier node forces, or
-else the next free row of its color.  Only when that is no isomorphism does
-it search all rows at once for an injective hom that keeps each row's
-color, since injectivity links the components.  _refine, enumerate_homs
+checks the bijection that pairs each color's rows in row order
+(`_iso_by_colors`), which checks the edges but follows none.  Only when
+that is no isomorphism does it search all rows at once for an injective
+hom that keeps each row's color, since injectivity links the components,
+so `_homs` is the only code that follows forced images.  _refine, enumerate_homs
 and iso_check read the tables that an instance builds once, on first use
 (`row_start`, `row_keys`, `row_images`).  No instance is edited once it is
 built, so outputs share their inputs' dicts: relationalize returns its
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, count, filterfalse, groupby, islice, repeat
+from itertools import accumulate, count, groupby, islice, repeat
 from operator import itemgetter
 from typing import Union
 
@@ -719,54 +719,32 @@ def _homs(key_I, key_J, succ_I, succ_J, candidates, injective: bool = False):
 
 
 def _iso_by_colors(I: Instance, J: Instance, cI, cJ) -> bool:
-    """Whether the one bijection that the joint colors suggest is an
-    isomorphism I -> J; cI and cJ are `_refine([I, J])`'s colors of I's and
-    J's rows, and every node has as many rows in I as in J.
+    """Whether pairing each color's rows in row order is an isomorphism
+    I -> J; cI and cJ are `_refine([I, J])`'s colors of I's and J's rows,
+    and each color has as many rows in I as in J.
 
-    Nodes are taken in `Schema.topo_order`.  A row that an edge from an
-    earlier node reaches takes the image that edge forces, and each other
-    row is paired, in row order, with the next J row of its color that no
-    forced image took.  The guess is checked exactly: at each node it must
-    be total, injective and keep colors, which include the attribute tuple,
-    and it must commute with every edge.  False means only that this one
-    guess is not an isomorphism.
+    At each node, I's and J's rows, each sorted by (color, row id), are
+    zipped.  Colors include the attribute tuple, so this bijection keeps
+    attributes, and it is an isomorphism iff it commutes with every edge,
+    which one list comparison per edge checks.  False means only that this
+    one bijection is not an isomorphism.
     """
-    s = I.schema
-    forced: dict[str, dict] = {n: {} for n in s.nodes}  # node not yet built -> {I row: J row}
-    h: dict[str, dict] = {}  # built node -> {I row: J row}
-    edges = []  # per edge: its target, the I rows it reaches, the J rows h must send them to
-    for n in s.topo_order:
+    h = {}  # node -> {I row: J row}
+    for n in I.schema.nodes:
         rI, rJ, lo = I.rows[n], J.rows[n], I.row_start[n]  # n's rows start at lo in J too
-        seg = cI[lo:lo + len(rI)]
-        color_I, color_J = dict(zip(rI, seg)), dict(zip(rJ, cJ[lo:lo + len(rI)]))
-        got = h[n] = forced.pop(n)
-        taken = set(got.values())
-        if len(taken) != len(got):
-            return False
-        # with distinct forced images, as many J rows as I rows are free, so
-        # the pairing makes got total and injective; a stable sort by color
-        # keeps row order within each color
-        got.update(zip(sorted(filterfalse(got.__contains__, rI), key=color_I.__getitem__),
-                       sorted(filterfalse(taken.__contains__, rJ), key=color_J.__getitem__)))
-        if list(map(color_J.__getitem__, map(got.__getitem__, rI))) != seg:
-            return False
-        for (e, tgt) in s.out_edges[n]:
-            reached = list(map(I.edge(n, e).__getitem__, rI))
-            images = list(map(J.edge(n, e).__getitem__, map(got.__getitem__, rI)))
-            if tgt in forced:
-                forced[tgt].update(zip(reached, images))
-            edges.append((tgt, reached, images))
-    # an edge into a node built before its source forced nothing, and two
-    # edges, or two rows of one edge, may force one row two ways
-    return all(list(map(h[tgt].__getitem__, reached)) == images for (tgt, reached, images) in edges)
+        h[n] = dict(zip([r for _c, r in sorted(zip(cI[lo:lo + len(rI)], rI))],
+                        [r for _c, r in sorted(zip(cJ[lo:lo + len(rJ)], rJ))]))
+    return all(list(map(h[tgt].__getitem__, map(I.edge(src, e).__getitem__, h[src])))
+               == list(map(J.edge(src, e).__getitem__, h[src].values()))
+               for (e, src, tgt) in I.schema.edges)
 
 
 def iso_check(I: Instance, J: Instance) -> bool:
     """True iff a schema-preserving bijective natural transformation exists.
 
     The joint colors of partition refinement must agree in count.  Then the
-    color-keeping bijection that `_iso_by_colors` builds node by node is
-    checked, and only when it is no isomorphism does a search run: an
+    bijection that pairs each color's rows in row order (`_iso_by_colors`)
+    is checked, and only when it is no isomorphism does a search run: an
     injective hom keyed by the colors, over all rows at once, since
     injectivity links the components; equal row counts per node make it
     bijective.

@@ -65,15 +65,9 @@ def _json_cell(v):
 def render_json(I: Instance) -> str:
     doc = {}
     for node in sorted(I.schema.nodes):
-        rows = []
-        for r in I.node_rows(node):
-            obj = {"id": r}
-            for (name, _ty) in I.schema.node_attrs[node]:
-                obj[name] = _json_cell(I.attr(node, name)[r])
-            for (name, _tgt) in I.schema.out_edges[node]:
-                obj[name] = I.edge(node, name)[r]
-            rows.append(obj)
-        doc[node] = rows
+        header = _node_header(I.schema, node)
+        doc[node] = [dict(zip(header, map(_json_cell, _node_cells(I, node, r))))
+                     for r in I.node_rows(node)]
     if len(doc) == 1:
         doc = next(iter(doc.values()))
     return json.dumps(doc, indent=2)

@@ -655,8 +655,9 @@ def roundtrip(sql):
 
 
 class TestIsoByColors:
-    """iso_check first checks the one color-keeping bijection that
-    `_iso_by_colors` builds, and searches only when it is no isomorphism."""
+    """iso_check first checks the bijection that pairs each color's rows in
+    row order (`_iso_by_colors`), and searches only when it is no
+    isomorphism."""
 
     def test_against_search_on_random_pairs(self):
         """Permuted-id copies, near misses of them and random pairs, with
@@ -712,16 +713,22 @@ class TestIsoByColors:
         # isomorphic, but pairing rows in order is not an isomorphism: the search finds one
         I, J = graph([1, 0, 3, 2]), graph([2, 3, 0, 1])
         assert guess(I, J) is False and iso_check(I, J)
-        # g ->f c: J's edge forces both g rows onto one c row, so the guess
-        # is not injective; it answers False and raises nothing
+        # g ->f c: J's edge sends both g rows to one c row, so pairing the
+        # rows in order does not commute with f; the guess answers False and
+        # raises nothing
         s = make_schema("GC", ["g", "c"], [("f", "g", "c")])
         rows = {"g": ["g1", "g2"], "c": ["c1", "c2"]}
         I = Instance(s, rows, {("g", "f"): {"g1": "c1", "g2": "c2"}}, {})
         J = Instance(s, rows, {("g", "f"): {"g1": "c1", "g2": "c1"}}, {})
         assert guess(I, J) is False and not iso_check(I, J)
-        # the guess checks the colors itself: given colors that the edge does
-        # not keep, it refuses a bijection that commutes with the edge but
-        # swaps two attribute values
+        # isomorphic by swapping c1 and c2, but the guess pairs c rows in row
+        # order and follows no edge, so only the search finds the isomorphism
+        I = Instance(s, rows, {("g", "f"): {"g1": "c2", "g2": "c1"}}, {})
+        J = Instance(s, rows, {("g", "f"): {"g1": "c1", "g2": "c2"}}, {})
+        assert guess(I, J) is False and iso_check(I, J)
+        # the guess keeps the colors it is given, even ones that the edge
+        # does not keep: it fails the edge check, and does not take the
+        # bijection that commutes with the edge but swaps two attribute values
         s = make_schema("GV", ["g", "c"], [("f", "g", "c")], [("v", "c", "string")])
         values = {("c", "v"): {"c1": "x", "c2": "y"}}
         I = Instance(s, {"g": ["g1"], "c": ["c1", "c2"]}, {("g", "f"): {"g1": "c1"}}, values)
@@ -737,7 +744,8 @@ class TestIsoByColors:
         schema, inst = portal
         pairs = [(inst, import_sql(export_sql(schema, inst))[1])]
         rng = random.Random(73)
-        pairs += [roundtrip(portal_sql(rng, scale)) for scale in (8, 20, 34)]
+        # 85 is the benchmark probe's scale: 2,215 rows
+        pairs += [roundtrip(portal_sql(rng, scale)) for scale in (8, 20, 34, 85)]
         monkeypatch.setattr(instances_module, "_homs", no_search)
         for I, J in pairs:
             assert iso_check(I, J)
