@@ -29,17 +29,17 @@ along the edges and undone from a trail, and the search branches only on
 rows that no assignment reaches.  enumerate_homs counts the
 transformations that keep each row's attribute tuple on each connected
 component of I, found by the one union-find (`_UnionFind`), and multiplies
-the counts; its limit bounds one component's count.  iso_check first
-checks the bijection that pairs each color's rows in row order
-(`_iso_by_colors`), which checks the edges but follows none.  Only when
-that is no isomorphism does it search all rows at once for an injective
-hom that keeps each row's color, since injectivity links the components,
-so `_homs` is the only code that follows forced images.  _refine, enumerate_homs
-and iso_check read the tables that an instance builds once, on first use
-(`row_start`, `row_keys`, `row_images`).  No instance is edited once it is
-built, so outputs share their inputs' dicts: relationalize returns its
-input when no two rows merge, and `migration.delta` passes through the dict
-of an edge or attribute whose image is one step.
+the counts; its limit bounds one component's count.  iso_check answers
+True at once when the row counts agree and J extends I by union's check
+(`_extends`), since then J is I; a reimport that keeps every row id is such
+a pair.  Any other pair is refined, and its colors are searched all at once
+for an injective hom that keeps each row's color, since injectivity links
+the components.  _refine, enumerate_homs and iso_check read the tables that
+an instance builds once, on first use (`row_start`, `row_keys`,
+`row_images`).  No instance is edited once it is built, so outputs share
+their inputs' dicts: relationalize returns its input when no two rows
+merge, and `migration.delta` passes through the dict of an edge or
+attribute whose image is one step.
 """
 
 from __future__ import annotations
@@ -571,7 +571,8 @@ def _extends(J: Instance, I: Instance) -> bool:
     """Whether J extends I: I's rows are rows of J, and J's edges and
     attributes agree with I's on them.  A node with an edge or attribute is
     compared by its functions, whose keys are its rows; a node without, by
-    its rows."""
+    its rows.  union reads which side is the larger; iso_check calls it
+    with equal row counts per node, where J extends I iff J is I."""
     s = I.schema
     for n in s.nodes:
         fns = [(I.edge(n, e), J.edge(n, e)) for (e, _tgt) in s.out_edges[n]]
@@ -718,49 +719,28 @@ def _homs(key_I, key_J, succ_I, succ_J, candidates, injective: bool = False):
     return search
 
 
-def _iso_by_colors(I: Instance, J: Instance, cI, cJ) -> bool:
-    """Whether pairing each color's rows in row order is an isomorphism
-    I -> J; cI and cJ are `_refine([I, J])`'s colors of I's and J's rows,
-    and each color has as many rows in I as in J.
-
-    At each node, I's and J's rows, each sorted by (color, row id), are
-    zipped.  Colors include the attribute tuple, so this bijection keeps
-    attributes, and it is an isomorphism iff it commutes with every edge,
-    which one list comparison per edge checks.  False means only that this
-    one bijection is not an isomorphism.
-    """
-    h = {}  # node -> {I row: J row}
-    for n in I.schema.nodes:
-        rI, rJ, lo = I.rows[n], J.rows[n], I.row_start[n]  # n's rows start at lo in J too
-        h[n] = dict(zip([r for _c, r in sorted(zip(cI[lo:lo + len(rI)], rI))],
-                        [r for _c, r in sorted(zip(cJ[lo:lo + len(rJ)], rJ))]))
-    return all(list(map(h[tgt].__getitem__, map(I.edge(src, e).__getitem__, h[src])))
-               == list(map(J.edge(src, e).__getitem__, h[src].values()))
-               for (e, src, tgt) in I.schema.edges)
-
-
 def iso_check(I: Instance, J: Instance) -> bool:
     """True iff a schema-preserving bijective natural transformation exists.
 
-    The joint colors of partition refinement must agree in count.  Then the
-    bijection that pairs each color's rows in row order (`_iso_by_colors`)
-    is checked, and only when it is no isomorphism does a search run: an
+    With the schema and each node's row count equal, J extending I
+    (`_extends`) means that J is I, so the identity is an isomorphism, and
+    the answer is True before any refinement.  Otherwise the joint colors of
+    partition refinement must agree in count, and a search decides: an
     injective hom keyed by the colors, over all rows at once, since
     injectivity links the components; equal row counts per node make it
     bijective.
     """
     if I.schema != J.schema:
         return False
-    s = I.schema
-    if any(len(I.rows[n]) != len(J.rows[n]) for n in s.nodes):
+    if any(len(I.rows[n]) != len(J.rows[n]) for n in I.schema.nodes):
         return False
+    if _extends(J, I):
+        return True
     color = _refine([I, J])
     split = I.total_rows()  # I's rows are numbered first
     cI, cJ = color[:split], color[split:]
     if sorted(cI) != sorted(cJ):
         return False
-    if _iso_by_colors(I, J, cI, cJ):
-        return True
     search = _homs(cI, cJ, I.row_images, J.row_images, _candidates(cJ), injective=True)
     return next(search(list(range(split))), None) is not None
 

@@ -20,10 +20,11 @@ An INSERT block into a table created before it is read up to its first `;`
 outside quotes and comments by one `findall` of a pattern of k-tuples of
 literals, and each column is read in one step.  Any other block (a comment
 inside a tuple, a fault, tuples of another arity, no CREATE TABLE yet) is
-walked token by token, which raises at its first fault, and so are the
+walked, one findall per tuple up to its `)`, and token by token for a tuple
+that this does not read whole, which raises at its first fault; so are the
 blocks of a table of 64 or more columns until 64 of its rows would have been
-walked: the pattern costs about that much to compile.  Tables are built, and export_sql
-writes INSERTs, column by column; a check that fails is walked in order.
+walked: the pattern costs about that much to compile.  Tables are built, and
+export_sql writes INSERTs, column by column; a check that fails is walked in order.
 An id's string is made once per import, and every table's row and every
 foreign key with that id shares it; export_sql writes each node's ids once,
 and a foreign-key column by looking them up.
@@ -72,6 +73,11 @@ _SQL_SCAN = scan_pattern(r"(?:\s+|--[^\n]*(?![^\n]))*", _SQL_RULES)
 # to the end of its line, so the text splits one way only.
 _SQL_BLOCK_END = re.compile(
     r"""[^;'"-]*(?:(?:'[^']*'|"[^"]*"|--[^\n]*(?![^\n])|-(?!-))[^;'"-]*)*;""")
+# One literal, as a group, with the blanks around it.
+_VALUE = rf"\s*({_SQL_RULES['STRING']}|{_SQL_RULES['INT']}|(?i:NULL)(?![A-Za-z0-9_]))\s*"
+# Between a tuple's `(` and `)`: each literal and a `,` before the next, or the
+# end; other text is `(?s:.+)`, its group empty.
+_TUPLE_VALUES = re.compile(rf"{_VALUE}(?:,(?!\s*\Z)|\Z)|(?s:.+)")
 
 
 def _tuple_pattern(k):
@@ -80,9 +86,8 @@ def _tuple_pattern(k):
     `(?s:.+)`, groups empty.  Comments parse one way: the scan's splits blank
     runs many ways, and would backtrack exponentially.  After a tuple they are
     a branch, not a skip, which cost 9% on blocks without comments."""
-    value = rf"\s*({_SQL_RULES['STRING']}|{_SQL_RULES['INT']}|(?i:NULL)(?![A-Za-z0-9_]))\s*"
     comment = r"--[^\n]*(?![^\n])\s*"
-    return re.compile(rf"\s*(?:{comment})*\({','.join([value] * k)}\)\s*(,|;\Z|(?:{comment})+(?:,|;\Z))|(?s:.+)")
+    return re.compile(rf"\s*(?:{comment})*\({','.join([_VALUE] * k)}\)\s*(,|;\Z|(?:{comment})+(?:,|;\Z))|(?s:.+)")
 
 
 def _literal(tok):
@@ -263,7 +268,7 @@ class _SqlParser:
         rows = []
         while True:
             self.expect("(")
-            rows.append(self._tuple_by_tokens())
+            rows.append(self._walked_tuple())
             sep = self.next()
             if sep == ";":
                 break
@@ -272,6 +277,18 @@ class _SqlParser:
         if len(set(map(len, rows))) > 1:
             return name, [], rows
         return name, list(map(list, zip(*rows))), None
+
+    def _walked_tuple(self):
+        """The values of the tuple whose `(` was just read, by one findall up to
+        the first `)`, or token by token where that does not read them whole
+        (a comment, a `)` in a string, a fault); the token after `)` is current."""
+        close = self.text.find(")", self.start)
+        lexemes = _TUPLE_VALUES.findall(self.text, self.start, close) if close >= 0 else ()
+        if not lexemes or "" in lexemes:
+            return self._tuple_by_tokens()
+        vals = list(map(_literal, lexemes))  # raises as the token walk would
+        self._lex(close + 1)
+        return vals
 
     def _tuple_by_tokens(self):
         vals = []

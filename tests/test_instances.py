@@ -17,7 +17,6 @@ from catql.instances import (
     LabelledNull,
     _candidates,
     _homs,
-    _iso_by_colors,
     _refine,
     disjoint_union,
     empty_instance,
@@ -572,8 +571,8 @@ def relabelled(rng, I):
 
 
 def search_iso(I, J):
-    """The reference: iso_check decided by the injective search alone, with
-    no guess by colors first."""
+    """The reference: iso_check decided by refinement and the injective
+    search alone, with no identity step first."""
     if I.schema != J.schema:
         return False
     if any(len(I.rows[n]) != len(J.rows[n]) for n in I.schema.nodes):
@@ -587,14 +586,39 @@ def search_iso(I, J):
     return next(search(list(range(split))), None) is not None
 
 
-def guess(I, J):
-    """_iso_by_colors's answer on I and J, or None where iso_check answers
-    before it runs: the row or color counts differ."""
+def equal_copy(I):
+    """An instance equal to I, built from copies of its own tables."""
+    return Instance(I.schema, {n: list(rs) for n, rs in I.rows.items()},
+                    {k: dict(fn) for k, fn in I.edge_fn.items()},
+                    {k: dict(fn) for k, fn in I.attr_fn.items()})
+
+
+def same_tables(I, J):
+    """Whether I and J have the same rows, edges and attributes."""
+    s = I.schema
+    return I.rows == J.rows and \
+        all(I.edge(n, e) == J.edge(n, e) for (e, n, _t) in s.edges) and \
+        all(I.attr(n, a) == J.attr(n, a) for (a, n, _t) in s.attributes)
+
+
+@pytest.fixture
+def refines(monkeypatch):
+    """A list that gains one entry per call of `_refine` inside instances."""
+    calls = []
+    monkeypatch.setattr(instances_module, "_refine",
+                        lambda instances: calls.append(1) or _refine(instances))
+    return calls
+
+
+def iso_outcome(I, J, refines):
+    """iso_check(I, J), and how it was decided: "identity" where the row
+    counts agree and it answered without refining, "searched" where it
+    refined, and "not reached" where the row counts differ."""
+    before = len(refines)
+    answer = iso_check(I, J)
     if any(len(I.rows[n]) != len(J.rows[n]) for n in I.schema.nodes):
-        return None
-    color = _refine([I, J])
-    cI, cJ = color[:I.total_rows()], color[I.total_rows():]
-    return _iso_by_colors(I, J, cI, cJ) if sorted(cI) == sorted(cJ) else None
+        return answer, "not reached"
+    return answer, "identity" if len(refines) == before else "searched"
 
 
 def with_row_copied(rng, K):
@@ -654,15 +678,15 @@ def roundtrip(sql):
     return I, import_sql(export_sql(schema, I))[1]
 
 
-class TestIsoByColors:
-    """iso_check first checks the bijection that pairs each color's rows in
-    row order (`_iso_by_colors`), and searches only when it is no
-    isomorphism."""
+class TestIsoIdentityStep:
+    """iso_check answers True without refining when J has I's row ids and
+    tables, and refines and searches every other pair."""
 
-    def test_against_search_on_random_pairs(self):
+    def test_against_search_on_random_pairs(self, refines):
         """Permuted-id copies, near misses of them and random pairs, with
-        loops, cycles, attributes and labelled nulls."""
-        rng = random.Random(71)
+        loops, cycles, attributes and labelled nulls; then equal copies and
+        same-id near misses, whose draws come from a second stream."""
+        rng, same_ids = random.Random(71), random.Random(171)
         outcomes = Counter()
         for k in range(240):
             if k % 3 == 0:
@@ -676,29 +700,38 @@ class TestIsoByColors:
                 s = rand_dag_schema(rng, "D", with_attrs=rng.random() < 0.5, try_equation=True)
                 I, other = rand_instance(rng, s, max_rows=5), rand_instance(rng, s, max_rows=5)
             K = relabelled(rng, I)
-            for J in (K, *iso_near_misses(rng, K), other):
-                want = search_iso(I, J)
-                assert iso_check(I, J) == want
-                g = guess(I, J)
-                assert not g or want  # a guess that holds is an isomorphism
-                outcomes["proved" if g else f"fell back, {want}" if g is False else "not reached"] += 1
-        assert sum(outcomes.values()) >= 500, outcomes
-        assert outcomes["proved"] >= 100, outcomes
+            for J in (K, *iso_near_misses(rng, K), other,
+                      equal_copy(I), *iso_near_misses(same_ids, I)):
+                answer, how = iso_outcome(I, J, refines)
+                assert answer == search_iso(I, J)
+                # the identity step decides exactly the pairs with equal tables
+                assert (how == "identity") == same_tables(I, J)
+                outcomes[how if how != "searched" else f"searched, {answer}"] += 1
+        assert sum(outcomes.values()) >= 1000, outcomes
+        assert outcomes["identity"] >= 240, outcomes
         # the search runs, and answers both ways
-        assert outcomes["fell back, True"] + outcomes["fell back, False"] >= 100, outcomes
-        assert min(outcomes["fell back, True"], outcomes["fell back, False"]) >= 50, outcomes
+        assert min(outcomes["searched, True"], outcomes["searched, False"]) >= 50, outcomes
 
-    def test_against_search_on_portals(self):
+    def test_against_search_on_portals(self, refines):
         """Portals at scales 1 to 30 against their reimported export, which
-        keeps the row ids, and against a copy with permuted ids."""
-        rng = random.Random(72)
+        keeps the row ids, against a copy with permuted ids, against an
+        equal copy and against same-id near misses."""
+        rng, same_ids = random.Random(72), random.Random(172)
         outcomes = Counter()
         for scale in range(1, 31):
             I, again = roundtrip(portal_sql(rng, scale))
-            for J in (again, relabelled(rng, I)):
-                assert iso_check(I, J) is search_iso(I, J) is True
-                outcomes[(J is again, guess(I, J))] += 1
-        assert outcomes[(True, True)] == 30, outcomes
+            for J in (again, relabelled(rng, I), equal_copy(I)):
+                answer, how = iso_outcome(I, J, refines)
+                assert answer is search_iso(I, J) is True
+                outcomes[(J is again, how)] += 1
+            for J in iso_near_misses(same_ids, I):
+                answer, how = iso_outcome(I, J, refines)
+                assert answer == search_iso(I, J)
+                assert (how == "identity") == same_tables(I, J)
+                outcomes[how] += 1
+        assert outcomes[(True, "identity")] == 30, outcomes
+        assert outcomes[(False, "identity")] == 30, outcomes  # the equal copies
+        assert outcomes["searched"] >= 60, outcomes
 
     def test_pinned_answers(self):
         loop = make_schema("L", ["a"], [("f", "a", "a")])
@@ -707,45 +740,41 @@ class TestIsoByColors:
             rows = [f"r{i}" for i in range(len(f))]
             return Instance(loop, {"a": rows}, {("a", "f"): {r: rows[j] for r, j in zip(rows, f)}}, {})
 
-        # two fixed points against a 2-cycle: the guess fails, and so does the search
+        # two fixed points against a 2-cycle, on the same row ids: not isomorphic
         for I, J in ((graph([0, 1]), graph([1, 0])), (graph([1, 0]), graph([0, 1]))):
-            assert guess(I, J) is False and not iso_check(I, J)
-        # isomorphic, but pairing rows in order is not an isomorphism: the search finds one
+            assert not iso_check(I, J)
+        # isomorphic, but not by the identity: the search finds one
         I, J = graph([1, 0, 3, 2]), graph([2, 3, 0, 1])
-        assert guess(I, J) is False and iso_check(I, J)
-        # g ->f c: J's edge sends both g rows to one c row, so pairing the
-        # rows in order does not commute with f; the guess answers False and
-        # raises nothing
+        assert iso_check(I, J)
+        # g ->f c: J's edge sends both g rows to one c row
         s = make_schema("GC", ["g", "c"], [("f", "g", "c")])
         rows = {"g": ["g1", "g2"], "c": ["c1", "c2"]}
         I = Instance(s, rows, {("g", "f"): {"g1": "c1", "g2": "c2"}}, {})
         J = Instance(s, rows, {("g", "f"): {"g1": "c1", "g2": "c1"}}, {})
-        assert guess(I, J) is False and not iso_check(I, J)
-        # isomorphic by swapping c1 and c2, but the guess pairs c rows in row
-        # order and follows no edge, so only the search finds the isomorphism
+        assert not iso_check(I, J)
+        # isomorphic by swapping c1 and c2, which only the search finds
         I = Instance(s, rows, {("g", "f"): {"g1": "c2", "g2": "c1"}}, {})
         J = Instance(s, rows, {("g", "f"): {"g1": "c1", "g2": "c2"}}, {})
-        assert guess(I, J) is False and iso_check(I, J)
-        # the guess keeps the colors it is given, even ones that the edge
-        # does not keep: it fails the edge check, and does not take the
-        # bijection that commutes with the edge but swaps two attribute values
+        assert iso_check(I, J)
+        # the bijection that commutes with the edge swaps two attribute values
         s = make_schema("GV", ["g", "c"], [("f", "g", "c")], [("v", "c", "string")])
         values = {("c", "v"): {"c1": "x", "c2": "y"}}
         I = Instance(s, {"g": ["g1"], "c": ["c1", "c2"]}, {("g", "f"): {"g1": "c1"}}, values)
         J = Instance(s, {"g": ["g1"], "c": ["c1", "c2"]}, {("g", "f"): {"g1": "c2"}}, values)
-        # rows are numbered g1, c1, c2 on each side; g1 is given one color on both
-        assert not _iso_by_colors(I, J, [0, 1, 2], [0, 1, 2])
+        assert not iso_check(I, J)
 
     def test_portal_roundtrip_needs_no_search(self, portal, monkeypatch):
-        """On the roundtrip workload's shape the guess is the isomorphism."""
+        """On the roundtrip workload's shape the identity step decides:
+        neither the refinement nor the search runs."""
         def no_search(*_args, **_kwargs):
-            raise AssertionError("the search ran")
+            raise AssertionError("the refinement or the search ran")
 
         schema, inst = portal
         pairs = [(inst, import_sql(export_sql(schema, inst))[1])]
         rng = random.Random(73)
         # 85 is the benchmark probe's scale: 2,215 rows
         pairs += [roundtrip(portal_sql(rng, scale)) for scale in (8, 20, 34, 85)]
+        monkeypatch.setattr(instances_module, "_refine", no_search)
         monkeypatch.setattr(instances_module, "_homs", no_search)
         for I, J in pairs:
             assert iso_check(I, J)

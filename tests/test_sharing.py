@@ -36,6 +36,7 @@ from conftest import (
     rand_presented_triple,
 )
 from test_instances import (
+    equal_copy,
     extended,
     iso_near_misses,
     new_part,
@@ -129,13 +130,14 @@ class TestSharingKeepsInputs:
         assert shared >= 20, shared
 
     def test_iso_and_homs(self):
-        """iso_check on permuted copies, where its guess by colors holds or
-        fails, and on near misses of them; enumerate_homs both ways."""
+        """iso_check on permuted copies, which it searches, on near misses
+        of them, and on equal copies, which its identity step decides;
+        enumerate_homs both ways."""
         rng = random.Random(307)
         for _ in range(200):
             I = rand_refine_instance(rng, rand_refine_schema(rng))
             K = relabelled(rng, I)
-            for J in (K, *iso_near_misses(rng, K)):
+            for J in (K, *iso_near_misses(rng, K), equal_copy(I)):
                 leaves_inputs(lambda: iso_check(I, J), I, J)
                 leaves_inputs(lambda: enumerate_homs(I, J, limit=1000), I, J)
                 leaves_inputs(lambda: enumerate_homs(J, I, limit=1000), I, J)

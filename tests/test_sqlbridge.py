@@ -513,11 +513,11 @@ def requote(rng: random.Random, text: str) -> str:
 
 @pytest.fixture
 def walked(monkeypatch):
-    """A list that gains one entry per tuple walked token by token."""
+    """A list that gains one entry per tuple of a walked block."""
     tuples = []
-    tuple_by_tokens = _SqlParser._tuple_by_tokens
-    monkeypatch.setattr(_SqlParser, "_tuple_by_tokens",
-                        lambda self: tuples.append(1) or tuple_by_tokens(self))
+    walked_tuple = _SqlParser._walked_tuple
+    monkeypatch.setattr(_SqlParser, "_walked_tuple",
+                        lambda self: tuples.append(1) or walked_tuple(self))
     return tuples
 
 
@@ -675,6 +675,42 @@ class TestTupleRead:
             _s, inst = import_sql(text)
             assert len(walked) == expected
             assert inst.attr("a", "c0") == {str(r): -1 for r in range(100)}
+
+def tuple_read(text, method):
+    """The values that `method` reads from the tuple that text opens, with
+    the current token and its offset after them, or the error raised."""
+    try:
+        p = _SqlParser(text)
+        p.next()  # the tuple's `(`
+        return method(p), p.tok, p.start
+    except SqlImportError as exc:
+        return str(exc)
+
+
+class TestWalkedTupleRead:
+    """A walked tuple read by one findall gives the values, error and next
+    token that the token walk gives."""
+
+    def test_against_token_walk(self):
+        values = ["1", "-2", "007", "'a'", "'a)b'", "'it''s'", '"x"', "''", "NULL", "null",
+                  "9" * 5000]
+        junk = ["NULLX", "x", "", ",", "-- c)\n", "(", ")", "'", "@"]
+        seps = [",", ", ", " ,\n", " , ", ",-- c\n", " "]
+        cases = ["(1, 2)", "( 1 ,'a' , NULL )", "('a)b', 2)", "()", "(1, )", "(1 2)",
+                 "(1, 2", "(1, 'x", "(1, @)"]
+        rng = random.Random(33)
+        for _ in range(3000):
+            items = [rng.choice(junk if rng.random() < 0.1 else values)
+                     for _ in range(rng.randint(1, 6))]
+            sep = rng.choice(seps[:4] if rng.random() < 0.8 else seps)
+            cases.append("(" + sep.join(items) + ")" + rng.choice(["", ",", " (1)", ";", "@"]))
+        read = 0
+        for text in cases:
+            got = tuple_read(text, _SqlParser._walked_tuple)
+            assert got == tuple_read(text, _SqlParser._tuple_by_tokens), text
+            read += isinstance(got, tuple)
+        assert read >= 1000, read
+
 
 class TestRandomRoundTrip:
     def test_random_files(self):
