@@ -8,7 +8,11 @@ instances' rows directly, without building the disjoint union.
 
 One join planner (`join`) enumerates the row tuples that satisfy a set of
 equalities; direct queries, pi's families, relation composition and
-enrichment all run through it.  One partition refinement (`_refine`) colors
+enrichment all run through it.  It decides each alternative on one variable
+by C-level column passes over that variable's rows, and a disjunction across
+variables by a bitmask per row, once per pair of row classes at a product;
+it splits a disjunction into joins only for an alternative on two variables
+that no clause connects.  One partition refinement (`_refine`) colors
 the rows of one or more instances jointly, in two phases.  The rows of the
 nodes that no cycle reaches (`Schema.settle_order`) are colored in one
 bottom-up pass, each by its attribute tuple and the colors of its edge
@@ -46,8 +50,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, count, groupby, islice, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, compress, count, groupby, islice, repeat
+from operator import eq, itemgetter, or_, truth
 from typing import Union
 
 from .core import ConstPath, Schema, _table
@@ -146,12 +150,19 @@ def empty_instance(schema: Schema) -> Instance:
     return Instance(schema, {}, {}, {})
 
 
+def same_row(r):
+    """The term function of a row's own id: `path_fn` of a path with no
+    steps and no attribute."""
+    return r
+
+
 def path_fn(I: Instance, p):
     """The row -> value function of path p on I.
 
     The edge and attribute dicts along p are fetched once, here, so applying
     the result to a row is a chain of dict lookups.  A ConstPath gives its
-    value for every row.
+    value for every row, and a path with no steps and no attribute is
+    `same_row`.
     """
     if isinstance(p, ConstPath):
         value = p.value
@@ -164,6 +175,8 @@ def path_fn(I: Instance, p):
         node = et[(node, step)]
     if p.attr is not None:
         chain.append(I.attr(node, p.attr))
+    if not chain:
+        return same_row
     if len(chain) == 1:
         return chain[0].__getitem__
     if len(chain) == 2:
@@ -183,11 +196,21 @@ def eval_path(I: Instance, p, r):
     return path_fn(I, p)(r)
 
 
-def _all_of(tests):
-    """The conjunction of predicates, or None when there are none."""
-    if len(tests) <= 1:
-        return tests[0] if tests else None
-    return lambda x: all(t(x) for t in tests)
+def _holds(alternatives, rows):
+    """Whether some alternative holds, per row of a sequence of one
+    variable's rows, lazily.  An alternative is (term, other), the term on
+    that variable and other a constant or another term on it.  Each
+    alternative between two terms is one column pass, and the constants
+    compared with one term function are one frozenset pass."""
+    cols, constants = [], {}
+    for ((_v, f), other) in alternatives:
+        if isinstance(other, tuple):
+            cols.append(map(eq, map(f, rows), map(other[1], rows)))
+        else:
+            constants.setdefault(f, []).append(other)
+    for f, cs in constants.items():
+        cols.append(map(frozenset(cs).__contains__, map(f, rows)))
+    return cols[0] if len(cols) == 1 else map(any, zip(*cols))
 
 
 def join(domains, groups) -> list[tuple]:
@@ -197,113 +220,206 @@ def join(domains, groups) -> list[tuple]:
     are their indices.  A group is a sequence of alternatives (lhs, rhs),
     each an equality between two terms, and holds when one of them does.  A
     term is (var, fn), the value fn(row) of var's row, or a constant: any
-    value that is not a tuple.
+    value that is not a tuple.  An alternative on constants alone holds
+    always or never, so it drops its group or itself.
 
-    Groups on one variable alone filter its rows at the scan.  A group of
-    two or more alternatives on two or more variables is the union of one
-    join per alternative, with that alternative in the group's place: a
-    scan filter if it lies on one variable, a hash clause if on two.  A
-    single-alternative group on two variables is a hash clause.
-    The plan binds next an unbound variable with a hash clause to a bound
-    one, preferring one with a scan filter, then the fewest rows left by the
-    scan, then declared order; only when no unbound variable is connected
-    does it take the one with the fewest rows, so it never builds a product
-    that a clause could have joined.  The first hash clause to a bound
-    variable becomes a hash join, and every other group is checked on each
-    extended assignment once its variables are bound.  Each satisfying
-    assignment is returned once, as a tuple of rows in declared variable
-    order.  The list is ordered by the rows' positions in their domains,
-    taken in ascending order of domain size, ties in declared order; it is
-    sorted only when the plan binds in another order, or after a union.
+    Every alternative on one variable is decided by column passes over that
+    variable's rows (`_holds`): one C-level pass per alternative between
+    two terms, and one frozenset pass per term function for the constants
+    that it is compared with.  So a group on one variable alone filters its
+    rows at the scan.
+    A hash clause, a group of one alternative on two variables, links them.
+    Every group on two or more variables gets a bit, and each row of a
+    variable gets a mask: the bits of the groups whose alternatives on that
+    variable hold on it.  The plan binds next an
+    unbound variable linked to a bound one, preferring one with a scan
+    filter, then the fewest rows left by the scan, then declared order; only
+    when no unbound variable is linked does it take the one with the fewest
+    rows, so it never builds a product that a clause could have joined.
+    The first hash clause to a bound variable becomes a hash join, which
+    indexes only the new rows whose key is probed.  Every other group is decided
+    at the step that binds its last variable: it holds on an assignment iff
+    one of its alternatives on two variables holds, each one column pass
+    over the assignments, or the OR of its rows' masks has its bit.  Where
+    that step is a product, the assignments are grouped by the bits of the
+    groups that hold on them already and the new rows by their masks (their
+    classes), each pair of classes is decided once, and only the pairs that
+    hold are expanded: the step costs its assignments, classes x classes
+    and its output, never a product filtered row by row.
+
+    A group with an alternative on two variables that no hash clause
+    connects, directly or through others, would be decided after a product
+    of them, so it is split: the result is the union of one join per such
+    alternative, which takes the group's place as a hash clause, and one
+    join with the group's other alternatives in its place, if any.  An
+    alternative on two connected variables is checked on the assignments.
+    Each hash branch connects two parts of the link graph, so a path of
+    splits takes at most n - 1 of them for n variables, and k split groups
+    of at most a such alternatives make at most (a*k + 1)^(n - 1) joins:
+    polynomial in the groups, exponential only in the variables.
+
+    Each satisfying assignment is returned once, as a tuple of rows in
+    declared variable order.  The list is ordered by the rows' positions in
+    their domains, taken in ascending order of domain size, ties in declared
+    order; it is sorted only when the plan binds in another order, or after
+    a union.
     """
     n = len(domains)
     documented = sorted(range(n), key=lambda v: (len(domains[v]), v))
-
-    def var_of(term):
-        return term[0] if isinstance(term, tuple) else None
 
     def in_documented_order(assignments: list):
         ranks = [({r: i for i, r in enumerate(domains[v])}, v) for v in documented]
         assignments.sort(key=lambda a: [rank[a[v]] for (rank, v) in ranks])
         return assignments
 
-    def on_row(term):
-        """The term as a function of its variable's row."""
-        if isinstance(term, tuple):
-            return term[1]
-        return lambda _r: term
-
-    def on_asg(term):
-        """The term as a function of an assignment in binding order."""
-        if not isinstance(term, tuple):
-            return lambda _a: term
-        i, f = pos[term[0]], term[1]
-        return lambda a: f(a[i])
-
-    def test(group, compile_term):
-        sides = [(compile_term(lhs), compile_term(rhs)) for (lhs, rhs) in group]
-        if len(sides) == 1:
-            ((lhs, rhs),) = sides
-            return lambda x: lhs(x) == rhs(x)
-        return lambda x: any(lhs(x) == rhs(x) for (lhs, rhs) in sides)
-
-    pending = []  # groups on two or more variables, with their variables
-    scan = [[] for _ in range(n)]  # per variable, the groups on it alone
-    links = [set() for _ in range(n)]  # per variable, the variables it hashes to
+    # per group: its index, its alternatives on one variable by that
+    # variable (the term on it first), and its alternatives on two
+    by_arity, mixed = [], False
     for k, g in enumerate(groups):
-        vs = {var_of(t) for alt in g for t in alt} - {None}
-        if len(vs) > 1 and len(g) > 1:
-            found = {a: None for alt in g for a in join(domains, [*groups[:k], [alt], *groups[k + 1:]])}
-            return in_documented_order(list(found))
-        if len(vs) > 1:
-            pending.append((g, vs))
-            if len(g) == 1:  # a term has one variable, so vs is a pair
-                v, w = vs
-                links[v].add(w)
-                links[w].add(v)
-        elif vs:
-            (v,) = vs
-            scan[v].append(test(g, on_row))
-        elif not test(g, on_row)(None):  # a group on constants alone holds always or never
-            return []
-    # filtering keeps the rows' order
-    rows = [domains[v] if not scan[v] else list(filter(_all_of(scan[v]), domains[v]))
-            for v in range(n)]
+        one: dict[int, list] = {}
+        two = []
+        for (lhs, rhs) in g:
+            lv = lhs[0] if isinstance(lhs, tuple) else None
+            rv = rhs[0] if isinstance(rhs, tuple) else None
+            if lv is None and rv is None:
+                if lhs == rhs:
+                    break  # the group holds always
+            elif lv is None:
+                one.setdefault(rv, []).append((rhs, lhs))
+            elif rv is None or lv == rv:
+                one.setdefault(lv, []).append((lhs, rhs))
+            else:
+                two.append((lhs, rhs))
+        else:
+            if not one and not two:
+                return []
+            by_arity.append((k, one, two))
+            if two and (one or len(two) > 1):  # an alternative on two variables, in no hash clause
+                mixed = True
+    if mixed:
+        linked = _UnionFind(range(n))
+        for (_k, one, two) in by_arity:
+            if not one and len(two) == 1:
+                ((lhs, rhs),) = two
+                linked.union(lhs[0], rhs[0])
+        for (k, one, two) in by_arity:
+            apart, rest = [], [alt for alts in one.values() for alt in alts]
+            for (lhs, rhs) in two:
+                (apart if linked.find(lhs[0]) != linked.find(rhs[0]) else rest).append((lhs, rhs))
+            if apart:
+                branches = [[alt] for alt in apart] + ([rest] if rest else [])
+                found = {a: None for alts in branches
+                         for a in join(domains, [*groups[:k], alts, *groups[k + 1:]])}
+                return in_documented_order(list(found))
+
+    scan: dict[int, list] = {}  # variable -> the groups on it alone
+    on_var: dict[int, list] = {}  # variable -> (bit, its alternatives on it) per other group
+    links = [set() for _ in range(n)]  # per variable, the variables it hashes to
+    pending = []  # per other group: (its variables, bit, alternatives on two variables, is a hash clause)
+    for (_k, one, two) in by_arity:
+        if not two and len(one) == 1:
+            ((v, alts),) = one.items()
+            scan.setdefault(v, []).append(alts)
+            continue
+        bit = 1 << len(pending)
+        for v, alts in one.items():
+            on_var.setdefault(v, []).append((bit, alts))
+        vs = set(one)
+        for (lhs, rhs) in two:
+            vs |= {lhs[0], rhs[0]}
+        clause = not one and len(two) == 1
+        pending.append((vs, bit, two, clause))
+        if clause:  # a term has one variable, so vs is a pair
+            v, w = vs
+            links[v].add(w)
+            links[w].add(v)
+    rows = list(domains)
+    for v, filters in scan.items():
+        for alts in filters:  # each filter keeps the rows' order
+            rows[v] = list(compress(rows[v], _holds(alts, rows[v])))
+    mask: dict[int, dict] = {}  # variable -> {row: its mask}
+    carries = [0] * n  # per variable, the bits that its masks may hold
+    for v, entries in on_var.items():
+        col = [0] * len(rows[v])
+        for bit, alts in entries:
+            col = list(map(or_, col, map(bit.__mul__, _holds(alts, rows[v]))))
+            carries[v] |= bit
+        mask[v] = dict(zip(rows[v], col))
 
     order: list[int] = []
     pos: dict[int, int] = {}  # variable -> its position in binding order
+
+    def column(term, assignments):
+        """The term's value on each assignment, lazily."""
+        return map(term[1], map(itemgetter(pos[term[0]]), assignments))
+
+    def group_holds(group, assignments, bound):
+        """Per assignment, whether the group holds on its rows of the bound
+        variables, lazily: by its alternatives on two of them, and by the
+        bit in those rows' masks."""
+        _vs, bit, two, _clause = group
+        cols = [map(eq, column(lhs, assignments), column(rhs, assignments)) for (lhs, rhs) in two]
+        cols += [map(bit.__and__, column((u, mask[u].__getitem__), assignments))
+                 for u in bound if carries[u] & bit]
+        return cols[0] if len(cols) == 1 else map(any, zip(*cols))
+
     assignments = [()]
     while len(order) < n:
         unbound = [v for v in range(n) if v not in pos]
         connected = [v for v in unbound if not links[v].isdisjoint(pos)]
         if connected:
-            v = min(connected, key=lambda v: (not scan[v], len(rows[v]), v))
+            v = min(connected, key=lambda v: (v not in scan, len(rows[v]), v))
         else:
             v = min(unbound, key=lambda v: (len(rows[v]), v))
         pos[v] = len(order)
         order.append(v)
-        ready = [g for (g, vs) in pending if vs.issubset(pos)]
-        pending = [(g, vs) for (g, vs) in pending if not vs.issubset(pos)]
-        # every ready group is on v and a bound variable
-        hashed = next((g for g in ready if len(g) == 1), None)
-        check = _all_of([test(g, on_asg) for g in ready if g is not hashed])
-        if hashed is None:
-            extended = (a + (r,) for a in assignments for r in rows[v])
-        else:
-            ((lhs, rhs),) = hashed
-            if var_of(lhs) != v:
+        ready = [p for p in pending if p[0].issubset(pos)]
+        pending = [p for p in pending if not p[0].issubset(pos)]
+        # every ready group is on v and a bound variable; the first hash
+        # clause joins, and the others are checked
+        hashed = next((p for p in ready if p[3]), None)
+        checks = [p for p in ready if p is not hashed]
+        if hashed is not None:
+            ((lhs, rhs),) = hashed[2]
+            if lhs[0] != v:
                 lhs, rhs = rhs, lhs
-            key, probe = on_row(lhs), on_asg(rhs)
-            index: dict = {}
-            for r in rows[v]:
-                index.setdefault(key(r), []).append(r)
-            extended = (a + (r,) for a in assignments for r in index.get(probe(a), ()))
-        assignments = list(extended if check is None else filter(check, extended))
+            # only the rows whose key is probed are indexed
+            probes = list(column(rhs, assignments))
+            index: dict = {p: [] for p in probes}
+            keys = list(map(lhs[1], rows[v]))
+            hit = list(map(index.__contains__, keys))
+            for r, key in zip(compress(rows[v], hit), compress(keys, hit)):
+                index[key].append(r)
+            assignments = [a + (r,) for a, p in zip(assignments, probes) for r in index[p]]
+            if checks:
+                cols = [group_holds(p, assignments, order) for p in checks]
+                assignments = list(compress(assignments, cols[0] if len(cols) == 1 else map(all, zip(*cols))))
+        elif checks:
+            # a product: no ready group has an alternative on v and a bound
+            # variable, since no clause connects them, so each has its bit
+            # in v's masks; an assignment's class is the bits of the groups
+            # that hold on it already
+            bits, need = [0] * len(assignments), 0
+            for p in checks:
+                held = map(truth, group_holds(p, assignments, order[:-1]))
+                bits = list(map(or_, bits, map(p[1].__mul__, held)))
+                need |= p[1]
+            rv = rows[v]
+            classes: dict[int, list[int]] = {}  # bits -> the positions of v's rows with them
+            for i, b in enumerate(map(need.__and__, map(mask[v].__getitem__, rv))):
+                classes.setdefault(b, []).append(i)
+            fits = {}  # an assignment class -> the rows of v that complete it, in row order
+            for b in dict.fromkeys(bits):
+                parts = [i for c, i in classes.items() if b | c == need]
+                fits[b] = rv if len(parts) == len(classes) else list(
+                    map(rv.__getitem__, sorted(chain.from_iterable(parts))))
+            assignments = [a + (r,) for a, b in zip(assignments, bits) for r in fits[b]]
+        else:
+            assignments = [a + (r,) for a in assignments for r in rows[v]]
         if not assignments:
             return []
     if order != sorted(order):
-        declared = itemgetter(*(pos[v] for v in range(n)))
-        assignments = [declared(a) for a in assignments]
+        assignments = list(map(itemgetter(*(pos[v] for v in range(n))), assignments))
     # assignments come out ordered by the rows' positions taken in binding order
     return assignments if order == documented else in_documented_order(assignments)
 

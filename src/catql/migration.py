@@ -24,7 +24,7 @@ from .core import (
     path_target,
 )
 from .errors import InconsistencyError, SchemaError
-from .instances import Instance, LabelledNull, _UnionFind, join, path_fn
+from .instances import Instance, LabelledNull, _UnionFind, join, path_fn, same_row
 
 
 def delta(F: Mapping, I: Instance) -> Instance:
@@ -224,10 +224,6 @@ def sigma(F: Mapping, I: Instance) -> Instance:
     return Instance(T, rows, edge_fn, attr_fn)
 
 
-def _same_row(r):
-    return r
-
-
 class _PiPlan:
     """What pi(F, -) computes from F alone: each target node's comma slots,
     links (slot i, source edge, slot j), one per comma morphism, readings
@@ -289,7 +285,7 @@ class _PiPlan:
         """pi(F, I) on schema, F's target up to its attribute equations,
         which are the given ones (see pi)."""
         edge = I.edge_fn.get
-        groups = {t: [[((i, edge(e, {}).__getitem__), (j, _same_row))] for (i, e, j) in links]
+        groups = {t: [[((i, edge(e, {}).__getitem__), (j, same_row))] for (i, e, j) in links]
                   for t, links in self.links.items()}
         for (t, _aname), rds in self.readings.items():
             terms = [(i, I.attr(*a).__getitem__) for (i, a) in rds]
@@ -316,7 +312,7 @@ class _PiPlan:
             if lrds and rrds:
                 groups[t].append([(lrds[0], rrds[0])])
             elif lend and rend and lend[:2] == rend[:2]:
-                groups[t] += [[((i, _same_row), (j, _same_row))] for i, j in zip(lend[2], rend[2]) if i != j]
+                groups[t] += [[((i, same_row), (j, same_row))] for i, j in zip(lend[2], rend[2]) if i != j]
             else:
                 groups[t].append(never)
 

@@ -41,7 +41,7 @@ def scan_pattern(skip: str, rules: dict) -> re.Pattern:
 
 
 _RULES = dict(
-    STRING=r'"(?s:\\.|[^"\\])*"',
+    STRING=r'"[^"\\]*(?:\\(?s:.)[^"\\]*)*"',
     INT=r"-?\d+",
     IDENT=r"[^\W\d]\w*",
     SYM=r"->|[{}(),;:.=]",
@@ -49,8 +49,10 @@ _RULES = dict(
 _TOKEN = rule_table(**_RULES)
 # A lexeme that this matches whole is an IDENT, as STRING and INT match no such text.
 _IDENT = re.compile(_RULES["IDENT"])
-# Whitespace and '#' comments, captured as the first group.
-_SCAN = scan_pattern(r"((?:[ \t\r\n]+|#[^\n]*)*)", _RULES)
+# Whitespace and '#' comments, captured as the first group.  STRING and this
+# skip are unrolled: each run of plain characters is one step, never one
+# alternation per character.
+_SCAN = scan_pattern(r"([ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)", _RULES)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 

@@ -152,19 +152,24 @@ def result_schema(select_types) -> Schema:
 def eval_query_direct(q: Query, I: Instance) -> Instance:
     """Join the bindings' tables, project, relationalize (set semantics).
 
-    Each term is resolved to a path function once, and the where-groups and
-    tables go to `instances.join`, which picks the binding order and the
-    hash joins.  Result row q<i> is the i-th assignment in join order.
+    Each distinct term is resolved to a path function once, so the
+    alternatives that compare one term with constants share one term object,
+    which `instances.join` tests in one frozenset pass.  The where-groups and
+    tables go to join, which picks the binding order and the hash joins.
+    Result row q<i> is the i-th assignment in join order.
     """
     res = typecheck_query(q, I.schema)
     var_index = {var: i for i, (var, _node) in enumerate(q.bindings)}
+    terms: dict = {}  # raw path -> its join term
 
     def compiled(term):
         """The term as a join term: its variable and a function of its row."""
         if isinstance(term, ConstPath):
             return term.value
-        sort = res.expr_sort[term]
-        return (var_index[term.source], path_fn(I, sort[1] if sort[0] == "attr" else sort[2]))
+        if term not in terms:
+            sort = res.expr_sort[term]
+            terms[term] = (var_index[term.source], path_fn(I, sort[1] if sort[0] == "attr" else sort[2]))
+        return terms[term]
 
     assignments = join(
         [I.rows[node] for (_var, node) in q.bindings],

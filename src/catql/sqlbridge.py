@@ -286,7 +286,7 @@ class _SqlParser:
         lexemes = _TUPLE_VALUES.findall(self.text, self.start, close) if close >= 0 else ()
         if not lexemes or "" in lexemes:
             return self._tuple_by_tokens()
-        vals = list(map(_literal, lexemes))  # raises as the token walk would
+        vals = _column(lexemes)  # raises as the token walk would
         self._lex(close + 1)
         return vals
 

@@ -25,7 +25,9 @@ from catql.instances import (
     extend,
     iso_check,
     join,
+    path_fn,
     relationalize,
+    same_row,
     union,
     validate_instance,
 )
@@ -1234,3 +1236,57 @@ class TestJoin:
             seen["a union of one join per alternative"] += any(
                 len(g) > 1 and all(len(vs) == 1 for vs in g) and len(set().union(*g)) > 1 for g in one_var)
         assert min(seen.values()) >= 20, seen
+
+    def test_mixed_groups_match_product_oracle(self):
+        """One to twelve groups, each mixing the alternatives that join
+        decides apart: a term against a constant, one term against several
+        constants, two terms of one variable, and two terms of two
+        variables.  The same rows come back in the same order as from the
+        filtered product, whether a group filters a scan, is decided by row
+        masks, is checked on assignments or is split."""
+        rng = random.Random(34)
+        pool = [f"r{i}" for i in range(6)]
+        values = ["a", "b", 0, LabelledNull("x"), pool[0]]
+        seen = Counter()
+        for _ in range(1000):
+            domains = [rng.sample(pool, rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+            fns = [[{r: rng.choice("ab") for r in pool}.__getitem__ for _ in range(2)] + [same_row]
+                   for _ in domains]
+
+            def term(v):
+                return (v, rng.choice(fns[v]))
+
+            def alternatives():
+                v, kind = rng.randrange(len(domains)), rng.choice(["const", "consts", "one", "two"])
+                if kind == "const":
+                    alt = (term(v), rng.choice(values))
+                    return [alt if rng.random() < 0.7 else alt[::-1]]
+                if kind == "consts":
+                    t = term(v)
+                    return [(t, c) for c in rng.sample(values, rng.randint(2, 4))]
+                if kind == "one":
+                    return [(term(v), term(v))]
+                return [(term(v), term(rng.randrange(len(domains))))]
+
+            groups = [[alt for _ in range(rng.choice([1, 2, 3, 3, 4])) for alt in alternatives()]
+                      for _ in range(rng.randint(1, 12))]
+            got = join(domains, groups)
+            assert got == join_oracle(domains, groups)
+            for g in groups:
+                vs = [{t[0] for t in alt if isinstance(t, tuple)} for alt in g]
+                if len(set().union(*vs)) > 1:
+                    seen["across variables, two-variable alternative" if any(len(x) > 1 for x in vs)
+                         else "across variables, one-variable alternatives"] += 1
+            seen["nonempty"] += bool(got)
+            seen["nonempty, 6+ groups"] += len(groups) >= 6 and bool(got)
+        assert min(seen.values()) >= 40, seen
+
+    def test_identity_term_is_same_row(self):
+        """A path with no steps and no attribute is the one identity term
+        function, and a hash clause keyed by it joins each row to itself."""
+        s = make_schema("E", ["a", "b"], [("f", "a", "b")], [])
+        I = Instance(s, {"a": ["x", "y"], "b": ["p"]}, {("a", "f"): {"x": "p", "y": "p"}}, {})
+        assert path_fn(I, Path("b")) is same_row
+        f = path_fn(I, Path("a", ("f",)))
+        assert join([I.rows["a"], I.rows["b"]], [[((0, f), (1, same_row))]]) == [("x", "p"), ("y", "p")]
+        assert join([I.rows["b"], I.rows["a"]], [[((1, f), (0, same_row))]]) == [("p", "x"), ("p", "y")]

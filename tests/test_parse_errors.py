@@ -13,7 +13,7 @@ import pytest
 
 import test_script
 from catql.errors import ParseError
-from catql.parsing import parse_query, parse_script
+from catql.parsing import _RULES, _SCAN, parse_query, parse_script, scan_pattern
 from test_fuzz import mutate
 
 from conftest import read_data
@@ -226,7 +226,9 @@ def test_pinned_parse_errors(front_end, text, message, line, column):
     assert (str(exc.value), exc.value.line, exc.value.column) == (message, line, column)
 
 
-# The lexical rules of docs/grammar.ebnf, tried in order at each offset.
+# The lexical rules of docs/grammar.ebnf, tried in order at each offset.  They
+# keep SKIP and STRING in their plain form, not the unrolled form of the scan
+# in catql.parsing, so that they check it independently.
 REFERENCE_RULES = re.compile(
     r"(?P<SKIP>[ \t\r\n]+|#[^\n]*)"
     r'|(?P<STRING>"(?s:\\.|[^"\\])*")'
@@ -284,3 +286,15 @@ def test_tokens_of_fuzz_mutations_match_the_reference():
         else:
             assert test_script.TestParse.tokens(text) == expected, (i, text)
     assert errors >= 50  # 89 of the 400 fail to lex
+
+
+def test_unrolled_scan_splits_as_the_plain_one():
+    """The scan's unrolled SKIP and STRING describe the same language as
+    their plain forms, and `split` gives the same parts on random texts over
+    quotes, backslashes, '#', whitespace, letters, digits and symbols."""
+    plain = scan_pattern(r"((?:[ \t\r\n]+|#[^\n]*)*)", {**_RULES, "STRING": r'"(?s:\\.|[^"\\])*"'})
+    rng = random.Random(34)
+    alphabet = '""\\\\##  \n\t\rax_Z\xe907-->{}(),;:.=@\xb2'
+    for _ in range(50_000):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 16)))
+        assert _SCAN.split(text) == plain.split(text), text
